@@ -10,7 +10,6 @@ congruence and identity checks runnable over prime ranges via
 from __future__ import annotations
 
 from .binomsums import (
-    SumSpec,
     fib_lucas_sum,
     fib_lucas_sum_exact,
     rhs_lucas_sum,
@@ -69,14 +68,10 @@ from .sequences import (
     LucasParams,
     central_binomials,
     fermat_quotient,
-    fibonacci,
-    lucas_number,
-    lucas_pair,
     lucas_pair_mod,
     lucas_quotient,
     lucas_u_upto,
     lucas_v_upto,
-    w_upto,
     w_value,
     w_value_mod,
 )
@@ -129,21 +124,16 @@ __all__ = [
     "euler_numbers",
     # sequences
     "LucasParams",
-    "lucas_pair",
     "lucas_pair_mod",
     "lucas_u_upto",
     "lucas_v_upto",
     "w_value",
     "w_value_mod",
-    "w_upto",
-    "fibonacci",
-    "lucas_number",
     "fermat_quotient",
     "lucas_quotient",
     "BinomTable",
     "central_binomials",
     # binomial sums
-    "SumSpec",
     "s1",
     "s2",
     "weighted_sums",

@@ -20,15 +20,13 @@ Families (p an odd prime, working modulus p^k from the ring):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DenominatorDivisibleByP, PreconditionViolated
+from .errors import PreconditionViolated
 from .modring import PrimePower, Residue, inverse_table
 from .sequences import BinomTable, central_binomials
 
 __all__ = [
-    "SumSpec",
     "s1",
     "s2",
     "weighted_sums",
@@ -39,14 +37,6 @@ __all__ = [
     "weighted_sums_exact",
     "fib_lucas_sum_exact",
 ]
-
-
-def _embed(t: Fraction, ring: PrimePower) -> int:
-    t = Fraction(t)
-    if t.denominator % ring.p == 0:
-        raise DenominatorDivisibleByP(f"t={t} has denominator divisible by p={ring.p}")
-    m = ring.modulus
-    return t.numerator * pow(t.denominator, -1, m) % m
 
 
 def _check_d(d: int) -> None:
@@ -60,7 +50,7 @@ def s1(t: Fraction, d: int, ring: PrimePower, table: BinomTable | None = None) -
     if table is None:
         table = central_binomials(ring)
     p, m = ring.p, ring.modulus
-    tv = _embed(t, ring)
+    tv = ring.from_fraction(t).value
     inv = inverse_table(ring)
     total = 0
     tp = 1
@@ -79,7 +69,7 @@ def s2(t: Fraction, d: int, ring: PrimePower, table: BinomTable | None = None) -
     if table is None:
         table = central_binomials(ring)
     p, m = ring.p, ring.modulus
-    tv = _embed(t, ring)
+    tv = ring.from_fraction(t).value
     inv = inverse_table(ring)
     total = 0
     tp = tv
@@ -97,7 +87,7 @@ def weighted_sums(t: Fraction, ring: PrimePower, table: BinomTable | None = None
     if table is None:
         table = central_binomials(ring)
     p, m = ring.p, ring.modulus
-    tv = _embed(t, ring)
+    tv = ring.from_fraction(t).value
     inv = inverse_table(ring)
     half = (p - 1) // 2
     first = second = 0
@@ -145,7 +135,7 @@ def rhs_lucas_sum(kind: str, c: Fraction, d: int, ring: PrimePower) -> Residue:
     if d not in (2, 3):
         raise PreconditionViolated(f"sum exponent d must be 2 or 3, got {d}")
     p, m = ring.p, ring.modulus
-    cv = _embed(c, ring)
+    cv = ring.from_fraction(c).value
     inv = inverse_table(ring)
     prev, cur = (0, 1) if kind == "u" else (2, cv)
     total = 0
@@ -199,41 +189,3 @@ def fib_lucas_sum_exact(p: int, kind: str) -> Fraction:
         total += Fraction(math.comb(2 * k, k) * a, (2 * k + 1) * 16**k)
         a, b = a + b, a + 2 * b
     return total
-
-
-@dataclass(frozen=True)
-class SumSpec:
-    """A named sum family with its parameters, evaluatable in any prime ring.
-
-    Families: S1/S2 (d in {0, 1}), S1_weighted/S2_weighted (the two
-    components of ``weighted_sums``), FibSum/LucSum, and USum/VSum (the
-    u_k/v_k right-hand-side sums, parameter c = t, exponent d in {2, 3}).
-    """
-
-    family: str
-    t: Fraction | None = None
-    d: int | None = None
-
-    _FAMILIES = ("S1", "S2", "S1_weighted", "S2_weighted", "FibSum", "LucSum", "USum", "VSum")
-
-    def __post_init__(self):
-        if self.family not in self._FAMILIES:
-            raise PreconditionViolated(f"unknown sum family {self.family!r}")
-
-    def evaluate(self, ring: PrimePower) -> Residue:
-        table = central_binomials(ring)
-        if self.family == "S1":
-            return s1(self.t, self.d, ring, table)
-        if self.family == "S2":
-            return s2(self.t, self.d, ring, table)
-        if self.family == "S1_weighted":
-            return weighted_sums(self.t, ring, table)[0]
-        if self.family == "S2_weighted":
-            return weighted_sums(self.t, ring, table)[1]
-        if self.family == "FibSum":
-            return fib_lucas_sum("F", ring, table)
-        if self.family == "LucSum":
-            return fib_lucas_sum("L", ring, table)
-        if self.family == "USum":
-            return rhs_lucas_sum("u", self.t, self.d, ring)
-        return rhs_lucas_sum("v", self.t, self.d, ring)

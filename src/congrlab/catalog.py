@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, inf
+from math import comb, inf
 
 from .binomsums import fib_lucas_sum, rhs_lucas_sum, s1, s2, weighted_sums
-from .errors import CongrlabError, DenominatorDivisibleByP
 from .exactalg import QQ, Poly, PolyRing, QuadExt
 from .harmonic import alternating_half_sum, mhs, odd_mhs, repeated
 from .modring import (
@@ -82,7 +81,6 @@ class CongruenceCheck:
     description: str
     statement: str
     target_exponent: int
-    working_exponent: int
     evaluator: object  # callable (p, t) -> (Residue, Residue)
     min_prime: int = 3
     excluded_primes: frozenset[int] = frozenset()
@@ -121,7 +119,6 @@ class CheckResult:
     passed: bool
     lhs: str
     rhs: str
-    elapsed_us: int = 0
     error: str | None = None
 
     def sort_key(self) -> tuple:
@@ -167,9 +164,6 @@ class Report:
         fails = sum(1 for r in self.results if r.error is None and not r.passed)
         return (len(self.results) - fails - errs, fails, errs)
 
-    def failures(self) -> list[CheckResult]:
-        return [r for r in self.results if not r.passed]
-
     def records(self) -> list[dict]:
         return [r.record() for r in self.results]
 
@@ -193,20 +187,14 @@ def _div_p_times(x: Residue, times: int) -> Residue:
     return x
 
 
-def _embed_int(t: Fraction, m: int) -> int:
-    if gcd(t.denominator, m) != 1:
-        raise DenominatorDivisibleByP(f"t={t} has denominator not invertible mod {m}")
-    return t.numerator * pow(t.denominator, -1, m) % m
-
-
 # ---------------------------------------------------------------------------
 # congruence evaluators
 #
 # Each evaluator returns (lhs, rhs) as residues in a common ring whose
 # exponent is at least the check's target.  Quantities only known modulo p
 # (Bernoulli/Euler values, mod-p weighted sums) enter through terms carrying
-# an explicit factor p**e with e >= working_exponent - 1, so any lift of the
-# mod-p value yields the same result.
+# an explicit factor p**e with e >= k - 1, where p^k is the modulus the
+# evaluator works in, so any lift of the mod-p value yields the same result.
 
 
 def _eval_full_depth1_odd(r: int):
@@ -462,7 +450,7 @@ def _eval_weighted_second_mod_p(p: int, t: Fraction):
 def _eval_s1_mod_p3(p: int, t: Fraction):
     ring4 = prime_power(p, 4)
     n = (p - 1) // 2
-    wn = ring4.residue(w_value_mod(n, _embed_int(1 - 8 * t, ring4.modulus), ring4.modulus))
+    wn = ring4.residue(w_value_mod(n, ring4.from_fraction(1 - 8 * t).value, ring4.modulus))
     head = divide_by_p(wn - ring4.from_fraction(-16 * t) ** n)  # exponent 3
     ring = head.ring
     lhs = s1(t, 0, ring)
@@ -485,7 +473,7 @@ def _eval_s2_mod_p3(p: int, t: Fraction):
         rhs_lucas_sum("u", 2 - 16 * t, 2, modp)
         / (modp.from_fraction(t) ** n * 2)
     )
-    wn = ring.residue(w_value_mod(n, _embed_int(8 * t - 1, ring.modulus), ring.modulus))
+    wn = ring.residue(w_value_mod(n, ring.from_fraction(8 * t - 1).value, ring.modulus))
     rhs = wn + ring.residue(fac.value) * (p * p)
     return lhs, rhs
 
@@ -494,7 +482,7 @@ def _eval_s1_quadratic_arg(p: int, t: Fraction):
     ring4 = prime_power(p, 4)
     m = ring4.modulus
     n = (p - 1) // 2
-    tv = _embed_int(t, m)
+    tv = ring4.from_fraction(t).value
     inv = inverse_table(ring4)
     mult = (tv * tv - 2) % m
     a, b = tv % m, (tv * tv * tv - 3 * tv) % m  # v_1, v_3
@@ -518,7 +506,7 @@ def _eval_s2_quadratic_arg(p: int, t: Fraction):
     ring = prime_power(p, 2)
     m = ring.modulus
     n = (p - 1) // 2
-    tv = _embed_int(t, m)
+    tv = ring.from_fraction(t).value
     inv = inverse_table(ring)
     mult = (tv * tv - 2) % m
     a, b = 2 % m, mult  # v_0, v_2
@@ -993,14 +981,13 @@ def _ident_w_special_values(params):
 def _congruence_checks() -> list[CongruenceCheck]:
     checks: list[CongruenceCheck] = []
 
-    def add(cid, desc, stmt, target, working, ev, *, minp=3, excl=(), panel=False, cap=None):
+    def add(cid, desc, stmt, target, ev, *, minp=3, excl=(), panel=False, cap=None):
         checks.append(
             CongruenceCheck(
                 id=cid,
                 description=desc,
                 statement=stmt,
                 target_exponent=target,
-                working_exponent=working,
                 evaluator=ev,
                 min_prime=minp,
                 excluded_primes=frozenset(excl),
@@ -1014,14 +1001,14 @@ def _congruence_checks() -> list[CongruenceCheck]:
             f"i.odd.r{r}",
             f"full harmonic sum of weight {r} against a Bernoulli multiple of p^2",
             f"H_(p-1)({r}) = -{r}*{r + 1}/(2*{r + 2}) * p^2 * B(p-{r + 2})  (mod p^3)",
-            3, 3, _eval_full_depth1_odd(r), minp=r + 3,
+            3, _eval_full_depth1_odd(r), minp=r + 3,
         )
     for r in (2, 4, 6):
         add(
             f"i.even.r{r}",
             f"full harmonic sum of weight {r} against a Bernoulli multiple of p",
             f"H_(p-1)({r}) = {r}/{r + 1} * p * B(p-{r + 1})  (mod p^2)",
-            2, 2, _eval_full_depth1_even(r), minp=r + 3,
+            2, _eval_full_depth1_even(r), minp=r + 3,
         )
     for w in range(2, 7):
         for s in range(1, w):
@@ -1030,7 +1017,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"ii.r{r}s{s}",
                 f"depth-2 harmonic sum of weight ({r},{s}) against a Bernoulli value",
                 f"H_(p-1)({r},{s}) = (-1)^{s}/{w} * C({w},{s}) * B(p-{w})  (mod p)",
-                1, 1, _eval_full_depth2(r, s), minp=w + 1,
+                1, _eval_full_depth2(r, s), minp=w + 1,
             )
     for w in (3, 5, 7):
         for r in range(1, w - 1):
@@ -1042,39 +1029,39 @@ def _congruence_checks() -> list[CongruenceCheck]:
                     f"iii.r{r}s{s}t{u}",
                     f"depth-3 harmonic sum of weight ({r},{s},{u}) against a Bernoulli value",
                     f"H_(p-1)({r},{s},{u}) = [(-1)^{r}*C({w},{r}) - (-1)^{u}*C({w},{u})]/(2*{w}) * B(p-{w})  (mod p)",
-                    1, 1, _eval_full_depth3(r, s, u), minp=w + 1,
+                    1, _eval_full_depth3(r, s, u), minp=w + 1,
                 )
     add(
         "iv.h1",
         "weight-1 full harmonic sum expanded through weights 2 and 3",
         "H_(p-1)(1) = -p/2*H_(p-1)(2) - p^2/6*H_(p-1)(3)  (mod p^5)",
-        5, 5, _eval_full_h1_expansion, minp=7,
+        5, _eval_full_h1_expansion, minp=7,
     )
     add(
         "v.h12",
         "depth-2 (1,2) sum against the p-divided weight-1 sum",
         "H_(p-1)(1,2) = -3*H_(p-1)(1)/p^2 + p^2/2*B(p-5)  (mod p^3)",
-        3, 5, _eval_full_h12, minp=7,
+        3, _eval_full_h12, minp=7,
     )
     add(
         "vi.1",
         "half-range weight-1 sum against Fermat-quotient powers",
         "H_n(1) = -2*q + p*q^2 - p^2*(2/3*q^3 + 7/12*B(p-3)), q = q_p(2), n = (p-1)/2  (mod p^3)",
-        3, 3, _eval_half_h1, minp=7,
+        3, _eval_half_h1, minp=7,
     )
     for r in (2, 4):
         add(
             f"vi.even.r{r}",
             f"half-range weight-{r} sum against a Bernoulli multiple of p",
             f"H_n({r}) = {r}*(2^{r + 1}-1)/(2*{r + 1}) * p * B(p-{r + 1})  (mod p^2)",
-            2, 2, _eval_half_depth1_even(r), minp=r + 5,
+            2, _eval_half_depth1_even(r), minp=r + 5,
         )
     for r in (3, 5):
         add(
             f"vi.odd.r{r}",
             f"half-range weight-{r} sum against a Bernoulli value",
             f"H_n({r}) = -(2^{r}-2)/{r} * B(p-{r})  (mod p)",
-            1, 1, _eval_half_depth1_odd(r), minp=r + 5,
+            1, _eval_half_depth1_odd(r), minp=r + 5,
         )
     for r in (1, 2, 3):
         for a in (1, 2, 3):
@@ -1082,7 +1069,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"L21.C1.r{r}a{a}",
                 f"full weight-{r} sum from half-range sums through order p^{a}",
                 f"H_(p-1)({r}) = H_n({r}) + (-1)^{r} * sum_k C({r - 1}+k,k)*H_n({r}+k)*p^k, k=0..{a}  (mod p^{a + 1})",
-                a + 1, a + 1, _eval_full_from_half(r, a), minp=r + 3,
+                a + 1, _eval_full_from_half(r, a), minp=r + 3,
             )
     for w in (3, 5, 7):
         for s in range(1, w):
@@ -1091,37 +1078,37 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"L21.C2.r{r}s{s}",
                 f"half-range depth-2 sum of odd weight ({r},{s}) against a Bernoulli value",
                 f"H_n({r},{s}) = B(p-{w})/(2*{w}) * ((-1)^{s}*C({w},{s}) + 2^{w} - 2)  (mod p)",
-                1, 1, _eval_half_depth2(r, s), minp=w + 1,
+                1, _eval_half_depth2(r, s), minp=w + 1,
             )
     add(
         "T22.zero",
         "weighted half-range combination of weights 2,3,4 vanishing mod p^4",
         "H_n(2) + 7/6*p*H_n(3) + 5/8*p^2*H_n(4) = 0  (mod p^4)",
-        4, 4, _eval_half_weighted_zero, minp=5,
+        4, _eval_half_weighted_zero, minp=5,
     )
     add(
         "C23.a",
         "full weight-2 sum against the p-divided weight-1 sum",
         "H_(p-1)(2) = -2*H_(p-1)(1)/p + 2/5*p^3*B(p-5)  (mod p^4)",
-        4, 5, _eval_h2_vs_h1, minp=7,
+        4, _eval_h2_vs_h1, minp=7,
     )
     add(
         "C23.b",
         "half-range weight-2 sum against the p-divided weight-1 sum",
         "H_n(2) = -7*H_(p-1)(1)/p + 17/10*p^3*B(p-5)  (mod p^4)",
-        4, 5, _eval_half_h2_vs_h1, minp=7,
+        4, _eval_half_h2_vs_h1, minp=7,
     )
     add(
         "C23.c",
         "half-range weight-3 sum against the p^2-divided weight-1 sum",
         "H_n(3) = 6*H_(p-1)(1)/p^2 - 81/10*p^2*B(p-5)  (mod p^3)",
-        3, 5, _eval_half_h3_vs_h1, minp=7,
+        3, _eval_half_h3_vs_h1, minp=7,
     )
     add(
         "C23.d",
         "half-range (1,2) and (1,3) sums against the p^2-divided weight-1 sum",
         "H_n(1,2) + p*H_n(1,3) = -9/2*H_(p-1)(1)/p^2 - 49/20*p^2*B(p-5)  (mod p^3)",
-        3, 5, _eval_half_h12_h13, minp=7,
+        3, _eval_half_h12_h13, minp=7,
     )
     for r in (1, 2, 3):
         for s in (1, 2, 3):
@@ -1129,165 +1116,165 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"L25.r{r}s{s}",
                 f"odd-index depth-2 sum ({r},{s}) from reversed half-range sums",
                 f"Hbar_n({r},{s}) = (-2)^-{r + s} * [H_n({s},{r}) + p/2*({r}*H_n({s},{r + 1}) + {s}*H_n({s + 1},{r})) + p^2/4*(...)]  (mod p^3)",
-                3, 3, _eval_odd_depth2_expansion(r, s), minp=3,
+                3, _eval_odd_depth2_expansion(r, s), minp=3,
             )
     add(
         "L26.alts",
         "alternating odd-denominator sum expanded in odd-index harmonic sums",
         "2*(-1)^n*sum((-1)^k/(2k+1)) = Hbar(1) - p*Hbar(2) - p^2*Hbar(2,1) + p^3*Hbar(2,2) + p^4*Hbar(2,2,1)  (mod p^5)",
-        5, 5, _eval_alternating_vs_odd, minp=7,
+        5, _eval_alternating_vs_odd, minp=7,
     )
     add(
         "C27.morley",
         "central binomial coefficient over 4^(p-1) to sixth order",
         "(-1)^n/4^(p-1)*C(p-1,n) = 1 - p/4*H_(p-1)(1) - p^5/80*B(p-5)  (mod p^6)",
-        6, 6, _eval_central_binomial_mod_p6, minp=7,
+        6, _eval_central_binomial_mod_p6, minp=7,
     )
     add(
         "L31.A2",
         "weighted central binomial sum with inner weight Hbar_k(2) against a v-series",
         "sum C(2k,k)t^k Hbar_k(2)/(2k+1) = 1/64*(-1/t)^((p+1)/2) * sum v_k(2-16t)/k^3  (mod p)",
-        1, 1, _eval_weighted_first_mod_p, minp=5, panel=True,
+        1, _eval_weighted_first_mod_p, minp=5, panel=True,
     )
     add(
         "L31.A3",
         "weighted central binomial sum with inner weight Hbar_k(2) against a u-series",
         "sum C(2k,k)t^k Hbar_k(2) = 1/2*(-1/t)^((p-1)/2) * sum u_k(2-16t)/k^2  (mod p)",
-        1, 1, _eval_weighted_second_mod_p, minp=5, panel=True,
+        1, _eval_weighted_second_mod_p, minp=5, panel=True,
     )
     add(
         "T32.first",
         "odd-denominator central binomial sum against a w-value to third order",
         "sum C(2k,k)t^k/(2k+1) = [w_n(1-8t) - (-16t)^n]/p + p^2/64*(-1/t)^((p+1)/2)*sum v_k(2-16t)/k^3  (mod p^3)",
-        3, 4, _eval_s1_mod_p3, minp=5, panel=True,
+        3, _eval_s1_mod_p3, minp=5, panel=True,
     )
     add(
         "T32.second",
         "plain central binomial sum against a w-value to third order",
         "(-1)^n sum C(2k,k)t^k = w_n(8t-1) + p^2/(2t^n)*sum u_k(2-16t)/k^2  (mod p^3)",
-        3, 3, _eval_s2_mod_p3, minp=5, panel=True,
+        3, _eval_s2_mod_p3, minp=5, panel=True,
     )
     add(
         "T34.first",
         "squared-denominator central binomial sum against odd-index v-values",
         "sum C(2k,k)(t/4)^(2k)/(2k+1)^2 = (-1)^n*(v_p(t)-t^p)/(t*p^2) + 2/(t*p)*sum (-1)^k v_(2k+1)(t)/(2k+1)  (mod p^2)",
-        2, 4, _eval_s1_quadratic_arg, minp=3, panel=True,
+        2, _eval_s1_quadratic_arg, minp=3, panel=True,
     )
     add(
         "T34.second",
         "k-divided central binomial sum against even-index v-values",
         "sum C(2k,k)(t/4)^(2k)/k = 4*q_p(2) - 2p*q_p(2)^2 + sum (-1)^k v_(2k)(t)/k  (mod p^2)",
-        2, 2, _eval_s2_quadratic_arg, minp=3, panel=True,
+        2, _eval_s2_quadratic_arg, minp=3, panel=True,
     )
     add(
         "C41.a",
         "odd-denominator central binomial sum at t=1/4",
         "s1(1/4) = (-1)^((p+1)/2)*(q_p(2) - p^2/16*B(p-3))  (mod p^3)",
-        3, 3, _eval_s1_quarter, minp=5,
+        3, _eval_s1_quarter, minp=5,
     )
     add(
         "C41.b",
         "odd-denominator central binomial sum at t=1/16",
         "s1(1/16) = (-1)^((p+1)/2)/36*p^2*B(p-3)  (mod p^3)",
-        3, 3, _eval_s1_sixteenth, minp=5,
+        3, _eval_s1_sixteenth, minp=5,
     )
     add(
         "C41.c",
         "odd-denominator central binomial sum at t=1/8",
         "s1(1/8) = (-1)^((p+1)/2)*(2|p)*[q/2 - p/8*q^2 + p^2/16*(q^3 - B(p-3)/8)]  (mod p^3)",
-        3, 3, _eval_s1_eighth, minp=5,
+        3, _eval_s1_eighth, minp=5,
     )
     add(
         "C41.d",
         "odd-denominator central binomial sum at t=3/16",
         "s1(3/16) = (-1)^((p+1)/2)*(3|p)*[q3/2 - p/8*q3^2 + p^2*(q3^3/16 - B(p-3)/27)]  (mod p^3)",
-        3, 3, _eval_s1_three_sixteenths, minp=5,
+        3, _eval_s1_three_sixteenths, minp=5,
     )
     add(
         "C41.e",
         "odd-denominator central binomial sum at t=-1/32",
         "s1(-1/32) = (2|p)*[2q - p*q^2 + p^2/3*(2q^3 - 7/32*B(p-3))]  (mod p^3)",
-        3, 3, _eval_s1_neg_thirtysecond, minp=5,
+        3, _eval_s1_neg_thirtysecond, minp=5,
     )
     add(
         "C41.f",
         "odd-denominator central binomial sum at t=-1/16 against the Lucas quotient",
         "s1(-1/16) = q_L - p^2/15*(q_L^3/2 + B(p-3)), q_L = (L_p-1)/p  (mod p^3)",
-        3, 3, _eval_s1_neg_sixteenth, minp=7,
+        3, _eval_s1_neg_sixteenth, minp=7,
     )
     add(
         "C42.a",
         "plain central binomial sum at t=1/16 against a Bernoulli polynomial value",
         "sum_(k<=n) C(2k,k)/16^k = (3|p) + (-1|p)*p^2/24*B_(p-2)(1/3)  (mod p^3)",
-        3, 3, _eval_s2_sixteenth_b13, minp=5, cap=600,
+        3, _eval_s2_sixteenth_b13, minp=5, cap=600,
     )
     add(
         "C42.b",
         "plain central binomial sum at t=3/16 against a Bernoulli polynomial value",
         "sum_(k<=n) C(2k,k)(3/16)^k = 1 + (-3|p)*p^2/12*B_(p-2)(1/3)  (mod p^3)",
-        3, 3, _eval_s2_three_sixteenth_b13, minp=5, cap=600,
+        3, _eval_s2_three_sixteenth_b13, minp=5, cap=600,
     )
     add(
         "T43.F",
         "Fibonacci-weighted central binomial sum against the Fibonacci quotient",
         "sum C(2k,k)F_(2k+1)/((2k+1)16^k) = (-1)^((p+1)/2)*(F_p - (p|5))/p  (mod p^2)",
-        2, 3, _eval_fibonacci_weighted, minp=3, excl=(5,),
+        2, _eval_fibonacci_weighted, minp=3, excl=(5,),
     )
     add(
         "T43.L",
         "Lucas-weighted central binomial sum against the Lucas quotient",
         "sum C(2k,k)L_(2k+1)/((2k+1)16^k) = (-1)^((p+1)/2)*(L_p - 1)/p  (mod p^2)",
-        2, 3, _eval_lucas_weighted, minp=3, excl=(5,),
+        2, _eval_lucas_weighted, minp=3, excl=(5,),
     )
     add(
         "C45.a",
         "squared-denominator central binomial sum at t=1/4",
         "sum C(2k,k)/((2k+1)^2*4^k) = (-1)^((p+1)/2)*(q^2/2 - p*q^3/3 - p/16*B(p-3))  (mod p^2)",
-        2, 2, _eval_s1_quarter_weight2, minp=5,
+        2, _eval_s1_quarter_weight2, minp=5,
     )
     add(
         "C45.b",
         "k-divided central binomial sum at t=1/4 against an Euler number",
         "sum C(2k,k)/(k*4^k) = 2q - p*q^2 + (-1)^((p+1)/2)*2p*E(p-3)  (mod p^2)",
-        2, 2, _eval_s2_quarter_weight1, minp=3,
+        2, _eval_s2_quarter_weight1, minp=3,
     )
     add(
         "TM.mc1",
         "odd-denominator central binomial sum at t=1/16 to fifth order",
         "s1(1/16) = (-1)^n*(H_(p-1)(1)/12 + 3/160*p^4*B(p-5))  (mod p^5)",
-        5, 5, _eval_s1_sixteenth_mod_p5, minp=7,
+        5, _eval_s1_sixteenth_mod_p5, minp=7,
     )
     add(
         "TM.mc2",
         "squared-denominator central binomial sum at t=-1/16 to fourth order",
         "s1(-1/16, squared) = H_(p-1)(1)/(5p) + 7/200*p^3*B(p-5)  (mod p^4)",
-        4, 5, _eval_s1_neg_sixteenth_weight2, minp=7,
+        4, _eval_s1_neg_sixteenth_weight2, minp=7,
     )
     add(
         "C52.weighted",
         "Hbar(2)-weighted central binomial sum at t=1/16 against the divided weight-1 sum",
         "sum C(2k,k)Hbar_k(2)/(16^k(2k+1)) = (-1)^n*H_(p-1)(1)/(12p^2)  (mod p^2)",
-        2, 4, _eval_weighted_first_sixteenth, minp=7,
+        2, _eval_weighted_first_sixteenth, minp=7,
     )
     for a in (2, 3, 5):
         add(
             f"eq11.a{a}",
             f"refined Euler criterion for a={a} to fourth order",
             f"{a}^((p-1)/2) = ({a}|p)*(1 + p/2*q - p^2/8*q^2 + p^3/16*q^3), q = q_p({a})  (mod p^4)",
-            4, 4, _eval_euler_criterion_refined(a), minp=3,
+            4, _eval_euler_criterion_refined(a), minp=3,
             excl=(a,) if a != 2 else (),
         )
     add(
         "rv.squares",
         "sum of squared central binomials over 16^k",
         "sum_(k<=n) C(2k,k)^2/16^k = (-1)^n  (mod p^2)",
-        2, 2, _eval_central_squares, minp=3,
+        2, _eval_central_squares, minp=3,
     )
     add(
         "S5.conbin",
         "binomial ratio expanded in odd-index harmonic sums, per index k",
         "C(2k,k)/((-16)^k*C(n+k,2k+1)) = -2*[1 + p/(2k+1) + ... + p^4*(... + Hbar_k(4) + Hbar_k(2,2))]  (mod p^5)",
-        5, 5, _eval_binomial_ratio_expansion, minp=3,
+        5, _eval_binomial_ratio_expansion, minp=3,
     )
     return checks
 
@@ -1455,71 +1442,43 @@ def _render_exact(x) -> str:
     return str(x)
 
 
+def _graded(check_id: str, prime, t, target, evaluate) -> CheckResult:
+    """Grade ``evaluate() -> (valuation, lhs, rhs)`` against the target.
+
+    Any exception raised while evaluating becomes an ERROR row, so one bad
+    instance never aborts a sweep.
+    """
+    try:
+        valuation, lhs, rhs = evaluate()
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return CheckResult(check_id, prime, t, target, 0, False, f"ERROR: {error}", "", error)
+    return CheckResult(check_id, prime, t, target, valuation, valuation >= target, lhs, rhs)
+
+
 def run_congruence(check: CongruenceCheck, p: int, t: Fraction | None = None) -> CheckResult:
     """Evaluate one congruence instance and grade the p-adic valuation."""
-    start = time.perf_counter_ns()
-    t_str = str(t) if t is not None else None
-    try:
+    target = check.target_exponent
+
+    def evaluate():
         lhs, rhs = check.evaluator(p, t) if check.uses_t_panel else check.evaluator(p)
-        diff = lhs - rhs
-        val = diff.valuation()
-        target = check.target_exponent
-        return CheckResult(
-            check_id=check.id,
-            prime=p,
-            t=t_str,
-            target=target,
-            valuation=val,
-            passed=val >= target,
-            lhs=str(int(reduce_residue(lhs, target))),
-            rhs=str(int(reduce_residue(rhs, target))),
-            elapsed_us=(time.perf_counter_ns() - start) // 1000,
+        return (
+            (lhs - rhs).valuation(),
+            str(int(reduce_residue(lhs, target))),
+            str(int(reduce_residue(rhs, target))),
         )
-    except CongrlabError as exc:
-        return CheckResult(
-            check_id=check.id,
-            prime=p,
-            t=t_str,
-            target=check.target_exponent,
-            valuation=0,
-            passed=False,
-            lhs=f"ERROR: {type(exc).__name__}: {exc}",
-            rhs="",
-            elapsed_us=(time.perf_counter_ns() - start) // 1000,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+
+    return _graded(check.id, p, str(t) if t is not None else None, target, evaluate)
 
 
 def run_identity(check: IdentityCheck, params: dict) -> CheckResult:
     """Evaluate one identity instance; equality grades as infinite valuation."""
-    start = time.perf_counter_ns()
-    try:
+
+    def evaluate():
         lhs, rhs = check.evaluator(params)
-        equal = lhs == rhs
-        return CheckResult(
-            check_id=check.id,
-            prime=params.get("p"),
-            t=_render_params(params),
-            target=inf,
-            valuation=inf if equal else 0,
-            passed=equal,
-            lhs=_render_exact(lhs),
-            rhs=_render_exact(rhs),
-            elapsed_us=(time.perf_counter_ns() - start) // 1000,
-        )
-    except CongrlabError as exc:
-        return CheckResult(
-            check_id=check.id,
-            prime=params.get("p"),
-            t=_render_params(params),
-            target=inf,
-            valuation=0,
-            passed=False,
-            lhs=f"ERROR: {type(exc).__name__}: {exc}",
-            rhs="",
-            elapsed_us=(time.perf_counter_ns() - start) // 1000,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return (inf if lhs == rhs else 0), _render_exact(lhs), _render_exact(rhs)
+
+    return _graded(check.id, params.get("p"), _render_params(params), inf, evaluate)
 
 
 def _applicable_ts(check: CongruenceCheck, p: int, panel) -> list:
@@ -1532,41 +1491,15 @@ def _applicable_ts(check: CongruenceCheck, p: int, panel) -> list:
 
 
 def _run_unit(unit) -> list[CheckResult]:
-    kind = unit[0]
-    out: list[CheckResult] = []
-    if kind == "c":
+    if unit[0] == "c":
         _, p, items = unit
-        for cid, t_str in items:
-            check = _registry()[cid]
-            t = Fraction(t_str) if t_str is not None else None
-            try:
-                out.append(run_congruence(check, p, t))
-            except Exception as exc:  # defensive: surface as an ERROR row
-                out.append(
-                    CheckResult(
-                        check_id=cid, prime=p, t=t_str,
-                        target=check.target_exponent, valuation=0, passed=False,
-                        lhs=f"ERROR: {type(exc).__name__}: {exc}", rhs="",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-    else:
-        _, cid, indices = unit
-        check = _registry()[cid]
-        for i in indices:
-            params = dict(check.cases[i])
-            try:
-                out.append(run_identity(check, params))
-            except Exception as exc:
-                out.append(
-                    CheckResult(
-                        check_id=cid, prime=params.get("p"), t=_render_params(params),
-                        target=inf, valuation=0, passed=False,
-                        lhs=f"ERROR: {type(exc).__name__}: {exc}", rhs="",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-    return out
+        return [
+            run_congruence(_registry()[cid], p, Fraction(t_str) if t_str is not None else None)
+            for cid, t_str in items
+        ]
+    _, cid, indices = unit
+    check = _registry()[cid]
+    return [run_identity(check, dict(check.cases[i])) for i in indices]
 
 
 def run_suite(
@@ -1607,18 +1540,18 @@ def run_suite(
         units.append(("i", check.id, tuple(range(len(check.cases)))))
 
     results: list[CheckResult] = []
-    if jobs <= 1:
-        for unit in units:
-            batch = _run_unit(unit)
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    mapper = map if pool is None else pool.map
+    try:
+        # _run_unit is looked up at call time so that profilers can replace it.
+        for batch in mapper(_run_unit, units):
             results.extend(batch)
             if fail_fast and any(not r.passed for r in batch):
                 break
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(_run_unit, units):
-                results.extend(batch)
-                if fail_fast and any(not r.passed for r in batch):
-                    break
+    finally:
+        if pool is not None:
+            # Drop the units not yet started; pool.map submitted them all.
+            pool.shutdown(cancel_futures=True)
 
     results.sort(key=CheckResult.sort_key)
     return Report(results=tuple(results), wall_seconds=time.perf_counter() - started)

@@ -37,6 +37,16 @@ def _parse_prime_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _parse_t_panel(text: str) -> tuple[Fraction, ...]:
     try:
         values = tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
@@ -69,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
-        default=int(os.environ.get("CONGRLAB_JOBS", "1")),
+        type=_positive_int,
+        default=os.environ.get("CONGRLAB_JOBS", "1"),
         metavar="N",
         help="worker processes (default: $CONGRLAB_JOBS or 1)",
     )
@@ -186,11 +196,18 @@ def main(argv: list[str] | None = None) -> int:
         prime_lo=args.primes[0],
         prime_hi=args.primes[1],
         patterns=patterns or ("all",),
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
         t_panel=args.t_panel,
         fail_fast=args.fail_fast,
         no_cap=args.no_cap,
     )
+    if not report.results:
+        print(
+            "error: the selection schedules no instance "
+            "(no prime in range, or every panel value skipped)",
+            file=sys.stderr,
+        )
+        return 2
 
     rendered = format_report(report, args.format)
     if args.output:

@@ -220,13 +220,6 @@ class Poly:
             acc = acc * x + one * c
         return acc
 
-    def compose(self, other: "Poly") -> "Poly":
-        """The polynomial self(other(x))."""
-        acc = Poly([], self.base)
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly([c], self.base)
-        return acc
-
     def integrate_from_zero(self) -> "Poly":
         """Formal integral with zero constant term: x^i -> x^(i+1)/(i+1)."""
         out = [self.base.zero()]
@@ -418,9 +411,6 @@ class QuadField:
 
     def from_fraction(self, q: Fraction) -> QuadExt:
         return QuadExt(q, 0, self.d)
-
-    def sqrt_d(self) -> QuadExt:
-        return QuadExt(0, 1, self.d)
 
     def div(self, a: QuadExt, b: QuadExt) -> QuadExt:
         return a * b.inv()

@@ -9,9 +9,10 @@ Conventions (the index order matters and is guarded by tests):
 * The empty composition gives 1 (empty product convention); any nonempty
   composition at n = 0 gives 0 (empty sum).
 
-Both are computed by a depth-wise dynamic program in O(depth * n) ring
-operations; the modular instantiation runs on raw integers with a batched
-inverse table.
+All three are computed by one depth-wise dynamic program in O(depth * n)
+ring operations over a table of inverse denominators; the alternating sum
+is the difference of two depth-one runs.  The modular instantiation runs on
+raw integers over slices of the batched inverse table.
 """
 
 from __future__ import annotations
@@ -44,34 +45,50 @@ def _validated(comp) -> tuple[int, ...]:
     return comp
 
 
+def _dp_mod(inverses, comp: tuple[int, ...], m: int) -> int:
+    """The depth-wise DP on raw integers mod m.
+
+    Sums prod_j x_{i_j}^comp[j] over i_1 < ... < i_r, where x_1, x_2, ...
+    are the entries of ``inverses`` in order and comp[0] sits on the
+    smallest index.
+    """
+    r = len(comp)
+    acc = [1] + [0] * r
+    for x in inverses:
+        for d in range(r, 0, -1):
+            acc[d] = (acc[d] + acc[d - 1] * pow(x, comp[d - 1], m)) % m
+    return acc[r]
+
+
+def _dp(inverses, comp: tuple[int, ...], ring):
+    """Ring-generic twin of ``_dp_mod`` for the exact paths."""
+    r = len(comp)
+    acc = [ring.one()] + [ring.zero()] * r
+    for x in inverses:
+        for d in range(r, 0, -1):
+            acc[d] = acc[d] + acc[d - 1] * x ** comp[d - 1]
+    return acc[r]
+
+
+def _exact_inverses(ring, start: int, stop: int, step: int = 1) -> list:
+    """[1/i for i in range(start, stop, step)]: the exact twin of a slice of
+    ``inverse_table``."""
+    one = ring.one()
+    return [ring.div(one, ring.from_int(i)) for i in range(start, stop, step)]
+
+
 @lru_cache(maxsize=8192)
 def _mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if n >= ring.p:
         raise NonUnitDenominator(f"H_{n} mod {ring.p}^{ring.k} hits the denominator p")
-    m = ring.modulus
-    inv = inverse_table(ring)
-    r = len(comp)
-    acc = [1] + [0] * r
-    for i in range(1, n + 1):
-        invi = inv[i]
-        for d in range(r, 0, -1):
-            acc[d] = (acc[d] + acc[d - 1] * pow(invi, comp[d - 1], m)) % m
-    return acc[r]
+    return _dp_mod(inverse_table(ring)[1 : n + 1], comp, ring.modulus)
 
 
 @lru_cache(maxsize=8192)
 def _odd_mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if 2 * n - 1 >= ring.p:
         raise NonUnitDenominator(f"Hbar_{n} mod {ring.p}^{ring.k} hits the denominator p")
-    m = ring.modulus
-    inv = inverse_table(ring)
-    r = len(comp)
-    acc = [1] + [0] * r
-    for i in range(n):
-        invi = inv[2 * i + 1]
-        for d in range(r, 0, -1):
-            acc[d] = (acc[d] + acc[d - 1] * pow(invi, comp[d - 1], m)) % m
-    return acc[r]
+    return _dp_mod(inverse_table(ring)[1 : 2 * n : 2], comp, ring.modulus)
 
 
 def mhs(n: int, comp, ring=QQ):
@@ -79,14 +96,7 @@ def mhs(n: int, comp, ring=QQ):
     comp = _validated(comp)
     if isinstance(ring, PrimePower):
         return Residue(_mhs_mod(n, comp, ring), ring)
-    one = ring.one()
-    r = len(comp)
-    acc = [one] + [ring.zero()] * r
-    for i in range(1, n + 1):
-        inv_i = ring.div(one, ring.from_int(i))
-        for d in range(r, 0, -1):
-            acc[d] = acc[d] + acc[d - 1] * inv_i ** comp[d - 1]
-    return acc[r]
+    return _dp(_exact_inverses(ring, 1, n + 1), comp, ring)
 
 
 def odd_mhs(n: int, comp, ring=QQ):
@@ -94,14 +104,7 @@ def odd_mhs(n: int, comp, ring=QQ):
     comp = _validated(comp)
     if isinstance(ring, PrimePower):
         return Residue(_odd_mhs_mod(n, comp, ring), ring)
-    one = ring.one()
-    r = len(comp)
-    acc = [one] + [ring.zero()] * r
-    for i in range(n):
-        inv_i = ring.div(one, ring.from_int(2 * i + 1))
-        for d in range(r, 0, -1):
-            acc[d] = acc[d] + acc[d - 1] * inv_i ** comp[d - 1]
-    return acc[r]
+    return _dp(_exact_inverses(ring, 1, 2 * n, 2), comp, ring)
 
 
 def alternating_half_sum(n: int, d: int, odd_denominators: bool, ring=QQ):
@@ -112,30 +115,17 @@ def alternating_half_sum(n: int, d: int, odd_denominators: bool, ring=QQ):
     """
     if d < 1:
         raise PreconditionViolated(f"exponent d must be positive, got {d}")
+    # (start, stop, step) of the denominators whose terms are added / subtracted
+    if odd_denominators:
+        top, plus, minus = 2 * n - 1, (1, 2 * n, 4), (3, 2 * n, 4)
+    else:
+        top, plus, minus = n, (2, n + 1, 2), (1, n + 1, 2)
     if isinstance(ring, PrimePower):
-        top = 2 * n - 1 if odd_denominators else n
         if top >= ring.p:
             raise NonUnitDenominator(f"alternating sum to {top} hits the denominator p")
-        m = ring.modulus
-        inv = inverse_table(ring)
-        total = 0
-        if odd_denominators:
-            for k in range(n):
-                term = pow(inv[2 * k + 1], d, m)
-                total = (total - term if k & 1 else total + term) % m
-        else:
-            for k in range(1, n + 1):
-                term = pow(inv[k], d, m)
-                total = (total - term if k & 1 else total + term) % m
-        return Residue(total, ring)
-    one = ring.one()
-    total = ring.zero()
-    if odd_denominators:
-        for k in range(n):
-            term = ring.div(one, ring.from_int(2 * k + 1)) ** d
-            total = total - term if k & 1 else total + term
-    else:
-        for k in range(1, n + 1):
-            term = ring.div(one, ring.from_int(k)) ** d
-            total = total - term if k & 1 else total + term
-    return total
+        inv, m = inverse_table(ring), ring.modulus
+        total = _dp_mod(inv[slice(*plus)], (d,), m) - _dp_mod(inv[slice(*minus)], (d,), m)
+        return Residue(total % m, ring)
+    return _dp(_exact_inverses(ring, *plus), (d,), ring) - _dp(
+        _exact_inverses(ring, *minus), (d,), ring
+    )

@@ -25,15 +25,11 @@ from .modring import PrimePower, Residue, divide_by_p, inverse_table, prime_powe
 
 __all__ = [
     "LucasParams",
-    "lucas_pair",
     "lucas_u_upto",
     "lucas_v_upto",
     "lucas_pair_mod",
     "w_value",
     "w_value_mod",
-    "w_upto",
-    "fibonacci",
-    "lucas_number",
     "fermat_quotient",
     "lucas_quotient",
     "BinomTable",
@@ -47,20 +43,6 @@ class LucasParams:
 
     x: object
     y: object
-
-
-def lucas_pair(n: int, params: LucasParams) -> tuple:
-    """(u_n, v_n) by plain iteration, generic over the coefficient ring."""
-    x, y = params.x, params.y
-    one = x**0
-    zero = x * 0
-    if n == 0:
-        return zero, one + one
-    u_prev, u = zero, one
-    for _ in range(n - 1):
-        u_prev, u = u, x * u - y * u_prev
-    u_next = x * u - y * u_prev
-    return u, u_next + u_next - x * u
 
 
 def lucas_u_upto(n: int, params: LucasParams) -> list:
@@ -127,43 +109,6 @@ def w_value_mod(n: int, x: int, m: int) -> int:
     for _ in range(n - 1):
         prev, cur = cur, (two_x * cur - prev) % m
     return cur
-
-
-def w_upto(n: int, x) -> list:
-    """[w_0, w_1, ..., w_n], generic."""
-    one = x**0
-    out = [one]
-    if n >= 1:
-        out.append(one + x + x)
-    for _ in range(n - 1):
-        out.append((x + x) * out[-1] - out[-2])
-    return out
-
-
-def fibonacci(n: int) -> int:
-    """F_n as an exact integer, by fast doubling."""
-    a, b = 0, 1
-    for bit in map(int, bin(n)[2:]) if n else ():
-        c = a * (2 * b - a)
-        d = b * b + a * a
-        if bit:
-            a, b = d, c + d
-        else:
-            a, b = c, d
-    return a
-
-
-def lucas_number(n: int) -> int:
-    """L_n as an exact integer (L_n = 2*F_{n+1} - F_n)."""
-    a, b = 0, 1
-    for bit in map(int, bin(n)[2:]) if n else ():
-        c = a * (2 * b - a)
-        d = b * b + a * a
-        if bit:
-            a, b = d, c + d
-        else:
-            a, b = c, d
-    return 2 * b - a
 
 
 def fermat_quotient(a: int, p: int, k: int = 1) -> Residue:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DenominatorDivisibleByP, IndexOutOfRange
+from .errors import IndexOutOfRange
 from .modring import PrimePower, Residue, inverse_table, prime_power
 
 __all__ = [
@@ -112,12 +112,9 @@ def bernoulli_poly_value(m: int, x: Fraction, p: int, table: BernoulliTable) -> 
         raise IndexOutOfRange(f"B_{m}(x) mod {p} outside the supported range 0..p-2")
     if table.p != p:
         raise IndexOutOfRange(f"table built for p={table.p}, evaluation asked for p={p}")
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise DenominatorDivisibleByP(f"evaluation point {x} has denominator divisible by {p}")
     ring = prime_power(p, 1)
     inv = inverse_table(ring)
-    xv = x.numerator * pow(x.denominator, -1, p) % p
+    xv = ring.from_fraction(Fraction(x)).value
     # Accumulate C(m, k)*B_k*x^(m-k), updating the binomial multiplicatively.
     xpow = pow(xv, m, p)
     xinv = pow(xv, -1, p) if xv else 0

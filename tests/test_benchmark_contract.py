@@ -1,0 +1,61 @@
+"""The library names that the benchmark's tracer and host-speed sampler rely on.
+
+``perfbench/tracer.py`` wraps library functions from the outside, and both it
+and ``perfbench/hostspeed.py`` replace ``catalog._run_unit``.  A refactor that
+renames one of those functions, drops an ``lru_cache``, or binds
+``_run_unit`` early would break the benchmark without failing any other test.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import congrlab.catalog as catalog
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer_contract", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(modname: str, path: str):
+    owner = importlib.import_module(modname)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_every_tracer_target_resolves(tracer):
+    assert tracer.TARGETS
+    for prefix, modname, path, kind in tracer.TARGETS:
+        fn = _resolve(modname, path)
+        assert callable(fn), prefix
+        if kind == "cached":
+            assert hasattr(fn, "cache_info"), f"{prefix}: {modname}.{path} is not lru_cached"
+        if kind == "exact":
+            # The tracer reads the ring as the third positional argument.
+            assert list(inspect.signature(fn).parameters)[2] == "ring", prefix
+
+
+def test_run_suite_calls_run_unit_at_call_time(monkeypatch):
+    original = catalog._run_unit
+    calls = []
+
+    def counting(unit):
+        calls.append(unit)
+        return original(unit)
+
+    monkeypatch.setattr(catalog, "_run_unit", counting)
+    report = catalog.run_suite(prime_lo=7, prime_hi=11, patterns=("iv.h1",), jobs=1)
+    assert [unit[1] for unit in calls] == [7, 11]
+    assert [r.prime for r in report.results] == [7, 11]

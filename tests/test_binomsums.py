@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from congrlab.errors import DenominatorDivisibleByP, PreconditionViolated
 from congrlab.binomsums import (
-    SumSpec,
     fib_lucas_sum,
     fib_lucas_sum_exact,
     rhs_lucas_sum,
@@ -24,7 +23,7 @@ from congrlab.binomsums import (
 )
 from congrlab.harmonic import odd_mhs
 from congrlab.modring import prime_power
-from congrlab.sequences import LucasParams, fibonacci, lucas_number, lucas_u_upto, lucas_v_upto
+from congrlab.sequences import LucasParams, lucas_u_upto, lucas_v_upto
 
 T_VALUES = [Fraction(1, 4), Fraction(-1, 4), Fraction(1, 16), Fraction(3, 16), Fraction(2)]
 
@@ -74,9 +73,10 @@ def test_modular_paths_match_exact(p, k):
 def test_fib_lucas_sum_uses_odd_indices():
     # The exact twin walks W_1, W_3, W_5, ...; pin against the closed sequences.
     p = 13
-    for kind, seq in (("F", fibonacci), ("L", lucas_number)):
+    fib_lucas = LucasParams(1, -1)
+    for kind, seq in (("F", lucas_u_upto(p, fib_lucas)), ("L", lucas_v_upto(p, fib_lucas))):
         want = sum(
-            Fraction(math.comb(2 * k, k) * seq(2 * k + 1), (2 * k + 1) * 16**k)
+            Fraction(math.comb(2 * k, k) * seq[2 * k + 1], (2 * k + 1) * 16**k)
             for k in range((p - 1) // 2)
         )
         assert fib_lucas_sum_exact(p, kind) == want
@@ -121,28 +121,6 @@ class TestGuards:
             s1(Fraction(1, 7), 0, ring)
         with pytest.raises(DenominatorDivisibleByP):
             weighted_sums(Fraction(3, 14), ring)
-
-
-class TestSumSpec:
-    def test_dispatch(self):
-        ring = prime_power(11, 2)
-        t = Fraction(1, 4)
-        assert SumSpec("S1", t, 0).evaluate(ring) == s1(t, 0, ring)
-        assert SumSpec("S2", t, 1).evaluate(ring) == s2(t, 1, ring)
-        assert SumSpec("S1_weighted", t).evaluate(ring) == weighted_sums(t, ring)[0]
-        assert SumSpec("S2_weighted", t).evaluate(ring) == weighted_sums(t, ring)[1]
-        assert SumSpec("FibSum").evaluate(ring) == fib_lucas_sum("F", ring)
-        assert SumSpec("LucSum").evaluate(ring) == fib_lucas_sum("L", ring)
-        assert SumSpec("USum", Fraction(3), 2).evaluate(ring) == rhs_lucas_sum(
-            "u", Fraction(3), 2, ring
-        )
-        assert SumSpec("VSum", Fraction(3), 3).evaluate(ring) == rhs_lucas_sum(
-            "v", Fraction(3), 3, ring
-        )
-
-    def test_unknown_family(self):
-        with pytest.raises(PreconditionViolated):
-            SumSpec("S3", Fraction(1), 0)
 
 
 @given(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -72,7 +73,7 @@ class TestRegistry:
         for c in builtin_checks():
             assert c.description and c.statement, c.id
             if c.kind == "congruence":
-                assert 1 <= c.target_exponent <= c.working_exponent <= 8, c.id
+                assert 1 <= c.target_exponent <= 8, c.id
             else:
                 assert c.cases, c.id
 
@@ -86,7 +87,6 @@ class TestRegistry:
         assert not lookup("TM.mc1").uses_t_panel
         assert lookup("TM.mc1").target_exponent == 5
         assert lookup("C27.morley").target_exponent == 6
-        assert lookup("C23.a").working_exponent == 5  # computed above its target of 4
 
     def test_lookup_exact_and_missing(self):
         assert lookup("v.h12").id == "v.h12"
@@ -150,7 +150,6 @@ class TestRunCongruence:
             description="always off by one",
             statement="1 = 2 mod p^3",
             target_exponent=3,
-            working_exponent=3,
             evaluator=lambda p: (prime_power(p, 3).one(), prime_power(p, 3).from_int(2)),
         )
         res = run_congruence(bad, 7)
@@ -164,6 +163,14 @@ class TestRunCongruence:
         assert res.error is not None and "DenominatorDivisibleByP" in res.error
         rec = res.record()
         assert rec["pass"] is False and rec["lhs"].startswith("ERROR:")
+
+    def test_non_library_exception_becomes_error_record(self):
+        # t = 0 makes this evaluator divide by zero outside the error taxonomy.
+        res = run_congruence(lookup("L31.A2"), 7, Fraction(0))
+        assert not res.passed and res.valuation == 0
+        assert res.error is not None and res.error.startswith("ZeroDivisionError")
+        assert res.lhs == f"ERROR: {res.error}" and res.rhs == ""
+        assert Report(results=(res,)).exit_code == 2
 
     def test_lhs_rhs_reduced_to_target(self):
         # Sides are reported mod p^target even when computed at higher exponent.
@@ -268,7 +275,6 @@ class TestRunSuite:
             description="always off",
             statement="0 = 1 mod p",
             target_exponent=1,
-            working_exponent=1,
             evaluator=lambda p: (prime_power(p, 1).zero(), prime_power(p, 1).one()),
         )
         monkeypatch.setattr(catalog, "builtin_checks", lambda: (bad,))
@@ -283,6 +289,36 @@ class TestRunSuite:
             assert len(full.results) == 14  # every prime in range, no early stop
         finally:
             catalog._registry.cache_clear()
+
+    def test_fail_fast_cancels_queued_units_in_the_pool(self, monkeypatch, tmp_path):
+        import congrlab.catalog as catalog
+
+        def evaluator(p):
+            (tmp_path / str(p)).touch()  # marks the unit of prime p as started
+            ring = prime_power(p, 1)
+            if p == 7:
+                return ring.zero(), ring.one()
+            time.sleep(0.2)
+            return ring.zero(), ring.zero()
+
+        bad = CongruenceCheck(
+            id="synthetic.first",
+            description="fails at the first prime only",
+            statement="0 = 1 mod p at p = 7, 0 = 0 mod p above",
+            target_exponent=1,
+            evaluator=evaluator,
+        )
+        monkeypatch.setattr(catalog, "builtin_checks", lambda: (bad,))
+        catalog._registry.cache_clear()
+        try:
+            rep = catalog.run_suite(prime_lo=7, prime_hi=60, jobs=2, fail_fast=True)
+        finally:
+            catalog._registry.cache_clear()
+        assert [r.prime for r in rep.results] == [7] and rep.exit_code == 1
+        started = {int(path.name) for path in tmp_path.iterdir()}
+        # 14 primes are scheduled; only the few already handed to a worker run.
+        assert 7 in started and len(started) <= 8
+        assert not started & {47, 53, 59}
 
     def test_report_is_json_serializable(self):
         rep = run_suite(prime_lo=7, prime_hi=20, patterns=("v.h12", "L26.wz1"), jobs=1)

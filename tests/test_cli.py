@@ -43,6 +43,26 @@ class TestParser:
         assert cli.build_parser().parse_args([]).jobs == 6
         assert cli.build_parser().parse_args(["--jobs", "2"]).jobs == 2
 
+    @pytest.mark.parametrize("bad", ["0", "-3", "abc", "1.5", ""])
+    def test_bad_jobs_rejected(self, bad, monkeypatch, capsys):
+        monkeypatch.delenv("CONGRLAB_JOBS", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["--jobs", bad])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "congrlab: error: argument --jobs: expected a positive integer"
+        )
+
+    @pytest.mark.parametrize("bad", ["0", "abc"])
+    def test_bad_jobs_env_rejected(self, bad, monkeypatch, capsys):
+        monkeypatch.setenv("CONGRLAB_JOBS", bad)
+        parser = cli.build_parser()  # building the parser does not parse the default
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([])
+        assert exc.value.code == 2
+        assert "argument --jobs: expected a positive integer" in capsys.readouterr().err
+        assert parser.parse_args(["--jobs", "3"]).jobs == 3  # an explicit value overrides it
+
     def test_prime_range_forms(self):
         parser = cli.build_parser()
         assert parser.parse_args(["--primes", "11..97"]).primes == (11, 97)
@@ -116,6 +136,22 @@ class TestMain:
         assert cli.main(["--checks", "nosuchcheck"]) == 2
         err = capsys.readouterr().err
         assert "no registered check matches" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--checks", "T32.first", "--t-panel", "0"],  # t = 0 is skipped at every prime
+            ["--checks", "v.h12", "--primes", "8..10"],  # no prime in range
+        ],
+    )
+    def test_empty_sweep_is_an_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert cli.main(argv + ["--format", "json", "--output", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "schedules no instance" in captured.err
+        assert not path.exists()
 
     def test_successful_run_to_stdout(self, capsys):
         rc = cli.main(["--primes", "7..20", "--checks", "v.h12", "--format", "csv"])

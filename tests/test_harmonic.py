@@ -35,6 +35,13 @@ def brute_odd_mhs(n: int, comp: tuple[int, ...]) -> Fraction:
     return total
 
 
+def brute_alternating(n: int, d: int, odd_denominators: bool) -> Fraction:
+    """Reference signed sum with an explicit (-1)**k on each term."""
+    if odd_denominators:
+        return sum((Fraction((-1) ** k, (2 * k + 1) ** d) for k in range(n)), Fraction(0))
+    return sum((Fraction((-1) ** k, k**d) for k in range(1, n + 1)), Fraction(0))
+
+
 class TestFrozenValues:
     def test_depth_order_convention(self):
         # First exponent sits on the smallest index: H_3(1, 2) = 5/12.
@@ -92,6 +99,16 @@ class TestPreconditions:
 def test_against_brute_force(n, comp):
     assert mhs(n, comp) == brute_mhs(n, comp)
     assert odd_mhs(n, comp) == brute_odd_mhs(n, comp)
+
+
+@pytest.mark.parametrize("odd_denominators", [True, False])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_alternating_against_brute_force(d, odd_denominators):
+    ring = prime_power(17, 3)
+    for n in range(0, 9):  # 2n - 1 <= 15 keeps every denominator a unit mod 17
+        want = brute_alternating(n, d, odd_denominators)
+        assert alternating_half_sum(n, d, odd_denominators) == want
+        assert alternating_half_sum(n, d, odd_denominators, ring) == ring.from_fraction(want)
 
 
 @pytest.mark.parametrize("p,k", [(11, 1), (11, 3), (13, 2)])

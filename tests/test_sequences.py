@@ -17,42 +17,33 @@ from congrlab.sequences import (
     LucasParams,
     central_binomials,
     fermat_quotient,
-    fibonacci,
-    lucas_number,
-    lucas_pair,
     lucas_pair_mod,
     lucas_quotient,
     lucas_u_upto,
     lucas_v_upto,
-    w_upto,
     w_value,
     w_value_mod,
 )
 
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 6765]
 LUC = [2, 1, 3, 4, 7, 11, 18, 29, 47, 76, 123, 199, 322, 521, 843, 1364, 2207, 3571, 5778, 9349]
+FIB_LUCAS = LucasParams(1, -1)  # u_n = F_n, v_n = L_n
 
 
 class TestIntegerSequences:
     def test_fibonacci_table(self):
-        assert [fibonacci(n) for n in range(21)] == FIB
-        assert fibonacci(50) == 12586269025
+        fib = lucas_u_upto(50, FIB_LUCAS)
+        assert fib[:21] == FIB
+        assert fib[50] == 12586269025
 
     def test_lucas_table(self):
-        assert [lucas_number(n) for n in range(20)] == LUC
-
-    def test_lucas_pair_generic(self):
-        params = LucasParams(1, -1)  # Fibonacci / Lucas
-        for n in range(15):
-            u, v = lucas_pair(n, params)
-            assert (u, v) == (FIB[n], LUC[n])
+        assert lucas_v_upto(19, FIB_LUCAS) == LUC
 
     def test_upto_tables(self):
-        params = LucasParams(1, -1)
-        assert lucas_u_upto(10, params) == FIB[:11]
-        assert lucas_v_upto(10, params) == LUC[:11]
-        assert lucas_u_upto(0, params) == [0]
-        assert lucas_v_upto(0, params) == [2]
+        assert lucas_u_upto(0, FIB_LUCAS) == [0]
+        assert lucas_v_upto(0, FIB_LUCAS) == [2]
+        assert lucas_u_upto(1, FIB_LUCAS) == [0, 1]
+        assert lucas_v_upto(1, FIB_LUCAS) == [2, 1]
 
     def test_pell_numbers(self):
         # u_n for (x, y) = (2, -1): 0, 1, 2, 5, 12, 29, 70, ...
@@ -108,14 +99,12 @@ class TestWPolynomials:
         assert w_value(2, x).coeffs == (Fraction(-1), Fraction(2), Fraction(4))
 
     def test_int_argument(self):
-        assert [w_value(n, 1) for n in range(5)] == [w_upto(4, 1)[n] for n in range(5)]
-        assert w_value(2, 1) == 5
+        # w_n(1) = 2n + 1: w_0 = 1, w_1 = 3, and w_(n+1) = 2*w_n - w_(n-1).
+        assert [w_value(n, 1) for n in range(5)] == [1, 3, 5, 7, 9]
 
     def test_mod_matches_exact(self):
         for x in (1, 2, 5):
-            exact = w_upto(20, x)
             for n in (0, 1, 5, 20):
-                assert w_value_mod(n, x, 169) == exact[n] % 169
                 assert w_value_mod(n, x, 169) == w_value(n, x) % 169
 
 
@@ -141,9 +130,10 @@ class TestQuotients:
         # L_5 = 11 -> (11-1)/5 = 2; L_7 = 29 -> (29-1)/7 = 4.
         assert int(lucas_quotient(5)) == 2
         assert int(lucas_quotient(7)) == 4
+        luc = lucas_v_upto(31, FIB_LUCAS)
         for p in (11, 13, 31):
-            assert int(lucas_quotient(p)) == (lucas_number(p) - 1) // p % p
-        assert int(lucas_quotient(11, k=2)) == (lucas_number(11) - 1) // 11 % 121
+            assert int(lucas_quotient(p)) == (luc[p] - 1) // p % p
+        assert int(lucas_quotient(11, k=2)) == (luc[11] - 1) // 11 % 121
 
 
 class TestCentralBinomials:
