@@ -81,6 +81,7 @@ from .specialnum import (
     bernoulli_poly_value,
     bernoulli_powersum,
     bernoulli_table,
+    bernoulli_third,
     euler_number,
     euler_numbers,
 )
@@ -120,6 +121,7 @@ __all__ = [
     "bernoulli_powersum",
     "bernoulli_table",
     "bernoulli_poly_value",
+    "bernoulli_third",
     "euler_number",
     "euler_numbers",
     # sequences

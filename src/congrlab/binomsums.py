@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import PreconditionViolated
+from .harmonic import _powers
 from .modring import PrimePower, Residue, inverse_table
 from .sequences import BinomTable, central_binomials
 
@@ -124,25 +126,26 @@ def fib_lucas_sum(kind: str, ring: PrimePower, table: BinomTable | None = None) 
     return Residue(total, ring)
 
 
+@lru_cache(maxsize=64)
 def rhs_lucas_sum(kind: str, c: Fraction, d: int, ring: PrimePower) -> Residue:
     """sum_{k=1}^{p-1} s_k(c)/k^d with s = u (kind 'u') or v (kind 'v').
 
     Needed only mod p by its consumers, but computed in whatever ring is
-    passed; c is the one-parameter recurrence coefficient (y = 1).
+    passed; c is the one-parameter recurrence coefficient (y = 1).  Cached
+    because two pairs of checks read the same sums at every (p, t).
     """
     if kind not in ("u", "v"):
         raise PreconditionViolated(f"kind must be 'u' or 'v', got {kind!r}")
     if d not in (2, 3):
         raise PreconditionViolated(f"sum exponent d must be 2 or 3, got {d}")
-    p, m = ring.p, ring.modulus
+    m = ring.modulus
     cv = ring.from_fraction(c).value
-    inv = inverse_table(ring)
     prev, cur = (0, 1) if kind == "u" else (2, cv)
     total = 0
-    for k in range(1, p):
-        total = (total + cur * pow(inv[k], d, m)) % m
+    for w in _powers(ring, d)[1:]:
+        total += cur * w
         prev, cur = cur, (cv * cur - prev) % m
-    return Residue(total, ring)
+    return Residue(total % m, ring)
 
 
 # -- exact-rational twins (for pinning and sharpness tests) ---------------

@@ -41,12 +41,7 @@ from .sequences import (
     w_value,
     w_value_mod,
 )
-from .specialnum import (
-    bernoulli_number,
-    bernoulli_poly_value,
-    bernoulli_table,
-    euler_number,
-)
+from .specialnum import bernoulli_number, bernoulli_third, euler_number
 
 __all__ = [
     "DEFAULT_T_PANEL",
@@ -599,7 +594,7 @@ def _eval_s1_neg_sixteenth(p: int, t=None):
 def _eval_s2_sixteenth_b13(p: int, t=None):
     ring = prime_power(p, 3)
     lhs = ring.one() + s2(Fraction(1, 16), 0, ring)
-    bval = bernoulli_poly_value(p - 2, Fraction(1, 3), p, bernoulli_table(p)).value
+    bval = bernoulli_third(p).value
     rhs = (
         ring.from_int(legendre(3, p))
         + ring.from_fraction(Fraction(1, 24)) * (p * p) * bval * _sign_half(p, -1)
@@ -610,7 +605,7 @@ def _eval_s2_sixteenth_b13(p: int, t=None):
 def _eval_s2_three_sixteenth_b13(p: int, t=None):
     ring = prime_power(p, 3)
     lhs = ring.one() + s2(Fraction(3, 16), 0, ring)
-    bval = bernoulli_poly_value(p - 2, Fraction(1, 3), p, bernoulli_table(p)).value
+    bval = bernoulli_third(p).value
     rhs = (
         ring.one()
         + ring.from_fraction(Fraction(1, 12)) * (p * p) * bval * legendre(-3, p)

@@ -177,6 +177,23 @@ def format_report(report: Report, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _unwritable(path: str) -> str | None:
+    """Why ``path`` cannot take the report, or None; the file is left as found.
+
+    The probe opens for appending, so an existing file is not truncated, and
+    removes the file again if the probe created it.
+    """
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        return exc.strerror or str(exc)
+    if not existed:
+        os.remove(path)
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -191,6 +208,9 @@ def main(argv: list[str] | None = None) -> int:
     patterns = tuple(part.strip() for part in args.checks.split(",") if part.strip())
     if not select_checks(patterns or ("all",)):
         print(f"error: no registered check matches {args.checks!r}", file=sys.stderr)
+        return 2
+    if args.output and (reason := _unwritable(args.output)):
+        print(f"error: cannot write --output {args.output!r}: {reason}", file=sys.stderr)
         return 2
     report = run_suite(
         prime_lo=args.primes[0],

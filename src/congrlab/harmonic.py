@@ -10,14 +10,18 @@ Conventions (the index order matters and is guarded by tests):
   composition at n = 0 gives 0 (empty sum).
 
 All three are computed by one depth-wise dynamic program in O(depth * n)
-ring operations over a table of inverse denominators; the alternating sum
-is the difference of two depth-one runs.  The modular instantiation runs on
-raw integers over slices of the batched inverse table.
+ring operations over a table of inverse denominators.  The modular
+instantiation runs on raw integers over slices of cached power tables
+(entry i of ``_powers(ring, a)`` is i^-a mod p^k), so its inner loop is one
+prefix sum and one multiplication per entry and depth, with no ``pow``; the
+alternating sum is the difference of two slice sums.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 from .errors import NonUnitDenominator, PreconditionViolated
 from .exactalg import QQ
@@ -45,23 +49,43 @@ def _validated(comp) -> tuple[int, ...]:
     return comp
 
 
-def _dp_mod(inverses, comp: tuple[int, ...], m: int) -> int:
+@lru_cache(maxsize=64)
+def _powers(ring: PrimePower, a: int) -> tuple[int, ...]:
+    """``inverse_table(ring)`` with every entry raised to the power a >= 1.
+
+    Squares the table for a // 2, so a table costs one or two products per
+    entry and the recursion is only log2(a) deep.
+    """
+    inv = inverse_table(ring)
+    if a == 1:
+        return inv
+    m = ring.modulus
+    half = _powers(ring, a // 2)
+    if a % 2:
+        return tuple([y * y % m * x % m for y, x in zip(half, inv)])
+    return tuple([y * y % m for y in half])
+
+
+def _dp_mod(columns, m: int) -> int:
     """The depth-wise DP on raw integers mod m.
 
-    Sums prod_j x_{i_j}^comp[j] over i_1 < ... < i_r, where x_1, x_2, ...
-    are the entries of ``inverses`` in order and comp[0] sits on the
-    smallest index.
+    ``columns[d]`` holds x_1^comp[d], x_2^comp[d], ... for one sequence
+    x_1, x_2, ...; the result sums prod_d x_{i_d}^comp[d] over
+    i_1 < ... < i_r, so comp[0] sits on the smallest index.  Depth d weights
+    entry j by the depth d-1 sum over the indices before j.  Entries are
+    reduced only once, at the end: at depth d they stay below (n*m)^d, and
+    skipping the per-entry reduction nearly halves the cost of the loop.
     """
-    r = len(comp)
-    acc = [1] + [0] * r
-    for x in inverses:
-        for d in range(r, 0, -1):
-            acc[d] = (acc[d] + acc[d - 1] * pow(x, comp[d - 1], m)) % m
-    return acc[r]
+    if not columns:
+        return 1
+    terms = columns[0]
+    for col in columns[1:]:
+        terms = list(map(mul, accumulate(terms, initial=0), col))
+    return sum(terms) % m
 
 
 def _dp(inverses, comp: tuple[int, ...], ring):
-    """Ring-generic twin of ``_dp_mod`` for the exact paths."""
+    """Ring-generic DP for the exact paths; the reference for ``_dp_mod``."""
     r = len(comp)
     acc = [ring.one()] + [ring.zero()] * r
     for x in inverses:
@@ -81,14 +105,14 @@ def _exact_inverses(ring, start: int, stop: int, step: int = 1) -> list:
 def _mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if n >= ring.p:
         raise NonUnitDenominator(f"H_{n} mod {ring.p}^{ring.k} hits the denominator p")
-    return _dp_mod(inverse_table(ring)[1 : n + 1], comp, ring.modulus)
+    return _dp_mod([_powers(ring, a)[1 : n + 1] for a in comp], ring.modulus)
 
 
 @lru_cache(maxsize=8192)
 def _odd_mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if 2 * n - 1 >= ring.p:
         raise NonUnitDenominator(f"Hbar_{n} mod {ring.p}^{ring.k} hits the denominator p")
-    return _dp_mod(inverse_table(ring)[1 : 2 * n : 2], comp, ring.modulus)
+    return _dp_mod([_powers(ring, a)[1 : 2 * n : 2] for a in comp], ring.modulus)
 
 
 def mhs(n: int, comp, ring=QQ):
@@ -123,9 +147,9 @@ def alternating_half_sum(n: int, d: int, odd_denominators: bool, ring=QQ):
     if isinstance(ring, PrimePower):
         if top >= ring.p:
             raise NonUnitDenominator(f"alternating sum to {top} hits the denominator p")
-        inv, m = inverse_table(ring), ring.modulus
-        total = _dp_mod(inv[slice(*plus)], (d,), m) - _dp_mod(inv[slice(*minus)], (d,), m)
-        return Residue(total % m, ring)
+        powers = _powers(ring, d)
+        total = sum(powers[slice(*plus)]) - sum(powers[slice(*minus)])
+        return Residue(total % ring.modulus, ring)
     return _dp(_exact_inverses(ring, *plus), (d,), ring) - _dp(
         _exact_inverses(ring, *minus), (d,), ring
     )

@@ -1,13 +1,22 @@
 """Bernoulli and Euler numbers modulo p, by independent routes.
 
-Two Bernoulli methods are deliberately kept free of shared logic so they can
-cross-check each other:
+The sweep reads every special value through an O(p) route:
 
 * ``bernoulli_powersum``: for even m with 2 <= m <= p-3, the power sum
   S_m = sum_{x=1}^{p-1} x^m satisfies S_m = p*B_m (mod p^2) (Faulhaber plus
   von Staudt-Clausen p-integrality), so one O(p) pass mod p^2 yields B_m mod p.
+* ``euler_number``: for even m with 0 <= m <= p-3,
+  E_m = sum_{k=0}^{p-1} (-1)^k (2k+1)^m (mod p), one O(p) pass.
+* ``bernoulli_third``: B_{p-2}(1/3) = 2*(p/3)*H_{floor(p/3)}(2) (mod p),
+  E. Lehmer's congruence, from one O(p) harmonic sum.
+
+The O(p^2) routes stay as independent test oracles, sharing no logic with
+the fast ones:
+
 * ``bernoulli_table``: the classical recurrence
-  sum_{j=0}^{n} C(n+1, j)*B_j = 0 solved for B_n over Z/p, O(p^2) total.
+  sum_{j=0}^{n} C(n+1, j)*B_j = 0 solved for B_n over Z/p, with
+  ``bernoulli_poly_value`` evaluating B_m(x) from it;
+* ``euler_numbers``: the recurrence sum_k C(2n, 2k)*E_{2k} = 0.
 
 Only mod-p precision is provided: every consumer multiplies these values by a
 power of p at least as large as the complementary precision of its target
@@ -20,7 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import IndexOutOfRange
-from .modring import PrimePower, Residue, inverse_table, prime_power
+from .harmonic import mhs
+from .modring import Residue, inverse_table, legendre, prime_power
 
 __all__ = [
     "bernoulli_powersum",
@@ -28,6 +38,7 @@ __all__ = [
     "BernoulliTable",
     "bernoulli_table",
     "bernoulli_poly_value",
+    "bernoulli_third",
     "euler_numbers",
     "euler_number",
 ]
@@ -132,6 +143,20 @@ def bernoulli_poly_value(m: int, x: Fraction, p: int, table: BernoulliTable) -> 
     return Residue(total % p, ring)
 
 
+def bernoulli_third(p: int) -> Residue:
+    """B_{p-2}(1/3) mod p for p >= 5, in O(p).
+
+    E. Lehmer, "On congruences involving Bernoulli numbers and the quotients
+    of Fermat and Wilson", Ann. of Math. 39 (1938):
+    H_{floor(p/3)}(2) = (1/2)*(p/3)*B_{p-2}(1/3)  (mod p).
+    ``bernoulli_poly_value`` over ``bernoulli_table`` is the O(p^2) oracle.
+    """
+    if p < 5:
+        raise IndexOutOfRange(f"B_(p-2)(1/3) needs p >= 5, got p={p}")
+    ring = prime_power(p, 1)
+    return mhs(p // 3, (2,), ring) * (2 * legendre(p, 3))
+
+
 @lru_cache(maxsize=256)
 def euler_numbers(limit: int, p: int) -> tuple[Residue, ...]:
     """E_0, E_1, ..., E_limit mod p from sum_k C(2n, 2k)*E_{2k} = 0.
@@ -160,7 +185,21 @@ def euler_numbers(limit: int, p: int) -> tuple[Residue, ...]:
 
 
 def euler_number(m: int, p: int) -> Residue:
-    """E_m mod p (zero for odd m)."""
+    """E_m mod p: zero for odd m >= 0, and for even 0 <= m <= p-3
+
+        E_m = sum_{k=0}^{p-1} (-1)^k (2k+1)^m  (mod p).
+
+    The Euler polynomials satisfy E_m(x) + E_m(x+1) = 2x^m, so the
+    alternating sum of (1/2 + k)^m over 0 <= k < p telescopes to
+    (E_m(1/2) + E_m(1/2 + p))/2, and both terms are E_m/2^m mod p.
+    ``euler_numbers`` is the independent O(p^2) oracle.
+    """
+    if m < 0:
+        raise IndexOutOfRange(f"E_{m} has a negative index")
     if m % 2 == 1:
         return prime_power(p, 1).zero()
-    return euler_numbers(m, p)[m]
+    if m > p - 3:
+        raise IndexOutOfRange(f"E_{m} mod {p} outside the supported range 0..p-3")
+    plus = sum(pow(j, m, p) for j in range(1, 2 * p, 4))
+    minus = sum(pow(j, m, p) for j in range(3, 2 * p, 4))
+    return prime_power(p, 1).residue((plus - minus) % p)

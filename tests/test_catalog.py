@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import congrlab.catalog as catalog
 from congrlab.catalog import (
     DEFAULT_T_PANEL,
     CheckResult,
@@ -22,7 +23,7 @@ from congrlab.catalog import (
     run_suite,
     select_checks,
 )
-from congrlab.modring import prime_power
+from congrlab.modring import Residue, prime_power
 
 
 class TestRegistry:
@@ -176,6 +177,37 @@ class TestRunCongruence:
         # Sides are reported mod p^target even when computed at higher exponent.
         res = run_congruence(lookup("C41.a"), 5)
         assert int(res.lhs) == 22 and int(res.rhs) == 22  # mod 5^3
+
+
+class TestLiftInvariance:
+    """A mod-p special value enters its check only through a factor p^e large
+    enough that any lift of it, value + p*r, grades the same."""
+
+    @pytest.mark.parametrize(
+        "check_id,helper",
+        [("C42.a", "bernoulli_third"), ("C42.b", "bernoulli_third"), ("C45.b", "euler_number")],
+    )
+    @pytest.mark.parametrize("p", [7, 11, 13, 101])
+    def test_lift_of_the_special_value_keeps_the_result(self, check_id, helper, p, monkeypatch):
+        check = lookup(check_id)
+        want = run_congruence(check, p)
+        assert want.passed
+        original = getattr(catalog, helper)
+
+        def shifted(shift):
+            def supply(*args):
+                value = original(*args)
+                return Residue(value.value + shift, value.ring)
+
+            return supply
+
+        for r in (1, 2, p + 3, -1):
+            monkeypatch.setattr(catalog, helper, shifted(p * r))
+            assert run_congruence(check, p) == want, r
+        # A shift that is not a multiple of p changes the verdict, so the
+        # patched helper is the one the check reads.
+        monkeypatch.setattr(catalog, helper, shifted(1))
+        assert not run_congruence(check, p).passed
 
 
 class TestRunIdentity:

@@ -153,6 +153,30 @@ class TestMain:
         assert "schedules no instance" in captured.err
         assert not path.exists()
 
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_unwritable_output_fails_before_the_sweep(self, where, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+
+        def no_sweep(**kwargs):
+            raise AssertionError("the sweep ran before --output was checked")
+
+        monkeypatch.setattr(cli, "run_suite", no_sweep)
+        rc = cli.main(["--primes", "7", "--checks", "iv.h1", "--output", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert str(path) in captured.err
+        assert not (tmp_path / "missing").exists()
+
+    def test_empty_sweep_keeps_an_existing_output_file(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("earlier report\n")
+        argv = ["--checks", "T32.first", "--t-panel", "0", "--output", str(path)]
+        assert cli.main(argv) == 2
+        assert "schedules no instance" in capsys.readouterr().err
+        assert path.read_text() == "earlier report\n"
+
     def test_successful_run_to_stdout(self, capsys):
         rc = cli.main(["--primes", "7..20", "--checks", "v.h12", "--format", "csv"])
         captured = capsys.readouterr()

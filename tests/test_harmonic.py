@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrlab.errors import NonUnitDenominator, PreconditionViolated
+from congrlab import harmonic
 from congrlab.harmonic import alternating_half_sum, mhs, odd_mhs, repeated
 from congrlab.modring import prime_power
 
@@ -127,6 +128,35 @@ def test_modular_fast_path_matches_exact(p, k):
             )
             got = alternating_half_sum(p - 1, d, False, ring)
             assert got == ring.from_fraction(alternating_half_sum(p - 1, d, False))
+
+
+def test_large_part_mod():
+    # Power tables for large exponents are built by squaring, not one
+    # exponent at a time.
+    ring = prime_power(11, 3)
+    for comp in [(2000,), (1, 999), (1025, 2)]:
+        assert mhs(7, comp, ring) == ring.from_fraction(mhs(7, comp)), comp
+        assert odd_mhs(4, comp, ring) == ring.from_fraction(odd_mhs(4, comp)), comp
+
+
+@pytest.mark.parametrize("clear_between_calls", [False, True])
+def test_power_tables_follow_the_ring(clear_between_calls):
+    # Rings of one prime at different exponents share every cache key but
+    # the ring; alternating them shows no power table is read for the wrong
+    # modulus, whether the tables stay cached or are rebuilt on each call.
+    p = 13
+    harmonic._mhs_mod.cache_clear()
+    harmonic._odd_mhs_mod.cache_clear()
+    for comp in [(1,), (3, 1), (2, 1, 2), (1, 1, 1, 1)]:
+        for k in (1, 4, 2, 5, 1, 3):
+            if clear_between_calls:
+                harmonic._powers.cache_clear()
+            ring = prime_power(p, k)
+            for n in (p - 1, 5):
+                assert mhs(n, comp, ring) == ring.from_fraction(mhs(n, comp)), (comp, k, n)
+                assert odd_mhs(n // 2, comp, ring) == ring.from_fraction(odd_mhs(n // 2, comp))
+            want = alternating_half_sum(6, comp[0], True)
+            assert alternating_half_sum(6, comp[0], True, ring) == ring.from_fraction(want)
 
 
 part = st.integers(min_value=1, max_value=4)

@@ -18,6 +18,7 @@ from congrlab.specialnum import (
     bernoulli_poly_value,
     bernoulli_powersum,
     bernoulli_table,
+    bernoulli_third,
     euler_number,
     euler_numbers,
 )
@@ -133,3 +134,33 @@ class TestEuler:
     def test_limit_guard(self):
         with pytest.raises(IndexOutOfRange):
             euler_numbers(21, 23)
+
+    @pytest.mark.parametrize("m", [-2, -1, -3, 10, 12])
+    def test_index_guard(self, m):
+        # Negative m and even m above p-3 are outside the supported range.
+        with pytest.raises(IndexOutOfRange):
+            euler_number(m, 11)
+
+    def test_smallest_primes(self):
+        assert int(euler_number(0, 3)) == 1
+        assert int(euler_number(0, 5)) == 1 and int(euler_number(2, 5)) == 4
+        assert int(euler_number(1, 3)) == 0
+
+    def test_sum_route_matches_recurrence(self):
+        # The O(p) alternating-sum route against the O(p^2) recurrence.
+        for p in primes_in_range(7, 400):
+            table = euler_numbers(p - 3, p)
+            for m in range(0, p - 2, 2):
+                assert euler_number(m, p) == table[m], (m, p)
+
+
+class TestLehmer:
+    def test_matches_bernoulli_polynomial(self):
+        # Every prime up to the cap of the C42 checks, against the table route.
+        for p in primes_in_range(5, 600):
+            want = bernoulli_poly_value(p - 2, Fraction(1, 3), p, bernoulli_table(p))
+            assert bernoulli_third(p) == want, p
+
+    def test_small_prime_guard(self):
+        with pytest.raises(IndexOutOfRange):
+            bernoulli_third(3)
