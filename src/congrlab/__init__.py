@@ -48,7 +48,7 @@ from .errors import (
     NotDivisibleByP,
     PreconditionViolated,
 )
-from .exactalg import QQ, Poly, PolyRing, QuadExt, QuadField, RationalField, p_adic_valuation
+from .exactalg import QQ, Poly, PolyRing, QuadExt, RationalField, p_adic_valuation
 from .harmonic import alternating_half_sum, mhs, odd_mhs, repeated
 from .modring import (
     MAX_EXPONENT,
@@ -64,7 +64,6 @@ from .modring import (
     reduce_residue,
 )
 from .sequences import (
-    BinomTable,
     LucasParams,
     central_binomials,
     fermat_quotient,
@@ -108,7 +107,6 @@ __all__ = [
     "Poly",
     "PolyRing",
     "QuadExt",
-    "QuadField",
     "p_adic_valuation",
     # harmonic sums
     "mhs",
@@ -133,7 +131,6 @@ __all__ = [
     "w_value_mod",
     "fermat_quotient",
     "lucas_quotient",
-    "BinomTable",
     "central_binomials",
     # binomial sums
     "s1",

@@ -26,7 +26,7 @@ from functools import lru_cache
 from .errors import PreconditionViolated
 from .harmonic import _powers
 from .modring import PrimePower, Residue, inverse_table
-from .sequences import BinomTable, central_binomials
+from .sequences import central_binomials
 
 __all__ = [
     "s1",
@@ -46,11 +46,10 @@ def _check_d(d: int) -> None:
         raise PreconditionViolated(f"sum exponent d must be 0 or 1, got {d}")
 
 
-def s1(t: Fraction, d: int, ring: PrimePower, table: BinomTable | None = None) -> Residue:
+def s1(t: Fraction, d: int, ring: PrimePower) -> Residue:
     """sum_{k=0}^{(p-3)/2} C(2k,k) t^k / (2k+1)^(d+1) in the ring."""
     _check_d(d)
-    if table is None:
-        table = central_binomials(ring)
+    table = central_binomials(ring)
     p, m = ring.p, ring.modulus
     tv = ring.from_fraction(t).value
     inv = inverse_table(ring)
@@ -60,23 +59,22 @@ def s1(t: Fraction, d: int, ring: PrimePower, table: BinomTable | None = None) -
         w = inv[2 * k + 1]
         if d:
             w = w * w % m
-        total = (total + table.raw[k] * tp % m * w) % m
+        total = (total + table[k] * tp % m * w) % m
         tp = tp * tv % m
     return Residue(total, ring)
 
 
-def s2(t: Fraction, d: int, ring: PrimePower, table: BinomTable | None = None) -> Residue:
+def s2(t: Fraction, d: int, ring: PrimePower) -> Residue:
     """sum_{k=1}^{(p-1)/2} C(2k,k) t^k / k^d in the ring."""
     _check_d(d)
-    if table is None:
-        table = central_binomials(ring)
+    table = central_binomials(ring)
     p, m = ring.p, ring.modulus
     tv = ring.from_fraction(t).value
     inv = inverse_table(ring)
     total = 0
     tp = tv
     for k in range(1, (p - 1) // 2 + 1):
-        term = table.raw[k] * tp % m
+        term = table[k] * tp % m
         if d:
             term = term * inv[k] % m
         total = (total + term) % m
@@ -84,10 +82,9 @@ def s2(t: Fraction, d: int, ring: PrimePower, table: BinomTable | None = None) -
     return Residue(total, ring)
 
 
-def weighted_sums(t: Fraction, ring: PrimePower, table: BinomTable | None = None) -> tuple[Residue, Residue]:
+def weighted_sums(t: Fraction, ring: PrimePower) -> tuple[Residue, Residue]:
     """The pair of Hbar_k(2)-weighted central binomial sums at t."""
-    if table is None:
-        table = central_binomials(ring)
+    table = central_binomials(ring)
     p, m = ring.p, ring.modulus
     tv = ring.from_fraction(t).value
     inv = inverse_table(ring)
@@ -96,7 +93,7 @@ def weighted_sums(t: Fraction, ring: PrimePower, table: BinomTable | None = None
     hbar = 0  # Hbar_k(2), advanced after use
     tp = 1
     for k in range(half + 1):
-        ct = table.raw[k] * tp % m
+        ct = table[k] * tp % m
         if k < half:
             first = (first + ct * inv[2 * k + 1] % m * hbar) % m
         second = (second + ct * hbar) % m
@@ -107,12 +104,11 @@ def weighted_sums(t: Fraction, ring: PrimePower, table: BinomTable | None = None
     return Residue(first, ring), Residue(second, ring)
 
 
-def fib_lucas_sum(kind: str, ring: PrimePower, table: BinomTable | None = None) -> Residue:
+def fib_lucas_sum(kind: str, ring: PrimePower) -> Residue:
     """sum_{k=0}^{(p-3)/2} C(2k,k) W_{2k+1} / ((2k+1) 16^k), W in {F, L}."""
     if kind not in ("F", "L"):
         raise PreconditionViolated(f"kind must be 'F' or 'L', got {kind!r}")
-    if table is None:
-        table = central_binomials(ring)
+    table = central_binomials(ring)
     p, m = ring.p, ring.modulus
     inv = inverse_table(ring)
     inv16 = pow(16, -1, m)
@@ -120,7 +116,7 @@ def fib_lucas_sum(kind: str, ring: PrimePower, table: BinomTable | None = None) 
     total = 0
     sixt = 1
     for k in range((p - 1) // 2):
-        total = (total + table.raw[k] * sixt % m * inv[2 * k + 1] % m * a) % m
+        total = (total + table[k] * sixt % m * inv[2 * k + 1] % m * a) % m
         a, b = (a + b) % m, (a + 2 * b) % m
         sixt = sixt * inv16 % m
     return Residue(total, ring)

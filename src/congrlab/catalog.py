@@ -22,6 +22,7 @@ from .binomsums import fib_lucas_sum, rhs_lucas_sum, s1, s2, weighted_sums
 from .exactalg import QQ, Poly, PolyRing, QuadExt
 from .harmonic import alternating_half_sum, mhs, odd_mhs, repeated
 from .modring import (
+    PrimePower,
     Residue,
     divide_by_p,
     inverse_table,
@@ -182,60 +183,38 @@ def _div_p_times(x: Residue, times: int) -> Residue:
     return x
 
 
+def _h1_over_p(p: int, j: int) -> Residue:
+    """H_(p-1)(1)/p^j in Z/p^(5-j); p^2 divides H_(p-1)(1) for p >= 5."""
+    return _div_p_times(mhs(p - 1, (1,), prime_power(p, 5)), j)
+
+
+def _mod_p_term(ring: PrimePower, coeff: int | Fraction, x: Residue) -> Residue:
+    """coeff * p^(k-1) * x in the ring Z/p^k, for a value x known only mod p.
+
+    Evaluators bring every mod-p value -- a Bernoulli or Euler number,
+    B_(p-2)(1/3), a u/v-series sum -- into their working ring through this
+    term.  The factor p^(k-1) kills any lift x + p*r, so every representative
+    of x gives the same residue and the same report row.
+    """
+    return ring.from_fraction(Fraction(coeff)) * ring.p ** (ring.k - 1) * x.value
+
+
 # ---------------------------------------------------------------------------
 # congruence evaluators
 #
 # Each evaluator returns (lhs, rhs) as residues in a common ring whose
-# exponent is at least the check's target.  Quantities only known modulo p
-# (Bernoulli/Euler values, mod-p weighted sums) enter through terms carrying
-# an explicit factor p**e with e >= k - 1, where p^k is the modulus the
-# evaluator works in, so any lift of the mod-p value yields the same result.
+# exponent is at least the check's target.
 
 
-def _eval_full_depth1_odd(r: int):
-    def ev(p: int, t=None):
-        ring = prime_power(p, 3)
-        lhs = mhs(p - 1, (r,), ring)
-        b = bernoulli_number(p - r - 2, p).value
-        rhs = ring.from_fraction(Fraction(-r * (r + 1), 2 * (r + 2))) * (p * p) * b
-        return lhs, rhs
-
-    return ev
-
-
-def _eval_full_depth1_even(r: int):
-    def ev(p: int, t=None):
-        ring = prime_power(p, 2)
-        lhs = mhs(p - 1, (r,), ring)
-        b = bernoulli_number(p - r - 1, p).value
-        rhs = ring.from_fraction(Fraction(r, r + 1)) * p * b
-        return lhs, rhs
-
-    return ev
-
-
-def _eval_full_depth2(r: int, s: int):
-    def ev(p: int, t=None):
-        ring = prime_power(p, 1)
-        lhs = mhs(p - 1, (r, s), ring)
-        b = bernoulli_number(p - r - s, p).value
-        coeff = Fraction(_neg_one_pow(s) * comb(r + s, s), r + s)
-        rhs = ring.from_fraction(coeff) * b
-        return lhs, rhs
-
-    return ev
-
-
-def _eval_full_depth3(r: int, s: int, u: int):
-    w = r + s + u
+def _eval_mhs_bernoulli(half: bool, comp: tuple[int, ...], k: int, coeff: Fraction):
+    """H_N(comp) = coeff * p^(k-1) * B_(p-w-k+1)  (mod p^k), w = sum(comp),
+    N = (p-1)/2 if half else p-1."""
+    w = sum(comp)
 
     def ev(p: int, t=None):
-        ring = prime_power(p, 1)
-        lhs = mhs(p - 1, (r, s, u), ring)
-        b = bernoulli_number(p - w, p).value
-        coeff = Fraction(_neg_one_pow(r) * comb(w, r) - _neg_one_pow(u) * comb(w, u), 2 * w)
-        rhs = ring.from_fraction(coeff) * b
-        return lhs, rhs
+        ring = prime_power(p, k)
+        lhs = mhs((p - 1) // 2 if half else p - 1, comp, ring)
+        return lhs, _mod_p_term(ring, coeff, bernoulli_number(p - w - k + 1, p))
 
     return ev
 
@@ -251,47 +230,24 @@ def _eval_full_h1_expansion(p: int, t=None):
 
 
 def _eval_full_h12(p: int, t=None):
-    h1 = mhs(p - 1, (1,), prime_power(p, 5))
-    h1_div2 = _div_p_times(h1, 2)  # exponent 3
+    h1_div2 = _h1_over_p(p, 2)  # exponent 3
     ring = h1_div2.ring
     lhs = mhs(p - 1, (1, 2), ring)
-    b = bernoulli_number(p - 5, p).value
-    rhs = h1_div2 * (-3) + ring.from_fraction(Fraction(1, 2)) * (p * p) * b
+    rhs = h1_div2 * (-3) + _mod_p_term(ring, Fraction(1, 2), bernoulli_number(p - 5, p))
     return lhs, rhs
 
 
 def _eval_half_h1(p: int, t=None):
     ring = prime_power(p, 3)
-    n = (p - 1) // 2
     q = fermat_quotient(2, p, 3)
-    b = bernoulli_number(p - 3, p).value
-    lhs = mhs(n, (1,), ring)
-    rhs = q * (-2) + q * q * p - (
-        q * q * q * Fraction(2, 3) + ring.from_fraction(Fraction(7, 12)) * b
-    ) * (p * p)
+    lhs = mhs((p - 1) // 2, (1,), ring)
+    rhs = (
+        q * (-2)
+        + q * q * p
+        - q * q * q * Fraction(2, 3) * (p * p)
+        - _mod_p_term(ring, Fraction(7, 12), bernoulli_number(p - 3, p))
+    )
     return lhs, rhs
-
-
-def _eval_half_depth1_even(r: int):
-    def ev(p: int, t=None):
-        ring = prime_power(p, 2)
-        lhs = mhs((p - 1) // 2, (r,), ring)
-        b = bernoulli_number(p - r - 1, p).value
-        rhs = ring.from_fraction(Fraction(r * (2 ** (r + 1) - 1), 2 * (r + 1))) * p * b
-        return lhs, rhs
-
-    return ev
-
-
-def _eval_half_depth1_odd(r: int):
-    def ev(p: int, t=None):
-        ring = prime_power(p, 1)
-        lhs = mhs((p - 1) // 2, (r,), ring)
-        b = bernoulli_number(p - r, p).value
-        rhs = ring.from_fraction(Fraction(-(2**r - 2), r)) * b
-        return lhs, rhs
-
-    return ev
 
 
 def _eval_full_from_half(r: int, a: int):
@@ -310,20 +266,6 @@ def _eval_full_from_half(r: int, a: int):
     return ev
 
 
-def _eval_half_depth2(r: int, s: int):
-    w = r + s
-
-    def ev(p: int, t=None):
-        ring = prime_power(p, 1)
-        lhs = mhs((p - 1) // 2, (r, s), ring)
-        b = bernoulli_number(p - w, p).value
-        coeff = Fraction(_neg_one_pow(s) * comb(w, s) + 2**w - 2, 2 * w)
-        rhs = ring.from_fraction(coeff) * b
-        return lhs, rhs
-
-    return ev
-
-
 def _eval_half_weighted_zero(p: int, t=None):
     ring = prime_power(p, 4)
     n = (p - 1) // 2
@@ -336,39 +278,36 @@ def _eval_half_weighted_zero(p: int, t=None):
 
 
 def _eval_h2_vs_h1(p: int, t=None):
-    h1_div = divide_by_p(mhs(p - 1, (1,), prime_power(p, 5)))  # exponent 4
+    h1_div = _h1_over_p(p, 1)  # exponent 4
     ring = h1_div.ring
     lhs = mhs(p - 1, (2,), ring)
-    b = bernoulli_number(p - 5, p).value
-    rhs = h1_div * (-2) + ring.from_fraction(Fraction(2, 5)) * (p**3) * b
+    rhs = h1_div * (-2) + _mod_p_term(ring, Fraction(2, 5), bernoulli_number(p - 5, p))
     return lhs, rhs
 
 
 def _eval_half_h2_vs_h1(p: int, t=None):
-    h1_div = divide_by_p(mhs(p - 1, (1,), prime_power(p, 5)))
+    h1_div = _h1_over_p(p, 1)  # exponent 4
     ring = h1_div.ring
     lhs = mhs((p - 1) // 2, (2,), ring)
-    b = bernoulli_number(p - 5, p).value
-    rhs = h1_div * (-7) + ring.from_fraction(Fraction(17, 10)) * (p**3) * b
+    rhs = h1_div * (-7) + _mod_p_term(ring, Fraction(17, 10), bernoulli_number(p - 5, p))
     return lhs, rhs
 
 
 def _eval_half_h3_vs_h1(p: int, t=None):
-    h1_div2 = _div_p_times(mhs(p - 1, (1,), prime_power(p, 5)), 2)
+    h1_div2 = _h1_over_p(p, 2)  # exponent 3
     ring = h1_div2.ring
     lhs = mhs((p - 1) // 2, (3,), ring)
-    b = bernoulli_number(p - 5, p).value
-    rhs = h1_div2 * 6 - ring.from_fraction(Fraction(81, 10)) * (p * p) * b
+    rhs = h1_div2 * 6 - _mod_p_term(ring, Fraction(81, 10), bernoulli_number(p - 5, p))
     return lhs, rhs
 
 
 def _eval_half_h12_h13(p: int, t=None):
-    h1_div2 = _div_p_times(mhs(p - 1, (1,), prime_power(p, 5)), 2)
+    h1_div2 = _h1_over_p(p, 2)  # exponent 3
     ring = h1_div2.ring
     n = (p - 1) // 2
     lhs = mhs(n, (1, 2), ring) + mhs(n, (1, 3), ring) * p
-    b = bernoulli_number(p - 5, p).value
-    rhs = h1_div2 * Fraction(-9, 2) - ring.from_fraction(Fraction(49, 20)) * (p * p) * b
+    b = bernoulli_number(p - 5, p)
+    rhs = h1_div2 * Fraction(-9, 2) - _mod_p_term(ring, Fraction(49, 20), b)
     return lhs, rhs
 
 
@@ -413,13 +352,12 @@ def _eval_alternating_vs_odd(p: int, t=None):
 def _eval_central_binomial_mod_p6(p: int, t=None):
     ring = prime_power(p, 6)
     n = (p - 1) // 2
-    central = central_binomials(ring)[n]
+    central = ring.residue(central_binomials(ring)[n])
     lhs = central * _neg_one_pow(n) / ring.residue(pow(4, p - 1, ring.modulus))
-    b = bernoulli_number(p - 5, p).value
     rhs = (
         ring.one()
         - mhs(p - 1, (1,), ring) * Fraction(1, 4) * p
-        - ring.from_fraction(Fraction(1, 80)) * (p**5) * b
+        - _mod_p_term(ring, Fraction(1, 80), bernoulli_number(p - 5, p))
     )
     return lhs, rhs
 
@@ -455,7 +393,7 @@ def _eval_s1_mod_p3(p: int, t: Fraction):
         * rhs_lucas_sum("v", 2 - 16 * t, 3, modp)
         * Fraction(1, 64)
     )
-    rhs = head + ring.residue(fac.value) * (p * p)
+    rhs = head + _mod_p_term(ring, 1, fac)
     return lhs, rhs
 
 
@@ -469,7 +407,7 @@ def _eval_s2_mod_p3(p: int, t: Fraction):
         / (modp.from_fraction(t) ** n * 2)
     )
     wn = ring.residue(w_value_mod(n, ring.from_fraction(8 * t - 1).value, ring.modulus))
-    rhs = wn + ring.residue(fac.value) * (p * p)
+    rhs = wn + _mod_p_term(ring, 1, fac)
     return lhs, rhs
 
 
@@ -519,60 +457,48 @@ def _eval_s2_quadratic_arg(p: int, t: Fraction):
 def _eval_s1_quarter(p: int, t=None):
     ring = prime_power(p, 3)
     q = fermat_quotient(2, p, 3)
-    b = bernoulli_number(p - 3, p).value
     lhs = s1(Fraction(1, 4), 0, ring)
-    rhs = (q - ring.from_fraction(Fraction(1, 16)) * (p * p) * b) * _sign_half(p, 1)
+    rhs = (
+        q - _mod_p_term(ring, Fraction(1, 16), bernoulli_number(p - 3, p))
+    ) * _sign_half(p, 1)
     return lhs, rhs
 
 
 def _eval_s1_sixteenth(p: int, t=None):
     ring = prime_power(p, 3)
-    b = bernoulli_number(p - 3, p).value
     lhs = s1(Fraction(1, 16), 0, ring)
-    rhs = ring.from_fraction(Fraction(1, 36)) * (p * p) * b * _sign_half(p, 1)
+    rhs = _mod_p_term(ring, Fraction(_sign_half(p, 1), 36), bernoulli_number(p - 3, p))
     return lhs, rhs
 
 
-def _eval_s1_eighth(p: int, t=None):
-    ring = prime_power(p, 3)
-    q = fermat_quotient(2, p, 3)
-    b = bernoulli_number(p - 3, p).value
-    lhs = s1(Fraction(1, 8), 0, ring)
-    inner = (
-        q * Fraction(1, 2)
-        - q * q * Fraction(1, 8) * p
-        + q * q * q * Fraction(1, 16) * (p * p)
-        - ring.from_fraction(Fraction(1, 128)) * (p * p) * b
-    )
-    rhs = inner * (_sign_half(p, 1) * legendre(2, p))
-    return lhs, rhs
+def _eval_s1_fermat(a: int, coeff: Fraction):
+    """s1(a/16) = (-1)^((p+1)/2)*(a|p)*[q/2 - p/8*q^2 + p^2*(q^3/16 - coeff*B(p-3))]
+    with q = q_p(a)."""
 
+    def ev(p: int, t=None):
+        ring = prime_power(p, 3)
+        q = fermat_quotient(a, p, 3)
+        lhs = s1(Fraction(a, 16), 0, ring)
+        inner = (
+            q * Fraction(1, 2)
+            - q * q * Fraction(1, 8) * p
+            + q * q * q * Fraction(1, 16) * (p * p)
+            - _mod_p_term(ring, coeff, bernoulli_number(p - 3, p))
+        )
+        return lhs, inner * (_sign_half(p, 1) * legendre(a, p))
 
-def _eval_s1_three_sixteenths(p: int, t=None):
-    ring = prime_power(p, 3)
-    q3 = fermat_quotient(3, p, 3)
-    b = bernoulli_number(p - 3, p).value
-    lhs = s1(Fraction(3, 16), 0, ring)
-    inner = (
-        q3 * Fraction(1, 2)
-        - q3 * q3 * Fraction(1, 8) * p
-        + q3 * q3 * q3 * Fraction(1, 16) * (p * p)
-        - ring.from_fraction(Fraction(1, 27)) * (p * p) * b
-    )
-    rhs = inner * (_sign_half(p, 1) * legendre(3, p))
-    return lhs, rhs
+    return ev
 
 
 def _eval_s1_neg_thirtysecond(p: int, t=None):
     ring = prime_power(p, 3)
     q = fermat_quotient(2, p, 3)
-    b = bernoulli_number(p - 3, p).value
     lhs = s1(Fraction(-1, 32), 0, ring)
     inner = (
         q * 2
         - q * q * p
         + q * q * q * Fraction(2, 3) * (p * p)
-        - ring.from_fraction(Fraction(7, 96)) * (p * p) * b
+        - _mod_p_term(ring, Fraction(7, 96), bernoulli_number(p - 3, p))
     )
     rhs = inner * legendre(2, p)
     return lhs, rhs
@@ -581,12 +507,11 @@ def _eval_s1_neg_thirtysecond(p: int, t=None):
 def _eval_s1_neg_sixteenth(p: int, t=None):
     ring = prime_power(p, 3)
     ql = lucas_quotient(p, 3)
-    b = bernoulli_number(p - 3, p).value
     lhs = s1(Fraction(-1, 16), 0, ring)
     rhs = (
         ql
         - ql * ql * ql * Fraction(1, 30) * (p * p)
-        - ring.from_fraction(Fraction(1, 15)) * (p * p) * b
+        - _mod_p_term(ring, Fraction(1, 15), bernoulli_number(p - 3, p))
     )
     return lhs, rhs
 
@@ -594,10 +519,8 @@ def _eval_s1_neg_sixteenth(p: int, t=None):
 def _eval_s2_sixteenth_b13(p: int, t=None):
     ring = prime_power(p, 3)
     lhs = ring.one() + s2(Fraction(1, 16), 0, ring)
-    bval = bernoulli_third(p).value
-    rhs = (
-        ring.from_int(legendre(3, p))
-        + ring.from_fraction(Fraction(1, 24)) * (p * p) * bval * _sign_half(p, -1)
+    rhs = ring.from_int(legendre(3, p)) + _mod_p_term(
+        ring, Fraction(_sign_half(p, -1), 24), bernoulli_third(p)
     )
     return lhs, rhs
 
@@ -605,11 +528,7 @@ def _eval_s2_sixteenth_b13(p: int, t=None):
 def _eval_s2_three_sixteenth_b13(p: int, t=None):
     ring = prime_power(p, 3)
     lhs = ring.one() + s2(Fraction(3, 16), 0, ring)
-    bval = bernoulli_third(p).value
-    rhs = (
-        ring.one()
-        + ring.from_fraction(Fraction(1, 12)) * (p * p) * bval * legendre(-3, p)
-    )
+    rhs = ring.one() + _mod_p_term(ring, Fraction(legendre(-3, p), 12), bernoulli_third(p))
     return lhs, rhs
 
 
@@ -632,12 +551,11 @@ def _eval_lucas_weighted(p: int, t=None):
 def _eval_s1_quarter_weight2(p: int, t=None):
     ring = prime_power(p, 2)
     q = fermat_quotient(2, p, 2)
-    b = bernoulli_number(p - 3, p).value
     lhs = s1(Fraction(1, 4), 1, ring)
     inner = (
         q * q * Fraction(1, 2)
         - q * q * q * Fraction(1, 3) * p
-        - ring.from_fraction(Fraction(1, 16)) * p * b
+        - _mod_p_term(ring, Fraction(1, 16), bernoulli_number(p - 3, p))
     )
     rhs = inner * _sign_half(p, 1)
     return lhs, rhs
@@ -646,34 +564,31 @@ def _eval_s1_quarter_weight2(p: int, t=None):
 def _eval_s2_quarter_weight1(p: int, t=None):
     ring = prime_power(p, 2)
     q = fermat_quotient(2, p, 2)
-    e = euler_number(p - 3, p).value
     lhs = s2(Fraction(1, 4), 1, ring)
-    rhs = q * 2 - q * q * p + ring.from_int(2 * _sign_half(p, 1)) * p * e
+    rhs = q * 2 - q * q * p + _mod_p_term(ring, 2 * _sign_half(p, 1), euler_number(p - 3, p))
     return lhs, rhs
 
 
 def _eval_s1_sixteenth_mod_p5(p: int, t=None):
     ring = prime_power(p, 5)
     lhs = s1(Fraction(1, 16), 0, ring)
-    b = bernoulli_number(p - 5, p).value
     rhs = (
         mhs(p - 1, (1,), ring) * Fraction(1, 12)
-        + ring.from_fraction(Fraction(3, 160)) * (p**4) * b
+        + _mod_p_term(ring, Fraction(3, 160), bernoulli_number(p - 5, p))
     ) * _sign_half(p, -1)
     return lhs, rhs
 
 
 def _eval_s1_neg_sixteenth_weight2(p: int, t=None):
-    h1_div = divide_by_p(mhs(p - 1, (1,), prime_power(p, 5)))  # exponent 4
+    h1_div = _h1_over_p(p, 1)  # exponent 4
     ring = h1_div.ring
     lhs = s1(Fraction(-1, 16), 1, ring)
-    b = bernoulli_number(p - 5, p).value
-    rhs = h1_div * Fraction(1, 5) + ring.from_fraction(Fraction(7, 200)) * (p**3) * b
+    rhs = h1_div * Fraction(1, 5) + _mod_p_term(ring, Fraction(7, 200), bernoulli_number(p - 5, p))
     return lhs, rhs
 
 
 def _eval_weighted_first_sixteenth(p: int, t=None):
-    h1_div2 = _div_p_times(mhs(p - 1, (1,), prime_power(p, 4)), 2)  # exponent 2
+    h1_div2 = reduce_residue(_h1_over_p(p, 2), 2)
     ring = h1_div2.ring
     lhs = weighted_sums(Fraction(1, 16), ring)[0]
     rhs = h1_div2 * Fraction(1, 12) * _sign_half(p, -1)
@@ -701,7 +616,7 @@ def _eval_central_squares(p: int, t=None):
     ring = prime_power(p, 2)
     m = ring.modulus
     n = (p - 1) // 2
-    raw = central_binomials(ring).raw
+    raw = central_binomials(ring)
     inv16 = pow(16, -1, m)
     total = 0
     weight = 1
@@ -716,7 +631,7 @@ def _eval_binomial_ratio_expansion(p: int, t=None):
     m = ring.modulus
     n = (p - 1) // 2
     inv = inverse_table(ring)
-    raw = central_binomials(ring).raw
+    raw = central_binomials(ring)
     inv_neg16 = pow(-16, -1, m)
     p2, p3, p4 = p * p % m, p**3 % m, p**4 % m
     binom_inv = inv[n]  # 1/C(n+0, 1)
@@ -992,27 +907,30 @@ def _congruence_checks() -> list[CongruenceCheck]:
         )
 
     for r in (1, 3, 5):
+        coeff = Fraction(-r * (r + 1), 2 * (r + 2))
         add(
             f"i.odd.r{r}",
             f"full harmonic sum of weight {r} against a Bernoulli multiple of p^2",
             f"H_(p-1)({r}) = -{r}*{r + 1}/(2*{r + 2}) * p^2 * B(p-{r + 2})  (mod p^3)",
-            3, _eval_full_depth1_odd(r), minp=r + 3,
+            3, _eval_mhs_bernoulli(False, (r,), 3, coeff), minp=r + 3,
         )
     for r in (2, 4, 6):
+        coeff = Fraction(r, r + 1)
         add(
             f"i.even.r{r}",
             f"full harmonic sum of weight {r} against a Bernoulli multiple of p",
             f"H_(p-1)({r}) = {r}/{r + 1} * p * B(p-{r + 1})  (mod p^2)",
-            2, _eval_full_depth1_even(r), minp=r + 3,
+            2, _eval_mhs_bernoulli(False, (r,), 2, coeff), minp=r + 3,
         )
     for w in range(2, 7):
         for s in range(1, w):
             r = w - s
+            coeff = Fraction((-1) ** s * comb(w, s), w)
             add(
                 f"ii.r{r}s{s}",
                 f"depth-2 harmonic sum of weight ({r},{s}) against a Bernoulli value",
                 f"H_(p-1)({r},{s}) = (-1)^{s}/{w} * C({w},{s}) * B(p-{w})  (mod p)",
-                1, _eval_full_depth2(r, s), minp=w + 1,
+                1, _eval_mhs_bernoulli(False, (r, s), 1, coeff), minp=w + 1,
             )
     for w in (3, 5, 7):
         for r in range(1, w - 1):
@@ -1020,11 +938,12 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 u = w - r - s
                 if u < 1:
                     continue
+                coeff = Fraction((-1) ** r * comb(w, r) - (-1) ** u * comb(w, u), 2 * w)
                 add(
                     f"iii.r{r}s{s}t{u}",
                     f"depth-3 harmonic sum of weight ({r},{s},{u}) against a Bernoulli value",
                     f"H_(p-1)({r},{s},{u}) = [(-1)^{r}*C({w},{r}) - (-1)^{u}*C({w},{u})]/(2*{w}) * B(p-{w})  (mod p)",
-                    1, _eval_full_depth3(r, s, u), minp=w + 1,
+                    1, _eval_mhs_bernoulli(False, (r, s, u), 1, coeff), minp=w + 1,
                 )
     add(
         "iv.h1",
@@ -1045,18 +964,20 @@ def _congruence_checks() -> list[CongruenceCheck]:
         3, _eval_half_h1, minp=7,
     )
     for r in (2, 4):
+        coeff = Fraction(r * (2 ** (r + 1) - 1), 2 * (r + 1))
         add(
             f"vi.even.r{r}",
             f"half-range weight-{r} sum against a Bernoulli multiple of p",
             f"H_n({r}) = {r}*(2^{r + 1}-1)/(2*{r + 1}) * p * B(p-{r + 1})  (mod p^2)",
-            2, _eval_half_depth1_even(r), minp=r + 5,
+            2, _eval_mhs_bernoulli(True, (r,), 2, coeff), minp=r + 5,
         )
     for r in (3, 5):
+        coeff = Fraction(-(2**r - 2), r)
         add(
             f"vi.odd.r{r}",
             f"half-range weight-{r} sum against a Bernoulli value",
             f"H_n({r}) = -(2^{r}-2)/{r} * B(p-{r})  (mod p)",
-            1, _eval_half_depth1_odd(r), minp=r + 5,
+            1, _eval_mhs_bernoulli(True, (r,), 1, coeff), minp=r + 5,
         )
     for r in (1, 2, 3):
         for a in (1, 2, 3):
@@ -1069,11 +990,12 @@ def _congruence_checks() -> list[CongruenceCheck]:
     for w in (3, 5, 7):
         for s in range(1, w):
             r = w - s
+            coeff = Fraction((-1) ** s * comb(w, s) + 2**w - 2, 2 * w)
             add(
                 f"L21.C2.r{r}s{s}",
                 f"half-range depth-2 sum of odd weight ({r},{s}) against a Bernoulli value",
                 f"H_n({r},{s}) = B(p-{w})/(2*{w}) * ((-1)^{s}*C({w},{s}) + 2^{w} - 2)  (mod p)",
-                1, _eval_half_depth2(r, s), minp=w + 1,
+                1, _eval_mhs_bernoulli(True, (r, s), 1, coeff), minp=w + 1,
             )
     add(
         "T22.zero",
@@ -1177,13 +1099,13 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "C41.c",
         "odd-denominator central binomial sum at t=1/8",
         "s1(1/8) = (-1)^((p+1)/2)*(2|p)*[q/2 - p/8*q^2 + p^2/16*(q^3 - B(p-3)/8)]  (mod p^3)",
-        3, _eval_s1_eighth, minp=5,
+        3, _eval_s1_fermat(2, Fraction(1, 128)), minp=5,
     )
     add(
         "C41.d",
         "odd-denominator central binomial sum at t=3/16",
         "s1(3/16) = (-1)^((p+1)/2)*(3|p)*[q3/2 - p/8*q3^2 + p^2*(q3^3/16 - B(p-3)/27)]  (mod p^3)",
-        3, _eval_s1_three_sixteenths, minp=5,
+        3, _eval_s1_fermat(3, Fraction(1, 27)), minp=5,
     )
     add(
         "C41.e",
@@ -1511,8 +1433,10 @@ def run_suite(
 
     Work is grouped into one unit per prime (all congruence checks at that
     prime) plus one unit per identity check, so worker-local caches are
-    reused.  Results are sorted by (check id, prime, t) regardless of job
-    count, making reports byte-identical across schedules.
+    reused.  A pool of min(jobs, units) worker processes runs them; with
+    one unit or ``jobs=1`` they run in this process.  Results are sorted by
+    (check id, prime, t) regardless of job count, making reports
+    byte-identical across schedules.
     """
     started = time.perf_counter()
     selected = select_checks(patterns)
@@ -1535,7 +1459,9 @@ def run_suite(
         units.append(("i", check.id, tuple(range(len(check.cases)))))
 
     results: list[CheckResult] = []
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    # The pool starts all its workers at once, so start no idle ones.
+    workers = min(jobs, len(units))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     mapper = map if pool is None else pool.map
     try:
         # _run_unit is looked up at call time so that profilers can replace it.

@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-cap",
         action="store_true",
-        help="ignore per-check prime caps (some checks cost O(p^2) per prime)",
+        help="ignore per-check prime caps (C42.a and C42.b stop at p <= 600 by default)",
     )
     parser.add_argument(
         "--t-panel",

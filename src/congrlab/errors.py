@@ -15,7 +15,6 @@ __all__ = [
     "NotAUnit",
     "NotDivisibleByP",
     "DenominatorDivisibleByP",
-    "DivisionByZero",
     "MixedExtension",
     "IndexOutOfRange",
     "NonUnitDenominator",
@@ -51,12 +50,6 @@ class NotDivisibleByP(CongrlabError):
 
 class DenominatorDivisibleByP(NotAUnit):
     """A rational a/b cannot be embedded in Z/p^k because p | b."""
-
-
-# Exact division by zero in Q, Q(sqrt(d)) or polynomial scaling.  The stdlib
-# already raises ZeroDivisionError from Fraction; we use the same type so both
-# code paths are caught uniformly.
-DivisionByZero = ZeroDivisionError
 
 
 class MixedExtension(CongrlabError):

@@ -7,10 +7,11 @@ default; nesting a polynomial ring gives two-variable polynomials, which the
 sequence tests use).  ``QuadExt`` implements Q(sqrt(d)) with componentwise
 equality and the field norm.
 
-Every ring here exposes the same adapter protocol as ``PrimePower``:
-``zero`` / ``one`` / ``from_int`` / ``from_fraction`` / ``div``, so the
-Lucas-sequence and binomial-sum code runs unchanged over Z/p^k, Q, Q(sqrt(d))
-and polynomial rings.
+The rational and polynomial rings (``QQ``, ``PolyRing``) expose the same
+adapter protocol as ``PrimePower``: ``zero`` / ``one`` / ``from_int`` /
+``from_fraction`` / ``div``, which ``Poly`` uses for its coefficients.  The
+generic Lucas-sequence code needs only element arithmetic, so it runs
+unchanged over Z/p^k, Q, Q(sqrt(d)) and polynomial rings.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "Poly",
     "PolyRing",
     "QuadExt",
-    "QuadField",
 ]
 
 Rational = Fraction
@@ -393,33 +393,3 @@ class QuadExt:
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
-
-class QuadField:
-    """Coefficient-ring adapter for Q(sqrt(d))."""
-
-    def __init__(self, d: int):
-        self.d = d
-
-    def zero(self) -> QuadExt:
-        return QuadExt(0, 0, self.d)
-
-    def one(self) -> QuadExt:
-        return QuadExt(1, 0, self.d)
-
-    def from_int(self, n: int) -> QuadExt:
-        return QuadExt(n, 0, self.d)
-
-    def from_fraction(self, q: Fraction) -> QuadExt:
-        return QuadExt(q, 0, self.d)
-
-    def div(self, a: QuadExt, b: QuadExt) -> QuadExt:
-        return a * b.inv()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuadField) and self.d == other.d
-
-    def __hash__(self) -> int:
-        return hash(("QuadField", self.d))
-
-    def __repr__(self) -> str:
-        return f"QuadField({self.d})"

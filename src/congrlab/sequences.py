@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BaseDivisibleByP, DivisionFailure, IndexOutOfRange
+from .errors import BaseDivisibleByP, DivisionFailure
 from .modring import PrimePower, Residue, divide_by_p, inverse_table, prime_power
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "w_value_mod",
     "fermat_quotient",
     "lucas_quotient",
-    "BinomTable",
     "central_binomials",
 ]
 
@@ -131,31 +130,10 @@ def lucas_quotient(p: int, k: int = 1) -> Residue:
     return divide_by_p(lp - 1)
 
 
-class BinomTable:
-    """Central binomial coefficients C(2k, k) mod p^k for 0 <= k <= (p-1)/2.
-
-    Raw integer values are exposed as ``raw`` for hot summation loops;
-    indexing returns proper residues.
-    """
-
-    __slots__ = ("ring", "raw")
-
-    def __init__(self, ring: PrimePower, raw: tuple[int, ...]):
-        self.ring = ring
-        self.raw = raw
-
-    def __len__(self) -> int:
-        return len(self.raw)
-
-    def __getitem__(self, k: int) -> Residue:
-        if not 0 <= k < len(self.raw):
-            raise IndexOutOfRange(f"C(2k,k) table holds k in 0..{len(self.raw) - 1}, got {k}")
-        return Residue(self.raw[k], self.ring)
-
-
 @lru_cache(maxsize=256)
-def central_binomials(ring: PrimePower) -> BinomTable:
-    """Table of C(2k, k) mod p^k via the ratio k*C(2k,k) = 2(2k-1)*C(2k-2,k-1).
+def central_binomials(ring: PrimePower) -> tuple[int, ...]:
+    """C(2k, k) mod p^k for 0 <= k <= (p-1)/2, as raw integers, via the ratio
+    k*C(2k,k) = 2(2k-1)*C(2k-2,k-1).
 
     All divisors k <= (p-1)/2 are units mod p, so the table is exact in the
     ring; built in O(p) with the batched inverse table.
@@ -168,4 +146,4 @@ def central_binomials(ring: PrimePower) -> BinomTable:
     for k in range(1, half + 1):
         c = c * (2 * (2 * k - 1)) % m * inv[k] % m
         raw[k] = c
-    return BinomTable(ring, tuple(raw))
+    return tuple(raw)

@@ -18,9 +18,9 @@ the fast ones:
   ``bernoulli_poly_value`` evaluating B_m(x) from it;
 * ``euler_numbers``: the recurrence sum_k C(2n, 2k)*E_{2k} = 0.
 
-Only mod-p precision is provided: every consumer multiplies these values by a
-power of p at least as large as the complementary precision of its target
-congruence, so higher precision is never needed.
+Only mod-p precision is provided: the catalog brings these values into its
+working ring Z/p^k through ``catalog._mod_p_term``, which multiplies them by
+p^(k-1), so higher precision is never needed.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ shows the per-criterion verdicts while pytest enforces them.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import subprocess
@@ -13,6 +14,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, inf
+from pathlib import Path
 
 import pytest
 
@@ -194,8 +196,15 @@ def test_criterion_6_determinism_across_job_counts(tmp_path):
         assert proc.returncode == 0, proc.stderr
         paths.append(path)
     blobs = [p.read_bytes() for p in paths]
-    ok = blobs[0] == blobs[1] and len(json.loads(blobs[0])) > 30000
-    _verdict(6, "byte-identical reports for --jobs 1 and --jobs 8", ok)
+    # The benchmark pins the digest of the default report (panel 0).
+    digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    pinned = json.loads(digests.read_text())["sweep"]["0"]
+    ok = (
+        blobs[0] == blobs[1]
+        and len(json.loads(blobs[0])) > 30000
+        and hashlib.sha256(blobs[0]).hexdigest() == pinned
+    )
+    _verdict(6, "byte-identical reports for --jobs 1 and --jobs 8, at the pinned digest", ok)
 
 
 def test_criterion_7_sharpness_guards():

@@ -179,6 +179,36 @@ class TestRunCongruence:
         assert int(res.lhs) == 22 and int(res.rhs) == 22  # mod 5^3
 
 
+def _shifted(original, shift):
+    """``original`` with ``shift`` added to the representative it returns."""
+
+    def supply(*args):
+        value = original(*args)
+        return Residue(value.value + shift, value.ring)
+
+    return supply
+
+
+def _panel_t(check):
+    return Fraction(1, 4) if check.uses_t_panel else None
+
+
+#: Every congruence check that reads ``catalog.bernoulli_number``.
+BERNOULLI_READERS = [
+    c.id
+    for c in builtin_checks()
+    if c.id.startswith(
+        ("i.", "ii.", "iii.", "v.h12", "vi.", "L21.C2.", "C23.", "C27.", "C41.", "C45.a", "TM.")
+    )
+]
+
+#: The depth-3 checks with r = u: the coefficient of their Bernoulli value is
+#: 0, so no shift of that value changes them.
+ZERO_COEFFICIENT = {
+    "iii.r1s1t1", "iii.r1s3t1", "iii.r2s1t2", "iii.r1s5t1", "iii.r2s3t2", "iii.r3s1t3",
+}
+
+
 class TestLiftInvariance:
     """A mod-p special value enters its check only through a factor p^e large
     enough that any lift of it, value + p*r, grades the same."""
@@ -193,21 +223,52 @@ class TestLiftInvariance:
         want = run_congruence(check, p)
         assert want.passed
         original = getattr(catalog, helper)
-
-        def shifted(shift):
-            def supply(*args):
-                value = original(*args)
-                return Residue(value.value + shift, value.ring)
-
-            return supply
-
         for r in (1, 2, p + 3, -1):
-            monkeypatch.setattr(catalog, helper, shifted(p * r))
+            monkeypatch.setattr(catalog, helper, _shifted(original, p * r))
             assert run_congruence(check, p) == want, r
         # A shift that is not a multiple of p changes the verdict, so the
         # patched helper is the one the check reads.
-        monkeypatch.setattr(catalog, helper, shifted(1))
+        monkeypatch.setattr(catalog, helper, _shifted(original, 1))
         assert not run_congruence(check, p).passed
+
+    def test_bernoulli_readers_census(self, monkeypatch):
+        # Every check that reads the Bernoulli value is in BERNOULLI_READERS.
+        original = catalog.bernoulli_number
+        readers = set()
+        for check in builtin_checks():
+            if check.kind != "congruence":
+                continue
+
+            def record(*args, _id=check.id):
+                readers.add(_id)
+                return original(*args)
+
+            monkeypatch.setattr(catalog, "bernoulli_number", record)
+            run_congruence(check, 101, _panel_t(check))
+        assert readers == set(BERNOULLI_READERS)
+        assert len(BERNOULLI_READERS) == 75 and ZERO_COEFFICIENT < readers
+
+    @pytest.mark.parametrize("check_id", BERNOULLI_READERS)
+    def test_lift_of_the_bernoulli_value_keeps_the_result(self, check_id, monkeypatch):
+        check = lookup(check_id)
+        t = _panel_t(check)
+        original = catalog.bernoulli_number
+        flipped = []
+        for p in (7, 11, 13, 101):
+            if p < check.min_prime or p in check.excluded_primes:
+                continue
+            monkeypatch.setattr(catalog, "bernoulli_number", original)
+            want = run_congruence(check, p, t)
+            assert want.passed, p
+            for r in (1, 2, p + 3, -1):
+                monkeypatch.setattr(catalog, "bernoulli_number", _shifted(original, p * r))
+                assert run_congruence(check, p, t) == want, (p, r)
+            monkeypatch.setattr(catalog, "bernoulli_number", _shifted(original, 1))
+            flipped.append(not run_congruence(check, p, t).passed)
+        # A shift by 1 changes the verdict at some tested prime unless the
+        # Bernoulli coefficient is 0.  It need not flip at every prime: the
+        # coefficient can vanish mod p (vi.1's 7/12 at p = 7).
+        assert any(flipped) == (check_id not in ZERO_COEFFICIENT)
 
 
 class TestRunIdentity:
@@ -356,3 +417,25 @@ class TestRunSuite:
         rep = run_suite(prime_lo=7, prime_hi=20, patterns=("v.h12", "L26.wz1"), jobs=1)
         blob = json.dumps(rep.records())
         assert json.loads(blob)[0]["check"]
+
+    @pytest.mark.parametrize(
+        "jobs,prime_hi,want",
+        [(64, 7, []), (64, 13, [3]), (2, 13, [2]), (1, 13, [])],
+    )
+    def test_pool_size_is_capped_by_the_units(self, jobs, prime_hi, want, monkeypatch):
+        # One unit per prime; a fake pool records its size and starts no process.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            map = staticmethod(map)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(catalog, "ProcessPoolExecutor", FakePool)
+        rep = run_suite(prime_lo=7, prime_hi=prime_hi, patterns=("v.h12",), jobs=jobs)
+        assert sizes == want
+        assert [r.prime for r in rep.results] == [p for p in (7, 11, 13) if p <= prime_hi]

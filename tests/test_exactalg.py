@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrlab.errors import DivisionFailure, MixedExtension
-from congrlab.exactalg import QQ, Poly, PolyRing, QuadExt, QuadField, p_adic_valuation
+from congrlab.exactalg import QQ, Poly, PolyRing, QuadExt, p_adic_valuation
 
 
 class TestValuation:
@@ -115,14 +115,6 @@ class TestQuadExt:
     def test_mixed_extensions_rejected(self):
         with pytest.raises(MixedExtension):
             _ = QuadExt(1, 1, 5) + QuadExt(1, 1, 3)
-
-    def test_field_protocol(self):
-        field = QuadField(5)
-        assert field.zero() == QuadExt(0, 0, 5)
-        assert field.one() == 1
-        assert field.from_fraction(Fraction(1, 3)) == QuadExt(Fraction(1, 3), 0, 5)
-        a, b = QuadExt(1, 1, 5), QuadExt(2, -1, 5)
-        assert field.div(a, b) * b == a
 
 
 @given(
