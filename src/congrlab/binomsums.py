@@ -1,9 +1,10 @@
 """Central binomial sums over half ranges, with several weight families.
 
-All modular evaluators stream in a single O(p) pass, maintaining the
-central binomial coefficient, the power of t and the weight sequence
-incrementally on raw integers.  Exact-rational twins (suffix ``_exact``)
-recompute the same sums over Q for pinning tests and sharpness checks.
+Each modular evaluator is one sum of elementwise products (``_dot``) of
+raw-integer columns over k: C(2k,k) t^k from ``binomial_column``, a
+``recurrence_column`` of a Lucas-type sequence, and slices of the cached
+power tables 1/i^a of ``harmonic``.  Exact-rational twins (suffix
+``_exact``) recompute the same sums over Q for pinning and sharpness tests.
 
 Families (p an odd prime, working modulus p^k from the ring):
 
@@ -15,6 +16,8 @@ Families (p an odd prime, working modulus p^k from the ring):
 * ``fib_lucas_sum(kind)`` = sum_{k=0}^{(p-3)/2} C(2k,k) W_{2k+1}/((2k+1) 16^k)
   with W = F (Fibonacci) or L (Lucas)
 * ``rhs_lucas_sum(kind, c, d)`` = sum_{k=1}^{p-1} s_k(c)/k^d with s = u or v
+* ``alternating_v_sum(t, odd)`` = sum_{k=0}^{(p-3)/2} (-1)^k v_{2k+1}(t)/(2k+1)
+  (odd) or sum_{k=1}^{(p-1)/2} (-1)^k v_{2k}(t)/k, with v = v(t, 1)
 """
 
 from __future__ import annotations
@@ -22,18 +25,22 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 from .errors import PreconditionViolated
 from .harmonic import _powers
 from .modring import PrimePower, Residue, inverse_table
-from .sequences import central_binomials
+from .sequences import central_binomials, recurrence_column
 
 __all__ = [
+    "binomial_column",
     "s1",
     "s2",
     "weighted_sums",
     "fib_lucas_sum",
     "rhs_lucas_sum",
+    "alternating_v_sum",
     "s1_exact",
     "s2_exact",
     "weighted_sums_exact",
@@ -46,80 +53,72 @@ def _check_d(d: int) -> None:
         raise PreconditionViolated(f"sum exponent d must be 0 or 1, got {d}")
 
 
+def binomial_column(t: Fraction, ring: PrimePower) -> list[int]:
+    """C(2k,k) t^k mod p^k for 0 <= k <= (p-1)/2, as raw integers."""
+    m = ring.modulus
+    tv = ring.from_fraction(t).value
+    out = []
+    tp = 1
+    for c in central_binomials(ring):
+        out.append(c * tp % m)
+        tp = tp * tv % m
+    return out
+
+
+def _dot(ring: PrimePower, first, *rest) -> Residue:
+    """sum_k first[k] * rest[0][k] * ... in the ring, reduced once at the end.
+
+    Unequal lengths raise: a slice one entry short would drop a term silently.
+    """
+    terms = first
+    for col in rest:
+        if len(col) != len(first):
+            raise ValueError(f"column lengths differ: {len(first)} and {len(col)}")
+        terms = map(mul, terms, col)
+    return Residue(sum(terms) % ring.modulus, ring)
+
+
+def _odd_powers(ring: PrimePower, a: int) -> tuple[int, ...]:
+    """1/(2k+1)^a for 0 <= k <= (p-3)/2."""
+    return _powers(ring, a)[1 : ring.p - 1 : 2]
+
+
+def _half_inverses(ring: PrimePower) -> tuple[int, ...]:
+    """1/k for 0 <= k <= (p-1)/2; entry 0 is 0, which drops a k = 0 term."""
+    return inverse_table(ring)[: (ring.p + 1) // 2]
+
+
 def s1(t: Fraction, d: int, ring: PrimePower) -> Residue:
     """sum_{k=0}^{(p-3)/2} C(2k,k) t^k / (2k+1)^(d+1) in the ring."""
     _check_d(d)
-    table = central_binomials(ring)
-    p, m = ring.p, ring.modulus
-    tv = ring.from_fraction(t).value
-    inv = inverse_table(ring)
-    total = 0
-    tp = 1
-    for k in range((p - 1) // 2):
-        w = inv[2 * k + 1]
-        if d:
-            w = w * w % m
-        total = (total + table[k] * tp % m * w) % m
-        tp = tp * tv % m
-    return Residue(total, ring)
+    return _dot(ring, binomial_column(t, ring)[:-1], _odd_powers(ring, d + 1))
 
 
 def s2(t: Fraction, d: int, ring: PrimePower) -> Residue:
     """sum_{k=1}^{(p-1)/2} C(2k,k) t^k / k^d in the ring."""
     _check_d(d)
-    table = central_binomials(ring)
-    p, m = ring.p, ring.modulus
-    tv = ring.from_fraction(t).value
-    inv = inverse_table(ring)
-    total = 0
-    tp = tv
-    for k in range(1, (p - 1) // 2 + 1):
-        term = table[k] * tp % m
-        if d:
-            term = term * inv[k] % m
-        total = (total + term) % m
-        tp = tp * tv % m
-    return Residue(total, ring)
+    column = binomial_column(t, ring)
+    if d:
+        return _dot(ring, column, _half_inverses(ring))
+    return _dot(ring, column[1:])
 
 
 def weighted_sums(t: Fraction, ring: PrimePower) -> tuple[Residue, Residue]:
     """The pair of Hbar_k(2)-weighted central binomial sums at t."""
-    table = central_binomials(ring)
-    p, m = ring.p, ring.modulus
-    tv = ring.from_fraction(t).value
-    inv = inverse_table(ring)
-    half = (p - 1) // 2
-    first = second = 0
-    hbar = 0  # Hbar_k(2), advanced after use
-    tp = 1
-    for k in range(half + 1):
-        ct = table[k] * tp % m
-        if k < half:
-            first = (first + ct * inv[2 * k + 1] % m * hbar) % m
-        second = (second + ct * hbar) % m
-        tp = tp * tv % m
-        if k < half:
-            io = inv[2 * k + 1]
-            hbar = (hbar + io * io) % m
-    return Residue(first, ring), Residue(second, ring)
+    column = binomial_column(t, ring)
+    hbar = list(accumulate(_odd_powers(ring, 2), initial=0))  # Hbar_k(2), k <= (p-1)/2
+    first = _dot(ring, column[:-1], hbar[:-1], _odd_powers(ring, 1))
+    return first, _dot(ring, column, hbar)
 
 
 def fib_lucas_sum(kind: str, ring: PrimePower) -> Residue:
     """sum_{k=0}^{(p-3)/2} C(2k,k) W_{2k+1} / ((2k+1) 16^k), W in {F, L}."""
     if kind not in ("F", "L"):
         raise PreconditionViolated(f"kind must be 'F' or 'L', got {kind!r}")
-    table = central_binomials(ring)
-    p, m = ring.p, ring.modulus
-    inv = inverse_table(ring)
-    inv16 = pow(16, -1, m)
-    a, b = (1, 1) if kind == "F" else (1, 3)  # (W_1, W_2)
-    total = 0
-    sixt = 1
-    for k in range((p - 1) // 2):
-        total = (total + table[k] * sixt % m * inv[2 * k + 1] % m * a) % m
-        a, b = (a + b) % m, (a + 2 * b) % m
-        sixt = sixt * inv16 % m
-    return Residue(total, ring)
+    weights = _odd_powers(ring, 1)
+    # W_{2k+3} = 3*W_{2k+1} - W_{2k-1}, from (W_1, W_3)
+    odd_terms = recurrence_column(len(weights), 1, 2 if kind == "F" else 4, 3, 1, ring.modulus)
+    return _dot(ring, binomial_column(Fraction(1, 16), ring)[:-1], weights, odd_terms)
 
 
 @lru_cache(maxsize=64)
@@ -134,14 +133,28 @@ def rhs_lucas_sum(kind: str, c: Fraction, d: int, ring: PrimePower) -> Residue:
         raise PreconditionViolated(f"kind must be 'u' or 'v', got {kind!r}")
     if d not in (2, 3):
         raise PreconditionViolated(f"sum exponent d must be 2 or 3, got {d}")
-    m = ring.modulus
     cv = ring.from_fraction(c).value
-    prev, cur = (0, 1) if kind == "u" else (2, cv)
-    total = 0
-    for w in _powers(ring, d)[1:]:
-        total += cur * w
-        prev, cur = cur, (cv * cur - prev) % m
-    return Residue(total % m, ring)
+    seeds = (0, 1) if kind == "u" else (2, cv)
+    # entry 0 of the power table is 0, which drops the k = 0 term
+    terms = recurrence_column(ring.p, *seeds, cv, 1, ring.modulus)
+    return _dot(ring, terms, _powers(ring, d))
+
+
+def alternating_v_sum(t: Fraction, odd: bool, ring: PrimePower) -> Residue:
+    """The signed v-series at t over the half range, with v = v(t, 1).
+
+    With ``odd`` True: sum_{k=0}^{(p-3)/2} (-1)^k v_{2k+1}(t)/(2k+1).
+    Otherwise: sum_{k=1}^{(p-1)/2} (-1)^k v_{2k}(t)/k.  Both columns step the
+    index by two, s_{k+1} = v_2*s_k - s_{k-1} with v_2 = t^2 - 2, and the
+    sign (-1)^k is folded in by negating v_2.
+    """
+    tv = ring.from_fraction(t).value
+    v2 = tv * tv - 2
+    if odd:
+        seeds, weights = (tv, -(v2 * tv - tv)), _odd_powers(ring, 1)  # v_1, -v_3
+    else:
+        seeds, weights = (2, -v2), _half_inverses(ring)  # v_0, -v_2
+    return _dot(ring, recurrence_column(len(weights), *seeds, -v2, 1, ring.modulus), weights)
 
 
 # -- exact-rational twins (for pinning and sharpness tests) ---------------

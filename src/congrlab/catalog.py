@@ -18,7 +18,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf
 
-from .binomsums import fib_lucas_sum, rhs_lucas_sum, s1, s2, weighted_sums
+from .binomsums import (
+    _dot,
+    alternating_v_sum,
+    binomial_column,
+    fib_lucas_sum,
+    rhs_lucas_sum,
+    s1,
+    s2,
+    weighted_sums,
+)
 from .exactalg import QQ, Poly, PolyRing, QuadExt
 from .harmonic import alternating_half_sum, mhs, odd_mhs, repeated
 from .modring import (
@@ -383,7 +392,7 @@ def _eval_weighted_second_mod_p(p: int, t: Fraction):
 def _eval_s1_mod_p3(p: int, t: Fraction):
     ring4 = prime_power(p, 4)
     n = (p - 1) // 2
-    wn = ring4.residue(w_value_mod(n, ring4.from_fraction(1 - 8 * t).value, ring4.modulus))
+    wn = w_value_mod(n, ring4.from_fraction(1 - 8 * t), ring4)
     head = divide_by_p(wn - ring4.from_fraction(-16 * t) ** n)  # exponent 3
     ring = head.ring
     lhs = s1(t, 0, ring)
@@ -406,51 +415,27 @@ def _eval_s2_mod_p3(p: int, t: Fraction):
         rhs_lucas_sum("u", 2 - 16 * t, 2, modp)
         / (modp.from_fraction(t) ** n * 2)
     )
-    wn = ring.residue(w_value_mod(n, ring.from_fraction(8 * t - 1).value, ring.modulus))
+    wn = w_value_mod(n, ring.from_fraction(8 * t - 1), ring)
     rhs = wn + _mod_p_term(ring, 1, fac)
     return lhs, rhs
 
 
 def _eval_s1_quadratic_arg(p: int, t: Fraction):
     ring4 = prime_power(p, 4)
-    m = ring4.modulus
     n = (p - 1) // 2
-    tv = ring4.from_fraction(t).value
-    inv = inverse_table(ring4)
-    mult = (tv * tv - 2) % m
-    a, b = tv % m, (tv * tv * tv - 3 * tv) % m  # v_1, v_3
-    total = 0
-    for k in range(n):
-        term = a * inv[2 * k + 1] % m
-        total = (total - term) % m if k & 1 else (total + term) % m
-        a, b = b, (mult * b - a) % m
-    vp = lucas_pair_mod(p, tv, 1, ring4)[1].value
-    inv_t = pow(tv, -1, m)
-    x = (
-        _neg_one_pow(n) * (vp - pow(tv, p, m)) % m * inv_t
-        + 2 * p * inv_t % m * total
-    ) % m
-    rhs = _div_p_times(ring4.residue(x), 2)  # exponent 2
+    tr = ring4.from_fraction(t)
+    vp = lucas_pair_mod(p, tr, 1, ring4)[1]
+    x = ((vp - tr**p) * _neg_one_pow(n) + alternating_v_sum(t, True, ring4) * (2 * p)) / tr
+    rhs = _div_p_times(x, 2)  # exponent 2
     lhs = s1(t * t / 16, 1, rhs.ring)
     return lhs, rhs
 
 
 def _eval_s2_quadratic_arg(p: int, t: Fraction):
     ring = prime_power(p, 2)
-    m = ring.modulus
-    n = (p - 1) // 2
-    tv = ring.from_fraction(t).value
-    inv = inverse_table(ring)
-    mult = (tv * tv - 2) % m
-    a, b = 2 % m, mult  # v_0, v_2
-    total = 0
-    for k in range(1, n + 1):
-        term = b * inv[k] % m
-        total = (total - term) % m if k & 1 else (total + term) % m
-        a, b = b, (mult * b - a) % m
     q = fermat_quotient(2, p, 2)
     lhs = s2(t * t / 16, 1, ring)
-    rhs = q * 4 - q * q * (2 * p) + ring.residue(total)
+    rhs = q * 4 - q * q * (2 * p) + alternating_v_sum(t, False, ring)
     return lhs, rhs
 
 
@@ -614,16 +599,8 @@ def _eval_euler_criterion_refined(a: int):
 
 def _eval_central_squares(p: int, t=None):
     ring = prime_power(p, 2)
-    m = ring.modulus
-    n = (p - 1) // 2
-    raw = central_binomials(ring)
-    inv16 = pow(16, -1, m)
-    total = 0
-    weight = 1
-    for k in range(n + 1):
-        total = (total + raw[k] * raw[k] % m * weight) % m
-        weight = weight * inv16 % m
-    return ring.residue(total), ring.from_int(_neg_one_pow(n))
+    lhs = _dot(ring, central_binomials(ring), binomial_column(Fraction(1, 16), ring))
+    return lhs, ring.from_int(_neg_one_pow((p - 1) // 2))
 
 
 def _eval_binomial_ratio_expansion(p: int, t=None):

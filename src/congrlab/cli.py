@@ -34,6 +34,10 @@ def _parse_prime_range(text: str) -> tuple[int, int]:
         ) from None
     if lo > hi or lo < 2:
         raise argparse.ArgumentTypeError(f"empty or invalid prime range {text!r}")
+    if hi >= 1 << 32:
+        raise argparse.ArgumentTypeError(
+            f"prime range {text!r} reaches 2^32; primes must be below it"
+        )
     return lo, hi
 
 
@@ -223,8 +227,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     if not report.results:
         print(
-            "error: the selection schedules no instance "
-            "(no prime in range, or every panel value skipped)",
+            "error: the selection schedules no instance: no prime in range meets "
+            "each check's minimum prime, exclusions and prime cap (see --list-checks; "
+            "--no-cap lifts the cap), or every panel value was skipped",
             file=sys.stderr,
         )
         return 2

@@ -3,8 +3,8 @@
 Rationals are stdlib ``fractions.Fraction`` (exact, always reduced, positive
 denominator) re-exported as :data:`Rational`.  Polynomials are dense
 coefficient lists over an arbitrary exact coefficient ring (rationals by
-default; nesting a polynomial ring gives two-variable polynomials, which the
-sequence tests use).  ``QuadExt`` implements Q(sqrt(d)) with componentwise
+default; nesting a polynomial ring gives two-variable polynomials, which
+only the exactalg tests use).  ``QuadExt`` implements Q(sqrt(d)) with componentwise
 equality and the field norm.
 
 The rational and polynomial rings (``QQ``, ``PolyRing``) expose the same

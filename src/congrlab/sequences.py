@@ -2,9 +2,9 @@
 
 The recurrences here are generic over the coefficient ring: any element type
 with ``+``, ``-``, ``*`` and ``** 0`` works (modular residues, exact
-rationals, polynomials, quadratic-field elements).  The modular instantiation
-additionally gets a fast-doubling path used for single far-out terms such as
-F_p and L_p mod p^k.
+rationals, polynomials, quadratic-field elements).  Mod p^k there is also
+fast doubling for single far-out terms such as F_p, L_p and w_n, and
+``recurrence_column``, every term up to n as raw integers for the sums.
 
 Sequence conventions:
 
@@ -12,12 +12,14 @@ Sequence conventions:
   u_0 = 0, u_1 = 1 and v_0 = 2, v_1 = x.  The one-parameter forms
   u_n(x) = u_n(x, 1), v_n(x) = v_n(x, 1).
 * Fibonacci and Lucas numbers are F_n = u_n(1, -1), L_n = v_n(1, -1).
-* ``w`` solves w_{n+1} = 2x*w_n - w_{n-1} with w_0 = 1, w_1 = 1 + 2x.
+* ``w`` solves w_{n+1} = 2x*w_n - w_{n-1} with w_0 = 1, w_1 = 1 + 2x, so
+  w_n(x) = u_{n+1}(2x) + u_n(2x).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BaseDivisibleByP, DivisionFailure
@@ -28,6 +30,7 @@ __all__ = [
     "lucas_u_upto",
     "lucas_v_upto",
     "lucas_pair_mod",
+    "recurrence_column",
     "w_value",
     "w_value_mod",
     "fermat_quotient",
@@ -67,6 +70,21 @@ def lucas_v_upto(n: int, params: LucasParams) -> list:
     return out
 
 
+def recurrence_column(n: int, s0: int, s1: int, x: int, y: int, m: int) -> list[int]:
+    """[s_0, ..., s_{n-1}] mod m for s_j = x*s_{j-1} - y*s_{j-2}, as raw integers.
+
+    The seeds (s0, s1) pick the sequence: (0, 1) gives u_n(x, y), (2, x)
+    gives v_n(x, y).  A column with every other term of u or v is the same
+    recurrence at (v_2, y^2), and negating x gives (-1)^j * s_j.
+    """
+    a, b = s0 % m, s1 % m
+    out = [a, b][:n]
+    for _ in range(n - 2):
+        a, b = b, (x * b - y * a) % m
+        out.append(b)
+    return out
+
+
 def lucas_pair_mod(n: int, x, y, ring: PrimePower) -> tuple[Residue, Residue]:
     """(u_n, v_n) in Z/p^k by fast doubling on the pair (u_k, u_{k+1}).
 
@@ -99,15 +117,14 @@ def w_value(n: int, x):
     return cur
 
 
-def w_value_mod(n: int, x: int, m: int) -> int:
-    """w_n(x) mod m on raw integers (hot path for per-prime sweeps)."""
-    if n == 0:
-        return 1 % m
-    two_x = 2 * x % m
-    prev, cur = 1, (1 + two_x) % m
-    for _ in range(n - 1):
-        prev, cur = cur, (two_x * cur - prev) % m
-    return cur
+def w_value_mod(n: int, x, ring: PrimePower) -> Residue:
+    """w_n(x) in Z/p^k in O(log n), x an int or a residue of the ring.
+
+    w_n(x) = u_{n+1} + u_n at Lucas parameters (2x, 1), and
+    u_{n+1} = v_n/2 + x*u_n, so one ``lucas_pair_mod`` call gives it.
+    """
+    u, v = lucas_pair_mod(n, x * 2, 1, ring)
+    return u * (x + 1) + v * Fraction(1, 2)
 
 
 def fermat_quotient(a: int, p: int, k: int = 1) -> Residue:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from congrlab.errors import DenominatorDivisibleByP, PreconditionViolated
 from congrlab.binomsums import (
+    alternating_v_sum,
+    binomial_column,
     fib_lucas_sum,
     fib_lucas_sum_exact,
     rhs_lucas_sum,
@@ -21,6 +23,7 @@ from congrlab.binomsums import (
     weighted_sums,
     weighted_sums_exact,
 )
+from congrlab.catalog import DEFAULT_T_PANEL
 from congrlab.harmonic import odd_mhs
 from congrlab.modring import prime_power
 from congrlab.sequences import LucasParams, lucas_u_upto, lucas_v_upto
@@ -55,7 +58,9 @@ class TestFrozenValues:
         assert (first, second) == (want_first, want_second)
 
 
-@pytest.mark.parametrize("p,k", [(7, 2), (13, 4), (31, 3)])
+# p = 3 and 5 have the shortest columns (one or two terms), so a slice one
+# entry short or long shows there at once.
+@pytest.mark.parametrize("p,k", [(7, 2), (13, 4), (31, 3), (3, 1), (3, 3), (5, 2), (997, 3)])
 def test_modular_paths_match_exact(p, k):
     ring = prime_power(p, k)
     for t in T_VALUES:
@@ -68,6 +73,36 @@ def test_modular_paths_match_exact(p, k):
         assert got[1] == ring.from_fraction(want[1])
     for kind in ("F", "L"):
         assert fib_lucas_sum(kind, ring) == ring.from_fraction(fib_lucas_sum_exact(p, kind))
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 2), (13, 4)])
+def test_binomial_column(p, k):
+    ring = prime_power(p, k)
+    for t in T_VALUES:
+        want = [ring.from_fraction(math.comb(2 * j, j) * t**j).value for j in range((p + 1) // 2)]
+        assert binomial_column(t, ring) == want
+
+
+def _v_sums_exact(p: int, t: Fraction) -> tuple[Fraction, Fraction]:
+    vs = lucas_v_upto(p, LucasParams(t, Fraction(1)))
+    half = (p - 1) // 2
+    odd = sum(Fraction((-1) ** k) * vs[2 * k + 1] / (2 * k + 1) for k in range(half))
+    even = sum(Fraction((-1) ** k) * vs[2 * k] / k for k in range(1, half + 1))
+    return odd, even
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 199])
+def test_alternating_v_sums_match_exact(p):
+    for t in DEFAULT_T_PANEL:
+        if t.denominator % p == 0:
+            with pytest.raises(DenominatorDivisibleByP):
+                alternating_v_sum(t, True, prime_power(p, 1))
+            continue
+        odd, even = _v_sums_exact(p, t)
+        for k in (1, 2, 3, 4):
+            ring = prime_power(p, k)
+            assert alternating_v_sum(t, True, ring) == ring.from_fraction(odd), (t, k)
+            assert alternating_v_sum(t, False, ring) == ring.from_fraction(even), (t, k)
 
 
 def test_fib_lucas_sum_uses_odd_indices():

@@ -73,6 +73,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["--primes", bad])
 
+    def test_prime_range_stops_below_two_to_the_32(self, capsys):
+        # Parsing only: a sweep over such a range would sieve 2^32 bytes.
+        assert cli._parse_prime_range(f"7..{2**32 - 1}") == (7, 2**32 - 1)
+        for bad in ("7..5000000000", str(2**32)):
+            with pytest.raises(argparse.ArgumentTypeError, match=r"2\^32"):
+                cli._parse_prime_range(bad)
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["--primes", "7..5000000000"])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("congrlab: error: argument --primes: ")
+
     def test_t_panel_parsing(self):
         args = cli.build_parser().parse_args(["--t-panel", "1/4, -1/16,2"])
         assert args.t_panel == (Fraction(1, 4), Fraction(-1, 16), Fraction(2))
@@ -132,6 +144,13 @@ class TestMain:
         out = capsys.readouterr().out
         assert "v.h12" in out and "[congruence]" in out and "[identity]" in out
 
+    def test_list_checks_snapshot(self, capsys):
+        # Every check's id, statement, target, minimum prime, exclusions and
+        # cap; regenerate with `python -m congrlab --list-checks`.
+        assert cli.main(["--list-checks"]) == 0
+        snapshot = Path(__file__).with_name("list_checks.txt")
+        assert capsys.readouterr().out == snapshot.read_text(encoding="utf-8")
+
     def test_unknown_pattern_is_an_error(self, capsys):
         assert cli.main(["--checks", "nosuchcheck"]) == 2
         err = capsys.readouterr().err
@@ -142,6 +161,7 @@ class TestMain:
         [
             ["--checks", "T32.first", "--t-panel", "0"],  # t = 0 is skipped at every prime
             ["--checks", "v.h12", "--primes", "8..10"],  # no prime in range
+            ["--checks", "C42.a", "--primes", "601..700"],  # above the check's prime cap
         ],
     )
     def test_empty_sweep_is_an_error(self, argv, tmp_path, capsys):
@@ -151,6 +171,7 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert "schedules no instance" in captured.err
+        assert "minimum prime" in captured.err and "--no-cap" in captured.err
         assert not path.exists()
 
     @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])

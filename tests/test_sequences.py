@@ -20,6 +20,7 @@ from congrlab.sequences import (
     lucas_quotient,
     lucas_u_upto,
     lucas_v_upto,
+    recurrence_column,
     w_value,
     w_value_mod,
 )
@@ -89,6 +90,28 @@ class TestLucasPairMod:
         assert v2 == v * v - 2 * pow(y, n, ring.modulus)
 
 
+class TestRecurrenceColumn:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 40])
+    def test_matches_upto_tables(self, n):
+        m = 13**3
+        for x, y in [(1, -1), (3, 1), (2, -1), (5, 7), (-4, 1), (m + 6, 1)]:
+            params = LucasParams(x, y)
+            us = [u % m for u in lucas_u_upto(n, params)[:n]]
+            vs = [v % m for v in lucas_v_upto(n, params)[:n]]
+            assert recurrence_column(n, 0, 1, x, y, m) == us
+            assert recurrence_column(n, 2, x, x, y, m) == vs
+
+    def test_every_other_term(self):
+        # F_{2k+1} and L_{2k+1} run at (3, 1), v_2 = L_2 = 3 for Fibonacci/Lucas;
+        # negating the multiplier gives (-1)^k * s_k.
+        m = 10**9
+        fib, luc = lucas_u_upto(41, FIB_LUCAS), lucas_v_upto(41, FIB_LUCAS)
+        assert recurrence_column(20, 1, 2, 3, 1, m) == [fib[2 * k + 1] % m for k in range(20)]
+        assert recurrence_column(20, 1, 4, 3, 1, m) == [luc[2 * k + 1] % m for k in range(20)]
+        signed = [(-1) ** k * luc[2 * k] % m for k in range(20)]
+        assert recurrence_column(20, 2, -3, -3, 1, m) == signed
+
+
 class TestWPolynomials:
     def test_small_values(self):
         x = PolyRing().x()
@@ -102,9 +125,23 @@ class TestWPolynomials:
         assert [w_value(n, 1) for n in range(5)] == [1, 3, 5, 7, 9]
 
     def test_mod_matches_exact(self):
+        ring = prime_power(13, 2)
         for x in (1, 2, 5):
             for n in (0, 1, 5, 20):
-                assert w_value_mod(n, x, 169) == w_value(n, x) % 169
+                assert int(w_value_mod(n, x, ring)) == w_value(n, x) % 169
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 199, 997])
+    def test_mod_matches_exact_at_prime_powers(self, p):
+        for k in (1, 2, 3, 4, 6):
+            ring = prime_power(p, k)
+            for n in (0, 1, (p - 1) // 2):
+                for x in (0, 1, 2, -3, ring.modulus - 1):
+                    assert w_value_mod(n, x, ring) == ring.from_int(w_value(n, x))
+                # the catalog's arguments: x = 1 - 8t and 8t - 1 at a panel t
+                for x in (Fraction(-1), Fraction(3, 2), Fraction(-7, 5)):
+                    if x.denominator % p:
+                        want = ring.from_fraction(w_value(n, x))
+                        assert w_value_mod(n, ring.from_fraction(x), ring) == want
 
 
 class TestQuotients:
