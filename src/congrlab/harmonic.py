@@ -9,22 +9,24 @@ Conventions (the index order matters and is guarded by tests):
 * The empty composition gives 1 (empty product convention); any nonempty
   composition at n = 0 gives 0 (empty sum).
 
-All three are computed by one depth-wise dynamic program in O(depth * n)
-ring operations over a table of inverse denominators.  The modular
-instantiation runs on raw integers over slices of cached power tables
-(entry i of ``_powers(ring, a)`` is i^-a mod p^k), so its inner loop is one
-prefix sum and one multiplication per entry and depth, with no ``pow``; the
-alternating sum is the difference of two slice sums.
+All three run one depth-wise dynamic program on raw integers, O(depth * n)
+multiplications.  The modular path feeds it slices of cached power tables
+(entry i of ``_powers(ring, a)`` is i^-a mod p^k, so no ``pow`` in the
+loop) and reduces mod p^k once.  The exact path writes 1/i^a as
+(L/i)^a / L^a, L the lcm of the denominators, and divides the integer sum
+once by L^|comp|.  The alternating sum is a difference of two such sums.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import lcm
 from operator import mul
 
 from .errors import NonUnitDenominator, PreconditionViolated
-from .exactalg import QQ
+from .exactalg import QQ, RationalField
 from .modring import PrimePower, Residue, inverse_table
 
 __all__ = [
@@ -66,61 +68,53 @@ def _powers(ring: PrimePower, a: int) -> tuple[int, ...]:
     return tuple([y * y % m for y in half])
 
 
-def _dp_mod(columns, m: int) -> int:
-    """The depth-wise DP on raw integers mod m.
+def _dp_sum(columns) -> int:
+    """The depth-wise DP on raw integers, unreduced.
 
     ``columns[d]`` holds x_1^comp[d], x_2^comp[d], ... for one sequence
     x_1, x_2, ...; the result sums prod_d x_{i_d}^comp[d] over
     i_1 < ... < i_r, so comp[0] sits on the smallest index.  Depth d weights
-    entry j by the depth d-1 sum over the indices before j.  Entries are
-    reduced only once, at the end: at depth d they stay below (n*m)^d, and
-    skipping the per-entry reduction nearly halves the cost of the loop.
+    entry j by the depth d-1 sum over the indices before j.  The caller
+    reduces or divides once at the end: skipping the per-entry reduction
+    nearly halves the cost of the modular loop.
     """
     if not columns:
         return 1
     terms = columns[0]
     for col in columns[1:]:
         terms = list(map(mul, accumulate(terms, initial=0), col))
-    return sum(terms) % m
+    return sum(terms)
 
 
-def _dp(inverses, comp: tuple[int, ...], ring):
-    """Ring-generic DP for the exact paths; the reference for ``_dp_mod``."""
-    r = len(comp)
-    acc = [ring.one()] + [ring.zero()] * r
-    for x in inverses:
-        for d in range(r, 0, -1):
-            acc[d] = acc[d] + acc[d - 1] * x ** comp[d - 1]
-    return acc[r]
-
-
-def _exact_inverses(ring, start: int, stop: int, step: int = 1) -> list:
-    """[1/i for i in range(start, stop, step)]: the exact twin of a slice of
-    ``inverse_table``."""
-    one = ring.one()
-    return [ring.div(one, ring.from_int(i)) for i in range(start, stop, step)]
+def _exact_sum(ring, dens: range, comp: tuple[int, ...]) -> Fraction:
+    """The DP at x_i = 1/i over the denominators ``dens``, in Q."""
+    if not isinstance(ring, RationalField):
+        raise PreconditionViolated(f"harmonic sums need QQ or a PrimePower ring, got {ring!r}")
+    L = lcm(*dens)
+    scaled = [L // i for i in dens]
+    return Fraction(_dp_sum([[x**a for x in scaled] for a in comp]), L ** sum(comp))
 
 
 @lru_cache(maxsize=8192)
 def _mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if n >= ring.p:
         raise NonUnitDenominator(f"H_{n} mod {ring.p}^{ring.k} hits the denominator p")
-    return _dp_mod([_powers(ring, a)[1 : n + 1] for a in comp], ring.modulus)
+    return _dp_sum([_powers(ring, a)[1 : n + 1] for a in comp]) % ring.modulus
 
 
 @lru_cache(maxsize=8192)
 def _odd_mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if 2 * n - 1 >= ring.p:
         raise NonUnitDenominator(f"Hbar_{n} mod {ring.p}^{ring.k} hits the denominator p")
-    return _dp_mod([_powers(ring, a)[1 : 2 * n : 2] for a in comp], ring.modulus)
+    return _dp_sum([_powers(ring, a)[1 : 2 * n : 2] for a in comp]) % ring.modulus
 
 
 def mhs(n: int, comp, ring=QQ):
-    """H_n(a_1, ..., a_r) in the given coefficient ring."""
+    """H_n(a_1, ..., a_r): a ``Fraction`` in QQ, a ``Residue`` in a PrimePower."""
     comp = _validated(comp)
     if isinstance(ring, PrimePower):
         return Residue(_mhs_mod(n, comp, ring), ring)
-    return _dp(_exact_inverses(ring, 1, n + 1), comp, ring)
+    return _exact_sum(ring, range(1, n + 1), comp)
 
 
 def odd_mhs(n: int, comp, ring=QQ):
@@ -128,7 +122,7 @@ def odd_mhs(n: int, comp, ring=QQ):
     comp = _validated(comp)
     if isinstance(ring, PrimePower):
         return Residue(_odd_mhs_mod(n, comp, ring), ring)
-    return _dp(_exact_inverses(ring, 1, 2 * n, 2), comp, ring)
+    return _exact_sum(ring, range(1, 2 * n, 2), comp)
 
 
 def alternating_half_sum(n: int, d: int, odd_denominators: bool, ring=QQ):
@@ -150,6 +144,4 @@ def alternating_half_sum(n: int, d: int, odd_denominators: bool, ring=QQ):
         powers = _powers(ring, d)
         total = sum(powers[slice(*plus)]) - sum(powers[slice(*minus)])
         return Residue(total % ring.modulus, ring)
-    return _dp(_exact_inverses(ring, *plus), (d,), ring) - _dp(
-        _exact_inverses(ring, *minus), (d,), ring
-    )
+    return _exact_sum(ring, range(*plus), (d,)) - _exact_sum(ring, range(*minus), (d,))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from math import isqrt
 
 from .errors import (
     CompositeModulus,
@@ -67,15 +69,19 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, by sieve."""
-    if hi < max(lo, 2):
+    """All primes p with lo <= p <= hi, by a sieve segmented over [lo, hi].
+
+    It marks the multiples of the primes up to sqrt(hi), which come from the
+    same sieve over [2, sqrt(hi)], so memory is O(hi - lo + sqrt(hi)).
+    """
+    lo = max(lo, 2)
+    if hi < lo:
         return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(hi**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytes(len(range(i * i, hi + 1, i)))
-    return [i for i in range(max(lo, 2), hi + 1) if sieve[i]]
+    segment = bytearray([1]) * (hi - lo + 1)
+    for q in primes_in_range(2, isqrt(hi)):
+        first = max(q * q, -(-lo // q) * q)
+        segment[first - lo :: q] = bytes(len(range(first, hi + 1, q)))
+    return list(compress(range(lo, hi + 1), segment))
 
 
 class PrimePower:

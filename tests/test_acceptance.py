@@ -179,7 +179,7 @@ def test_criterion_5_harmonic_oracle_equivalence():
     _verdict(5, "harmonic-sum oracle equivalence", ok)
 
 
-def test_criterion_6_determinism_across_job_counts(tmp_path):
+def test_criterion_6_determinism_across_job_counts(tmp_path, child_env):
     paths = []
     for jobs in ("1", "8"):
         path = tmp_path / f"report-jobs{jobs}.json"
@@ -192,6 +192,7 @@ def test_criterion_6_determinism_across_job_counts(tmp_path):
             capture_output=True,
             text=True,
             timeout=580,
+            env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
         paths.append(path)

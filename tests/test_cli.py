@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pkgutil
 import subprocess
 import sys
@@ -13,12 +12,10 @@ from pathlib import Path
 
 import pytest
 
-import congrlab
 import congrlab.cli as cli
 from congrlab.catalog import DEFAULT_T_PANEL, run_suite
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-SRC_DIR = Path(congrlab.__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -261,14 +258,6 @@ class TestMain:
         assert "1 errored" in capsys.readouterr().err
 
 
-def _child_env() -> dict[str, str]:
-    """Environment in which a child interpreter imports the congrlab under test."""
-    env = dict(os.environ)
-    paths = [str(SRC_DIR), env.get("PYTHONPATH", "")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    return env
-
-
 def _declared_console_script() -> str:
     """The ``module:attr`` spec of ``[project.scripts].congrlab`` in pyproject.toml."""
     if sys.version_info >= (3, 11):
@@ -280,19 +269,19 @@ def _declared_console_script() -> str:
 
 
 class TestEntryPoints:
-    def test_module_invocation(self):
+    def test_module_invocation(self, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "congrlab", "--primes", "7..11", "--checks", "iv.h1"],
             capture_output=True,
             text=True,
             timeout=120,
-            env=_child_env(),
+            env=child_env,
         )
         assert proc.returncode == 0
         assert "iv.h1" in proc.stdout
         assert "0 failed" in proc.stderr
 
-    def test_console_script_help(self):
+    def test_console_script_help(self, child_env):
         # Check the declared entry point without an install: resolve it, then
         # call it the way the generated `congrlab` wrapper does.
         spec = _declared_console_script()
@@ -304,7 +293,7 @@ class TestEntryPoints:
             capture_output=True,
             text=True,
             timeout=120,
-            env=_child_env(),
+            env=child_env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: congrlab ")

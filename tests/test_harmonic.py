@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from congrlab.errors import NonUnitDenominator, PreconditionViolated
 from congrlab import harmonic
+from congrlab.exactalg import QQ, PolyRing
 from congrlab.harmonic import alternating_half_sum, mhs, odd_mhs, repeated
 from congrlab.modring import prime_power
 
@@ -41,6 +42,69 @@ def brute_alternating(n: int, d: int, odd_denominators: bool) -> Fraction:
     if odd_denominators:
         return sum((Fraction((-1) ** k, (2 * k + 1) ** d) for k in range(n)), Fraction(0))
     return sum((Fraction((-1) ** k, k**d) for k in range(1, n + 1)), Fraction(0))
+
+
+def exact_inverses(ring, start: int, stop: int, step: int = 1) -> list:
+    """[1/i for i in range(start, stop, step)], each divided in ``ring``."""
+    one = ring.one()
+    return [ring.div(one, ring.from_int(i)) for i in range(start, stop, step)]
+
+
+def dp_prefixes(inverses, comp: tuple[int, ...], ring=QQ) -> list:
+    """The ring-generic depth-wise DP, one ring operation per step: entry n
+    is the sum over the first n inverses, for n = 0 .. len(inverses)."""
+    r = len(comp)
+    acc = [ring.one()] + [ring.zero()] * r
+    out = [acc[r]]
+    for x in inverses:
+        for d in range(r, 0, -1):
+            acc[d] = acc[d] + acc[d - 1] * x ** comp[d - 1]
+        out.append(acc[r])
+    return out
+
+
+ORACLE_N = 40
+#: Every composition of depth 0..4 with parts 1..5.
+ORACLE_COMPS = [c for r in range(5) for c in product(range(1, 6), repeat=r)]
+
+
+@pytest.mark.parametrize("depth", range(5))
+def test_exact_kernel_against_generic_dp(depth):
+    inverses = exact_inverses(QQ, 1, ORACLE_N + 1)
+    odd_inverses = exact_inverses(QQ, 1, 2 * ORACLE_N, 2)
+    for comp in ORACLE_COMPS:
+        if len(comp) != depth:
+            continue
+        want, want_odd = dp_prefixes(inverses, comp), dp_prefixes(odd_inverses, comp)
+        for n in range(ORACLE_N + 1):
+            got, got_odd = mhs(n, comp), odd_mhs(n, comp)
+            # Reports render these values with str(), which depends on the type.
+            assert type(got) is Fraction and type(got_odd) is Fraction, (n, comp)
+            assert got == want[n], (n, comp)
+            assert got_odd == want_odd[n], (n, comp)
+
+
+@pytest.mark.parametrize("odd_denominators", [True, False])
+def test_exact_alternating_against_generic_dp(odd_denominators):
+    for d in range(1, 6):
+        for n in range(ORACLE_N + 1):
+            if odd_denominators:
+                plus, minus = exact_inverses(QQ, 1, 2 * n, 4), exact_inverses(QQ, 3, 2 * n, 4)
+            else:
+                plus, minus = exact_inverses(QQ, 2, n + 1, 2), exact_inverses(QQ, 1, n + 1, 2)
+            want = dp_prefixes(plus, (d,))[-1] - dp_prefixes(minus, (d,))[-1]
+            got = alternating_half_sum(n, d, odd_denominators)
+            assert type(got) is Fraction and got == want, (n, d)
+
+
+@pytest.mark.parametrize("ring", [PolyRing(), object()], ids=["PolyRing", "object"])
+def test_exact_path_accepts_only_qq(ring):
+    with pytest.raises(PreconditionViolated):
+        mhs(3, (1,), ring)
+    with pytest.raises(PreconditionViolated):
+        odd_mhs(3, (1, 2), ring)
+    with pytest.raises(PreconditionViolated):
+        alternating_half_sum(3, 1, True, ring)
 
 
 class TestFrozenValues:

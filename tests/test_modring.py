@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,26 @@ class TestPrimality:
         assert primes_in_range(7, 23) == [7, 11, 13, 17, 19, 23]
         assert primes_in_range(24, 28) == []
         assert primes_in_range(2, 2) == [2]
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(-5, 30), (0, 0), (0, 1), (1, 2), (2, 3), (3, 3), (4, 4), (24, 28), (50, 10),
+         (7, 1000), (961, 1024), (10**6, 10**6 + 500), (10**8, 10**8 + 1000)],
+    )
+    def test_segmented_sieve_matches_primality(self, lo, hi):
+        assert primes_in_range(lo, hi) == [p for p in range(lo, hi + 1) if is_prime(p)]
+
+    def test_sieve_memory_follows_the_range(self):
+        # A sieve of hi + 1 bytes would take 100 MB here; the segmented one
+        # holds a 1001-byte segment and the 1,229 primes below 10^4.
+        tracemalloc.start()
+        try:
+            primes = primes_in_range(10**8, 10**8 + 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(primes) == 54
+        assert peak < 1 << 20
 
 
 class TestPrimePower:
