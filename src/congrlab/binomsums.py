@@ -3,8 +3,11 @@
 Each modular evaluator is one sum of elementwise products (``_dot``) of
 raw-integer columns over k: C(2k,k) t^k from ``binomial_column``, a
 ``recurrence_column`` of a Lucas-type sequence, and slices of the cached
-power tables 1/i^a of ``harmonic``.  Exact-rational twins (suffix
-``_exact``) recompute the same sums over Q for pinning and sharpness tests.
+power tables 1/i^a of ``harmonic``.  What several checks read at one
+(p, t) is built once: ``binomial_column`` and ``weighted_sums`` are cached
+per (t, ring), and ``rhs_lucas_sum`` reads both of its kinds off the cached
+sums of one u column.  Exact-rational twins (suffix ``_exact``) recompute
+the same sums over Q for pinning and sharpness tests.
 
 Families (p an odd prime, working modulus p^k from the ring):
 
@@ -53,8 +56,12 @@ def _check_d(d: int) -> None:
         raise PreconditionViolated(f"sum exponent d must be 0 or 1, got {d}")
 
 
-def binomial_column(t: Fraction, ring: PrimePower) -> list[int]:
-    """C(2k,k) t^k mod p^k for 0 <= k <= (p-1)/2, as raw integers."""
+@lru_cache(maxsize=64)
+def binomial_column(t: Fraction, ring: PrimePower) -> tuple[int, ...]:
+    """C(2k,k) t^k mod p^k for 0 <= k <= (p-1)/2, as raw integers.
+
+    Cached: the checks at one prime read about 38 distinct (t, ring) columns.
+    """
     m = ring.modulus
     tv = ring.from_fraction(t).value
     out = []
@@ -62,7 +69,7 @@ def binomial_column(t: Fraction, ring: PrimePower) -> list[int]:
     for c in central_binomials(ring):
         out.append(c * tp % m)
         tp = tp * tv % m
-    return out
+    return tuple(out)
 
 
 def _dot(ring: PrimePower, first, *rest) -> Residue:
@@ -103,8 +110,12 @@ def s2(t: Fraction, d: int, ring: PrimePower) -> Residue:
     return _dot(ring, column[1:])
 
 
+@lru_cache(maxsize=32)
 def weighted_sums(t: Fraction, ring: PrimePower) -> tuple[Residue, Residue]:
-    """The pair of Hbar_k(2)-weighted central binomial sums at t."""
+    """The pair of Hbar_k(2)-weighted central binomial sums at t.
+
+    Cached because one check reads each element at every (p, t).
+    """
     column = binomial_column(t, ring)
     hbar = list(accumulate(_odd_powers(ring, 2), initial=0))  # Hbar_k(2), k <= (p-1)/2
     first = _dot(ring, column[:-1], hbar[:-1], _odd_powers(ring, 1))
@@ -121,23 +132,35 @@ def fib_lucas_sum(kind: str, ring: PrimePower) -> Residue:
     return _dot(ring, binomial_column(Fraction(1, 16), ring)[:-1], weights, odd_terms)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=32)
+def _u_sums(c: Fraction, ring: PrimePower) -> tuple[tuple[Residue, Residue], ...]:
+    """For d = 2, 3 in turn: (sum_{k=1}^{p-1} u_k/k^d, sum_{k=1}^{p-1} u_{k+1}/k^d).
+
+    Both come from one column u_0..u_p of u(c, 1); only the sums are kept,
+    since the column holds p + 1 entries.
+    """
+    u = recurrence_column(ring.p + 1, 0, 1, ring.from_fraction(c).value, 1, ring.modulus)
+    # entry 0 of the power tables is 0, which drops the k = 0 term
+    weights = (_powers(ring, 2), _powers(ring, 3))
+    return tuple((_dot(ring, u[:-1], w), _dot(ring, u[1:], w)) for w in weights)
+
+
 def rhs_lucas_sum(kind: str, c: Fraction, d: int, ring: PrimePower) -> Residue:
     """sum_{k=1}^{p-1} s_k(c)/k^d with s = u (kind 'u') or v (kind 'v').
 
     Needed only mod p by its consumers, but computed in whatever ring is
-    passed; c is the one-parameter recurrence coefficient (y = 1).  Cached
-    because two pairs of checks read the same sums at every (p, t).
+    passed; c is the one-parameter recurrence coefficient (y = 1).  Both
+    kinds read the cached sums of one u column, since v_k = 2u_{k+1} - c*u_k:
+    the v-sum is 2*sum u_{k+1}/k^d - c*sum u_k/k^d.
     """
     if kind not in ("u", "v"):
         raise PreconditionViolated(f"kind must be 'u' or 'v', got {kind!r}")
     if d not in (2, 3):
         raise PreconditionViolated(f"sum exponent d must be 2 or 3, got {d}")
-    cv = ring.from_fraction(c).value
-    seeds = (0, 1) if kind == "u" else (2, cv)
-    # entry 0 of the power table is 0, which drops the k = 0 term
-    terms = recurrence_column(ring.p, *seeds, cv, 1, ring.modulus)
-    return _dot(ring, terms, _powers(ring, d))
+    below, above = _u_sums(c, ring)[d - 2]
+    if kind == "u":
+        return below
+    return above * 2 - below * c
 
 
 def alternating_v_sum(t: Fraction, odd: bool, ring: PrimePower) -> Residue:

@@ -1408,19 +1408,20 @@ def run_suite(
 ) -> Report:
     """Run every applicable instance of the selected checks and report.
 
-    Work is grouped into one unit per prime (all congruence checks at that
-    prime) plus one unit per identity check, so worker-local caches are
-    reused.  A pool of min(jobs, units) worker processes runs them; with
-    one unit or ``jobs=1`` they run in this process.  Results are sorted by
-    (check id, prime, t) regardless of job count, making reports
-    byte-identical across schedules.
+    Work is grouped into one unit per identity check plus one unit per
+    prime (all congruence checks at that prime), so worker-local caches are
+    reused.  The identity units go first, since the largest of them outlasts
+    any prime unit, then the primes in ascending order.  A pool of
+    min(jobs, units) worker processes runs them; with one unit or ``jobs=1``
+    they run in this process.  Results are sorted by (check id, prime, t)
+    regardless of job count, making reports byte-identical across schedules.
     """
     started = time.perf_counter()
     selected = select_checks(patterns)
     congruences = [c for c in selected if c.kind == "congruence" and "congruence" in kinds]
     identities = [c for c in selected if c.kind == "identity" and "identity" in kinds]
 
-    units: list[tuple] = []
+    units: list[tuple] = [("i", c.id, tuple(range(len(c.cases)))) for c in identities]
     for p in primes_in_range(prime_lo, prime_hi):
         items = []
         for check in congruences:
@@ -1432,8 +1433,6 @@ def run_suite(
                 items.append((check.id, str(t) if t is not None else None))
         if items:
             units.append(("c", p, tuple(items)))
-    for check in identities:
-        units.append(("i", check.id, tuple(range(len(check.cases)))))
 
     results: list[CheckResult] = []
     # The pool starts all its workers at once, so start no idle ones.

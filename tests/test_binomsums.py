@@ -25,8 +25,8 @@ from congrlab.binomsums import (
 )
 from congrlab.catalog import DEFAULT_T_PANEL
 from congrlab.harmonic import odd_mhs
-from congrlab.modring import prime_power
-from congrlab.sequences import LucasParams, lucas_u_upto, lucas_v_upto
+from congrlab.modring import primes_in_range, prime_power
+from congrlab.sequences import LucasParams, lucas_u_upto, lucas_v_upto, recurrence_column
 
 T_VALUES = [Fraction(1, 4), Fraction(-1, 4), Fraction(1, 16), Fraction(3, 16), Fraction(2)]
 
@@ -80,7 +80,7 @@ def test_binomial_column(p, k):
     ring = prime_power(p, k)
     for t in T_VALUES:
         want = [ring.from_fraction(math.comb(2 * j, j) * t**j).value for j in range((p + 1) // 2)]
-        assert binomial_column(t, ring) == want
+        assert binomial_column(t, ring) == tuple(want)
 
 
 def _v_sums_exact(p: int, t: Fraction) -> tuple[Fraction, Fraction]:
@@ -129,6 +129,48 @@ def test_rhs_lucas_sum_matches_iteration(p):
             want_v = sum(vs[k] / Fraction(k) ** d for k in range(1, p))
             assert rhs_lucas_sum("u", c, d, ring) == ring.from_fraction(want_u)
             assert rhs_lucas_sum("v", c, d, ring) == ring.from_fraction(want_v)
+
+
+def _rhs_lucas_sum_per_kind(kind, c, d, ring):
+    """Oracle for ``rhs_lucas_sum``: one recurrence column per kind, u from
+    seeds (0, 1) and v from (2, c), with its own weights 1/k^d."""
+    m = ring.modulus
+    cv = ring.from_fraction(c).value
+    seeds = (0, 1) if kind == "u" else (2, cv)
+    terms = recurrence_column(ring.p, *seeds, cv, 1, m)
+    return ring.residue(sum(s * pow(k, -d, m) for k, s in enumerate(terms) if k))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_rhs_lucas_sum_matches_per_kind_columns(k):
+    # Every panel value the sweep keeps at every prime 5..200, c = 2 - 16t as
+    # the L31 and s1/s2 mod p^3 checks pass it.
+    for p in primes_in_range(5, 200):
+        ring = prime_power(p, k)
+        for t in DEFAULT_T_PANEL:
+            if t.numerator % p == 0 or t.denominator % p == 0:
+                continue
+            c = 2 - 16 * t
+            for d in (2, 3):
+                for kind in ("u", "v"):
+                    want = _rhs_lucas_sum_per_kind(kind, c, d, ring)
+                    assert rhs_lucas_sum(kind, c, d, ring) == want, (p, t, d, kind)
+
+
+def test_cached_columns_keep_rings_apart():
+    # One t at two rings of one prime: each call returns its own ring's values,
+    # whichever ring was filled first.
+    p, t = 13, Fraction(3, 16)
+    rings = (prime_power(p, 1), prime_power(p, 2))
+    want_pair = weighted_sums_exact(p, t)
+    for ring in rings + rings:
+        column = tuple(
+            ring.from_fraction(math.comb(2 * j, j) * t**j).value for j in range((p + 1) // 2)
+        )
+        assert binomial_column(t, ring) == column
+        assert weighted_sums(t, ring) == tuple(ring.from_fraction(w) for w in want_pair)
+    assert binomial_column(t, rings[0]) != binomial_column(t, rings[1])
+    assert weighted_sums(t, rings[0])[1].ring == rings[0]
 
 
 class TestGuards:

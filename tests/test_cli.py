@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import pkgutil
 import subprocess
@@ -11,9 +12,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import congrlab.cli as cli
-from congrlab.catalog import DEFAULT_T_PANEL, run_suite
+from congrlab.catalog import DEFAULT_T_PANEL, CheckResult, Report, run_suite
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -71,16 +74,30 @@ class TestParser:
             cli.build_parser().parse_args(["--primes", bad])
 
     def test_prime_range_stops_below_two_to_the_32(self, capsys):
-        # Parsing only: a sweep over such a range would sieve 2^32 bytes.
-        assert cli._parse_prime_range(f"7..{2**32 - 1}") == (7, 2**32 - 1)
-        for bad in ("7..5000000000", str(2**32)):
-            with pytest.raises(argparse.ArgumentTypeError, match=r"2\^32"):
+        # Parsing only: a sweep at such primes would build kernel tables of
+        # gigabytes.  The bound of 10^6 lies far below the rings' 2^32.
+        for bad in (f"7..{2**32 - 1}", "7..5000000000", str(2**32)):
+            with pytest.raises(argparse.ArgumentTypeError, match=r"10\^6"):
                 cli._parse_prime_range(bad)
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(["--primes", "7..5000000000"])
         assert exc.value.code == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("congrlab: error: argument --primes: ")
+
+    def test_prime_range_stops_at_ten_to_the_6(self, capsys):
+        # Parsing only: no sweep is started at these primes.
+        parser = cli.build_parser()
+        assert parser.parse_args(["--primes", "999983"]).primes == (999983, 999983)
+        assert parser.parse_args(["--primes", f"7..{cli.MAX_PRIME}"]).primes == (7, 10**6)
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["--primes", "7..1000003"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == (
+            "congrlab: error: argument --primes: prime range '7..1000003' goes above "
+            "10^6, the practical bound: the kernel tables take memory in proportion to p"
+        )
 
     def test_t_panel_parsing(self):
         args = cli.build_parser().parse_args(["--t-panel", "1/4, -1/16,2"])
@@ -133,6 +150,79 @@ class TestFormatReport:
         assert lines[-1].startswith("# ") and "passed" in lines[-1]
         assert all("PASS" in ln or "FAIL" in ln for ln in lines[:-1])
         assert any("p=7" in ln for ln in lines)
+
+
+def _json_oracle(report: Report) -> str:
+    """The general encoder's rendering, which the JSON writer must equal byte for byte."""
+    return json.dumps(report.records(), indent=2) + "\n"
+
+
+# Quotes, backslashes, newlines, other control characters, DEL, Latin-1, a
+# BMP symbol and a character outside the BMP (a surrogate pair in JSON).
+AWKWARD = 'say "hi" \\ back\\slash\nnew\tline\r\x00\x01\x1f\x7f é ☃ 𝔽 \u2028'
+
+
+class TestJsonWriter:
+    def test_sweep_with_identity_rows(self):
+        rep = run_suite(
+            prime_lo=7, prime_hi=30, patterns=("v.h12", "T32.first", "A.exact", "eq15.exact")
+        )
+        assert any(r.prime is None for r in rep.results)  # identity rows
+        assert any(r.prime is not None and r.t is not None for r in rep.results)
+        assert cli.format_report(rep, "json") == _json_oracle(rep)
+
+    def test_error_rows_with_awkward_text(self):
+        rows = (
+            CheckResult(
+                "x.err", 7, None, 3, 0, False, f"ERROR: ValueError: {AWKWARD}", "", AWKWARD
+            ),
+            CheckResult(AWKWARD, None, AWKWARD, float("inf"), 0, False, "ERROR: x", "", "x"),
+            CheckResult("x.ok", 11, "-1/4", 2, float("inf"), True, AWKWARD, AWKWARD),
+        )
+        rep = Report(results=rows)
+        assert cli.format_report(rep, "json") == _json_oracle(rep)
+
+    def test_empty_report(self):
+        rep = Report(results=())
+        assert cli.format_report(rep, "json") == _json_oracle(rep) == "[]\n"
+
+    @given(
+        st.lists(
+            st.builds(
+                CheckResult,
+                check_id=st.text(),
+                prime=st.none() | st.integers(min_value=0),
+                t=st.none() | st.text(),
+                target=st.integers(min_value=0, max_value=8) | st.just(float("inf")),
+                valuation=st.integers(min_value=0, max_value=8) | st.just(float("inf")),
+                passed=st.booleans(),
+                lhs=st.text(),
+                rhs=st.text(),
+                error=st.none() | st.text(),
+            ),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_general_encoder(self, rows):
+        rep = Report(results=tuple(rows))
+        assert cli.format_report(rep, "json") == _json_oracle(rep)
+
+
+class TestReportPins:
+    # SHA-256 of `congrlab --primes 7..100 --format csv|text` (4,653 rows),
+    # taken before the JSON writer and the shared columns were introduced.
+    PINS = {
+        "csv": "75ab75a8f587dd1dc6c040e70ff06dadc46fff047afaf80aaf2404fc5336992d",
+        "text": "48033b01f8134e425d25127c61bea9c07ea93983aefa584a4101e2ee40bd7fb1",
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_report_bytes(self, fmt, tmp_path, capsys):
+        path = tmp_path / f"report.{fmt}"
+        assert cli.main(["--primes", "7..100", "--format", fmt, "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINS[fmt]
 
 
 class TestMain:
