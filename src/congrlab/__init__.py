@@ -11,14 +11,10 @@ from __future__ import annotations
 
 from .binomsums import (
     fib_lucas_sum,
-    fib_lucas_sum_exact,
     rhs_lucas_sum,
     s1,
-    s1_exact,
     s2,
-    s2_exact,
     weighted_sums,
-    weighted_sums_exact,
 )
 from .catalog import (
     DEFAULT_T_PANEL,
@@ -48,7 +44,7 @@ from .errors import (
     NotDivisibleByP,
     PreconditionViolated,
 )
-from .exactalg import QQ, Poly, PolyRing, QuadExt, RationalField, p_adic_valuation
+from .exactalg import QQ, Poly, QuadExt, RationalField
 from .harmonic import alternating_half_sum, mhs, odd_mhs, repeated
 from .modring import (
     MAX_EXPONENT,
@@ -74,16 +70,7 @@ from .sequences import (
     w_value,
     w_value_mod,
 )
-from .specialnum import (
-    BernoulliTable,
-    bernoulli_number,
-    bernoulli_poly_value,
-    bernoulli_powersum,
-    bernoulli_table,
-    bernoulli_third,
-    euler_number,
-    euler_numbers,
-)
+from .specialnum import bernoulli_number, bernoulli_powersum, bernoulli_third, euler_number
 
 __version__ = "0.1.0"
 
@@ -105,23 +92,17 @@ __all__ = [
     "QQ",
     "RationalField",
     "Poly",
-    "PolyRing",
     "QuadExt",
-    "p_adic_valuation",
     # harmonic sums
     "mhs",
     "odd_mhs",
     "alternating_half_sum",
     "repeated",
     # special numbers
-    "BernoulliTable",
     "bernoulli_number",
     "bernoulli_powersum",
-    "bernoulli_table",
-    "bernoulli_poly_value",
     "bernoulli_third",
     "euler_number",
-    "euler_numbers",
     # sequences
     "LucasParams",
     "lucas_pair_mod",
@@ -138,10 +119,6 @@ __all__ = [
     "weighted_sums",
     "fib_lucas_sum",
     "rhs_lucas_sum",
-    "s1_exact",
-    "s2_exact",
-    "weighted_sums_exact",
-    "fib_lucas_sum_exact",
     # catalog and execution
     "DEFAULT_T_PANEL",
     "CongruenceCheck",

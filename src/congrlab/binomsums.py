@@ -6,8 +6,8 @@ raw-integer columns over k: C(2k,k) t^k from ``binomial_column``, a
 power tables 1/i^a of ``harmonic``.  What several checks read at one
 (p, t) is built once: ``binomial_column`` and ``weighted_sums`` are cached
 per (t, ring), and ``rhs_lucas_sum`` reads both of its kinds off the cached
-sums of one u column.  Exact-rational twins (suffix ``_exact``) recompute
-the same sums over Q for pinning and sharpness tests.
+sums of one u column.  The exact-rational oracles that recompute the same
+sums over Q live with the tests, in ``tests/oracles.py``.
 
 Families (p an odd prime, working modulus p^k from the ring):
 
@@ -25,7 +25,6 @@ Families (p an odd prime, working modulus p^k from the ring):
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -44,10 +43,6 @@ __all__ = [
     "fib_lucas_sum",
     "rhs_lucas_sum",
     "alternating_v_sum",
-    "s1_exact",
-    "s2_exact",
-    "weighted_sums_exact",
-    "fib_lucas_sum_exact",
 ]
 
 
@@ -60,7 +55,7 @@ def _check_d(d: int) -> None:
 def binomial_column(t: Fraction, ring: PrimePower) -> tuple[int, ...]:
     """C(2k,k) t^k mod p^k for 0 <= k <= (p-1)/2, as raw integers.
 
-    Cached: the checks at one prime read about 38 distinct (t, ring) columns.
+    Cached: the checks at one prime read 25 distinct (t, ring) columns.
     """
     m = ring.modulus
     tv = ring.from_fraction(t).value
@@ -114,9 +109,11 @@ def s2(t: Fraction, d: int, ring: PrimePower) -> Residue:
 def weighted_sums(t: Fraction, ring: PrimePower) -> tuple[Residue, Residue]:
     """The pair of Hbar_k(2)-weighted central binomial sums at t.
 
-    Cached because one check reads each element at every (p, t).
+    Cached because one check reads each element at every (p, t).  Its column
+    is built uncached: nothing else reads the mod-p columns it needs, so
+    they would only fill the cache of ``binomial_column``.
     """
-    column = binomial_column(t, ring)
+    column = binomial_column.__wrapped__(t, ring)
     hbar = list(accumulate(_odd_powers(ring, 2), initial=0))  # Hbar_k(2), k <= (p-1)/2
     first = _dot(ring, column[:-1], hbar[:-1], _odd_powers(ring, 1))
     return first, _dot(ring, column, hbar)
@@ -179,48 +176,3 @@ def alternating_v_sum(t: Fraction, odd: bool, ring: PrimePower) -> Residue:
         seeds, weights = (2, -v2), _half_inverses(ring)  # v_0, -v_2
     return _dot(ring, recurrence_column(len(weights), *seeds, -v2, 1, ring.modulus), weights)
 
-
-# -- exact-rational twins (for pinning and sharpness tests) ---------------
-
-
-def s1_exact(p: int, t: Fraction, d: int) -> Fraction:
-    _check_d(d)
-    t = Fraction(t)
-    total = Fraction(0)
-    for k in range((p - 1) // 2):
-        total += Fraction(math.comb(2 * k, k), (2 * k + 1) ** (d + 1)) * t**k
-    return total
-
-
-def s2_exact(p: int, t: Fraction, d: int) -> Fraction:
-    _check_d(d)
-    t = Fraction(t)
-    total = Fraction(0)
-    for k in range(1, (p - 1) // 2 + 1):
-        total += Fraction(math.comb(2 * k, k), k**d) * t**k
-    return total
-
-
-def weighted_sums_exact(p: int, t: Fraction) -> tuple[Fraction, Fraction]:
-    t = Fraction(t)
-    half = (p - 1) // 2
-    first = second = Fraction(0)
-    hbar = Fraction(0)
-    for k in range(half + 1):
-        ct = math.comb(2 * k, k) * t**k
-        if k < half:
-            first += ct * hbar / (2 * k + 1)
-        second += ct * hbar
-        hbar += Fraction(1, (2 * k + 1) ** 2)
-    return first, second
-
-
-def fib_lucas_sum_exact(p: int, kind: str) -> Fraction:
-    if kind not in ("F", "L"):
-        raise PreconditionViolated(f"kind must be 'F' or 'L', got {kind!r}")
-    a, b = (1, 1) if kind == "F" else (1, 3)
-    total = Fraction(0)
-    for k in range((p - 1) // 2):
-        total += Fraction(math.comb(2 * k, k) * a, (2 * k + 1) * 16**k)
-        a, b = a + b, a + 2 * b
-    return total

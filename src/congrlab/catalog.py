@@ -28,7 +28,7 @@ from .binomsums import (
     s2,
     weighted_sums,
 )
-from .exactalg import QQ, Poly, PolyRing, QuadExt
+from .exactalg import Poly, QuadExt
 from .harmonic import alternating_half_sum, mhs, odd_mhs, repeated
 from .modring import (
     PrimePower,
@@ -697,9 +697,8 @@ def _ident_product_mhs_forms(params):
 
 def _ident_w_expansion_odd_weights(params):
     n = params["n"]
-    ring = PolyRing(QQ)
-    tvar = ring.x()
-    lhs = (w_value(n, ring.one() - tvar * 8) - (tvar * -16) ** n).scale(
+    tvar, one = Poly([0, 1]), Poly([1])
+    lhs = (w_value(n, one - tvar * 8) - (tvar * -16) ** n).scale(
         Fraction(1, 2 * n + 1)
     )
     coeffs = []
@@ -717,9 +716,8 @@ def _ident_w_expansion_odd_weights(params):
 
 def _ident_w_hypergeometric(params):
     n = params["n"]
-    ring = PolyRing(QQ)
-    tvar = ring.x()
-    lhs = w_value(n, tvar * 8 - ring.one()).scale(Fraction(_neg_one_pow(n)))
+    tvar, one = Poly([0, 1]), Poly([1])
+    lhs = w_value(n, tvar * 8 - one).scale(Fraction(_neg_one_pow(n)))
     coeffs = []
     for k in range(n + 1):
         c = Fraction(comb(2 * k, k))
@@ -731,12 +729,11 @@ def _ident_w_hypergeometric(params):
 
 def _ident_integral_w_odd(params):
     n = params["n"]
-    ring = PolyRing(QQ)
-    tvar = ring.x()
-    arg = ring.one() - (tvar * tvar).scale(Fraction(1, 2))
+    tvar, one = Poly([0, 1]), Poly([1])
+    arg = one - (tvar * tvar).scale(Fraction(1, 2))
     lhs = w_value(n, arg).integrate_from_zero()
-    vs = lucas_v_upto(2 * n + 1, LucasParams(tvar, ring.one()))
-    rhs = Poly([], base=QQ)
+    vs = lucas_v_upto(2 * n + 1, LucasParams(tvar, one))
+    rhs = Poly([])
     for k in range(n):
         rhs = rhs + vs[2 * k + 1].scale(Fraction(2 * _neg_one_pow(k), 2 * k + 1))
     rhs = rhs + vs[2 * n + 1].scale(Fraction(_neg_one_pow(n), 2 * n + 1))
@@ -745,13 +742,12 @@ def _ident_integral_w_odd(params):
 
 def _ident_integral_w_even(params):
     n = params["n"]
-    ring = PolyRing(QQ)
-    tvar = ring.x()
-    arg = (tvar * tvar).scale(Fraction(1, 2)) - ring.one()
-    numerator = w_value(n, arg).scale(Fraction(_neg_one_pow(n))) - ring.one()
+    tvar, one = Poly([0, 1]), Poly([1])
+    arg = (tvar * tvar).scale(Fraction(1, 2)) - one
+    numerator = w_value(n, arg).scale(Fraction(_neg_one_pow(n))) - one
     lhs = numerator.shift_down().integrate_from_zero()
-    vs = lucas_v_upto(2 * n, LucasParams(tvar, ring.one()))
-    rhs = Poly([], base=QQ)
+    vs = lucas_v_upto(2 * n, LucasParams(tvar, one))
+    rhs = Poly([])
     for k in range(1, n + 1):
         rhs = rhs + vs[2 * k].scale(Fraction(_neg_one_pow(k), 2 * k))
     rhs = rhs - mhs(n, (1,))
@@ -760,9 +756,8 @@ def _ident_integral_w_even(params):
 
 def _ident_w_from_u(params):
     n = params["n"]
-    ring = PolyRing(QQ)
-    xvar = ring.x()
-    us = lucas_u_upto(n + 1, LucasParams(xvar * 2, ring.one()))
+    xvar, one = Poly([0, 1]), Poly([1])
+    us = lucas_u_upto(n + 1, LucasParams(xvar * 2, one))
     return w_value(n, xvar), us[n + 1] + us[n]
 
 

@@ -1,10 +1,10 @@
 """Exact arithmetic in Z/p^k for odd primes p and small exponents k.
 
-The two central objects are :class:`PrimePower` (a validated modulus p^k that
-doubles as a coefficient-ring adapter for the generic sequence/sum code) and
-:class:`Residue` (a canonical least non-negative representative attached to
-its ring).  Everything is built on Python integers, which are exact at any
-size; p < 2^32 and k <= 8 keep residues comfortably machine-friendly.
+The two central objects are :class:`PrimePower` (a validated modulus p^k
+with constructors for its elements) and :class:`Residue` (a canonical least
+non-negative representative attached to its ring).  Everything is built on
+Python integers, which are exact at any size; p < 2^32 and k <= 8 keep
+residues comfortably machine-friendly.
 """
 
 from __future__ import annotations
@@ -87,9 +87,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 class PrimePower:
     """The ring Z/p^k for an odd prime p < 2^32 and 1 <= k <= 8.
 
-    Also implements the coefficient-ring protocol used by the generic
-    sequence and sum code: ``zero`` / ``one`` / ``from_int`` /
-    ``from_fraction`` / ``div``.
+    ``zero`` / ``one`` / ``from_int`` / ``from_fraction`` build its elements.
     """
 
     __slots__ = ("p", "k", "modulus")
@@ -115,7 +113,7 @@ class PrimePower:
     def residue(self, n: int) -> Residue:
         return Residue(n % self.modulus, self)
 
-    # -- coefficient-ring protocol -------------------------------------
+    # -- element constructors ------------------------------------------
 
     def zero(self) -> Residue:
         return Residue(0, self)
@@ -128,9 +126,6 @@ class PrimePower:
 
     def from_fraction(self, q: Fraction) -> Residue:
         return rational_residue(q.numerator, q.denominator, self)
-
-    def div(self, a: Residue, b: Residue) -> Residue:
-        return a * b.inv()
 
 
 @lru_cache(maxsize=None)
@@ -287,12 +282,14 @@ def legendre(a: int, p: int) -> int:
     return 1 if e == 1 else -1
 
 
-@lru_cache(maxsize=2048)
+@lru_cache(maxsize=16)
 def inverse_table(ring: PrimePower) -> tuple[int, ...]:
     """Inverses of 1..p-1 mod p^k via the batched product trick.
 
     Entry i holds the inverse of i; entry 0 is a zero placeholder.  One
-    modular inversion plus O(p) multiplications in total.
+    modular inversion plus O(p) multiplications in total.  A sweep reads
+    about six rings per prime and moves on to the next prime, so a small
+    bound keeps large primes from piling up O(p) tables.
     """
     p, m = ring.p, ring.modulus
     prefix = [1] * p

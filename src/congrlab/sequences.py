@@ -147,7 +147,7 @@ def lucas_quotient(p: int, k: int = 1) -> Residue:
     return divide_by_p(lp - 1)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)
 def central_binomials(ring: PrimePower) -> tuple[int, ...]:
     """C(2k, k) mod p^k for 0 <= k <= (p-1)/2, as raw integers, via the ratio
     k*C(2k,k) = 2(2k-1)*C(2k-2,k-1).

@@ -10,12 +10,14 @@ The sweep reads every special value through an O(p) route:
 * ``bernoulli_third``: B_{p-2}(1/3) = 2*(p/3)*H_{floor(p/3)}(2) (mod p),
   E. Lehmer's congruence, from one O(p) harmonic sum.
 
-The O(p^2) routes stay as independent test oracles, sharing no logic with
-the fast ones:
+The O(p^2) routes are independent test oracles, sharing no logic with the
+fast ones.  They stay in this module, unlike the exact oracles in
+``tests/oracles.py``, because the benchmark's tracer (``perfbench/tracer.py``)
+wraps them by name:
 
 * ``bernoulli_table``: the classical recurrence
-  sum_{j=0}^{n} C(n+1, j)*B_j = 0 solved for B_n over Z/p, with
-  ``bernoulli_poly_value`` evaluating B_m(x) from it;
+  sum_{j=0}^{n} C(n+1, j)*B_j = 0 solved for B_n over Z/p, as raw integers,
+  with ``bernoulli_poly_value`` evaluating B_m(x) from it;
 * ``euler_numbers``: the recurrence sum_k C(2n, 2k)*E_{2k} = 0.
 
 Only mod-p precision is provided: the catalog brings these values into its
@@ -35,7 +37,6 @@ from .modring import Residue, inverse_table, legendre, prime_power
 __all__ = [
     "bernoulli_powersum",
     "bernoulli_number",
-    "BernoulliTable",
     "bernoulli_table",
     "bernoulli_poly_value",
     "bernoulli_third",
@@ -77,27 +78,9 @@ def bernoulli_number(m: int, p: int) -> Residue:
     return bernoulli_powersum(m, p)
 
 
-class BernoulliTable:
-    """B_0, B_1, ..., B_{p-2} mod p, built by the binomial recurrence."""
-
-    __slots__ = ("p", "values")
-
-    def __init__(self, p: int, values: tuple[int, ...]):
-        self.p = p
-        self.values = values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, m: int) -> Residue:
-        if not 0 <= m < len(self.values):
-            raise IndexOutOfRange(f"Bernoulli table holds indices 0..{len(self.values) - 1}, got {m}")
-        return Residue(self.values[m], prime_power(self.p, 1))
-
-
 @lru_cache(maxsize=64)
-def bernoulli_table(p: int) -> BernoulliTable:
-    """Full table B_0..B_{p-2} mod p from sum_j C(n+1, j)*B_j = 0."""
+def bernoulli_table(p: int) -> tuple[int, ...]:
+    """B_0..B_{p-2} mod p as raw integers, from sum_j C(n+1, j)*B_j = 0."""
     ring = prime_power(p, 1)
     inv = inverse_table(ring)
     vals = [0] * (p - 1)
@@ -114,15 +97,16 @@ def bernoulli_table(p: int) -> BernoulliTable:
             if vals[j]:
                 s += row[j] * vals[j]
         vals[n] = -s * inv[n + 1] % p
-    return BernoulliTable(p, tuple(vals))
+    return tuple(vals)
 
 
-def bernoulli_poly_value(m: int, x: Fraction, p: int, table: BernoulliTable) -> Residue:
-    """B_m(x) = sum_k C(m, k)*B_k*x^(m-k) mod p, for 0 <= m <= p-2."""
+def bernoulli_poly_value(m: int, x: Fraction, p: int, table: tuple[int, ...]) -> Residue:
+    """B_m(x) = sum_k C(m, k)*B_k*x^(m-k) mod p, for 0 <= m <= p-2, with
+    ``table`` the ``bernoulli_table(p)``."""
     if not 0 <= m <= p - 2:
         raise IndexOutOfRange(f"B_{m}(x) mod {p} outside the supported range 0..p-2")
-    if table.p != p:
-        raise IndexOutOfRange(f"table built for p={table.p}, evaluation asked for p={p}")
+    if len(table) != p - 1:
+        raise IndexOutOfRange(f"table holds B_0..B_{len(table) - 1}, evaluation asked for p={p}")
     ring = prime_power(p, 1)
     inv = inverse_table(ring)
     xv = ring.from_fraction(Fraction(x)).value
@@ -137,7 +121,7 @@ def bernoulli_poly_value(m: int, x: Fraction, p: int, table: BernoulliTable) -> 
             xpow = xpow * xinv % p
         else:
             xpow = 1 if k == m else 0
-        b = table.values[k]
+        b = table[k]
         if b:
             total = (total + c * b % p * xpow) % p
     return Residue(total % p, ring)

@@ -18,12 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from congrlab.binomsums import s1_exact
 from congrlab.catalog import builtin_checks, lookup, run_congruence, run_suite
-from congrlab.exactalg import p_adic_valuation
 from congrlab.harmonic import mhs, odd_mhs
 from congrlab.modring import primes_in_range
 from congrlab.specialnum import bernoulli_powersum, bernoulli_table
+from oracles import p_adic_valuation, s1_exact
 
 EXACT_B = {
     2: Fraction(1, 6),

@@ -1,4 +1,4 @@
-"""Tests for the central binomial sum evaluators and their exact twins."""
+"""Tests for the central binomial sum evaluators, against exact oracles."""
 
 from __future__ import annotations
 
@@ -11,22 +11,20 @@ from hypothesis import strategies as st
 
 from congrlab.errors import DenominatorDivisibleByP, PreconditionViolated
 from congrlab.binomsums import (
+    _dot,
     alternating_v_sum,
     binomial_column,
     fib_lucas_sum,
-    fib_lucas_sum_exact,
     rhs_lucas_sum,
     s1,
-    s1_exact,
     s2,
-    s2_exact,
     weighted_sums,
-    weighted_sums_exact,
 )
 from congrlab.catalog import DEFAULT_T_PANEL
 from congrlab.harmonic import odd_mhs
 from congrlab.modring import primes_in_range, prime_power
 from congrlab.sequences import LucasParams, lucas_u_upto, lucas_v_upto, recurrence_column
+from oracles import fib_lucas_sum_exact, s1_exact, s2_exact, weighted_sums_exact
 
 T_VALUES = [Fraction(1, 4), Fraction(-1, 4), Fraction(1, 16), Fraction(3, 16), Fraction(2)]
 
@@ -173,13 +171,23 @@ def test_cached_columns_keep_rings_apart():
     assert weighted_sums(t, rings[0])[1].ring == rings[0]
 
 
+def test_weighted_sums_leave_the_column_cache_alone():
+    # The mod-p columns of the weighted sums have no other reader, so they
+    # are built without filling the cache of binomial_column.
+    ring = prime_power(13, 1)
+    binomial_column.cache_clear()
+    weighted_sums.cache_clear()
+    weighted_sums(Fraction(1, 4), ring)
+    assert binomial_column.cache_info().currsize == 0
+
+
 class TestGuards:
     def test_exponent_range(self):
         ring = prime_power(7, 2)
         with pytest.raises(PreconditionViolated):
             s1(Fraction(1, 4), 2, ring)
         with pytest.raises(PreconditionViolated):
-            s2_exact(7, Fraction(1, 4), -1)
+            s2(Fraction(1, 4), -1, ring)
         with pytest.raises(PreconditionViolated):
             rhs_lucas_sum("u", Fraction(1), 1, ring)
 
@@ -188,9 +196,18 @@ class TestGuards:
         with pytest.raises(PreconditionViolated):
             fib_lucas_sum("G", ring)
         with pytest.raises(PreconditionViolated):
-            fib_lucas_sum_exact(7, "X")
+            fib_lucas_sum("X", ring)
         with pytest.raises(PreconditionViolated):
             rhs_lucas_sum("w", Fraction(1), 2, ring)
+
+    def test_unequal_columns_rejected(self):
+        # A column one entry short would otherwise drop a term silently.
+        ring = prime_power(7, 2)
+        with pytest.raises(ValueError):
+            _dot(ring, (1, 2, 3), (1, 2))
+        with pytest.raises(ValueError):
+            _dot(ring, (1, 2), (1, 2), (1, 2, 3))
+        assert _dot(ring, (1, 2), (3, 4), (5, 6)) == 1 * 3 * 5 + 2 * 4 * 6
 
     def test_denominator_guard(self):
         ring = prime_power(7, 2)

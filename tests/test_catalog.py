@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import congrlab.catalog as catalog
+from congrlab import binomsums, harmonic, modring, sequences
 from congrlab.catalog import (
     DEFAULT_T_PANEL,
     CheckResult,
@@ -439,3 +440,36 @@ class TestRunSuite:
         rep = run_suite(prime_lo=7, prime_hi=prime_hi, patterns=("v.h12",), jobs=jobs)
         assert sizes == want
         assert [r.prime for r in rep.results] == [p for p in (7, 11, 13) if p <= prime_hi]
+
+
+#: The caches whose entries hold O(p) integers (or sums over such a column).
+KERNEL_CACHES = {
+    "inverse_table": modring.inverse_table,
+    "central_binomials": sequences.central_binomials,
+    "_powers": harmonic._powers,
+    "binomial_column": binomsums.binomial_column,
+    "weighted_sums": binomsums.weighted_sums,
+    "_u_sums": binomsums._u_sums,
+}
+
+
+@pytest.fixture(scope="module")
+def one_prime_census():
+    """cache_info() of each kernel cache after a cold ``--checks '*'`` run at p = 101."""
+    # Also clear the caches in front of these (the harmonic DP), which
+    # earlier tests may have filled at the same prime.
+    for module in (binomsums, harmonic, modring, sequences):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    assert run_suite(prime_lo=101, prime_hi=101, patterns=("*",), jobs=1).status == "pass"
+    return {name: cache.cache_info() for name, cache in KERNEL_CACHES.items()}
+
+
+@pytest.mark.parametrize("name", KERNEL_CACHES)
+def test_kernel_cache_bound_fits_one_prime(one_prime_census, name):
+    # A sweep runs its primes in ascending order and never goes back to one,
+    # so each O(p) kernel cache needs only the keys of about one prime.  A
+    # bound far above that keeps the tables of many large primes at once.
+    info = one_prime_census[name]
+    assert 0 < info.currsize <= info.maxsize <= 3 * info.currsize, info

@@ -107,7 +107,7 @@ class TestPrimePower:
         assert int(ring.one()) == 1
         assert int(ring.from_int(-1)) == 48
         assert int(ring.from_fraction(Fraction(1, 2))) == 25  # 2*25 = 50 = 1 mod 49
-        assert int(ring.div(ring.from_int(3), ring.from_int(2))) == int(
+        assert int(ring.from_int(3) / ring.from_int(2)) == int(
             ring.from_fraction(Fraction(3, 2))
         )
 

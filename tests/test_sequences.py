@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrlab.errors import BaseDivisibleByP
-from congrlab.exactalg import PolyRing
+from congrlab.exactalg import Poly
 from congrlab.modring import prime_power
 from congrlab.sequences import (
     LucasParams,
@@ -114,7 +114,7 @@ class TestRecurrenceColumn:
 
 class TestWPolynomials:
     def test_small_values(self):
-        x = PolyRing().x()
+        x = Poly([0, 1])
         assert w_value(0, x).coeffs == (Fraction(1),)
         assert w_value(1, x).coeffs == (Fraction(1), Fraction(2))
         # w_2 = 4x^2 + 2x - 1

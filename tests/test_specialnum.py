@@ -76,8 +76,7 @@ class TestBernoulliRoutes:
             bernoulli_powersum(22, 23)  # above p-3
         with pytest.raises(IndexOutOfRange):
             bernoulli_number(22, 23)  # p-1 is not p-integral
-        with pytest.raises(IndexOutOfRange):
-            bernoulli_table(23)[22]
+        assert len(bernoulli_table(23)) == 22  # B_0..B_21
 
 
 class TestBernoulliPolynomial:
@@ -107,6 +106,10 @@ class TestBernoulliPolynomial:
                     m, x, p, table
                 )
                 assert lhs == ring.from_fraction(m * x ** (m - 1) if m > 1 else Fraction(m))
+
+    def test_table_of_another_prime_rejected(self):
+        with pytest.raises(IndexOutOfRange):
+            bernoulli_poly_value(2, Fraction(1, 3), 11, bernoulli_table(13))
 
     def test_bad_evaluation_point(self):
         p = 11
