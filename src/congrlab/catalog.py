@@ -112,7 +112,7 @@ class IdentityCheck:
         return "identity"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     """Outcome of one scheduled check instance."""
 
@@ -168,9 +168,6 @@ class Report:
         errs = sum(1 for r in self.results if r.error is not None)
         fails = sum(1 for r in self.results if r.error is None and not r.passed)
         return (len(self.results) - fails - errs, fails, errs)
-
-    def records(self) -> list[dict]:
-        return [r.record() for r in self.results]
 
 
 # ---------------------------------------------------------------------------

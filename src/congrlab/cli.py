@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from math import inf
+from typing import Callable, TextIO
 
 from .catalog import (
     DEFAULT_T_PANEL,
@@ -65,6 +66,13 @@ def _parse_t_panel(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(f"bad t panel {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("t panel must contain at least one value")
+    if 0 in values:
+        raise argparse.ArgumentTypeError(
+            f"t panel {text!r} contains 0, which every t-dependent check skips"
+        )
+    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if repeated is not None:
+        raise argparse.ArgumentTypeError(f"t panel {text!r} repeats the value {repeated}")
     return values
 
 
@@ -127,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_t_panel,
         default=DEFAULT_T_PANEL,
         metavar="a/b[,a/b...]",
-        help="override the rational parameter panel for t-dependent checks",
+        help="override the rational parameter panel for t-dependent checks "
+        "(distinct nonzero values)",
     )
     return parser
 
@@ -148,7 +157,7 @@ def _list_checks(stream) -> None:
         stream.write(f"{'':16s}   {check.statement}\n")
 
 
-#: One row of ``json.dumps(report.records(), indent=2)``, key for key.
+#: One row of ``json.dumps([r.record() for r in results], indent=2)``, key for key.
 _JSON_ROW = (
     '  {\n'
     '    "check": %s,\n'
@@ -164,66 +173,83 @@ _JSON_ROW = (
 )
 
 
-def _json_report(report: Report) -> str:
-    """The bytes of ``json.dumps(report.records(), indent=2) + "\\n"``, built
-    with one template per row instead of the general encoder."""
+def _write_json(report: Report, out: TextIO) -> None:
+    """Write the bytes of ``json.dumps(records, indent=2) + "\\n"``, one
+    template per row instead of the general encoder."""
     if not report.results:
-        return "[]\n"
-    rows = [
-        _JSON_ROW
-        % (
-            _json_str(r.check_id),
-            "null" if r.prime is None else r.prime,
-            "null" if r.t is None else _json_str(r.t),
-            '"inf"' if r.target == inf else r.target,
-            '"inf"' if r.valuation == inf else r.valuation,
-            "true" if r.passed else "false",
-            _json_str(r.lhs),
-            _json_str(r.rhs),
-        )
-        for r in report.results
-    ]
-    return "[\n" + ",\n".join(rows) + "\n]\n"
-
-
-def format_report(report: Report, fmt: str) -> str:
-    """Render a report as json, csv, or an aligned text table."""
-    if fmt == "json":
-        return _json_report(report)
-    records = report.records()
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["check", "prime", "t", "target", "valuation", "pass", "lhs", "rhs", "us"])
-        for rec in records:
-            writer.writerow(
-                [
-                    rec["check"],
-                    "" if rec["prime"] is None else rec["prime"],
-                    "" if rec["t"] is None else rec["t"],
-                    rec["target"],
-                    rec["valuation"],
-                    "true" if rec["pass"] else "false",
-                    rec["lhs"],
-                    rec["rhs"],
-                    rec["us"],
-                ]
+        out.write("[]\n")
+        return
+    sep = "[\n"
+    for r in report.results:
+        out.write(
+            sep
+            + _JSON_ROW
+            % (
+                _json_str(r.check_id),
+                "null" if r.prime is None else r.prime,
+                "null" if r.t is None else _json_str(r.t),
+                '"inf"' if r.target == inf else r.target,
+                '"inf"' if r.valuation == inf else r.valuation,
+                "true" if r.passed else "false",
+                _json_str(r.lhs),
+                _json_str(r.rhs),
             )
-        return buf.getvalue()
-    lines = []
-    for rec in records:
+        )
+        sep = ",\n"
+    out.write("\n]\n")
+
+
+def _write_csv(report: Report, out: TextIO) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["check", "prime", "t", "target", "valuation", "pass", "lhs", "rhs", "us"])
+    for r in report.results:
+        rec = r.record()
+        writer.writerow(
+            [
+                rec["check"],
+                "" if rec["prime"] is None else rec["prime"],
+                "" if rec["t"] is None else rec["t"],
+                rec["target"],
+                rec["valuation"],
+                "true" if rec["pass"] else "false",
+                rec["lhs"],
+                rec["rhs"],
+                rec["us"],
+            ]
+        )
+
+
+def _write_text(report: Report, out: TextIO) -> None:
+    for r in report.results:
+        rec = r.record()
         prime = "-" if rec["prime"] is None else f"p={rec['prime']}"
         tpart = "" if rec["t"] is None else f" t={rec['t']}"
         verdict = "PASS" if rec["pass"] else "FAIL"
-        lines.append(
+        out.write(
             f"{rec['check']:16s} {prime:>7s}{tpart:>12s}  "
-            f"v={rec['valuation']}/{rec['target']}  {verdict}"
+            f"v={rec['valuation']}/{rec['target']}  {verdict}\n"
         )
     passed, failed, errored = report.counts()
-    lines.append(
-        f"# {len(records)} checks: {passed} passed, {failed} failed, {errored} errored"
+    out.write(
+        f"# {len(report.results)} checks: {passed} passed, {failed} failed, {errored} errored\n"
     )
-    return "\n".join(lines) + "\n"
+
+
+_WRITERS = {"json": _write_json, "csv": _write_csv, "text": _write_text}
+
+
+def format_report(report: Report, fmt: str, out: TextIO | None = None) -> str | None:
+    """Render a report as json, csv, or an aligned text table.
+
+    The rows are written to ``out`` one at a time, so the whole report never
+    exists as one string; with no stream the rendering is returned instead.
+    """
+    if out is not None:
+        _WRITERS[fmt](report, out)
+        return None
+    buf = io.StringIO()
+    _WRITERS[fmt](report, buf)
+    return buf.getvalue()
 
 
 def _unwritable(path: str) -> str | None:
@@ -243,15 +269,22 @@ def _unwritable(path: str) -> str | None:
     return None
 
 
+def _to_stdout(write: Callable[[TextIO], object]) -> None:
+    """Run ``write(sys.stdout)`` and flush it; if the reader has gone, drop the
+    rest of the output, so that no flush at exit reports the broken pipe."""
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.list_checks:
-        try:
-            _list_checks(sys.stdout)
-        except BrokenPipeError:
-            sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        _to_stdout(_list_checks)
         return 0
 
     patterns = tuple(part.strip() for part in args.checks.split(",") if part.strip())
@@ -279,15 +312,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    rendered = format_report(report, args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+            format_report(report, args.format, fh)
     else:
-        try:
-            sys.stdout.write(rendered)
-        except BrokenPipeError:
-            sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        _to_stdout(lambda out: format_report(report, args.format, out))
 
     passed, failed, errored = report.counts()
     print(

@@ -1,9 +1,10 @@
-"""Exact-rational oracles that the tests check the library against.
+"""Oracles that the tests check the library against.
 
-Each one recomputes over Q, term by term with ``Fraction``, a value that the
+The sums recompute over Q, term by term with ``Fraction``, a value that the
 package computes mod p^k from raw-integer columns, so they share no logic
 with the code under test.  The tests reduce them into Z/p^k with
-``PrimePower.from_fraction``.
+``PrimePower.from_fraction``.  ``records`` is the input of the general JSON
+encoder that the streamed report writer must match byte for byte.
 """
 
 from __future__ import annotations
@@ -73,3 +74,8 @@ def fib_lucas_sum_exact(p: int, kind: str) -> Fraction:
         total += Fraction(math.comb(2 * k, k) * a, (2 * k + 1) * 16**k)
         a, b = a + b, a + 2 * b
     return total
+
+
+def records(report) -> list[dict]:
+    """The rows of a ``Report`` in the pinned report schema, as plain dicts."""
+    return [r.record() for r in report.results]

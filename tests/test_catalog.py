@@ -25,6 +25,7 @@ from congrlab.catalog import (
     select_checks,
 )
 from congrlab.modring import Residue, prime_power
+from oracles import records
 
 
 class TestRegistry:
@@ -416,7 +417,7 @@ class TestRunSuite:
 
     def test_report_is_json_serializable(self):
         rep = run_suite(prime_lo=7, prime_hi=20, patterns=("v.h12", "L26.wz1"), jobs=1)
-        blob = json.dumps(rep.records())
+        blob = json.dumps(records(rep))
         assert json.loads(blob)[0]["check"]
 
     @pytest.mark.parametrize(

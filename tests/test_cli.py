@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 import congrlab.cli as cli
 from congrlab.catalog import DEFAULT_T_PANEL, CheckResult, Report, run_suite
+from oracles import records
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -107,6 +110,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["--t-panel", " , "])
 
+    @pytest.mark.parametrize(
+        "panel,why",
+        [
+            ("0", "contains 0"),
+            ("1/4,0/3", "contains 0"),
+            ("1/4,1/4", "repeats the value 1/4"),
+            ("1/4,2/8", "repeats the value 1/4"),
+            ("2,-1,2.0", "repeats the value 2"),
+        ],
+    )
+    def test_t_panel_rejects_zero_and_repeats(self, panel, why, capsys):
+        # A zero is skipped at every prime and a repeat writes its rows twice.
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([f"--t-panel={panel}"])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("congrlab: error: argument --t-panel: ") and why in last
+
     def test_parse_helpers_raise_argparse_errors(self):
         with pytest.raises(argparse.ArgumentTypeError):
             cli._parse_prime_range("5..3")
@@ -154,12 +175,17 @@ class TestFormatReport:
 
 def _json_oracle(report: Report) -> str:
     """The general encoder's rendering, which the JSON writer must equal byte for byte."""
-    return json.dumps(report.records(), indent=2) + "\n"
+    return json.dumps(records(report), indent=2) + "\n"
 
 
 # Quotes, backslashes, newlines, other control characters, DEL, Latin-1, a
 # BMP symbol and a character outside the BMP (a surrogate pair in JSON).
 AWKWARD = 'say "hi" \\ back\\slash\nnew\tline\r\x00\x01\x1f\x7f é ☃ 𝔽 \u2028'
+AWKWARD_ROWS = (
+    CheckResult("x.err", 7, None, 3, 0, False, f"ERROR: ValueError: {AWKWARD}", "", AWKWARD),
+    CheckResult(AWKWARD, None, AWKWARD, float("inf"), 0, False, "ERROR: x", "", "x"),
+    CheckResult("x.ok", 11, "-1/4", 2, float("inf"), True, AWKWARD, AWKWARD),
+)
 
 
 class TestJsonWriter:
@@ -172,14 +198,7 @@ class TestJsonWriter:
         assert cli.format_report(rep, "json") == _json_oracle(rep)
 
     def test_error_rows_with_awkward_text(self):
-        rows = (
-            CheckResult(
-                "x.err", 7, None, 3, 0, False, f"ERROR: ValueError: {AWKWARD}", "", AWKWARD
-            ),
-            CheckResult(AWKWARD, None, AWKWARD, float("inf"), 0, False, "ERROR: x", "", "x"),
-            CheckResult("x.ok", 11, "-1/4", 2, float("inf"), True, AWKWARD, AWKWARD),
-        )
-        rep = Report(results=rows)
+        rep = Report(results=AWKWARD_ROWS)
         assert cli.format_report(rep, "json") == _json_oracle(rep)
 
     def test_empty_report(self):
@@ -209,6 +228,52 @@ class TestJsonWriter:
         assert cli.format_report(rep, "json") == _json_oracle(rep)
 
 
+class _Sink:
+    """A text stream that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+
+class TestStreamedReport:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("rows", ["sweep", "errors", "empty"])
+    def test_stream_gets_the_returned_string(self, fmt, rows, small_report):
+        rep = {
+            "sweep": small_report,
+            "errors": Report(results=AWKWARD_ROWS + small_report.results[:3]),
+            "empty": Report(results=()),
+        }[rows]
+        out = io.StringIO()
+        assert cli.format_report(rep, fmt, out) is None
+        assert out.getvalue() == cli.format_report(rep, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_rendering_into_a_stream_keeps_no_copy(self, fmt):
+        # As many rows as the default sweep, with residues of its size (p^5
+        # near 1000).  The peak must not grow with the rows; csv's writer
+        # holds one 128 KB record buffer whatever their number.
+        rows = tuple(
+            CheckResult(f"X{i % 97}.c", 7 + 2 * i, None if i % 3 else f"{i}/16", 5, 5, True,
+                        str(10**15 + 7919 * i), str(10**15 + 7919 * i))
+            for i in range(30_000)
+        )
+        rep = Report(results=rows)
+        rendered = _Sink()
+        cli.format_report(rep, fmt, rendered)
+        tracemalloc.start()
+        try:
+            cli.format_report(rep, fmt, _Sink())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rendered.chars / 10
+
+
 class TestReportPins:
     # SHA-256 of `congrlab --primes 7..100 --format csv|text` (4,653 rows),
     # taken before the JSON writer and the shared columns were introduced.
@@ -223,6 +288,12 @@ class TestReportPins:
         assert cli.main(["--primes", "7..100", "--format", fmt, "--output", str(path)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINS[fmt]
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_report_bytes_through_stdout(self, fmt, capsys):
+        assert cli.main(["--primes", "7..100", "--format", fmt]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == self.PINS[fmt]
 
 
 class TestMain:
@@ -246,7 +317,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--checks", "T32.first", "--t-panel", "0"],  # t = 0 is skipped at every prime
+            ["--checks", "T32.first", "--primes", "7", "--t-panel", "1/7"],  # t skipped at p = 7
             ["--checks", "v.h12", "--primes", "8..10"],  # no prime in range
             ["--checks", "C42.a", "--primes", "601..700"],  # above the check's prime cap
         ],
@@ -280,7 +351,7 @@ class TestMain:
     def test_empty_sweep_keeps_an_existing_output_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         path.write_text("earlier report\n")
-        argv = ["--checks", "T32.first", "--t-panel", "0", "--output", str(path)]
+        argv = ["--checks", "T32.first", "--primes", "7", "--t-panel", "1/7", "--output", str(path)]
         assert cli.main(argv) == 2
         assert "schedules no instance" in capsys.readouterr().err
         assert path.read_text() == "earlier report\n"
@@ -370,6 +441,44 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "iv.h1" in proc.stdout
         assert "0 failed" in proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv,read",
+        [
+            # The report (about 1.6 MB) is far larger than a pipe buffer, so
+            # the write meets the closed pipe part-way through.
+            (["--primes", "7..200"], 16),
+            # The reader is gone before the report, small enough to sit in
+            # stdout's buffer, is flushed.
+            (["--primes", "7", "--checks", "iv.h1"], 0),
+        ],
+        ids=["mid-report", "before-flush"],
+    )
+    def test_reader_closing_the_pipe_early(self, argv, read, unbuffered, child_env):
+        # Buffering decides whether the broken pipe surfaces in a write or in
+        # the final flush.
+        child_env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            child_env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "congrlab", *argv, "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env,
+        )
+        try:
+            first = proc.stdout.read(read)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert first == b'[\n  {\n    "check'[:read]
+        assert proc.returncode == 0
+        # Only the summary line: no traceback, no "Exception ignored" at shutdown.
+        lines = err.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("checked ")
+        assert " passed, 0 failed, 0 errored" in lines[0]
 
     def test_console_script_help(self, child_env):
         # Check the declared entry point without an install: resolve it, then
