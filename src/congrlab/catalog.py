@@ -11,7 +11,7 @@ across worker processes, and collects a deterministic `Report`.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from fractions import Fraction
@@ -112,19 +112,24 @@ class IdentityCheck:
         return "identity"
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
-    """Outcome of one scheduled check instance."""
+class CheckResult(
+    namedtuple(
+        "CheckResult",
+        "check_id prime t target valuation passed lhs rhs error",
+        defaults=(None,),
+    )
+):
+    """Outcome of one scheduled check instance.
 
-    check_id: str
-    prime: int | None
-    t: str | None
-    target: int | float
-    valuation: int | float
-    passed: bool
-    lhs: str
-    rhs: str
-    error: str | None = None
+    A named tuple: every row of a ``--jobs N`` sweep crosses the process
+    pool, and a tuple builds, pickles and unpickles without per-field Python
+    code.  Fields: ``check_id``, ``prime`` (None for an identity without
+    one), ``t`` (the panel value or identity parameters as text, or None),
+    ``target``, ``valuation``, ``passed``, ``lhs``, ``rhs`` and ``error``
+    (None unless evaluating raised).
+    """
+
+    __slots__ = ()
 
     def sort_key(self) -> tuple:
         return (self.check_id, self.prime if self.prime is not None else -1, self.t or "")
@@ -1379,10 +1384,7 @@ def _applicable_ts(check: CongruenceCheck, p: int, panel) -> list:
 def _run_unit(unit) -> list[CheckResult]:
     if unit[0] == "c":
         _, p, items = unit
-        return [
-            run_congruence(_registry()[cid], p, Fraction(t_str) if t_str is not None else None)
-            for cid, t_str in items
-        ]
+        return [run_congruence(_registry()[cid], p, t) for cid, t in items]
     _, cid, indices = unit
     check = _registry()[cid]
     return [run_identity(check, dict(check.cases[i])) for i in indices]
@@ -1405,8 +1407,11 @@ def run_suite(
     reused.  The identity units go first, since the largest of them outlasts
     any prime unit, then the primes in ascending order.  A pool of
     min(jobs, units) worker processes runs them; with one unit or ``jobs=1``
-    they run in this process.  Results are sorted by (check id, prime, t)
-    regardless of job count, making reports byte-identical across schedules.
+    they run in this process and ``concurrent.futures.process`` (with
+    multiprocessing and pickle) is never imported.  A prime unit carries its
+    panel values as ``Fraction`` objects, and rows come back as `CheckResult`
+    named tuples.  Results are sorted by (check id, prime, t) regardless of
+    job count, making reports byte-identical across schedules.
     """
     started = time.perf_counter()
     selected = select_checks(patterns)
@@ -1414,6 +1419,8 @@ def run_suite(
     identities = [c for c in selected if c.kind == "identity" and "identity" in kinds]
 
     units: list[tuple] = [("i", c.id, tuple(range(len(c.cases)))) for c in identities]
+    # Evaluators take t as a Fraction; an int panel value would stay an int.
+    t_panel = tuple(map(Fraction, t_panel))
     for p in primes_in_range(prime_lo, prime_hi):
         items = []
         for check in congruences:
@@ -1422,14 +1429,21 @@ def run_suite(
             if check.prime_cap is not None and not no_cap and p > check.prime_cap:
                 continue
             for t in _applicable_ts(check, p, t_panel):
-                items.append((check.id, str(t) if t is not None else None))
+                items.append((check.id, t))
         if items:
             units.append(("c", p, tuple(items)))
 
     results: list[CheckResult] = []
     # The pool starts all its workers at once, so start no idle ones.
     workers = min(jobs, len(units))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # Imported only here: the pool machinery (multiprocessing, pickle,
+        # socket, subprocess, logging) would add about a fifth to the
+        # start-up of every serial run.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     mapper = map if pool is None else pool.map
     try:
         # _run_unit is looked up at call time so that profilers can replace it.

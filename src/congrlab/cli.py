@@ -288,7 +288,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     patterns = tuple(part.strip() for part in args.checks.split(",") if part.strip())
-    if not select_checks(patterns or ("all",)):
+    if not patterns:
+        print(f"error: --checks {args.checks!r} names no check", file=sys.stderr)
+        return 2
+    if not select_checks(patterns):
         print(f"error: no registered check matches {args.checks!r}", file=sys.stderr)
         return 2
     if args.output and (reason := _unwritable(args.output)):
@@ -297,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     report = run_suite(
         prime_lo=args.primes[0],
         prime_hi=args.primes[1],
-        patterns=patterns or ("all",),
+        patterns=patterns,
         jobs=args.jobs,
         t_panel=args.t_panel,
         fail_fast=args.fail_fast,

@@ -95,14 +95,14 @@ def _exact_sum(ring, dens: range, comp: tuple[int, ...]) -> Fraction:
     return Fraction(_dp_sum([[x**a for x in scaled] for a in comp]), L ** sum(comp))
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=256)
 def _mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if n >= ring.p:
         raise NonUnitDenominator(f"H_{n} mod {ring.p}^{ring.k} hits the denominator p")
     return _dp_sum([_powers(ring, a)[1 : n + 1] for a in comp]) % ring.modulus
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=32)
 def _odd_mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if 2 * n - 1 >= ring.p:
         raise NonUnitDenominator(f"Hbar_{n} mod {ring.p}^{ring.k} hits the denominator p")

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=8)
 def bernoulli_powersum(m: int, p: int) -> Residue:
     """B_m mod p for even 2 <= m <= p-3, via the power sum S_m mod p^2."""
     if m % 2 != 0 or not 2 <= m <= p - 3:

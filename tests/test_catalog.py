@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 import congrlab.catalog as catalog
-from congrlab import binomsums, harmonic, modring, sequences
+from congrlab import binomsums, harmonic, modring, sequences, specialnum
 from congrlab.catalog import (
     DEFAULT_T_PANEL,
     CheckResult,
@@ -437,10 +440,29 @@ class TestRunSuite:
             def shutdown(self, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(catalog, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         rep = run_suite(prime_lo=7, prime_hi=prime_hi, patterns=("v.h12",), jobs=jobs)
         assert sizes == want
         assert [r.prime for r in rep.results] == [p for p in (7, 11, 13) if p <= prime_hi]
+
+    def test_serial_run_never_loads_the_pool(self, child_env):
+        # A child interpreter, since pytest itself may have loaded these.
+        code = (
+            "import sys, congrlab; "
+            "assert congrlab.run_suite(prime_lo=7, prime_hi=7, jobs=1).status == 'pass'; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "[]"
+
+    def test_rows_survive_pickling(self):
+        # At --jobs N every row comes back from a worker through pickle.
+        rows = list(run_suite(prime_lo=7, prime_hi=13, patterns=("v.h12", "T32.first", "eq15.exact"),
+                              jobs=1).results)
+        rows.append(CheckResult("x.err", 7, None, 3, 0, False, "ERROR: ValueError: x", "", "ValueError: x"))
+        back = pickle.loads(pickle.dumps(rows))
+        assert back == rows and all(type(row) is CheckResult for row in back)
 
 
 #: The caches whose entries hold O(p) integers (or sums over such a column).
@@ -453,24 +475,32 @@ KERNEL_CACHES = {
     "_u_sums": binomsums._u_sums,
 }
 
+#: The caches whose entries are one value each: a harmonic sum at one
+#: (n, composition, ring), or B_m mod p.
+VALUE_CACHES = {
+    "_mhs_mod": harmonic._mhs_mod,
+    "_odd_mhs_mod": harmonic._odd_mhs_mod,
+    "bernoulli_powersum": specialnum.bernoulli_powersum,
+}
+
 
 @pytest.fixture(scope="module")
 def one_prime_census():
-    """cache_info() of each kernel cache after a cold ``--checks '*'`` run at p = 101."""
-    # Also clear the caches in front of these (the harmonic DP), which
-    # earlier tests may have filled at the same prime.
-    for module in (binomsums, harmonic, modring, sequences):
+    """cache_info() of each kernel and value cache after a cold ``--checks '*'``
+    run at p = 101."""
+    for module in (binomsums, harmonic, modring, sequences, specialnum):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
     assert run_suite(prime_lo=101, prime_hi=101, patterns=("*",), jobs=1).status == "pass"
-    return {name: cache.cache_info() for name, cache in KERNEL_CACHES.items()}
+    caches = {**KERNEL_CACHES, **VALUE_CACHES}
+    return {name: cache.cache_info() for name, cache in caches.items()}
 
 
-@pytest.mark.parametrize("name", KERNEL_CACHES)
+@pytest.mark.parametrize("name", [*KERNEL_CACHES, *VALUE_CACHES])
 def test_kernel_cache_bound_fits_one_prime(one_prime_census, name):
     # A sweep runs its primes in ascending order and never goes back to one,
-    # so each O(p) kernel cache needs only the keys of about one prime.  A
-    # bound far above that keeps the tables of many large primes at once.
+    # so each cache needs only the keys of about one prime.  A bound far
+    # above that keeps the tables (or values) of many primes at once.
     info = one_prime_census[name]
     assert 0 < info.currsize <= info.maxsize <= 3 * info.currsize, info

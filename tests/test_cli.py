@@ -314,6 +314,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert "no registered check matches" in err
 
+    @pytest.mark.parametrize("checks", ["", ",", " , "])
+    def test_empty_pattern_list_is_an_error(self, checks, capsys):
+        # An unset shell variable must not turn into a full sweep.
+        assert cli.main(["--primes", "7", "--checks", checks]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
     @pytest.mark.parametrize(
         "argv",
         [

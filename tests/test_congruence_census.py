@@ -1,0 +1,59 @@
+"""What the registered congruences actually show.
+
+A congruence whose lhs and rhs both vanish mod p^target shows only lhs = 0;
+the census pins which checks do so at every prime, so that a new one is
+added on purpose.  The mutation test shows that every check can fail: an
+rhs moved by p^(target-1) must grade FAIL, which guards both the grading
+path and the ring each evaluator works in.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from collections import defaultdict
+
+import pytest
+
+from congrlab.catalog import DEFAULT_T_PANEL, builtin_checks, run_congruence, run_suite
+
+#: Checks whose lhs and rhs are both 0 mod p^target at every prime 7..200.
+#: The ``iii`` rhs has a zero coefficient when r = t, and the ``ii`` rhs
+#: reads a Bernoulli number of odd index when r + s is even.
+ZERO_VS_ZERO = frozenset({
+    "ii.r1s1", "ii.r3s1", "ii.r2s2", "ii.r1s3",
+    "iii.r1s1t1", "iii.r1s3t1", "iii.r2s1t2", "iii.r1s5t1", "iii.r2s3t2", "iii.r3s1t3",
+    "L21.C1.r1a1", "L21.C1.r3a1",
+    "T22.zero",
+})
+
+CONGRUENCES = [c for c in builtin_checks() if c.kind == "congruence"]
+
+
+def test_zero_vs_zero_census():
+    report = run_suite(prime_lo=7, prime_hi=200, patterns=("*",), kinds=("congruence",))
+    assert report.status == "pass"
+    both_zero = defaultdict(list)
+    for row in report.results:
+        both_zero[row.check_id].append(row.lhs == "0" and row.rhs == "0")
+    assert len(both_zero) == len(CONGRUENCES)
+    assert {cid for cid, zeros in both_zero.items() if all(zeros)} == ZERO_VS_ZERO
+
+
+@pytest.mark.parametrize("check", CONGRUENCES, ids=lambda c: c.id)
+def test_shifted_rhs_fails(check):
+    target = check.target_exponent
+    for p in (11, 101, 199):
+        if p < check.min_prime or p in check.excluded_primes:
+            continue
+        if check.prime_cap is not None and p > check.prime_cap:
+            continue
+
+        def shifted(*args, p=p):
+            lhs, rhs = check.evaluator(*args)
+            return lhs, rhs + p ** (target - 1)
+
+        mutant = dataclasses.replace(check, evaluator=shifted)
+        for t in DEFAULT_T_PANEL[:2] if check.uses_t_panel else (None,):
+            row = run_congruence(mutant, p, t)
+            assert row.error is None, row
+            assert not row.passed and row.valuation == target - 1, row
