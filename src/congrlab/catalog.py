@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from fractions import Fraction
 from functools import lru_cache
@@ -78,38 +77,40 @@ DEFAULT_T_PANEL: tuple[Fraction, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class CongruenceCheck:
-    """A single congruence verified per prime (and per panel value t)."""
+class CongruenceCheck(
+    namedtuple(
+        "CongruenceCheck",
+        "id description statement target_exponent evaluator"
+        " min_prime excluded_primes uses_t_panel prime_cap",
+        defaults=(3, frozenset(), False, None),
+    )
+):
+    """A single congruence verified per prime (and per panel value t).
 
-    id: str
-    description: str
-    statement: str
-    target_exponent: int
-    evaluator: object  # callable (p, t) -> (Residue, Residue)
-    min_prime: int = 3
-    excluded_primes: frozenset[int] = frozenset()
-    uses_t_panel: bool = False
-    prime_cap: int | None = None
+    A named tuple, like `CheckResult`, so that no start-up pays for importing
+    ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``).  Fields: ``id``,
+    ``description``, ``statement``, ``target_exponent``, ``evaluator`` (a
+    callable (p, t) -> (Residue, Residue)), ``min_prime`` (3),
+    ``excluded_primes`` (empty frozenset), ``uses_t_panel`` (False) and
+    ``prime_cap`` (None).
+    """
 
-    @property
-    def kind(self) -> str:
-        return "congruence"
+    __slots__ = ()
+    kind = "congruence"
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    """An exact identity verified over a fixed finite parameter family."""
+class IdentityCheck(
+    namedtuple("IdentityCheck", "id description statement cases evaluator")
+):
+    """An exact identity verified over a fixed finite parameter family.
 
-    id: str
-    description: str
-    statement: str
-    cases: tuple[tuple[tuple[str, object], ...], ...]
-    evaluator: object  # callable (params: dict) -> (lhs, rhs)
+    A named tuple with fields ``id``, ``description``, ``statement``,
+    ``cases`` (a tuple of parameter tuples, each of (name, value) pairs) and
+    ``evaluator`` (a callable (params: dict) -> (lhs, rhs)).
+    """
 
-    @property
-    def kind(self) -> str:
-        return "identity"
+    __slots__ = ()
+    kind = "identity"
 
 
 class CheckResult(
@@ -149,12 +150,14 @@ class CheckResult(
         }
 
 
-@dataclass
-class Report:
-    """Sorted results of a sweep plus aggregate status."""
+class Report(namedtuple("Report", "results wall_seconds", defaults=(0.0,))):
+    """Sorted results of a sweep plus aggregate status.
 
-    results: tuple[CheckResult, ...]
-    wall_seconds: float = 0.0
+    A named tuple with fields ``results`` (a tuple of `CheckResult` rows)
+    and ``wall_seconds`` (0.0).
+    """
+
+    __slots__ = ()
 
     @property
     def status(self) -> str:

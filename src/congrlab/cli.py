@@ -294,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     if not select_checks(patterns):
         print(f"error: no registered check matches {args.checks!r}", file=sys.stderr)
         return 2
-    if args.output and (reason := _unwritable(args.output)):
+    if args.output is not None and (reason := _unwritable(args.output)):
         print(f"error: cannot write --output {args.output!r}: {reason}", file=sys.stderr)
         return 2
     report = run_suite(
@@ -315,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             format_report(report, args.format, fh)
     else:

@@ -18,7 +18,7 @@ Sequence conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,12 +39,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LucasParams:
+class LucasParams(namedtuple("LucasParams", "x y")):
     """Recurrence coefficients (x, y) for s_n = x*s_{n-1} - y*s_{n-2}."""
 
-    x: object
-    y: object
+    __slots__ = ()
 
 
 def lucas_u_upto(n: int, params: LucasParams) -> list:

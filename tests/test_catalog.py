@@ -446,11 +446,14 @@ class TestRunSuite:
         assert [r.prime for r in rep.results] == [p for p in (7, 11, 13) if p <= prime_hi]
 
     def test_serial_run_never_loads_the_pool(self, child_env):
-        # A child interpreter, since pytest itself may have loaded these.
+        # A child interpreter, since pytest itself may have loaded these.  The
+        # check records are named tuples, so no package module, the CLI's
+        # included, loads dataclasses (and with it inspect).
+        modules = ("multiprocessing", "concurrent.futures.process", "dataclasses", "inspect")
         code = (
-            "import sys, congrlab; "
+            "import sys, congrlab, congrlab.cli; "
             "assert congrlab.run_suite(prime_lo=7, prime_hi=7, jobs=1).status == 'pass'; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+            f"print([m for m in {modules!r} if m in sys.modules])"
         )
         proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
                               text=True, timeout=60, check=True)

@@ -340,9 +340,9 @@ class TestMain:
         assert "minimum prime" in captured.err and "--no-cap" in captured.err
         assert not path.exists()
 
-    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory", "empty"])
     def test_unwritable_output_fails_before_the_sweep(self, where, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+        path = {"missing-dir": tmp_path / "missing" / "x.json", "a-directory": tmp_path, "empty": ""}[where]
 
         def no_sweep(**kwargs):
             raise AssertionError("the sweep ran before --output was checked")
@@ -353,7 +353,7 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
-        assert str(path) in captured.err
+        assert f"--output {str(path)!r}:" in captured.err
         assert not (tmp_path / "missing").exists()
 
     def test_empty_sweep_keeps_an_existing_output_file(self, tmp_path, capsys):

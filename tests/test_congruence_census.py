@@ -4,17 +4,21 @@ A congruence whose lhs and rhs both vanish mod p^target shows only lhs = 0;
 the census pins which checks do so at every prime, so that a new one is
 added on purpose.  The mutation test shows that every check can fail: an
 rhs moved by p^(target-1) must grade FAIL, which guards both the grading
-path and the ring each evaluator works in.
+path and the ring each evaluator works in.  The property test runs the
+per-panel checks at parameters t beyond the default panel.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import defaultdict
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from congrlab.catalog import DEFAULT_T_PANEL, builtin_checks, run_congruence, run_suite
+from congrlab.modring import primes_in_range
 
 #: Checks whose lhs and rhs are both 0 mod p^target at every prime 7..200.
 #: The ``iii`` rhs has a zero coefficient when r = t, and the ``ii`` rhs
@@ -52,8 +56,26 @@ def test_shifted_rhs_fails(check):
             lhs, rhs = check.evaluator(*args)
             return lhs, rhs + p ** (target - 1)
 
-        mutant = dataclasses.replace(check, evaluator=shifted)
+        mutant = check._replace(evaluator=shifted)
         for t in DEFAULT_T_PANEL[:2] if check.uses_t_panel else (None,):
             row = run_congruence(mutant, p, t)
             assert row.error is None, row
             assert not row.passed and row.valuation == target - 1, row
+
+
+#: L31.A2, L31.A3, T32.first, T32.second, T34.first and T34.second.
+PANEL_CHECKS = [c for c in CONGRUENCES if c.uses_t_panel]
+
+
+@given(
+    st.integers(min_value=-12, max_value=12).filter(bool),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(primes_in_range(5, 43)),
+)
+@settings(max_examples=300, deadline=None)
+def test_panel_checks_hold_beyond_the_panel(a, b, p):
+    assume(a * b % p != 0)
+    t = Fraction(a, b)
+    for check in PANEL_CHECKS:
+        row = run_congruence(check, p, t)
+        assert row.error is None and row.passed, row
