@@ -56,8 +56,6 @@ from .modring import (
     legendre,
     prime_power,
     primes_in_range,
-    rational_residue,
-    reduce_residue,
 )
 from .sequences import (
     LucasParams,
@@ -81,8 +79,6 @@ __all__ = [
     "PrimePower",
     "Residue",
     "prime_power",
-    "rational_residue",
-    "reduce_residue",
     "divide_by_p",
     "inverse_table",
     "is_prime",

@@ -27,6 +27,7 @@ from .binomsums import (
     s2,
     weighted_sums,
 )
+from .errors import MixedModuli
 from .exactalg import Poly, QuadExt
 from .harmonic import alternating_half_sum, mhs, odd_mhs, repeated
 from .modring import (
@@ -37,7 +38,6 @@ from .modring import (
     legendre,
     prime_power,
     primes_in_range,
-    reduce_residue,
 )
 from .sequences import (
     LucasParams,
@@ -90,9 +90,10 @@ class CongruenceCheck(
     A named tuple, like `CheckResult`, so that no start-up pays for importing
     ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``).  Fields: ``id``,
     ``description``, ``statement``, ``target_exponent``, ``evaluator`` (a
-    callable (p, t) -> (Residue, Residue)), ``min_prime`` (3),
-    ``excluded_primes`` (empty frozenset), ``uses_t_panel`` (False) and
-    ``prime_cap`` (None).
+    callable (ring, t) -> (lhs, rhs), both sides residues of ``ring`` =
+    Z/p^target_exponent, with t None for a check without a panel),
+    ``min_prime`` (3), ``excluded_primes`` (empty frozenset),
+    ``uses_t_panel`` (False) and ``prime_cap`` (None).
     """
 
     __slots__ = ()
@@ -197,9 +198,11 @@ def _div_p_times(x: Residue, times: int) -> Residue:
     return x
 
 
-def _h1_over_p(p: int, j: int) -> Residue:
-    """H_(p-1)(1)/p^j in Z/p^(5-j); p^2 divides H_(p-1)(1) for p >= 5."""
-    return _div_p_times(mhs(p - 1, (1,), prime_power(p, 5)), j)
+def _h1_over_p(ring: PrimePower, j: int) -> Residue:
+    """H_(p-1)(1)/p^j in ``ring``, from H_(p-1)(1) in Z/p^(k+j); p^2 divides
+    H_(p-1)(1) for p >= 5."""
+    p = ring.p
+    return _div_p_times(mhs(p - 1, (1,), prime_power(p, ring.k + j)), j)
 
 
 def _mod_p_term(ring: PrimePower, coeff: int | Fraction, x: Residue) -> Residue:
@@ -213,28 +216,44 @@ def _mod_p_term(ring: PrimePower, coeff: int | Fraction, x: Residue) -> Residue:
     return ring.from_fraction(Fraction(coeff)) * ring.p ** (ring.k - 1) * x.value
 
 
+def _v_term(t: Fraction, modp: PrimePower) -> Residue:
+    """1/64 * (-1/t)^((p+1)/2) * sum_(k<p) v_k(2-16t)/k^3 in Z/p: the rhs of
+    L31.A2 and the p^2 term of T32.first."""
+    base = modp.from_fraction(Fraction(-1) / t) ** ((modp.p + 1) // 2)
+    return base * rhs_lucas_sum("v", 2 - 16 * t, 3, modp) * Fraction(1, 64)
+
+
+def _u_term(t: Fraction, modp: PrimePower) -> Residue:
+    """1/2 * (-1/t)^((p-1)/2) * sum_(k<p) u_k(2-16t)/k^2 in Z/p: the rhs of
+    L31.A3 and, times (-1)^((p-1)/2), the p^2 term of T32.second."""
+    base = modp.from_fraction(Fraction(-1) / t) ** ((modp.p - 1) // 2)
+    return base * rhs_lucas_sum("u", 2 - 16 * t, 2, modp) * Fraction(1, 2)
+
+
 # ---------------------------------------------------------------------------
 # congruence evaluators
 #
-# Each evaluator returns (lhs, rhs) as residues in a common ring whose
-# exponent is at least the check's target.
+# Each evaluator takes (ring, t): ring is Z/p^target for the check's target
+# exponent, and t is the panel value (None for a check without a panel).  It
+# returns (lhs, rhs) as residues of that ring.  An evaluator that divides a
+# value by p^j computes the value in Z/p^(target+j) first.
 
 
-def _eval_mhs_bernoulli(half: bool, comp: tuple[int, ...], k: int, coeff: Fraction):
+def _eval_mhs_bernoulli(half: bool, comp: tuple[int, ...], coeff: Fraction):
     """H_N(comp) = coeff * p^(k-1) * B_(p-w-k+1)  (mod p^k), w = sum(comp),
     N = (p-1)/2 if half else p-1."""
     w = sum(comp)
 
-    def ev(p: int, t=None):
-        ring = prime_power(p, k)
+    def ev(ring: PrimePower, t):
+        p = ring.p
         lhs = mhs((p - 1) // 2 if half else p - 1, comp, ring)
-        return lhs, _mod_p_term(ring, coeff, bernoulli_number(p - w - k + 1, p))
+        return lhs, _mod_p_term(ring, coeff, bernoulli_number(p - w - ring.k + 1, p))
 
     return ev
 
 
-def _eval_full_h1_expansion(p: int, t=None):
-    ring = prime_power(p, 5)
+def _eval_full_h1_expansion(ring: PrimePower, t):
+    p = ring.p
     lhs = mhs(p - 1, (1,), ring)
     rhs = (
         -(mhs(p - 1, (2,), ring) * Fraction(1, 2) * p)
@@ -243,17 +262,17 @@ def _eval_full_h1_expansion(p: int, t=None):
     return lhs, rhs
 
 
-def _eval_full_h12(p: int, t=None):
-    h1_div2 = _h1_over_p(p, 2)  # exponent 3
-    ring = h1_div2.ring
+def _eval_full_h12(ring: PrimePower, t):
+    p = ring.p
+    h1_div2 = _h1_over_p(ring, 2)
     lhs = mhs(p - 1, (1, 2), ring)
     rhs = h1_div2 * (-3) + _mod_p_term(ring, Fraction(1, 2), bernoulli_number(p - 5, p))
     return lhs, rhs
 
 
-def _eval_half_h1(p: int, t=None):
-    ring = prime_power(p, 3)
-    q = fermat_quotient(2, p, 3)
+def _eval_half_h1(ring: PrimePower, t):
+    p = ring.p
+    q = fermat_quotient(2, p, ring.k)
     lhs = mhs((p - 1) // 2, (1,), ring)
     rhs = (
         q * (-2)
@@ -264,14 +283,16 @@ def _eval_half_h1(p: int, t=None):
     return lhs, rhs
 
 
-def _eval_full_from_half(r: int, a: int):
-    def ev(p: int, t=None):
-        ring = prime_power(p, a + 1)
+def _eval_full_from_half(r: int):
+    """H_(p-1)(r) from H_n(r+j), j = 0..k-1, in Z/p^k."""
+
+    def ev(ring: PrimePower, t):
+        p = ring.p
         n = (p - 1) // 2
         lhs = mhs(p - 1, (r,), ring)
         acc = ring.zero()
         ppow = 1
-        for k in range(a + 1):
+        for k in range(ring.k):
             acc = acc + mhs(n, (r + k,), ring) * (comb(r - 1 + k, k) * ppow)
             ppow *= p
         rhs = mhs(n, (r,), ring) + acc * _neg_one_pow(r)
@@ -280,8 +301,8 @@ def _eval_full_from_half(r: int, a: int):
     return ev
 
 
-def _eval_half_weighted_zero(p: int, t=None):
-    ring = prime_power(p, 4)
+def _eval_half_weighted_zero(ring: PrimePower, t):
+    p = ring.p
     n = (p - 1) // 2
     lhs = (
         mhs(n, (2,), ring)
@@ -291,33 +312,33 @@ def _eval_half_weighted_zero(p: int, t=None):
     return lhs, ring.zero()
 
 
-def _eval_h2_vs_h1(p: int, t=None):
-    h1_div = _h1_over_p(p, 1)  # exponent 4
-    ring = h1_div.ring
+def _eval_h2_vs_h1(ring: PrimePower, t):
+    p = ring.p
+    h1_div = _h1_over_p(ring, 1)
     lhs = mhs(p - 1, (2,), ring)
     rhs = h1_div * (-2) + _mod_p_term(ring, Fraction(2, 5), bernoulli_number(p - 5, p))
     return lhs, rhs
 
 
-def _eval_half_h2_vs_h1(p: int, t=None):
-    h1_div = _h1_over_p(p, 1)  # exponent 4
-    ring = h1_div.ring
+def _eval_half_h2_vs_h1(ring: PrimePower, t):
+    p = ring.p
+    h1_div = _h1_over_p(ring, 1)
     lhs = mhs((p - 1) // 2, (2,), ring)
     rhs = h1_div * (-7) + _mod_p_term(ring, Fraction(17, 10), bernoulli_number(p - 5, p))
     return lhs, rhs
 
 
-def _eval_half_h3_vs_h1(p: int, t=None):
-    h1_div2 = _h1_over_p(p, 2)  # exponent 3
-    ring = h1_div2.ring
+def _eval_half_h3_vs_h1(ring: PrimePower, t):
+    p = ring.p
+    h1_div2 = _h1_over_p(ring, 2)
     lhs = mhs((p - 1) // 2, (3,), ring)
     rhs = h1_div2 * 6 - _mod_p_term(ring, Fraction(81, 10), bernoulli_number(p - 5, p))
     return lhs, rhs
 
 
-def _eval_half_h12_h13(p: int, t=None):
-    h1_div2 = _h1_over_p(p, 2)  # exponent 3
-    ring = h1_div2.ring
+def _eval_half_h12_h13(ring: PrimePower, t):
+    p = ring.p
+    h1_div2 = _h1_over_p(ring, 2)
     n = (p - 1) // 2
     lhs = mhs(n, (1, 2), ring) + mhs(n, (1, 3), ring) * p
     b = bernoulli_number(p - 5, p)
@@ -326,8 +347,8 @@ def _eval_half_h12_h13(p: int, t=None):
 
 
 def _eval_odd_depth2_expansion(r: int, s: int):
-    def ev(p: int, t=None):
-        ring = prime_power(p, 3)
+    def ev(ring: PrimePower, t):
+        p = ring.p
         n = (p - 1) // 2
         lhs = odd_mhs(n, (r, s), ring)
         inner = (
@@ -349,8 +370,8 @@ def _eval_odd_depth2_expansion(r: int, s: int):
     return ev
 
 
-def _eval_alternating_vs_odd(p: int, t=None):
-    ring = prime_power(p, 5)
+def _eval_alternating_vs_odd(ring: PrimePower, t):
+    p = ring.p
     n = (p - 1) // 2
     lhs = alternating_half_sum(n, 1, True, ring) * (2 * _neg_one_pow(n))
     rhs = (
@@ -363,11 +384,11 @@ def _eval_alternating_vs_odd(p: int, t=None):
     return lhs, rhs
 
 
-def _eval_central_binomial_mod_p6(p: int, t=None):
-    ring = prime_power(p, 6)
+def _eval_central_binomial_mod_p6(ring: PrimePower, t):
+    p = ring.p
     n = (p - 1) // 2
-    central = ring.residue(central_binomials(ring)[n])
-    lhs = central * _neg_one_pow(n) / ring.residue(pow(4, p - 1, ring.modulus))
+    central = ring.from_int(central_binomials(ring)[n])
+    lhs = central * _neg_one_pow(n) / ring.from_int(pow(4, p - 1, ring.modulus))
     rhs = (
         ring.one()
         - mhs(p - 1, (1,), ring) * Fraction(1, 4) * p
@@ -376,77 +397,58 @@ def _eval_central_binomial_mod_p6(p: int, t=None):
     return lhs, rhs
 
 
-def _eval_weighted_first_mod_p(p: int, t: Fraction):
-    ring = prime_power(p, 1)
-    lhs = weighted_sums(t, ring)[0]
-    base = ring.from_fraction(Fraction(-1) / t) ** ((p + 1) // 2)
-    vsum = rhs_lucas_sum("v", 2 - 16 * t, 3, ring)
-    rhs = base * vsum * Fraction(1, 64)
-    return lhs, rhs
+def _eval_weighted_first_mod_p(ring: PrimePower, t: Fraction):
+    return weighted_sums(t, ring)[0], _v_term(t, ring)
 
 
-def _eval_weighted_second_mod_p(p: int, t: Fraction):
-    ring = prime_power(p, 1)
-    lhs = weighted_sums(t, ring)[1]
-    base = ring.from_fraction(Fraction(-1) / t) ** ((p - 1) // 2)
-    usum = rhs_lucas_sum("u", 2 - 16 * t, 2, ring)
-    rhs = base * usum * Fraction(1, 2)
-    return lhs, rhs
+def _eval_weighted_second_mod_p(ring: PrimePower, t: Fraction):
+    return weighted_sums(t, ring)[1], _u_term(t, ring)
 
 
-def _eval_s1_mod_p3(p: int, t: Fraction):
-    ring4 = prime_power(p, 4)
+def _eval_s1_mod_p3(ring: PrimePower, t: Fraction):
+    p = ring.p
+    work = prime_power(p, ring.k + 1)
     n = (p - 1) // 2
-    wn = w_value_mod(n, ring4.from_fraction(1 - 8 * t), ring4)
-    head = divide_by_p(wn - ring4.from_fraction(-16 * t) ** n)  # exponent 3
-    ring = head.ring
+    wn = w_value_mod(n, work.from_fraction(1 - 8 * t), work)
+    head = divide_by_p(wn - work.from_fraction(-16 * t) ** n)
     lhs = s1(t, 0, ring)
-    modp = prime_power(p, 1)
-    fac = (
-        modp.from_fraction(Fraction(-1) / t) ** ((p + 1) // 2)
-        * rhs_lucas_sum("v", 2 - 16 * t, 3, modp)
-        * Fraction(1, 64)
-    )
-    rhs = head + _mod_p_term(ring, 1, fac)
+    rhs = head + _mod_p_term(ring, 1, _v_term(t, prime_power(p, 1)))
     return lhs, rhs
 
 
-def _eval_s2_mod_p3(p: int, t: Fraction):
-    ring = prime_power(p, 3)
+def _eval_s2_mod_p3(ring: PrimePower, t: Fraction):
+    p = ring.p
     n = (p - 1) // 2
     lhs = (ring.one() + s2(t, 0, ring)) * _neg_one_pow(n)
-    modp = prime_power(p, 1)
-    fac = (
-        rhs_lucas_sum("u", 2 - 16 * t, 2, modp)
-        / (modp.from_fraction(t) ** n * 2)
-    )
+    fac = _u_term(t, prime_power(p, 1))
     wn = w_value_mod(n, ring.from_fraction(8 * t - 1), ring)
-    rhs = wn + _mod_p_term(ring, 1, fac)
+    rhs = wn + _mod_p_term(ring, _neg_one_pow(n), fac)
     return lhs, rhs
 
 
-def _eval_s1_quadratic_arg(p: int, t: Fraction):
-    ring4 = prime_power(p, 4)
+def _eval_s1_quadratic_arg(ring: PrimePower, t: Fraction):
+    p = ring.p
+    work = prime_power(p, ring.k + 2)
     n = (p - 1) // 2
-    tr = ring4.from_fraction(t)
-    vp = lucas_pair_mod(p, tr, 1, ring4)[1]
-    x = ((vp - tr**p) * _neg_one_pow(n) + alternating_v_sum(t, True, ring4) * (2 * p)) / tr
-    rhs = _div_p_times(x, 2)  # exponent 2
-    lhs = s1(t * t / 16, 1, rhs.ring)
+    tr = work.from_fraction(t)
+    vp = lucas_pair_mod(p, tr, 1, work)[1]
+    x = ((vp - tr**p) * _neg_one_pow(n) + alternating_v_sum(t, True, work) * (2 * p)) / tr
+    rhs = _div_p_times(x, 2)
+    lhs = s1(t * t / 16, 1, ring)
     return lhs, rhs
 
 
-def _eval_s2_quadratic_arg(p: int, t: Fraction):
-    ring = prime_power(p, 2)
-    q = fermat_quotient(2, p, 2)
+def _eval_s2_quadratic_arg(ring: PrimePower, t: Fraction):
+    p = ring.p
+    q = fermat_quotient(2, p, ring.k)
     lhs = s2(t * t / 16, 1, ring)
     rhs = q * 4 - q * q * (2 * p) + alternating_v_sum(t, False, ring)
     return lhs, rhs
 
 
-def _eval_s1_quarter(p: int, t=None):
-    ring = prime_power(p, 3)
-    q = fermat_quotient(2, p, 3)
+def _eval_s1_quarter(ring: PrimePower, t):
+    p = ring.p
+    q = fermat_quotient(2, p, ring.k)
     lhs = s1(Fraction(1, 4), 0, ring)
     rhs = (
         q - _mod_p_term(ring, Fraction(1, 16), bernoulli_number(p - 3, p))
@@ -454,8 +456,8 @@ def _eval_s1_quarter(p: int, t=None):
     return lhs, rhs
 
 
-def _eval_s1_sixteenth(p: int, t=None):
-    ring = prime_power(p, 3)
+def _eval_s1_sixteenth(ring: PrimePower, t):
+    p = ring.p
     lhs = s1(Fraction(1, 16), 0, ring)
     rhs = _mod_p_term(ring, Fraction(_sign_half(p, 1), 36), bernoulli_number(p - 3, p))
     return lhs, rhs
@@ -465,9 +467,9 @@ def _eval_s1_fermat(a: int, coeff: Fraction):
     """s1(a/16) = (-1)^((p+1)/2)*(a|p)*[q/2 - p/8*q^2 + p^2*(q^3/16 - coeff*B(p-3))]
     with q = q_p(a)."""
 
-    def ev(p: int, t=None):
-        ring = prime_power(p, 3)
-        q = fermat_quotient(a, p, 3)
+    def ev(ring: PrimePower, t):
+        p = ring.p
+        q = fermat_quotient(a, p, ring.k)
         lhs = s1(Fraction(a, 16), 0, ring)
         inner = (
             q * Fraction(1, 2)
@@ -480,9 +482,9 @@ def _eval_s1_fermat(a: int, coeff: Fraction):
     return ev
 
 
-def _eval_s1_neg_thirtysecond(p: int, t=None):
-    ring = prime_power(p, 3)
-    q = fermat_quotient(2, p, 3)
+def _eval_s1_neg_thirtysecond(ring: PrimePower, t):
+    p = ring.p
+    q = fermat_quotient(2, p, ring.k)
     lhs = s1(Fraction(-1, 32), 0, ring)
     inner = (
         q * 2
@@ -494,9 +496,9 @@ def _eval_s1_neg_thirtysecond(p: int, t=None):
     return lhs, rhs
 
 
-def _eval_s1_neg_sixteenth(p: int, t=None):
-    ring = prime_power(p, 3)
-    ql = lucas_quotient(p, 3)
+def _eval_s1_neg_sixteenth(ring: PrimePower, t):
+    p = ring.p
+    ql = lucas_quotient(p, ring.k)
     lhs = s1(Fraction(-1, 16), 0, ring)
     rhs = (
         ql
@@ -506,8 +508,8 @@ def _eval_s1_neg_sixteenth(p: int, t=None):
     return lhs, rhs
 
 
-def _eval_s2_sixteenth_b13(p: int, t=None):
-    ring = prime_power(p, 3)
+def _eval_s2_sixteenth_b13(ring: PrimePower, t):
+    p = ring.p
     lhs = ring.one() + s2(Fraction(1, 16), 0, ring)
     rhs = ring.from_int(legendre(3, p)) + _mod_p_term(
         ring, Fraction(_sign_half(p, -1), 24), bernoulli_third(p)
@@ -515,32 +517,32 @@ def _eval_s2_sixteenth_b13(p: int, t=None):
     return lhs, rhs
 
 
-def _eval_s2_three_sixteenth_b13(p: int, t=None):
-    ring = prime_power(p, 3)
+def _eval_s2_three_sixteenth_b13(ring: PrimePower, t):
+    p = ring.p
     lhs = ring.one() + s2(Fraction(3, 16), 0, ring)
     rhs = ring.one() + _mod_p_term(ring, Fraction(legendre(-3, p), 12), bernoulli_third(p))
     return lhs, rhs
 
 
-def _eval_fibonacci_weighted(p: int, t=None):
-    fp = lucas_pair_mod(p, 1, -1, prime_power(p, 3))[0]
-    head = divide_by_p(fp - legendre(p, 5))  # exponent 2
-    ring = head.ring
+def _eval_fibonacci_weighted(ring: PrimePower, t):
+    p = ring.p
+    fp = lucas_pair_mod(p, 1, -1, prime_power(p, ring.k + 1))[0]
+    head = divide_by_p(fp - legendre(p, 5))
     lhs = fib_lucas_sum("F", ring)
     rhs = head * _sign_half(p, 1)
     return lhs, rhs
 
 
-def _eval_lucas_weighted(p: int, t=None):
-    ring = prime_power(p, 2)
+def _eval_lucas_weighted(ring: PrimePower, t):
+    p = ring.p
     lhs = fib_lucas_sum("L", ring)
-    rhs = lucas_quotient(p, 2) * _sign_half(p, 1)
+    rhs = lucas_quotient(p, ring.k) * _sign_half(p, 1)
     return lhs, rhs
 
 
-def _eval_s1_quarter_weight2(p: int, t=None):
-    ring = prime_power(p, 2)
-    q = fermat_quotient(2, p, 2)
+def _eval_s1_quarter_weight2(ring: PrimePower, t):
+    p = ring.p
+    q = fermat_quotient(2, p, ring.k)
     lhs = s1(Fraction(1, 4), 1, ring)
     inner = (
         q * q * Fraction(1, 2)
@@ -551,16 +553,16 @@ def _eval_s1_quarter_weight2(p: int, t=None):
     return lhs, rhs
 
 
-def _eval_s2_quarter_weight1(p: int, t=None):
-    ring = prime_power(p, 2)
-    q = fermat_quotient(2, p, 2)
+def _eval_s2_quarter_weight1(ring: PrimePower, t):
+    p = ring.p
+    q = fermat_quotient(2, p, ring.k)
     lhs = s2(Fraction(1, 4), 1, ring)
     rhs = q * 2 - q * q * p + _mod_p_term(ring, 2 * _sign_half(p, 1), euler_number(p - 3, p))
     return lhs, rhs
 
 
-def _eval_s1_sixteenth_mod_p5(p: int, t=None):
-    ring = prime_power(p, 5)
+def _eval_s1_sixteenth_mod_p5(ring: PrimePower, t):
+    p = ring.p
     lhs = s1(Fraction(1, 16), 0, ring)
     rhs = (
         mhs(p - 1, (1,), ring) * Fraction(1, 12)
@@ -569,27 +571,26 @@ def _eval_s1_sixteenth_mod_p5(p: int, t=None):
     return lhs, rhs
 
 
-def _eval_s1_neg_sixteenth_weight2(p: int, t=None):
-    h1_div = _h1_over_p(p, 1)  # exponent 4
-    ring = h1_div.ring
+def _eval_s1_neg_sixteenth_weight2(ring: PrimePower, t):
+    p = ring.p
+    h1_div = _h1_over_p(ring, 1)
     lhs = s1(Fraction(-1, 16), 1, ring)
     rhs = h1_div * Fraction(1, 5) + _mod_p_term(ring, Fraction(7, 200), bernoulli_number(p - 5, p))
     return lhs, rhs
 
 
-def _eval_weighted_first_sixteenth(p: int, t=None):
-    h1_div2 = reduce_residue(_h1_over_p(p, 2), 2)
-    ring = h1_div2.ring
+def _eval_weighted_first_sixteenth(ring: PrimePower, t):
+    h1_div2 = _h1_over_p(ring, 2)
     lhs = weighted_sums(Fraction(1, 16), ring)[0]
-    rhs = h1_div2 * Fraction(1, 12) * _sign_half(p, -1)
+    rhs = h1_div2 * Fraction(1, 12) * _sign_half(ring.p, -1)
     return lhs, rhs
 
 
 def _eval_euler_criterion_refined(a: int):
-    def ev(p: int, t=None):
-        ring = prime_power(p, 4)
-        q = fermat_quotient(a, p, 4)
-        lhs = ring.residue(pow(a, (p - 1) // 2, ring.modulus))
+    def ev(ring: PrimePower, t):
+        p = ring.p
+        q = fermat_quotient(a, p, ring.k)
+        lhs = ring.from_int(pow(a, (p - 1) // 2, ring.modulus))
         inner = (
             ring.one()
             + q * Fraction(1, 2) * p
@@ -602,14 +603,13 @@ def _eval_euler_criterion_refined(a: int):
     return ev
 
 
-def _eval_central_squares(p: int, t=None):
-    ring = prime_power(p, 2)
+def _eval_central_squares(ring: PrimePower, t):
     lhs = _dot(ring, central_binomials(ring), binomial_column(Fraction(1, 16), ring))
-    return lhs, ring.from_int(_neg_one_pow((p - 1) // 2))
+    return lhs, ring.from_int(_neg_one_pow((ring.p - 1) // 2))
 
 
-def _eval_binomial_ratio_expansion(p: int, t=None):
-    ring = prime_power(p, 5)
+def _eval_binomial_ratio_expansion(ring: PrimePower, t):
+    p = ring.p
     m = ring.modulus
     n = (p - 1) // 2
     inv = inverse_table(ring)
@@ -633,7 +633,7 @@ def _eval_binomial_ratio_expansion(p: int, t=None):
         ) % m
         rhs_k = -2 * rhs_k % m
         if lhs_k != rhs_k:
-            return ring.residue(lhs_k), ring.residue(rhs_k)
+            return ring.from_int(lhs_k), ring.from_int(rhs_k)
         last = (lhs_k, rhs_k)
         if k + 1 < n:
             h22 = (h22 + h2 * io2) % m
@@ -649,7 +649,7 @@ def _eval_binomial_ratio_expansion(p: int, t=None):
                 * inv[n - k - 1]
                 % m
             )
-    return ring.residue(last[0]), ring.residue(last[1])
+    return ring.from_int(last[0]), ring.from_int(last[1])
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +889,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
             f"i.odd.r{r}",
             f"full harmonic sum of weight {r} against a Bernoulli multiple of p^2",
             f"H_(p-1)({r}) = -{r}*{r + 1}/(2*{r + 2}) * p^2 * B(p-{r + 2})  (mod p^3)",
-            3, _eval_mhs_bernoulli(False, (r,), 3, coeff), minp=r + 3,
+            3, _eval_mhs_bernoulli(False, (r,), coeff), minp=r + 3,
         )
     for r in (2, 4, 6):
         coeff = Fraction(r, r + 1)
@@ -897,7 +897,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
             f"i.even.r{r}",
             f"full harmonic sum of weight {r} against a Bernoulli multiple of p",
             f"H_(p-1)({r}) = {r}/{r + 1} * p * B(p-{r + 1})  (mod p^2)",
-            2, _eval_mhs_bernoulli(False, (r,), 2, coeff), minp=r + 3,
+            2, _eval_mhs_bernoulli(False, (r,), coeff), minp=r + 3,
         )
     for w in range(2, 7):
         for s in range(1, w):
@@ -907,7 +907,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"ii.r{r}s{s}",
                 f"depth-2 harmonic sum of weight ({r},{s}) against a Bernoulli value",
                 f"H_(p-1)({r},{s}) = (-1)^{s}/{w} * C({w},{s}) * B(p-{w})  (mod p)",
-                1, _eval_mhs_bernoulli(False, (r, s), 1, coeff), minp=w + 1,
+                1, _eval_mhs_bernoulli(False, (r, s), coeff), minp=w + 1,
             )
     for w in (3, 5, 7):
         for r in range(1, w - 1):
@@ -920,7 +920,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
                     f"iii.r{r}s{s}t{u}",
                     f"depth-3 harmonic sum of weight ({r},{s},{u}) against a Bernoulli value",
                     f"H_(p-1)({r},{s},{u}) = [(-1)^{r}*C({w},{r}) - (-1)^{u}*C({w},{u})]/(2*{w}) * B(p-{w})  (mod p)",
-                    1, _eval_mhs_bernoulli(False, (r, s, u), 1, coeff), minp=w + 1,
+                    1, _eval_mhs_bernoulli(False, (r, s, u), coeff), minp=w + 1,
                 )
     add(
         "iv.h1",
@@ -946,7 +946,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
             f"vi.even.r{r}",
             f"half-range weight-{r} sum against a Bernoulli multiple of p",
             f"H_n({r}) = {r}*(2^{r + 1}-1)/(2*{r + 1}) * p * B(p-{r + 1})  (mod p^2)",
-            2, _eval_mhs_bernoulli(True, (r,), 2, coeff), minp=r + 5,
+            2, _eval_mhs_bernoulli(True, (r,), coeff), minp=r + 5,
         )
     for r in (3, 5):
         coeff = Fraction(-(2**r - 2), r)
@@ -954,7 +954,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
             f"vi.odd.r{r}",
             f"half-range weight-{r} sum against a Bernoulli value",
             f"H_n({r}) = -(2^{r}-2)/{r} * B(p-{r})  (mod p)",
-            1, _eval_mhs_bernoulli(True, (r,), 1, coeff), minp=r + 5,
+            1, _eval_mhs_bernoulli(True, (r,), coeff), minp=r + 5,
         )
     for r in (1, 2, 3):
         for a in (1, 2, 3):
@@ -962,7 +962,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"L21.C1.r{r}a{a}",
                 f"full weight-{r} sum from half-range sums through order p^{a}",
                 f"H_(p-1)({r}) = H_n({r}) + (-1)^{r} * sum_k C({r - 1}+k,k)*H_n({r}+k)*p^k, k=0..{a}  (mod p^{a + 1})",
-                a + 1, _eval_full_from_half(r, a), minp=r + 3,
+                a + 1, _eval_full_from_half(r), minp=r + 3,
             )
     for w in (3, 5, 7):
         for s in range(1, w):
@@ -972,7 +972,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"L21.C2.r{r}s{s}",
                 f"half-range depth-2 sum of odd weight ({r},{s}) against a Bernoulli value",
                 f"H_n({r},{s}) = B(p-{w})/(2*{w}) * ((-1)^{s}*C({w},{s}) + 2^{w} - 2)  (mod p)",
-                1, _eval_mhs_bernoulli(True, (r, s), 1, coeff), minp=w + 1,
+                1, _eval_mhs_bernoulli(True, (r, s), coeff), minp=w + 1,
             )
     add(
         "T22.zero",
@@ -1351,16 +1351,22 @@ def _graded(check_id: str, prime, t, target, evaluate) -> CheckResult:
 
 
 def run_congruence(check: CongruenceCheck, p: int, t: Fraction | None = None) -> CheckResult:
-    """Evaluate one congruence instance and grade the p-adic valuation."""
+    """Evaluate one congruence instance in Z/p^target and grade the p-adic
+    valuation of lhs - rhs.
+
+    A side outside Z/p^target raises `MixedModuli`, which grades as an ERROR
+    row: its valuation and its printed residue would not be read at the
+    target.
+    """
     target = check.target_exponent
 
     def evaluate():
-        lhs, rhs = check.evaluator(p, t) if check.uses_t_panel else check.evaluator(p)
-        return (
-            (lhs - rhs).valuation(),
-            str(int(reduce_residue(lhs, target))),
-            str(int(reduce_residue(rhs, target))),
-        )
+        ring = prime_power(p, target)
+        lhs, rhs = check.evaluator(ring, t)
+        for side in (lhs, rhs):
+            if side.ring != ring:
+                raise MixedModuli(f"a side is in {side.ring!r}, not in {ring!r}")
+        return (lhs - rhs).valuation(), str(lhs), str(rhs)
 
     return _graded(check.id, p, str(t) if t is not None else None, target, evaluate)
 

@@ -29,9 +29,7 @@ __all__ = [
     "PrimePower",
     "Residue",
     "prime_power",
-    "rational_residue",
     "divide_by_p",
-    "reduce_residue",
     "legendre",
     "inverse_table",
 ]
@@ -110,9 +108,6 @@ class PrimePower:
     def __repr__(self) -> str:
         return f"PrimePower({self.p}, {self.k})"
 
-    def residue(self, n: int) -> Residue:
-        return Residue(n % self.modulus, self)
-
     # -- element constructors ------------------------------------------
 
     def zero(self) -> Residue:
@@ -125,7 +120,12 @@ class PrimePower:
         return Residue(n % self.modulus, self)
 
     def from_fraction(self, q: Fraction) -> Residue:
-        return rational_residue(q.numerator, q.denominator, self)
+        """Embed the rational q; requires p coprime to its denominator."""
+        b = q.denominator
+        if b % self.p == 0:
+            raise DenominatorDivisibleByP(f"denominator {b} divisible by p={self.p}")
+        m = self.modulus
+        return Residue(q.numerator * pow(b, -1, m) % m, self)
 
 
 @lru_cache(maxsize=None)
@@ -242,14 +242,6 @@ class Residue:
         return v
 
 
-def rational_residue(a: int, b: int, ring: PrimePower) -> Residue:
-    """Embed the rational a/b in Z/p^k; requires p coprime to b."""
-    if b % ring.p == 0:
-        raise DenominatorDivisibleByP(f"denominator {b} divisible by p={ring.p}")
-    m = ring.modulus
-    return Residue(a * pow(b, -1, m) % m, ring)
-
-
 def divide_by_p(x: Residue) -> Residue:
     """Exact division by p: maps p*u in Z/p^k to u in Z/p^(k-1).
 
@@ -261,16 +253,6 @@ def divide_by_p(x: Residue) -> Residue:
     if x.value % ring.p != 0:
         raise NotDivisibleByP(f"{x.value} is not divisible by p={ring.p}")
     return Residue(x.value // ring.p, prime_power(ring.p, ring.k - 1))
-
-
-def reduce_residue(x: Residue, j: int) -> Residue:
-    """Reduce a residue mod p^k to the smaller ring mod p^j (1 <= j <= k)."""
-    if not (1 <= j <= x.ring.k):
-        raise ExponentOutOfRange(f"cannot reduce exponent {x.ring.k} to {j}")
-    if j == x.ring.k:
-        return x
-    tgt = prime_power(x.ring.p, j)
-    return Residue(x.value % tgt.modulus, tgt)
 
 
 def legendre(a: int, p: int) -> int:

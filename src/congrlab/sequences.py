@@ -101,7 +101,7 @@ def lucas_pair_mod(n: int, x, y, ring: PrimePower) -> tuple[Residue, Residue]:
             a, b = d, (xi * d - yi * c) % m
         else:
             a, b = c, d
-    return ring.residue(a), ring.residue(2 * b - xi * a)
+    return ring.from_int(a), ring.from_int(2 * b - xi * a)
 
 
 def w_value(n: int, x):
@@ -133,7 +133,7 @@ def fermat_quotient(a: int, p: int, k: int = 1) -> Residue:
     if a % p == 0:
         raise BaseDivisibleByP(f"p={p} divides the base a={a}")
     work = prime_power(p, k + 1)
-    return divide_by_p(work.residue(pow(a, p - 1, work.modulus) - 1))
+    return divide_by_p(work.from_int(pow(a, p - 1, work.modulus) - 1))
 
 
 def lucas_quotient(p: int, k: int = 1) -> Residue:

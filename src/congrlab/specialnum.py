@@ -164,7 +164,7 @@ def euler_numbers(limit: int, p: int) -> tuple[Residue, ...]:
         evens[n] = -s % p
     out = []
     for i in range(limit + 1):
-        out.append(ring.residue(evens[i // 2] if i % 2 == 0 else 0))
+        out.append(ring.from_int(evens[i // 2] if i % 2 == 0 else 0))
     return tuple(out)
 
 
@@ -186,4 +186,4 @@ def euler_number(m: int, p: int) -> Residue:
         raise IndexOutOfRange(f"E_{m} mod {p} outside the supported range 0..p-3")
     plus = sum(pow(j, m, p) for j in range(1, 2 * p, 4))
     minus = sum(pow(j, m, p) for j in range(3, 2 * p, 4))
-    return prime_power(p, 1).residue((plus - minus) % p)
+    return prime_power(p, 1).from_int((plus - minus) % p)

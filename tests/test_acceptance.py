@@ -1,12 +1,14 @@
 """Acceptance suite: the seven build-gating criteria, one test per criterion.
 
 Each test prints a single pass/fail line and then asserts, so a bare test run
-shows the per-criterion verdicts while pytest enforces them.
+shows the per-criterion verdicts while pytest enforces them.  A last test
+holds a sweep over a second t panel to its digest in the benchmark.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import random
 import subprocess
@@ -19,10 +21,13 @@ from pathlib import Path
 import pytest
 
 from congrlab.catalog import builtin_checks, lookup, run_congruence, run_suite
+from congrlab.cli import format_report
 from congrlab.harmonic import mhs, odd_mhs
 from congrlab.modring import primes_in_range
 from congrlab.specialnum import bernoulli_powersum, bernoulli_table
 from oracles import p_adic_valuation, s1_exact
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 EXACT_B = {
     2: Fraction(1, 6),
@@ -36,6 +41,15 @@ EXACT_B = {
 def _verdict(n: int, name: str, ok: bool) -> None:
     print(f"[criterion {n}] {name}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {n} ({name}) failed"
+
+
+def _digest(report) -> str:
+    """SHA-256 of a report's JSON rendering, as the benchmark pins it."""
+    return hashlib.sha256(format_report(report, "json").encode()).hexdigest()
+
+
+def _pinned_digests() -> dict:
+    return json.loads((PERFBENCH / "digests.json").read_text())
 
 
 def test_criterion_1_full_congruence_sweep():
@@ -117,9 +131,11 @@ def test_criterion_3_exact_identity_suite():
         and all(r.target == inf for r in report.results)
         and ranges_ok
         and report.wall_seconds <= 30.0
+        # The benchmark's identity workload renders this same report.
+        and _digest(report) == _pinned_digests()["identity"]
     )
     _verdict(3, f"exact identity suite ({passed} cases, "
-                f"{report.wall_seconds:.1f}s)", ok)
+                f"{report.wall_seconds:.1f}s), at the pinned digest", ok)
 
 
 def test_criterion_4_bernoulli_cross_oracle():
@@ -197,8 +213,7 @@ def test_criterion_6_determinism_across_job_counts(tmp_path, child_env):
         paths.append(path)
     blobs = [p.read_bytes() for p in paths]
     # The benchmark pins the digest of the default report (panel 0).
-    digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
-    pinned = json.loads(digests.read_text())["sweep"]["0"]
+    pinned = _pinned_digests()["sweep"]["0"]
     ok = (
         blobs[0] == blobs[1]
         and len(json.loads(blobs[0])) > 30000
@@ -226,6 +241,19 @@ def test_criterion_7_sharpness_guards():
         and p_adic_valuation(morley_diff, 7) == 6  # not 7 or more
     )
     _verdict(7, "sharpness guards", ok)
+
+
+def test_second_panel_sweep_at_its_pinned_digest(monkeypatch):
+    # Criterion 6 pins the default panel only.  The benchmark's panel 1 runs
+    # the six per-panel checks at 13 other values of t; its panel comes from
+    # the benchmark itself, which imports its sibling module hostspeed.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    report = run_suite(jobs=2, t_panel=bench.t_panel(1))
+    assert report.status == "pass"
+    assert _digest(report) == _pinned_digests()["sweep"]["1"]
 
 
 if __name__ == "__main__":

@@ -136,7 +136,7 @@ def _rhs_lucas_sum_per_kind(kind, c, d, ring):
     cv = ring.from_fraction(c).value
     seeds = (0, 1) if kind == "u" else (2, cv)
     terms = recurrence_column(ring.p, *seeds, cv, 1, m)
-    return ring.residue(sum(s * pow(k, -d, m) for k, s in enumerate(terms) if k))
+    return ring.from_int(sum(s * pow(k, -d, m) for k, s in enumerate(terms) if k))
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -156,7 +156,7 @@ class TestRunCongruence:
             description="always off by one",
             statement="1 = 2 mod p^3",
             target_exponent=3,
-            evaluator=lambda p: (prime_power(p, 3).one(), prime_power(p, 3).from_int(2)),
+            evaluator=lambda ring, t: (ring.one(), ring.from_int(2)),
         )
         res = run_congruence(bad, 7)
         assert not res.passed
@@ -179,9 +179,30 @@ class TestRunCongruence:
         assert Report(results=(res,)).exit_code == 2
 
     def test_lhs_rhs_reduced_to_target(self):
-        # Sides are reported mod p^target even when computed at higher exponent.
+        # Each evaluator works in Z/p^target, so the sides print as residues
+        # mod p^target.
         res = run_congruence(lookup("C41.a"), 5)
         assert int(res.lhs) == 22 and int(res.rhs) == 22  # mod 5^3
+
+    def test_side_outside_the_target_ring_is_an_error(self):
+        # Both sides in Z/7^3 for a target of 2: 1 and 50 agree mod 7^2, so
+        # reduced to the target they would grade PASS and print 1 and 1.
+        def evaluator(ring, t):
+            above = prime_power(ring.p, ring.k + 1)
+            return above.one(), above.from_int(50)
+
+        off = CongruenceCheck(
+            id="synthetic.above",
+            description="both sides one exponent above the target",
+            statement="1 = 50 mod p^2",
+            target_exponent=2,
+            evaluator=evaluator,
+        )
+        res = run_congruence(off, 7)
+        assert not res.passed and res.valuation == 0
+        assert res.error is not None and res.error.startswith("MixedModuli")
+        assert res.lhs == f"ERROR: {res.error}" and res.rhs == ""
+        assert Report(results=(res,)).exit_code == 2
 
 
 def _shifted(original, shift):
@@ -373,7 +394,7 @@ class TestRunSuite:
             description="always off",
             statement="0 = 1 mod p",
             target_exponent=1,
-            evaluator=lambda p: (prime_power(p, 1).zero(), prime_power(p, 1).one()),
+            evaluator=lambda ring, t: (ring.zero(), ring.one()),
         )
         monkeypatch.setattr(catalog, "builtin_checks", lambda: (bad,))
         catalog._registry.cache_clear()
@@ -391,9 +412,9 @@ class TestRunSuite:
     def test_fail_fast_cancels_queued_units_in_the_pool(self, monkeypatch, tmp_path):
         import congrlab.catalog as catalog
 
-        def evaluator(p):
+        def evaluator(ring, t):
+            p = ring.p
             (tmp_path / str(p)).touch()  # marks the unit of prime p as started
-            ring = prime_power(p, 1)
             if p == 7:
                 return ring.zero(), ring.one()
             time.sleep(0.2)
