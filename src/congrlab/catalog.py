@@ -10,15 +10,19 @@ across worker processes, and collects a deterministic `Report`.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import namedtuple
 from fnmatch import fnmatchcase
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, inf
+from operator import mul
 
 from .binomsums import (
     _dot,
+    _odd_powers,
     alternating_v_sum,
     binomial_column,
     fib_lucas_sum,
@@ -239,15 +243,21 @@ def _u_term(t: Fraction, modp: PrimePower) -> Residue:
 # value by p^j computes the value in Z/p^(target+j) first.
 
 
-def _eval_mhs_bernoulli(half: bool, comp: tuple[int, ...], coeff: Fraction):
-    """H_N(comp) = coeff * p^(k-1) * B_(p-w-k+1)  (mod p^k), w = sum(comp),
-    N = (p-1)/2 if half else p-1."""
+def _eval_mhs_bernoulli(half: bool, comp: tuple[int, ...], h1: int, coeff: Fraction):
+    """H_N(comp) = h1 * H_(p-1)(1)/p^(w-1) + coeff * p^(k-1) * B_(p-w-k+1)
+    (mod p^k), w = sum(comp), N = (p-1)/2 if half else p-1.
+
+    With h1 = 0 the weight-1 sum is not computed at all.
+    """
     w = sum(comp)
 
     def ev(ring: PrimePower, t):
         p = ring.p
         lhs = mhs((p - 1) // 2 if half else p - 1, comp, ring)
-        return lhs, _mod_p_term(ring, coeff, bernoulli_number(p - w - ring.k + 1, p))
+        rhs = _mod_p_term(ring, coeff, bernoulli_number(p - w - ring.k + 1, p))
+        if h1:
+            rhs = _h1_over_p(ring, w - 1) * h1 + rhs
+        return lhs, rhs
 
     return ev
 
@@ -259,14 +269,6 @@ def _eval_full_h1_expansion(ring: PrimePower, t):
         -(mhs(p - 1, (2,), ring) * Fraction(1, 2) * p)
         - mhs(p - 1, (3,), ring) * Fraction(1, 6) * (p * p)
     )
-    return lhs, rhs
-
-
-def _eval_full_h12(ring: PrimePower, t):
-    p = ring.p
-    h1_div2 = _h1_over_p(ring, 2)
-    lhs = mhs(p - 1, (1, 2), ring)
-    rhs = h1_div2 * (-3) + _mod_p_term(ring, Fraction(1, 2), bernoulli_number(p - 5, p))
     return lhs, rhs
 
 
@@ -312,30 +314,6 @@ def _eval_half_weighted_zero(ring: PrimePower, t):
     return lhs, ring.zero()
 
 
-def _eval_h2_vs_h1(ring: PrimePower, t):
-    p = ring.p
-    h1_div = _h1_over_p(ring, 1)
-    lhs = mhs(p - 1, (2,), ring)
-    rhs = h1_div * (-2) + _mod_p_term(ring, Fraction(2, 5), bernoulli_number(p - 5, p))
-    return lhs, rhs
-
-
-def _eval_half_h2_vs_h1(ring: PrimePower, t):
-    p = ring.p
-    h1_div = _h1_over_p(ring, 1)
-    lhs = mhs((p - 1) // 2, (2,), ring)
-    rhs = h1_div * (-7) + _mod_p_term(ring, Fraction(17, 10), bernoulli_number(p - 5, p))
-    return lhs, rhs
-
-
-def _eval_half_h3_vs_h1(ring: PrimePower, t):
-    p = ring.p
-    h1_div2 = _h1_over_p(ring, 2)
-    lhs = mhs((p - 1) // 2, (3,), ring)
-    rhs = h1_div2 * 6 - _mod_p_term(ring, Fraction(81, 10), bernoulli_number(p - 5, p))
-    return lhs, rhs
-
-
 def _eval_half_h12_h13(ring: PrimePower, t):
     p = ring.p
     h1_div2 = _h1_over_p(ring, 2)
@@ -373,7 +351,7 @@ def _eval_odd_depth2_expansion(r: int, s: int):
 def _eval_alternating_vs_odd(ring: PrimePower, t):
     p = ring.p
     n = (p - 1) // 2
-    lhs = alternating_half_sum(n, 1, True, ring) * (2 * _neg_one_pow(n))
+    lhs = alternating_half_sum(n, 1, ring) * (2 * _neg_one_pow(n))
     rhs = (
         odd_mhs(n, (1,), ring)
         - odd_mhs(n, (2,), ring) * p
@@ -609,47 +587,30 @@ def _eval_central_squares(ring: PrimePower, t):
 
 
 def _eval_binomial_ratio_expansion(ring: PrimePower, t):
-    p = ring.p
-    m = ring.modulus
+    """The sides of S5.conbin at the first k < n where they differ, else at
+    k = n-1; Hbar_k(2), Hbar_k(4) and Hbar_k(2,2) are prefix sums of the odd
+    power columns, and 1/C(n+k,2k+1) steps by (2k+2)(2k+3)/((n+k+1)(n-k-1))."""
+    p, m = ring.p, ring.modulus
     n = (p - 1) // 2
     inv = inverse_table(ring)
-    raw = central_binomials(ring)
-    inv_neg16 = pow(-16, -1, m)
-    p2, p3, p4 = p * p % m, p**3 % m, p**4 % m
-    binom_inv = inv[n]  # 1/C(n+0, 1)
-    scale = 1  # (-16)**(-k)
-    h2 = h4 = h22 = 0
-    last = None
-    for k in range(n):
-        io = inv[2 * k + 1]
-        io2 = io * io % m
-        lhs_k = raw[k] * scale % m * binom_inv % m
-        rhs_k = (
-            1
-            + p * io
-            + (io2 + h2) % m * p2
-            + (io2 * io + h2 * io) % m * p3
-            + (io2 * io2 + h2 * io2 + h4 + h22) % m * p4
-        ) % m
-        rhs_k = -2 * rhs_k % m
+    io, io2 = _odd_powers(ring, 1), _odd_powers(ring, 2)  # 1/(2k+1), k < n
+    h2 = list(accumulate(io2, initial=0))
+    h4 = accumulate(map(mul, io2, io2), initial=0)
+    h22 = accumulate(map(mul, h2, io2), initial=0)
+    binom_inv = accumulate(
+        range(n - 1),
+        lambda c, k: c * (2 * k + 2) * (2 * k + 3) * inv[n + k + 1] * inv[n - k - 1] % m,
+        initial=inv[n],
+    )
+    ratio = map(mul, binomial_column(Fraction(-1, 16), ring), binom_inv)
+    for r, o, o2, a2, a4, a22 in zip(ratio, io, io2, h2, h4, h22):
+        lhs_k = r % m
+        a = o2 + a2
+        # -2 * [1 + p/(2k+1) + p^2*(1/(2k+1)^2 + Hbar_k(2)) + ...], in Horner form
+        rhs_k = -2 * (1 + p * (o + p * (a + p * (o * a + p * (o2 * a + a4 + a22))))) % m
         if lhs_k != rhs_k:
-            return ring.from_int(lhs_k), ring.from_int(rhs_k)
-        last = (lhs_k, rhs_k)
-        if k + 1 < n:
-            h22 = (h22 + h2 * io2) % m
-            h2 = (h2 + io2) % m
-            h4 = (h4 + io2 * io2) % m
-            scale = scale * inv_neg16 % m
-            binom_inv = (
-                binom_inv
-                * ((2 * k + 2) * (2 * k + 3) % m)
-                % m
-                * inv[n + k + 1]
-                % m
-                * inv[n - k - 1]
-                % m
-            )
-    return ring.from_int(last[0]), ring.from_int(last[1])
+            break
+    return ring.from_int(lhs_k), ring.from_int(rhs_k)
 
 
 # ---------------------------------------------------------------------------
@@ -687,17 +648,21 @@ def _ident_wz_second(params):
     return lhs, Fraction(1, (2 * n + 1) ** 2)
 
 
+def _hbar_series(k: int, x: int, top: int) -> Fraction:
+    """sum_(j<=top) (-1)^j x^(2j) Hbar_k({2}^j), in Q."""
+    return sum(
+        (_neg_one_pow(j) * Fraction(x ** (2 * j)) * odd_mhs(k, repeated(2, j)) for j in range(top + 1)),
+        Fraction(0),
+    )
+
+
 def _ident_product_mhs_forms(params):
     n, k = params["n"], params["k"]
     binform = _wz_weight(n, k)
     prodform = Fraction(1)
     for j in range(k):
         prodform *= 1 - Fraction((2 * n + 1) ** 2, (2 * j + 1) ** 2)
-    mhsform = sum(
-        (_neg_one_pow(j) * Fraction((2 * n + 1) ** (2 * j)) * odd_mhs(k, repeated(2, j)) for j in range(k + 1)),
-        Fraction(0),
-    )
-    return (binform, prodform), (prodform, mhsform)
+    return (binform, prodform), (prodform, _hbar_series(k, 2 * n + 1, k))
 
 
 def _ident_w_expansion_odd_weights(params):
@@ -706,16 +671,7 @@ def _ident_w_expansion_odd_weights(params):
     lhs = (w_value(n, one - tvar * 8) - (tvar * -16) ** n).scale(
         Fraction(1, 2 * n + 1)
     )
-    coeffs = []
-    for k in range(n):
-        inner = sum(
-            (
-                _neg_one_pow(j) * Fraction((2 * n + 1) ** (2 * j)) * odd_mhs(k, repeated(2, j))
-                for j in range(k + 1)
-            ),
-            Fraction(0),
-        )
-        coeffs.append(Fraction(comb(2 * k, k), 2 * k + 1) * inner)
+    coeffs = [Fraction(comb(2 * k, k), 2 * k + 1) * _hbar_series(k, 2 * n + 1, k) for k in range(n)]
     return lhs, Poly(coeffs)
 
 
@@ -766,62 +722,22 @@ def _ident_w_from_u(params):
     return w_value(n, xvar), us[n + 1] + us[n]
 
 
-def _ident_apery_like_odd(params):
+def _ident_apery_like(params):
+    """S5.idodd (r odd) and S5.ideven (r even), with h = (r-1)//2: the parity
+    picks the base of the binomial weight, the power of 1/(2k+1) on the
+    Hbar_k({2}^h) term and the sign s, whose powers alternate the odd sums."""
     n, r = params["n"], params["r"]
     h = (r - 1) // 2
+    base, power, s = (16, 1, -1) if r % 2 else (-16, 2, 1)
     sign = Fraction(_neg_one_pow(h), 4)
-    lhs = Fraction(0)
+    lhs = rhs = tail = Fraction(0)
     for k in range(n):
-        inner = sum(
-            (
-                _neg_one_pow(j)
-                * odd_mhs(k, repeated(2, j))
-                * Fraction(1, (2 * k + 1) ** (r - 2 * j))
-                for j in range(h + 1)
-            ),
-            Fraction(0),
-        )
-        inner -= sign * odd_mhs(k, repeated(2, h)) * Fraction(1, 2 * k + 1)
-        lhs += Fraction(comb(2 * k, k), 16**k) * inner
-    rhs = sum(
-        (Fraction(_neg_one_pow(k), (2 * k + 1) ** r) for k in range(n)), Fraction(0)
-    )
-    tail = Fraction(0)
-    for k in range(n):
-        tail += (
-            Fraction(comb(2 * k, k), 16**k * comb(n + k, 2 * k + 1))
-            * _neg_one_pow(n - k)
-            * odd_mhs(k, repeated(2, h))
-            * Fraction(1, 2 * k + 1)
-        )
-    return lhs, rhs + sign * tail
-
-
-def _ident_apery_like_even(params):
-    n, r = params["n"], params["r"]
-    h = r // 2 - 1
-    sign = Fraction(_neg_one_pow(h), 4)
-    lhs = Fraction(0)
-    for k in range(n):
-        inner = sum(
-            (
-                _neg_one_pow(j)
-                * odd_mhs(k, repeated(2, j))
-                * Fraction(1, (2 * k + 1) ** (r - 2 * j))
-                for j in range(h + 1)
-            ),
-            Fraction(0),
-        )
-        inner += sign * odd_mhs(k, repeated(2, h)) * Fraction(1, (2 * k + 1) ** 2)
-        lhs += Fraction(comb(2 * k, k), (-16) ** k) * inner
-    rhs = sum((Fraction(1, (2 * k + 1) ** r) for k in range(n)), Fraction(0))
-    tail = Fraction(0)
-    for k in range(n):
-        tail += (
-            Fraction(comb(2 * k, k), (-16) ** k * comb(n + k, 2 * k + 1))
-            * odd_mhs(k, repeated(2, h))
-            * Fraction(1, (2 * k + 1) ** 2)
-        )
+        o = 2 * k + 1
+        top = odd_mhs(k, repeated(2, h)) / o**power
+        weight = Fraction(comb(2 * k, k), base**k)
+        lhs += weight * (_hbar_series(k, o, h) / o**r + s * sign * top)
+        rhs += Fraction(s**k, o**r)
+        tail += weight / comb(n + k, 2 * k + 1) * s ** (n - k) * top
     return lhs, rhs + sign * tail
 
 
@@ -889,7 +805,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
             f"i.odd.r{r}",
             f"full harmonic sum of weight {r} against a Bernoulli multiple of p^2",
             f"H_(p-1)({r}) = -{r}*{r + 1}/(2*{r + 2}) * p^2 * B(p-{r + 2})  (mod p^3)",
-            3, _eval_mhs_bernoulli(False, (r,), coeff), minp=r + 3,
+            3, _eval_mhs_bernoulli(False, (r,), 0, coeff), minp=r + 3,
         )
     for r in (2, 4, 6):
         coeff = Fraction(r, r + 1)
@@ -897,7 +813,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
             f"i.even.r{r}",
             f"full harmonic sum of weight {r} against a Bernoulli multiple of p",
             f"H_(p-1)({r}) = {r}/{r + 1} * p * B(p-{r + 1})  (mod p^2)",
-            2, _eval_mhs_bernoulli(False, (r,), coeff), minp=r + 3,
+            2, _eval_mhs_bernoulli(False, (r,), 0, coeff), minp=r + 3,
         )
     for w in range(2, 7):
         for s in range(1, w):
@@ -907,7 +823,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"ii.r{r}s{s}",
                 f"depth-2 harmonic sum of weight ({r},{s}) against a Bernoulli value",
                 f"H_(p-1)({r},{s}) = (-1)^{s}/{w} * C({w},{s}) * B(p-{w})  (mod p)",
-                1, _eval_mhs_bernoulli(False, (r, s), coeff), minp=w + 1,
+                1, _eval_mhs_bernoulli(False, (r, s), 0, coeff), minp=w + 1,
             )
     for w in (3, 5, 7):
         for r in range(1, w - 1):
@@ -920,7 +836,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
                     f"iii.r{r}s{s}t{u}",
                     f"depth-3 harmonic sum of weight ({r},{s},{u}) against a Bernoulli value",
                     f"H_(p-1)({r},{s},{u}) = [(-1)^{r}*C({w},{r}) - (-1)^{u}*C({w},{u})]/(2*{w}) * B(p-{w})  (mod p)",
-                    1, _eval_mhs_bernoulli(False, (r, s, u), coeff), minp=w + 1,
+                    1, _eval_mhs_bernoulli(False, (r, s, u), 0, coeff), minp=w + 1,
                 )
     add(
         "iv.h1",
@@ -932,7 +848,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "v.h12",
         "depth-2 (1,2) sum against the p-divided weight-1 sum",
         "H_(p-1)(1,2) = -3*H_(p-1)(1)/p^2 + p^2/2*B(p-5)  (mod p^3)",
-        3, _eval_full_h12, minp=7,
+        3, _eval_mhs_bernoulli(False, (1, 2), -3, Fraction(1, 2)), minp=7,
     )
     add(
         "vi.1",
@@ -946,7 +862,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
             f"vi.even.r{r}",
             f"half-range weight-{r} sum against a Bernoulli multiple of p",
             f"H_n({r}) = {r}*(2^{r + 1}-1)/(2*{r + 1}) * p * B(p-{r + 1})  (mod p^2)",
-            2, _eval_mhs_bernoulli(True, (r,), coeff), minp=r + 5,
+            2, _eval_mhs_bernoulli(True, (r,), 0, coeff), minp=r + 5,
         )
     for r in (3, 5):
         coeff = Fraction(-(2**r - 2), r)
@@ -954,7 +870,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
             f"vi.odd.r{r}",
             f"half-range weight-{r} sum against a Bernoulli value",
             f"H_n({r}) = -(2^{r}-2)/{r} * B(p-{r})  (mod p)",
-            1, _eval_mhs_bernoulli(True, (r,), coeff), minp=r + 5,
+            1, _eval_mhs_bernoulli(True, (r,), 0, coeff), minp=r + 5,
         )
     for r in (1, 2, 3):
         for a in (1, 2, 3):
@@ -972,7 +888,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"L21.C2.r{r}s{s}",
                 f"half-range depth-2 sum of odd weight ({r},{s}) against a Bernoulli value",
                 f"H_n({r},{s}) = B(p-{w})/(2*{w}) * ((-1)^{s}*C({w},{s}) + 2^{w} - 2)  (mod p)",
-                1, _eval_mhs_bernoulli(True, (r, s), coeff), minp=w + 1,
+                1, _eval_mhs_bernoulli(True, (r, s), 0, coeff), minp=w + 1,
             )
     add(
         "T22.zero",
@@ -984,19 +900,19 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "C23.a",
         "full weight-2 sum against the p-divided weight-1 sum",
         "H_(p-1)(2) = -2*H_(p-1)(1)/p + 2/5*p^3*B(p-5)  (mod p^4)",
-        4, _eval_h2_vs_h1, minp=7,
+        4, _eval_mhs_bernoulli(False, (2,), -2, Fraction(2, 5)), minp=7,
     )
     add(
         "C23.b",
         "half-range weight-2 sum against the p-divided weight-1 sum",
         "H_n(2) = -7*H_(p-1)(1)/p + 17/10*p^3*B(p-5)  (mod p^4)",
-        4, _eval_half_h2_vs_h1, minp=7,
+        4, _eval_mhs_bernoulli(True, (2,), -7, Fraction(17, 10)), minp=7,
     )
     add(
         "C23.c",
         "half-range weight-3 sum against the p^2-divided weight-1 sum",
         "H_n(3) = 6*H_(p-1)(1)/p^2 - 81/10*p^2*B(p-5)  (mod p^3)",
-        3, _eval_half_h3_vs_h1, minp=7,
+        3, _eval_mhs_bernoulli(True, (3,), 6, Fraction(-81, 10)), minp=7,
     )
     add(
         "C23.d",
@@ -1252,14 +1168,14 @@ def _identity_checks() -> list[IdentityCheck]:
         "odd-weight rearrangement of central binomial sums with harmonic weights",
         "sum C(2k,k)/16^k*[...] = sum (-1)^k/(2k+1)^r + (-1)^((r-1)/2)/4 * sum C(2k,k)*(-1)^(n-k)*Hbar_k({2}^h)/(16^k*C(n+k,2k+1)*(2k+1))",
         ((("n", n), ("r", r)) for n in range(1, 13) for r in (1, 3, 5)),
-        _ident_apery_like_odd,
+        _ident_apery_like,
     )
     add(
         "S5.ideven",
         "even-weight rearrangement of central binomial sums with harmonic weights",
         "sum C(2k,k)/(-16)^k*[...] = sum 1/(2k+1)^r + (-1)^(r/2-1)/4 * sum C(2k,k)*Hbar_k({2}^h)/((-16)^k*C(n+k,2k+1)*(2k+1)^2)",
         ((("n", n), ("r", r)) for n in range(1, 13) for r in (2, 4, 6)),
-        _ident_apery_like_even,
+        _ident_apery_like,
     )
     add(
         "T43.w1w2",
@@ -1415,7 +1331,7 @@ def run_suite(
     prime (all congruence checks at that prime), so worker-local caches are
     reused.  The identity units go first, since the largest of them outlasts
     any prime unit, then the primes in ascending order.  A pool of
-    min(jobs, units) worker processes runs them; with one unit or ``jobs=1``
+    min(jobs, units, CPUs) worker processes runs them; with one unit or ``jobs=1``
     they run in this process and ``concurrent.futures.process`` (with
     multiprocessing and pickle) is never imported.  A prime unit carries its
     panel values as ``Fraction`` objects, and rows come back as `CheckResult`
@@ -1443,8 +1359,9 @@ def run_suite(
             units.append(("c", p, tuple(items)))
 
     results: list[CheckResult] = []
-    # The pool starts all its workers at once, so start no idle ones.
-    workers = min(jobs, len(units))
+    # The pool starts all its workers at once, so start no idle ones, and no
+    # more than the machine has CPUs.
+    workers = min(jobs, len(units), os.cpu_count() or 1)
     pool = None
     if workers > 1:
         # Imported only here: the pool machinery (multiprocessing, pickle,

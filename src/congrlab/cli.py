@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=os.environ.get("CONGRLAB_JOBS", "1"),
         metavar="N",
-        help="worker processes (default: $CONGRLAB_JOBS or 1)",
+        help="worker processes, at most one per CPU (default: $CONGRLAB_JOBS or 1)",
     )
     parser.add_argument(
         "--format",

@@ -9,12 +9,13 @@ Conventions (the index order matters and is guarded by tests):
 * The empty composition gives 1 (empty product convention); any nonempty
   composition at n = 0 gives 0 (empty sum).
 
-All three run one depth-wise dynamic program on raw integers, O(depth * n)
+H and Hbar run one depth-wise dynamic program on raw integers, O(depth * n)
 multiplications.  The modular path feeds it slices of cached power tables
 (entry i of ``_powers(ring, a)`` is i^-a mod p^k, so no ``pow`` in the
 loop) and reduces mod p^k once.  The exact path writes 1/i^a as
 (L/i)^a / L^a, L the lcm of the denominators, and divides the integer sum
-once by L^|comp|.  The alternating sum is a difference of two such sums.
+once by L^|comp|.  The alternating sum, mod p^k only, is a difference of two
+slices of one power table.
 """
 
 from __future__ import annotations
@@ -125,23 +126,12 @@ def odd_mhs(n: int, comp, ring=QQ):
     return _exact_sum(ring, range(1, 2 * n, 2), comp)
 
 
-def alternating_half_sum(n: int, d: int, odd_denominators: bool, ring=QQ):
-    """Signed one-row sums used by the alternating-series checks.
-
-    With ``odd_denominators`` True: sum of (-1)^k/(2k+1)^d over 0 <= k <= n-1.
-    Otherwise: sum of (-1)^k/k^d over 1 <= k <= n.
-    """
+def alternating_half_sum(n: int, d: int, ring: PrimePower) -> Residue:
+    """sum of (-1)^k/(2k+1)^d over 0 <= k <= n-1, in the ring: the
+    denominators 1, 5, 9, ... minus 3, 7, 11, ..., read off one power table."""
     if d < 1:
         raise PreconditionViolated(f"exponent d must be positive, got {d}")
-    # (start, stop, step) of the denominators whose terms are added / subtracted
-    if odd_denominators:
-        top, plus, minus = 2 * n - 1, (1, 2 * n, 4), (3, 2 * n, 4)
-    else:
-        top, plus, minus = n, (2, n + 1, 2), (1, n + 1, 2)
-    if isinstance(ring, PrimePower):
-        if top >= ring.p:
-            raise NonUnitDenominator(f"alternating sum to {top} hits the denominator p")
-        powers = _powers(ring, d)
-        total = sum(powers[slice(*plus)]) - sum(powers[slice(*minus)])
-        return Residue(total % ring.modulus, ring)
-    return _exact_sum(ring, range(*plus), (d,)) - _exact_sum(ring, range(*minus), (d,))
+    if 2 * n - 1 >= ring.p:
+        raise NonUnitDenominator(f"alternating sum to {2 * n - 1} hits the denominator p")
+    powers = _powers(ring, d)
+    return Residue((sum(powers[1 : 2 * n : 4]) - sum(powers[3 : 2 * n : 4])) % ring.modulus, ring)

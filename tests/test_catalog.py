@@ -297,6 +297,56 @@ class TestLiftInvariance:
         assert any(flipped) == (check_id not in ZERO_COEFFICIENT)
 
 
+
+def _conbin_sides_over_q(p: int, k: int) -> tuple[Fraction, Fraction]:
+    """Both sides of S5.conbin at index k, exactly over Q."""
+    n, o = (p - 1) // 2, Fraction(1, 2 * k + 1)
+    h2, h4, h22 = (harmonic.odd_mhs(k, comp) for comp in ((2,), (4,), (2, 2)))
+    lhs = Fraction(math.comb(2 * k, k), (-16) ** k * math.comb(n + k, 2 * k + 1))
+    rhs = -2 * (
+        1 + p * o + p**2 * (o**2 + h2) + p**3 * (o**3 + h2 * o)
+        + p**4 * (o**4 + h2 * o**2 + h4 + h22)
+    )
+    return lhs, rhs
+
+
+class TestBinomialRatioExpansion:
+    """S5.conbin grades the sides at the first index k < n where they differ,
+    or at k = n-1 when they agree at every k."""
+
+    PRIMES = [p for p in range(7, 62) if all(p % d for d in range(2, p))]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_every_index_against_exact_sides(self, p):
+        ring = prime_power(p, 5)
+        n = (p - 1) // 2
+        sides = [tuple(map(ring.from_fraction, _conbin_sides_over_q(p, k))) for k in range(n)]
+        assert all(lhs == rhs for lhs, rhs in sides)
+        assert lookup("S5.conbin").evaluator(ring, None) == sides[-1]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_first_mismatch_is_reported(self, p, monkeypatch):
+        ring = prime_power(p, 5)
+        n = (p - 1) // 2
+        k = n // 2  # an interior index: 0 < k < n-1 for p >= 7
+        original = catalog.binomial_column
+
+        def column(t, column_ring):
+            assert t == Fraction(-1, 16)
+            out = list(original(t, column_ring))
+            out[k] += 1
+            return tuple(out)
+
+        monkeypatch.setattr(catalog, "binomial_column", column)
+        lhs, rhs = lookup("S5.conbin").evaluator(ring, None)
+        want_lhs, want_rhs = map(ring.from_fraction, _conbin_sides_over_q(p, k))
+        # the entry k of C(2k,k)/(-16)^k grew by 1, so lhs_k by 1/C(n+k,2k+1)
+        assert rhs == want_rhs
+        assert lhs == want_lhs + ring.from_fraction(Fraction(1, math.comb(n + k, 2 * k + 1)))
+        res = run_congruence(lookup("S5.conbin"), p)
+        assert not res.passed and res.error is None and res.valuation < 5
+        assert (res.lhs, res.rhs) == (str(lhs), str(rhs))
+
 class TestRunIdentity:
     def test_passing_case(self):
         chk = lookup("L25.exact")
@@ -450,6 +500,18 @@ class TestRunSuite:
     )
     def test_pool_size_is_capped_by_the_units(self, jobs, prime_hi, want, monkeypatch):
         # One unit per prime; a fake pool records its size and starts no process.
+        monkeypatch.setattr("os.cpu_count", lambda: 256)
+        assert self._pool_sizes(monkeypatch, jobs, prime_hi) == want
+
+    @pytest.mark.parametrize("cpus,want", [(2, [2]), (1, []), (None, [])])
+    def test_pool_size_is_capped_by_the_cpu_count(self, cpus, want, monkeypatch):
+        # 64 jobs and three units, but the CPU count bounds the pool; an
+        # unknown count runs the sweep in this process.
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert self._pool_sizes(monkeypatch, 64, 13) == want
+
+    @staticmethod
+    def _pool_sizes(monkeypatch, jobs, prime_hi) -> list:
         sizes = []
 
         class FakePool:
@@ -463,8 +525,8 @@ class TestRunSuite:
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         rep = run_suite(prime_lo=7, prime_hi=prime_hi, patterns=("v.h12",), jobs=jobs)
-        assert sizes == want
         assert [r.prime for r in rep.results] == [p for p in (7, 11, 13) if p <= prime_hi]
+        return sizes
 
     def test_serial_run_never_loads_the_pool(self, child_env):
         # A child interpreter, since pytest itself may have loaded these.  The

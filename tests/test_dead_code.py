@@ -1,0 +1,105 @@
+"""Static guard against dead code in the package modules.
+
+Every imported name is used in its module or exported through ``__all__``,
+and every module-level private function or class is referenced somewhere in
+the package outside its own definition.  ``__init__.py`` only re-exports, so
+it is not checked itself, though its references count.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "congrlab"
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read under ``node``: bare names, attribute names and the names
+    imported from a sibling module."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom) and sub.module != "__future__":
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but neither reads nor lists in ``__all__``."""
+    read = Counter(sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name))
+    exported = _exported(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if not read[name] and name not in exported:
+                    out.append(name)
+    return out
+
+
+def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level ``_private`` functions and classes that nothing in the
+    package refers to outside their own definition."""
+    total = Counter()
+    for tree in trees.values():
+        total.update(_references(tree))
+    out = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if total[name] - _references(node)[name] < 1:
+                out.append(f"{module}:{name}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_import_is_used_or_exported(path):
+    assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_every_private_definition_is_referenced():
+    assert unreferenced_privates(_trees()) == []
+
+
+def test_the_guard_sees_a_planted_unused_import_and_private_function():
+    tree = ast.parse(
+        "from math import comb, inf\n"
+        "__all__ = ['inf']\n"
+        "def _eval_leftover(ring, t):\n"
+        "    return _eval_leftover(ring, t)\n"
+        "def _used():\n"
+        "    return comb\n"
+        "def public():\n"
+        "    return _used()\n"
+    )
+    assert unused_imports(tree) == []
+    assert unreferenced_privates({"m.py": tree}) == ["m.py:_eval_leftover"]
+    assert unused_imports(ast.parse("import os\nfrom math import comb\nx = os\n")) == ["comb"]

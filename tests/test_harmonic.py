@@ -37,11 +37,9 @@ def brute_odd_mhs(n: int, comp: tuple[int, ...]) -> Fraction:
     return total
 
 
-def brute_alternating(n: int, d: int, odd_denominators: bool) -> Fraction:
+def brute_alternating(n: int, d: int) -> Fraction:
     """Reference signed sum with an explicit (-1)**k on each term."""
-    if odd_denominators:
-        return sum((Fraction((-1) ** k, (2 * k + 1) ** d) for k in range(n)), Fraction(0))
-    return sum((Fraction((-1) ** k, k**d) for k in range(1, n + 1)), Fraction(0))
+    return sum((Fraction((-1) ** k, (2 * k + 1) ** d) for k in range(n)), Fraction(0))
 
 
 def exact_inverses(ring, start: int, stop: int, step: int = 1) -> list:
@@ -84,27 +82,12 @@ def test_exact_kernel_against_generic_dp(depth):
             assert got_odd == want_odd[n], (n, comp)
 
 
-@pytest.mark.parametrize("odd_denominators", [True, False])
-def test_exact_alternating_against_generic_dp(odd_denominators):
-    for d in range(1, 6):
-        for n in range(ORACLE_N + 1):
-            if odd_denominators:
-                plus, minus = exact_inverses(QQ, 1, 2 * n, 4), exact_inverses(QQ, 3, 2 * n, 4)
-            else:
-                plus, minus = exact_inverses(QQ, 2, n + 1, 2), exact_inverses(QQ, 1, n + 1, 2)
-            want = dp_prefixes(plus, (d,))[-1] - dp_prefixes(minus, (d,))[-1]
-            got = alternating_half_sum(n, d, odd_denominators)
-            assert type(got) is Fraction and got == want, (n, d)
-
-
 @pytest.mark.parametrize("ring", [Poly([1]), object()], ids=["Poly", "object"])
 def test_exact_path_accepts_only_qq(ring):
     with pytest.raises(PreconditionViolated):
         mhs(3, (1,), ring)
     with pytest.raises(PreconditionViolated):
         odd_mhs(3, (1, 2), ring)
-    with pytest.raises(PreconditionViolated):
-        alternating_half_sum(3, 1, True, ring)
 
 
 class TestFrozenValues:
@@ -125,9 +108,9 @@ class TestFrozenValues:
         assert odd_mhs(2, (1, 1)) == Fraction(1, 3)
 
     def test_alternating_sums(self):
-        assert alternating_half_sum(3, 1, True) == Fraction(13, 15)  # 1 - 1/3 + 1/5
-        assert alternating_half_sum(2, 1, False) == Fraction(-1, 2)  # -1 + 1/2
-        assert alternating_half_sum(0, 2, True) == 0
+        ring = prime_power(7, 3)
+        assert alternating_half_sum(3, 1, ring) == ring.from_fraction(Fraction(13, 15))  # 1 - 1/3 + 1/5
+        assert alternating_half_sum(0, 2, ring) == ring.zero()
 
     def test_empty_composition(self):
         assert mhs(5, ()) == 1
@@ -145,7 +128,7 @@ class TestPreconditions:
         with pytest.raises(PreconditionViolated):
             odd_mhs(4, (-1,))
         with pytest.raises(PreconditionViolated):
-            alternating_half_sum(4, 0, True)
+            alternating_half_sum(4, 0, prime_power(11, 2))
 
     def test_modular_range_guard(self):
         ring = prime_power(7, 2)
@@ -154,7 +137,7 @@ class TestPreconditions:
         with pytest.raises(NonUnitDenominator):
             odd_mhs(4, (1,), ring)  # denominator 2*3+1 = 7
         with pytest.raises(NonUnitDenominator):
-            alternating_half_sum(4, 1, True, ring)
+            alternating_half_sum(4, 1, ring)
 
 
 @pytest.mark.parametrize(
@@ -166,14 +149,11 @@ def test_against_brute_force(n, comp):
     assert odd_mhs(n, comp) == brute_odd_mhs(n, comp)
 
 
-@pytest.mark.parametrize("odd_denominators", [True, False])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_alternating_against_brute_force(d, odd_denominators):
+def test_alternating_against_brute_force(d):
     ring = prime_power(17, 3)
     for n in range(0, 9):  # 2n - 1 <= 15 keeps every denominator a unit mod 17
-        want = brute_alternating(n, d, odd_denominators)
-        assert alternating_half_sum(n, d, odd_denominators) == want
-        assert alternating_half_sum(n, d, odd_denominators, ring) == ring.from_fraction(want)
+        assert alternating_half_sum(n, d, ring) == ring.from_fraction(brute_alternating(n, d))
 
 
 @pytest.mark.parametrize("p,k", [(11, 1), (11, 3), (13, 2)])
@@ -187,11 +167,8 @@ def test_modular_fast_path_matches_exact(p, k):
             assert odd_mhs(m, comp, ring) == ring.from_fraction(odd_mhs(m, comp))
     for n in (1, (p - 1) // 2):
         for d in (1, 2, 3):
-            assert alternating_half_sum(n, d, True, ring) == ring.from_fraction(
-                alternating_half_sum(n, d, True)
-            )
-            got = alternating_half_sum(p - 1, d, False, ring)
-            assert got == ring.from_fraction(alternating_half_sum(p - 1, d, False))
+            got = alternating_half_sum(n, d, ring)
+            assert got == ring.from_fraction(brute_alternating(n, d)), (n, d)
 
 
 def test_large_part_mod():
@@ -219,8 +196,8 @@ def test_power_tables_follow_the_ring(clear_between_calls):
             for n in (p - 1, 5):
                 assert mhs(n, comp, ring) == ring.from_fraction(mhs(n, comp)), (comp, k, n)
                 assert odd_mhs(n // 2, comp, ring) == ring.from_fraction(odd_mhs(n // 2, comp))
-            want = alternating_half_sum(6, comp[0], True)
-            assert alternating_half_sum(6, comp[0], True, ring) == ring.from_fraction(want)
+            want = brute_alternating(6, comp[0])
+            assert alternating_half_sum(6, comp[0], ring) == ring.from_fraction(want)
 
 
 part = st.integers(min_value=1, max_value=4)
