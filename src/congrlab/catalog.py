@@ -15,7 +15,7 @@ import time
 from collections import namedtuple
 from fnmatch import fnmatchcase
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import comb, inf
 from operator import mul
@@ -220,6 +220,11 @@ def _mod_p_term(ring: PrimePower, coeff: int | Fraction, x: Residue) -> Residue:
     return ring.from_fraction(Fraction(coeff)) * ring.p ** (ring.k - 1) * x.value
 
 
+def _bernoulli_p3(p: int) -> Residue:
+    """B_(p-3) mod p, looked up in this module's namespace at call time."""
+    return bernoulli_number(p - 3, p)
+
+
 def _v_term(t: Fraction, modp: PrimePower) -> Residue:
     """1/64 * (-1/t)^((p+1)/2) * sum_(k<p) v_k(2-16t)/k^3 in Z/p: the rhs of
     L31.A2 and the p^2 term of T32.first."""
@@ -262,25 +267,38 @@ def _eval_mhs_bernoulli(half: bool, comp: tuple[int, ...], h1: int, coeff: Fract
     return ev
 
 
+def _eval_quotient_expansion(lhs, quotient, s: int, coeffs: tuple, special=None, sign=None):
+    """lhs(ring) = sign(p) * [q^s * P(p*q) + c * p^(k-1) * X(p)] (mod p^k),
+    q = quotient(p, k), P(x) = coeffs[0] + coeffs[1]*x + ..., special = (c, X)
+    for a value X(p) known only mod p.
+
+    A missing sign is 1; with ``special`` None no special value is read.
+    """
+
+    def ev(ring: PrimePower, t):
+        p = ring.p
+        q = quotient(p, ring.k)
+        pq = q * p
+        rhs = ring.zero()
+        for c in reversed(coeffs):
+            rhs = rhs * pq + c
+        rhs = rhs * q**s
+        if special is not None:
+            c, value = special
+            rhs = rhs + _mod_p_term(ring, c, value(p))
+        if sign is not None:
+            rhs = rhs * sign(p)
+        return lhs(ring), rhs
+
+    return ev
+
+
 def _eval_full_h1_expansion(ring: PrimePower, t):
     p = ring.p
     lhs = mhs(p - 1, (1,), ring)
     rhs = (
         -(mhs(p - 1, (2,), ring) * Fraction(1, 2) * p)
         - mhs(p - 1, (3,), ring) * Fraction(1, 6) * (p * p)
-    )
-    return lhs, rhs
-
-
-def _eval_half_h1(ring: PrimePower, t):
-    p = ring.p
-    q = fermat_quotient(2, p, ring.k)
-    lhs = mhs((p - 1) // 2, (1,), ring)
-    rhs = (
-        q * (-2)
-        + q * q * p
-        - q * q * q * Fraction(2, 3) * (p * p)
-        - _mod_p_term(ring, Fraction(7, 12), bernoulli_number(p - 3, p))
     )
     return lhs, rhs
 
@@ -424,65 +442,10 @@ def _eval_s2_quadratic_arg(ring: PrimePower, t: Fraction):
     return lhs, rhs
 
 
-def _eval_s1_quarter(ring: PrimePower, t):
-    p = ring.p
-    q = fermat_quotient(2, p, ring.k)
-    lhs = s1(Fraction(1, 4), 0, ring)
-    rhs = (
-        q - _mod_p_term(ring, Fraction(1, 16), bernoulli_number(p - 3, p))
-    ) * _sign_half(p, 1)
-    return lhs, rhs
-
-
 def _eval_s1_sixteenth(ring: PrimePower, t):
     p = ring.p
     lhs = s1(Fraction(1, 16), 0, ring)
     rhs = _mod_p_term(ring, Fraction(_sign_half(p, 1), 36), bernoulli_number(p - 3, p))
-    return lhs, rhs
-
-
-def _eval_s1_fermat(a: int, coeff: Fraction):
-    """s1(a/16) = (-1)^((p+1)/2)*(a|p)*[q/2 - p/8*q^2 + p^2*(q^3/16 - coeff*B(p-3))]
-    with q = q_p(a)."""
-
-    def ev(ring: PrimePower, t):
-        p = ring.p
-        q = fermat_quotient(a, p, ring.k)
-        lhs = s1(Fraction(a, 16), 0, ring)
-        inner = (
-            q * Fraction(1, 2)
-            - q * q * Fraction(1, 8) * p
-            + q * q * q * Fraction(1, 16) * (p * p)
-            - _mod_p_term(ring, coeff, bernoulli_number(p - 3, p))
-        )
-        return lhs, inner * (_sign_half(p, 1) * legendre(a, p))
-
-    return ev
-
-
-def _eval_s1_neg_thirtysecond(ring: PrimePower, t):
-    p = ring.p
-    q = fermat_quotient(2, p, ring.k)
-    lhs = s1(Fraction(-1, 32), 0, ring)
-    inner = (
-        q * 2
-        - q * q * p
-        + q * q * q * Fraction(2, 3) * (p * p)
-        - _mod_p_term(ring, Fraction(7, 96), bernoulli_number(p - 3, p))
-    )
-    rhs = inner * legendre(2, p)
-    return lhs, rhs
-
-
-def _eval_s1_neg_sixteenth(ring: PrimePower, t):
-    p = ring.p
-    ql = lucas_quotient(p, ring.k)
-    lhs = s1(Fraction(-1, 16), 0, ring)
-    rhs = (
-        ql
-        - ql * ql * ql * Fraction(1, 30) * (p * p)
-        - _mod_p_term(ring, Fraction(1, 15), bernoulli_number(p - 3, p))
-    )
     return lhs, rhs
 
 
@@ -518,27 +481,6 @@ def _eval_lucas_weighted(ring: PrimePower, t):
     return lhs, rhs
 
 
-def _eval_s1_quarter_weight2(ring: PrimePower, t):
-    p = ring.p
-    q = fermat_quotient(2, p, ring.k)
-    lhs = s1(Fraction(1, 4), 1, ring)
-    inner = (
-        q * q * Fraction(1, 2)
-        - q * q * q * Fraction(1, 3) * p
-        - _mod_p_term(ring, Fraction(1, 16), bernoulli_number(p - 3, p))
-    )
-    rhs = inner * _sign_half(p, 1)
-    return lhs, rhs
-
-
-def _eval_s2_quarter_weight1(ring: PrimePower, t):
-    p = ring.p
-    q = fermat_quotient(2, p, ring.k)
-    lhs = s2(Fraction(1, 4), 1, ring)
-    rhs = q * 2 - q * q * p + _mod_p_term(ring, 2 * _sign_half(p, 1), euler_number(p - 3, p))
-    return lhs, rhs
-
-
 def _eval_s1_sixteenth_mod_p5(ring: PrimePower, t):
     p = ring.p
     lhs = s1(Fraction(1, 16), 0, ring)
@@ -562,23 +504,6 @@ def _eval_weighted_first_sixteenth(ring: PrimePower, t):
     lhs = weighted_sums(Fraction(1, 16), ring)[0]
     rhs = h1_div2 * Fraction(1, 12) * _sign_half(ring.p, -1)
     return lhs, rhs
-
-
-def _eval_euler_criterion_refined(a: int):
-    def ev(ring: PrimePower, t):
-        p = ring.p
-        q = fermat_quotient(a, p, ring.k)
-        lhs = ring.from_int(pow(a, (p - 1) // 2, ring.modulus))
-        inner = (
-            ring.one()
-            + q * Fraction(1, 2) * p
-            - q * q * Fraction(1, 8) * (p * p)
-            + q * q * q * Fraction(1, 16) * (p**3)
-        )
-        rhs = inner * legendre(a, p)
-        return lhs, rhs
-
-    return ev
 
 
 def _eval_central_squares(ring: PrimePower, t):
@@ -799,6 +724,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
             )
         )
 
+    sign_plus = partial(_sign_half, offset=1)  # (-1)^((p+1)/2)
     for r in (1, 3, 5):
         coeff = Fraction(-r * (r + 1), 2 * (r + 2))
         add(
@@ -854,7 +780,10 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "vi.1",
         "half-range weight-1 sum against Fermat-quotient powers",
         "H_n(1) = -2*q + p*q^2 - p^2*(2/3*q^3 + 7/12*B(p-3)), q = q_p(2), n = (p-1)/2  (mod p^3)",
-        3, _eval_half_h1, minp=7,
+        3, _eval_quotient_expansion(
+            lambda ring: mhs((ring.p - 1) // 2, (1,), ring), partial(fermat_quotient, 2), 1,
+            (-2, 1, Fraction(-2, 3)), (Fraction(-7, 12), _bernoulli_p3),
+        ), minp=7,
     )
     for r in (2, 4):
         coeff = Fraction(r * (2 ** (r + 1) - 1), 2 * (r + 1))
@@ -980,7 +909,10 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "C41.a",
         "odd-denominator central binomial sum at t=1/4",
         "s1(1/4) = (-1)^((p+1)/2)*(q_p(2) - p^2/16*B(p-3))  (mod p^3)",
-        3, _eval_s1_quarter, minp=5,
+        3, _eval_quotient_expansion(
+            partial(s1, Fraction(1, 4), 0), partial(fermat_quotient, 2), 1,
+            (1,), (Fraction(-1, 16), _bernoulli_p3), sign_plus,
+        ), minp=5,
     )
     add(
         "C41.b",
@@ -992,25 +924,39 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "C41.c",
         "odd-denominator central binomial sum at t=1/8",
         "s1(1/8) = (-1)^((p+1)/2)*(2|p)*[q/2 - p/8*q^2 + p^2/16*(q^3 - B(p-3)/8)]  (mod p^3)",
-        3, _eval_s1_fermat(2, Fraction(1, 128)), minp=5,
+        3, _eval_quotient_expansion(
+            partial(s1, Fraction(1, 8), 0), partial(fermat_quotient, 2), 1,
+            (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)), (Fraction(-1, 128), _bernoulli_p3),
+            lambda p: sign_plus(p) * legendre(2, p),
+        ), minp=5,
     )
     add(
         "C41.d",
         "odd-denominator central binomial sum at t=3/16",
         "s1(3/16) = (-1)^((p+1)/2)*(3|p)*[q3/2 - p/8*q3^2 + p^2*(q3^3/16 - B(p-3)/27)]  (mod p^3)",
-        3, _eval_s1_fermat(3, Fraction(1, 27)), minp=5,
+        3, _eval_quotient_expansion(
+            partial(s1, Fraction(3, 16), 0), partial(fermat_quotient, 3), 1,
+            (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)), (Fraction(-1, 27), _bernoulli_p3),
+            lambda p: sign_plus(p) * legendre(3, p),
+        ), minp=5,
     )
     add(
         "C41.e",
         "odd-denominator central binomial sum at t=-1/32",
         "s1(-1/32) = (2|p)*[2q - p*q^2 + p^2/3*(2q^3 - 7/32*B(p-3))]  (mod p^3)",
-        3, _eval_s1_neg_thirtysecond, minp=5,
+        3, _eval_quotient_expansion(
+            partial(s1, Fraction(-1, 32), 0), partial(fermat_quotient, 2), 1,
+            (2, -1, Fraction(2, 3)), (Fraction(-7, 96), _bernoulli_p3), partial(legendre, 2),
+        ), minp=5,
     )
     add(
         "C41.f",
         "odd-denominator central binomial sum at t=-1/16 against the Lucas quotient",
         "s1(-1/16) = q_L - p^2/15*(q_L^3/2 + B(p-3)), q_L = (L_p-1)/p  (mod p^3)",
-        3, _eval_s1_neg_sixteenth, minp=7,
+        3, _eval_quotient_expansion(
+            partial(s1, Fraction(-1, 16), 0), lucas_quotient, 1,
+            (1, 0, Fraction(-1, 30)), (Fraction(-1, 15), _bernoulli_p3),
+        ), minp=7,
     )
     add(
         "C42.a",
@@ -1040,13 +986,19 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "C45.a",
         "squared-denominator central binomial sum at t=1/4",
         "sum C(2k,k)/((2k+1)^2*4^k) = (-1)^((p+1)/2)*(q^2/2 - p*q^3/3 - p/16*B(p-3))  (mod p^2)",
-        2, _eval_s1_quarter_weight2, minp=5,
+        2, _eval_quotient_expansion(
+            partial(s1, Fraction(1, 4), 1), partial(fermat_quotient, 2), 2,
+            (Fraction(1, 2), Fraction(-1, 3)), (Fraction(-1, 16), _bernoulli_p3), sign_plus,
+        ), minp=5,
     )
     add(
         "C45.b",
         "k-divided central binomial sum at t=1/4 against an Euler number",
         "sum C(2k,k)/(k*4^k) = 2q - p*q^2 + (-1)^((p+1)/2)*2p*E(p-3)  (mod p^2)",
-        2, _eval_s2_quarter_weight1, minp=3,
+        2, _eval_quotient_expansion(
+            partial(s2, Fraction(1, 4), 1), partial(fermat_quotient, 2), 1,
+            (2, -1), (2, lambda p: euler_number(p - 3, p) * sign_plus(p)),
+        ), minp=3,
     )
     add(
         "TM.mc1",
@@ -1071,7 +1023,11 @@ def _congruence_checks() -> list[CongruenceCheck]:
             f"eq11.a{a}",
             f"refined Euler criterion for a={a} to fourth order",
             f"{a}^((p-1)/2) = ({a}|p)*(1 + p/2*q - p^2/8*q^2 + p^3/16*q^3), q = q_p({a})  (mod p^4)",
-            4, _eval_euler_criterion_refined(a), minp=3,
+            4, _eval_quotient_expansion(
+                lambda ring, a=a: ring.from_int(a) ** ((ring.p - 1) // 2),
+                partial(fermat_quotient, a), 0,
+                (1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)), sign=partial(legendre, a),
+            ), minp=3,
             excl=(a,) if a != 2 else (),
         )
     add(

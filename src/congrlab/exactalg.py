@@ -1,10 +1,10 @@
 """Exact rational, polynomial and quadratic-extension arithmetic.
 
 Rationals are stdlib ``fractions.Fraction`` (exact, always reduced, positive
-denominator) re-exported as :data:`Rational`; ``QQ`` is the ring object that
-the harmonic sums accept for their exact path.  ``Poly`` is a dense
-univariate polynomial over Q, and ``QuadExt`` an element of Q(sqrt(d)) with
-the ring arithmetic of the golden-ratio identity.  The generic Lucas-sequence
+denominator); ``QQ`` is the ring object that the harmonic sums accept for
+their exact path.  ``Poly`` is a dense univariate polynomial over Q, and
+``QuadExt`` an element of Q(sqrt(d)) with the ring arithmetic of the
+golden-ratio identity.  The generic Lucas-sequence
 code needs only element arithmetic, so it runs unchanged over Z/p^k, Q, Q[x]
 and Q(sqrt(d)).
 """
@@ -16,35 +16,17 @@ from fractions import Fraction
 from .errors import DivisionFailure, MixedExtension
 
 __all__ = [
-    "Rational",
     "RationalField",
     "QQ",
     "Poly",
     "QuadExt",
 ]
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 
 
 class RationalField:
-    """The ring Q: the ring argument that selects the exact harmonic sums.
-
-    Its element constructors match those of ``PrimePower``.
-    """
-
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def from_fraction(self, q: Fraction) -> Fraction:
-        return q
+    """The ring Q: the ring argument that selects the exact harmonic sums."""
 
     def div(self, a: Fraction, b: Fraction) -> Fraction:
         return Fraction(a) / b

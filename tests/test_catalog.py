@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import pickle
@@ -346,6 +347,39 @@ class TestBinomialRatioExpansion:
         res = run_congruence(lookup("S5.conbin"), p)
         assert not res.passed and res.error is None and res.valuation < 5
         assert (res.lhs, res.rhs) == (str(lhs), str(rhs))
+
+
+class TestQuotientExpansion:
+    """The shared evaluator of the Fermat- and Lucas-quotient closed forms,
+    sign * [q^s * P(p*q) + c * p^(k-1) * x], against that formula summed term
+    by term over Q and then reduced mod p^k."""
+
+    COEFFS = [
+        (), (1,), (0, Fraction(-1, 8)), (2, 0, Fraction(2, 3)),
+        (1, Fraction(1, 2), 0, Fraction(1, 16)),
+    ]
+    Q, C, X = 123457, Fraction(-1, 16), 5
+
+    @pytest.mark.parametrize("p", [7, 11, 101])
+    def test_rhs_against_the_expansion_over_q(self, p):
+        cases = itertools.product(range(2, 6), range(3), self.COEFFS, (False, True), (1, -1))
+        for k, s, coeffs, special, sign in cases:
+            ring = prime_power(p, k)
+            ev = catalog._eval_quotient_expansion(
+                lambda r: r.from_int(17),
+                lambda qp, qk: prime_power(qp, qk).from_int(self.Q),
+                s,
+                coeffs,
+                (self.C, lambda xp: prime_power(xp, 1).from_int(self.X)) if special else None,
+                None if sign == 1 else lambda xp: sign,
+            )
+            want = sum((c * self.Q ** (j + s) * p**j for j, c in enumerate(coeffs)), Fraction(0))
+            if special:
+                want += self.C * p ** (k - 1) * self.X
+            assert ev(ring, None) == (ring.from_int(17), ring.from_fraction(sign * want)), (
+                k, s, coeffs, special, sign,
+            )
+
 
 class TestRunIdentity:
     def test_passing_case(self):

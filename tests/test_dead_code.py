@@ -1,9 +1,11 @@
-"""Static guard against dead code in the package modules.
+"""Static guard against dead code and stale exports in the package modules.
 
 Every imported name is used in its module or exported through ``__all__``,
 and every module-level private function or class is referenced somewhere in
 the package outside its own definition.  ``__init__.py`` only re-exports, so
-it is not checked itself, though its references count.
+it is not checked for these, though its references count.  Every name in a
+module's ``__all__``, ``__init__.py``'s included, is defined or imported at
+that module's top level.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "congrlab"
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [path for path in ALL_MODULES if path.name != "__init__.py"]
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -61,6 +64,21 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return out
 
 
+def stale_exports(tree: ast.Module) -> list[str]:
+    """Names in ``__all__`` that the module neither defines, assigns nor
+    imports at its top level."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return sorted(_exported(tree) - bound)
+
+
 def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
     """Module-level ``_private`` functions and classes that nothing in the
     package refers to outside their own definition."""
@@ -85,6 +103,11 @@ def test_every_import_is_used_or_exported(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda path: path.name)
+def test_every_export_is_defined_or_imported(path):
+    assert stale_exports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
 def test_every_private_definition_is_referenced():
     assert unreferenced_privates(_trees()) == []
 
@@ -103,3 +126,17 @@ def test_the_guard_sees_a_planted_unused_import_and_private_function():
     assert unused_imports(tree) == []
     assert unreferenced_privates({"m.py": tree}) == ["m.py:_eval_leftover"]
     assert unused_imports(ast.parse("import os\nfrom math import comb\nx = os\n")) == ["comb"]
+
+
+def test_the_guard_sees_a_stale_export():
+    tree = ast.parse(
+        "import os.path\n"
+        "from fractions import Fraction as F\n"
+        "__all__ = ['os', 'F', 'Rational', 'QQ', 'TABLE', 'f', 'C']\n"
+        "QQ, TABLE = object(), {}\n"
+        "def f():\n"
+        "    Rational = F\n"
+        "class C:\n"
+        "    pass\n"
+    )
+    assert stale_exports(tree) == ["Rational"]

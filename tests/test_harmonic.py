@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from congrlab.errors import NonUnitDenominator, PreconditionViolated
 from congrlab import harmonic
-from congrlab.exactalg import QQ, Poly
+from congrlab.exactalg import Poly
 from congrlab.harmonic import alternating_half_sum, mhs, odd_mhs, repeated
 from congrlab.modring import prime_power
 
@@ -42,17 +42,16 @@ def brute_alternating(n: int, d: int) -> Fraction:
     return sum((Fraction((-1) ** k, (2 * k + 1) ** d) for k in range(n)), Fraction(0))
 
 
-def exact_inverses(ring, start: int, stop: int, step: int = 1) -> list:
-    """[1/i for i in range(start, stop, step)], each divided in ``ring``."""
-    one = ring.one()
-    return [ring.div(one, ring.from_int(i)) for i in range(start, stop, step)]
+def exact_inverses(start: int, stop: int, step: int = 1) -> list:
+    """[1/i for i in range(start, stop, step)] as Fractions."""
+    return [Fraction(1, i) for i in range(start, stop, step)]
 
 
-def dp_prefixes(inverses, comp: tuple[int, ...], ring=QQ) -> list:
-    """The ring-generic depth-wise DP, one ring operation per step: entry n
+def dp_prefixes(inverses, comp: tuple[int, ...]) -> list:
+    """The depth-wise DP over Q, one Fraction operation per step: entry n
     is the sum over the first n inverses, for n = 0 .. len(inverses)."""
     r = len(comp)
-    acc = [ring.one()] + [ring.zero()] * r
+    acc = [Fraction(1)] + [Fraction(0)] * r
     out = [acc[r]]
     for x in inverses:
         for d in range(r, 0, -1):
@@ -68,8 +67,8 @@ ORACLE_COMPS = [c for r in range(5) for c in product(range(1, 6), repeat=r)]
 
 @pytest.mark.parametrize("depth", range(5))
 def test_exact_kernel_against_generic_dp(depth):
-    inverses = exact_inverses(QQ, 1, ORACLE_N + 1)
-    odd_inverses = exact_inverses(QQ, 1, 2 * ORACLE_N, 2)
+    inverses = exact_inverses(1, ORACLE_N + 1)
+    odd_inverses = exact_inverses(1, 2 * ORACLE_N, 2)
     for comp in ORACLE_COMPS:
         if len(comp) != depth:
             continue
