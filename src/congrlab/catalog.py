@@ -45,6 +45,7 @@ from .modring import (
 )
 from .sequences import (
     LucasParams,
+    _fibonacci_quotient,
     central_binomials,
     fermat_quotient,
     lucas_pair_mod,
@@ -95,7 +96,8 @@ class CongruenceCheck(
     ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``).  Fields: ``id``,
     ``description``, ``statement``, ``target_exponent``, ``evaluator`` (a
     callable (ring, t) -> (lhs, rhs), both sides residues of ``ring`` =
-    Z/p^target_exponent, with t None for a check without a panel),
+    Z/p^k, with t None for a check without a panel; the sweep passes
+    k = target_exponent, and k sets only the precision of the sides),
     ``min_prime`` (3), ``excluded_primes`` (empty frozenset),
     ``uses_t_panel`` (False) and ``prime_cap`` (None).
     """
@@ -202,27 +204,19 @@ def _div_p_times(x: Residue, times: int) -> Residue:
     return x
 
 
-def _h1_over_p(ring: PrimePower, j: int) -> Residue:
-    """H_(p-1)(1)/p^j in ``ring``, from H_(p-1)(1) in Z/p^(k+j); p^2 divides
-    H_(p-1)(1) for p >= 5."""
-    p = ring.p
-    return _div_p_times(mhs(p - 1, (1,), prime_power(p, ring.k + j)), j)
+def _mod_p_term(ring: PrimePower, coeff: int | Fraction, e: int, x: Residue) -> Residue:
+    """coeff * p^e * x in the ring, for a value x known only mod p: a
+    Bernoulli or Euler number, B_(p-2)(1/3), a u/v-series sum.
 
-
-def _mod_p_term(ring: PrimePower, coeff: int | Fraction, x: Residue) -> Residue:
-    """coeff * p^(k-1) * x in the ring Z/p^k, for a value x known only mod p.
-
-    Evaluators bring every mod-p value -- a Bernoulli or Euler number,
-    B_(p-2)(1/3), a u/v-series sum -- into their working ring through this
-    term.  The factor p^(k-1) kills any lift x + p*r, so every representative
-    of x gives the same residue and the same report row.
+    Each statement with such a term holds mod p^(e+1), where the factor p^e
+    kills any lift x + p*r: every representative of x gives the same row.
     """
-    return ring.from_fraction(Fraction(coeff)) * ring.p ** (ring.k - 1) * x.value
+    return ring.from_fraction(Fraction(coeff)) * ring.p**e * x.value
 
 
-def _bernoulli_p3(p: int) -> Residue:
-    """B_(p-3) mod p, looked up in this module's namespace at call time."""
-    return bernoulli_number(p - 3, p)
+def _bernoulli_p(j: int):
+    """p -> B_(p-j) mod p, looked up in this module's namespace at call time."""
+    return lambda p: bernoulli_number(p - j, p)
 
 
 def _v_term(t: Fraction, modp: PrimePower) -> Residue:
@@ -242,55 +236,69 @@ def _u_term(t: Fraction, modp: PrimePower) -> Residue:
 # ---------------------------------------------------------------------------
 # congruence evaluators
 #
-# Each evaluator takes (ring, t): ring is Z/p^target for the check's target
-# exponent, and t is the panel value (None for a check without a panel).  It
-# returns (lhs, rhs) as residues of that ring.  An evaluator that divides a
-# value by p^j computes the value in Z/p^(target+j) first.
+# Each evaluator takes (ring, t): ring is Z/p^k, t the panel value (None for
+# a check without a panel), and returns (lhs, rhs) as residues of that ring.
+# The ring sets only the precision: each power of p of a statement is written
+# in the registry or in its evaluator, so the sides in Z/p^(target+1) agree
+# mod p^target with those in Z/p^target, where the sweep runs them.  An
+# evaluator that divides a value by p^j computes it in Z/p^(k+j) first.
 
 
-def _eval_mhs_bernoulli(half: bool, comp: tuple[int, ...], h1: int, coeff: Fraction):
-    """H_N(comp) = h1 * H_(p-1)(1)/p^(w-1) + coeff * p^(k-1) * B_(p-w-k+1)
-    (mod p^k), w = sum(comp), N = (p-1)/2 if half else p-1.
+def _closed_form(lhs, *terms, sign=None):
+    """lhs(ring) = sign(p) * (sum of term(ring) over ``terms``) (mod p^k).
+
+    Each term states its own power of p: `_quotient_poly`, `_h1_term`,
+    `_mod_p`, or a constant such as ``PrimePower.one``.  A missing sign is 1.
+    """
+
+    def ev(ring: PrimePower, t):
+        rhs = sum((term(ring) for term in terms), ring.zero())
+        if sign is not None:
+            rhs = rhs * sign(ring.p)
+        return lhs(ring), rhs
+
+    return ev
+
+
+def _quotient_poly(quotient, s: int, coeffs: tuple):
+    """The term q^s * P(p*q), q = quotient(p, k) and P(x) = coeffs[0] +
+    coeffs[1]*x + ..."""
+
+    def term(ring: PrimePower):
+        q = quotient(ring.p, ring.k)
+        pq = q * ring.p
+        acc = ring.zero()
+        for c in reversed(coeffs):
+            acc = acc * pq + c
+        return acc * q**s
+
+    return term
+
+
+def _h1_term(h, j: int):
+    """The term h * H_(p-1)(1)/p^j, from H_(p-1)(1) in Z/p^(k+j); p^2 divides
+    H_(p-1)(1) for p >= 5."""
+    return lambda ring: _div_p_times(mhs(ring.p - 1, (1,), prime_power(ring.p, ring.k + j)), j) * h
+
+
+def _mod_p(c, e: int, value):
+    """The term c * p^e * X(p), ``value`` the map p -> X(p) for a value known
+    only mod p."""
+    return lambda ring: _mod_p_term(ring, c, e, value(ring.p))
+
+
+def _eval_mhs_bernoulli(half: bool, comp: tuple[int, ...], h1: int, coeff: Fraction, e: int):
+    """H_N(comp) = h1 * H_(p-1)(1)/p^(w-1) + coeff * p^e * B_(p-w-e),
+    w = sum(comp), N = (p-1)/2 if half else p-1.
 
     With h1 = 0 the weight-1 sum is not computed at all.
     """
     w = sum(comp)
-
-    def ev(ring: PrimePower, t):
-        p = ring.p
-        lhs = mhs((p - 1) // 2 if half else p - 1, comp, ring)
-        rhs = _mod_p_term(ring, coeff, bernoulli_number(p - w - ring.k + 1, p))
-        if h1:
-            rhs = _h1_over_p(ring, w - 1) * h1 + rhs
-        return lhs, rhs
-
-    return ev
-
-
-def _eval_quotient_expansion(lhs, quotient, s: int, coeffs: tuple, special=None, sign=None):
-    """lhs(ring) = sign(p) * [q^s * P(p*q) + c * p^(k-1) * X(p)] (mod p^k),
-    q = quotient(p, k), P(x) = coeffs[0] + coeffs[1]*x + ..., special = (c, X)
-    for a value X(p) known only mod p.
-
-    A missing sign is 1; with ``special`` None no special value is read.
-    """
-
-    def ev(ring: PrimePower, t):
-        p = ring.p
-        q = quotient(p, ring.k)
-        pq = q * p
-        rhs = ring.zero()
-        for c in reversed(coeffs):
-            rhs = rhs * pq + c
-        rhs = rhs * q**s
-        if special is not None:
-            c, value = special
-            rhs = rhs + _mod_p_term(ring, c, value(p))
-        if sign is not None:
-            rhs = rhs * sign(p)
-        return lhs(ring), rhs
-
-    return ev
+    return _closed_form(
+        lambda ring: mhs((ring.p - 1) // 2 if half else ring.p - 1, comp, ring),
+        *((_h1_term(h1, w - 1),) if h1 else ()),
+        _mod_p(coeff, e, _bernoulli_p(w + e)),
+    )
 
 
 def _eval_full_h1_expansion(ring: PrimePower, t):
@@ -303,20 +311,15 @@ def _eval_full_h1_expansion(ring: PrimePower, t):
     return lhs, rhs
 
 
-def _eval_full_from_half(r: int):
-    """H_(p-1)(r) from H_n(r+j), j = 0..k-1, in Z/p^k."""
+def _eval_full_from_half(r: int, a: int):
+    """H_(p-1)(r) from H_n(r+j), j = 0..a."""
 
     def ev(ring: PrimePower, t):
         p = ring.p
         n = (p - 1) // 2
         lhs = mhs(p - 1, (r,), ring)
-        acc = ring.zero()
-        ppow = 1
-        for k in range(ring.k):
-            acc = acc + mhs(n, (r + k,), ring) * (comb(r - 1 + k, k) * ppow)
-            ppow *= p
-        rhs = mhs(n, (r,), ring) + acc * _neg_one_pow(r)
-        return lhs, rhs
+        acc = sum((mhs(n, (r + j,), ring) * (comb(r - 1 + j, j) * p**j) for j in range(a + 1)), 0)
+        return lhs, mhs(n, (r,), ring) + acc * _neg_one_pow(r)
 
     return ev
 
@@ -330,16 +333,6 @@ def _eval_half_weighted_zero(ring: PrimePower, t):
         + mhs(n, (4,), ring) * Fraction(5, 8) * (p * p)
     )
     return lhs, ring.zero()
-
-
-def _eval_half_h12_h13(ring: PrimePower, t):
-    p = ring.p
-    h1_div2 = _h1_over_p(ring, 2)
-    n = (p - 1) // 2
-    lhs = mhs(n, (1, 2), ring) + mhs(n, (1, 3), ring) * p
-    b = bernoulli_number(p - 5, p)
-    rhs = h1_div2 * Fraction(-9, 2) - _mod_p_term(ring, Fraction(49, 20), b)
-    return lhs, rhs
 
 
 def _eval_odd_depth2_expansion(r: int, s: int):
@@ -388,7 +381,7 @@ def _eval_central_binomial_mod_p6(ring: PrimePower, t):
     rhs = (
         ring.one()
         - mhs(p - 1, (1,), ring) * Fraction(1, 4) * p
-        - _mod_p_term(ring, Fraction(1, 80), bernoulli_number(p - 5, p))
+        - _mod_p_term(ring, Fraction(1, 80), 5, bernoulli_number(p - 5, p))
     )
     return lhs, rhs
 
@@ -408,7 +401,7 @@ def _eval_s1_mod_p3(ring: PrimePower, t: Fraction):
     wn = w_value_mod(n, work.from_fraction(1 - 8 * t), work)
     head = divide_by_p(wn - work.from_fraction(-16 * t) ** n)
     lhs = s1(t, 0, ring)
-    rhs = head + _mod_p_term(ring, 1, _v_term(t, prime_power(p, 1)))
+    rhs = head + _mod_p_term(ring, 1, 2, _v_term(t, prime_power(p, 1)))
     return lhs, rhs
 
 
@@ -418,7 +411,7 @@ def _eval_s2_mod_p3(ring: PrimePower, t: Fraction):
     lhs = (ring.one() + s2(t, 0, ring)) * _neg_one_pow(n)
     fac = _u_term(t, prime_power(p, 1))
     wn = w_value_mod(n, ring.from_fraction(8 * t - 1), ring)
-    rhs = wn + _mod_p_term(ring, _neg_one_pow(n), fac)
+    rhs = wn + _mod_p_term(ring, _neg_one_pow(n), 2, fac)
     return lhs, rhs
 
 
@@ -439,70 +432,6 @@ def _eval_s2_quadratic_arg(ring: PrimePower, t: Fraction):
     q = fermat_quotient(2, p, ring.k)
     lhs = s2(t * t / 16, 1, ring)
     rhs = q * 4 - q * q * (2 * p) + alternating_v_sum(t, False, ring)
-    return lhs, rhs
-
-
-def _eval_s1_sixteenth(ring: PrimePower, t):
-    p = ring.p
-    lhs = s1(Fraction(1, 16), 0, ring)
-    rhs = _mod_p_term(ring, Fraction(_sign_half(p, 1), 36), bernoulli_number(p - 3, p))
-    return lhs, rhs
-
-
-def _eval_s2_sixteenth_b13(ring: PrimePower, t):
-    p = ring.p
-    lhs = ring.one() + s2(Fraction(1, 16), 0, ring)
-    rhs = ring.from_int(legendre(3, p)) + _mod_p_term(
-        ring, Fraction(_sign_half(p, -1), 24), bernoulli_third(p)
-    )
-    return lhs, rhs
-
-
-def _eval_s2_three_sixteenth_b13(ring: PrimePower, t):
-    p = ring.p
-    lhs = ring.one() + s2(Fraction(3, 16), 0, ring)
-    rhs = ring.one() + _mod_p_term(ring, Fraction(legendre(-3, p), 12), bernoulli_third(p))
-    return lhs, rhs
-
-
-def _eval_fibonacci_weighted(ring: PrimePower, t):
-    p = ring.p
-    fp = lucas_pair_mod(p, 1, -1, prime_power(p, ring.k + 1))[0]
-    head = divide_by_p(fp - legendre(p, 5))
-    lhs = fib_lucas_sum("F", ring)
-    rhs = head * _sign_half(p, 1)
-    return lhs, rhs
-
-
-def _eval_lucas_weighted(ring: PrimePower, t):
-    p = ring.p
-    lhs = fib_lucas_sum("L", ring)
-    rhs = lucas_quotient(p, ring.k) * _sign_half(p, 1)
-    return lhs, rhs
-
-
-def _eval_s1_sixteenth_mod_p5(ring: PrimePower, t):
-    p = ring.p
-    lhs = s1(Fraction(1, 16), 0, ring)
-    rhs = (
-        mhs(p - 1, (1,), ring) * Fraction(1, 12)
-        + _mod_p_term(ring, Fraction(3, 160), bernoulli_number(p - 5, p))
-    ) * _sign_half(p, -1)
-    return lhs, rhs
-
-
-def _eval_s1_neg_sixteenth_weight2(ring: PrimePower, t):
-    p = ring.p
-    h1_div = _h1_over_p(ring, 1)
-    lhs = s1(Fraction(-1, 16), 1, ring)
-    rhs = h1_div * Fraction(1, 5) + _mod_p_term(ring, Fraction(7, 200), bernoulli_number(p - 5, p))
-    return lhs, rhs
-
-
-def _eval_weighted_first_sixteenth(ring: PrimePower, t):
-    h1_div2 = _h1_over_p(ring, 2)
-    lhs = weighted_sums(Fraction(1, 16), ring)[0]
-    rhs = h1_div2 * Fraction(1, 12) * _sign_half(ring.p, -1)
     return lhs, rhs
 
 
@@ -725,13 +654,18 @@ def _congruence_checks() -> list[CongruenceCheck]:
         )
 
     sign_plus = partial(_sign_half, offset=1)  # (-1)^((p+1)/2)
+    sign_minus = partial(_sign_half, offset=-1)  # (-1)^((p-1)/2)
+
+    def fermat(a):  # q_p(a) mod p^k, with fermat_quotient looked up at call time
+        return lambda p, k: fermat_quotient(a, p, k)
+
     for r in (1, 3, 5):
         coeff = Fraction(-r * (r + 1), 2 * (r + 2))
         add(
             f"i.odd.r{r}",
             f"full harmonic sum of weight {r} against a Bernoulli multiple of p^2",
             f"H_(p-1)({r}) = -{r}*{r + 1}/(2*{r + 2}) * p^2 * B(p-{r + 2})  (mod p^3)",
-            3, _eval_mhs_bernoulli(False, (r,), 0, coeff), minp=r + 3,
+            3, _eval_mhs_bernoulli(False, (r,), 0, coeff, 2), minp=r + 3,
         )
     for r in (2, 4, 6):
         coeff = Fraction(r, r + 1)
@@ -739,7 +673,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
             f"i.even.r{r}",
             f"full harmonic sum of weight {r} against a Bernoulli multiple of p",
             f"H_(p-1)({r}) = {r}/{r + 1} * p * B(p-{r + 1})  (mod p^2)",
-            2, _eval_mhs_bernoulli(False, (r,), 0, coeff), minp=r + 3,
+            2, _eval_mhs_bernoulli(False, (r,), 0, coeff, 1), minp=r + 3,
         )
     for w in range(2, 7):
         for s in range(1, w):
@@ -749,7 +683,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"ii.r{r}s{s}",
                 f"depth-2 harmonic sum of weight ({r},{s}) against a Bernoulli value",
                 f"H_(p-1)({r},{s}) = (-1)^{s}/{w} * C({w},{s}) * B(p-{w})  (mod p)",
-                1, _eval_mhs_bernoulli(False, (r, s), 0, coeff), minp=w + 1,
+                1, _eval_mhs_bernoulli(False, (r, s), 0, coeff, 0), minp=w + 1,
             )
     for w in (3, 5, 7):
         for r in range(1, w - 1):
@@ -762,7 +696,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
                     f"iii.r{r}s{s}t{u}",
                     f"depth-3 harmonic sum of weight ({r},{s},{u}) against a Bernoulli value",
                     f"H_(p-1)({r},{s},{u}) = [(-1)^{r}*C({w},{r}) - (-1)^{u}*C({w},{u})]/(2*{w}) * B(p-{w})  (mod p)",
-                    1, _eval_mhs_bernoulli(False, (r, s, u), 0, coeff), minp=w + 1,
+                    1, _eval_mhs_bernoulli(False, (r, s, u), 0, coeff, 0), minp=w + 1,
                 )
     add(
         "iv.h1",
@@ -774,15 +708,16 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "v.h12",
         "depth-2 (1,2) sum against the p-divided weight-1 sum",
         "H_(p-1)(1,2) = -3*H_(p-1)(1)/p^2 + p^2/2*B(p-5)  (mod p^3)",
-        3, _eval_mhs_bernoulli(False, (1, 2), -3, Fraction(1, 2)), minp=7,
+        3, _eval_mhs_bernoulli(False, (1, 2), -3, Fraction(1, 2), 2), minp=7,
     )
     add(
         "vi.1",
         "half-range weight-1 sum against Fermat-quotient powers",
         "H_n(1) = -2*q + p*q^2 - p^2*(2/3*q^3 + 7/12*B(p-3)), q = q_p(2), n = (p-1)/2  (mod p^3)",
-        3, _eval_quotient_expansion(
-            lambda ring: mhs((ring.p - 1) // 2, (1,), ring), partial(fermat_quotient, 2), 1,
-            (-2, 1, Fraction(-2, 3)), (Fraction(-7, 12), _bernoulli_p3),
+        3, _closed_form(
+            lambda ring: mhs((ring.p - 1) // 2, (1,), ring),
+            _quotient_poly(fermat(2), 1, (-2, 1, Fraction(-2, 3))),
+            _mod_p(Fraction(-7, 12), 2, _bernoulli_p(3)),
         ), minp=7,
     )
     for r in (2, 4):
@@ -791,7 +726,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
             f"vi.even.r{r}",
             f"half-range weight-{r} sum against a Bernoulli multiple of p",
             f"H_n({r}) = {r}*(2^{r + 1}-1)/(2*{r + 1}) * p * B(p-{r + 1})  (mod p^2)",
-            2, _eval_mhs_bernoulli(True, (r,), 0, coeff), minp=r + 5,
+            2, _eval_mhs_bernoulli(True, (r,), 0, coeff, 1), minp=r + 5,
         )
     for r in (3, 5):
         coeff = Fraction(-(2**r - 2), r)
@@ -799,7 +734,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
             f"vi.odd.r{r}",
             f"half-range weight-{r} sum against a Bernoulli value",
             f"H_n({r}) = -(2^{r}-2)/{r} * B(p-{r})  (mod p)",
-            1, _eval_mhs_bernoulli(True, (r,), 0, coeff), minp=r + 5,
+            1, _eval_mhs_bernoulli(True, (r,), 0, coeff, 0), minp=r + 5,
         )
     for r in (1, 2, 3):
         for a in (1, 2, 3):
@@ -807,7 +742,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"L21.C1.r{r}a{a}",
                 f"full weight-{r} sum from half-range sums through order p^{a}",
                 f"H_(p-1)({r}) = H_n({r}) + (-1)^{r} * sum_k C({r - 1}+k,k)*H_n({r}+k)*p^k, k=0..{a}  (mod p^{a + 1})",
-                a + 1, _eval_full_from_half(r), minp=r + 3,
+                a + 1, _eval_full_from_half(r, a), minp=r + 3,
             )
     for w in (3, 5, 7):
         for s in range(1, w):
@@ -817,7 +752,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"L21.C2.r{r}s{s}",
                 f"half-range depth-2 sum of odd weight ({r},{s}) against a Bernoulli value",
                 f"H_n({r},{s}) = B(p-{w})/(2*{w}) * ((-1)^{s}*C({w},{s}) + 2^{w} - 2)  (mod p)",
-                1, _eval_mhs_bernoulli(True, (r, s), 0, coeff), minp=w + 1,
+                1, _eval_mhs_bernoulli(True, (r, s), 0, coeff, 0), minp=w + 1,
             )
     add(
         "T22.zero",
@@ -829,25 +764,30 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "C23.a",
         "full weight-2 sum against the p-divided weight-1 sum",
         "H_(p-1)(2) = -2*H_(p-1)(1)/p + 2/5*p^3*B(p-5)  (mod p^4)",
-        4, _eval_mhs_bernoulli(False, (2,), -2, Fraction(2, 5)), minp=7,
+        4, _eval_mhs_bernoulli(False, (2,), -2, Fraction(2, 5), 3), minp=7,
     )
     add(
         "C23.b",
         "half-range weight-2 sum against the p-divided weight-1 sum",
         "H_n(2) = -7*H_(p-1)(1)/p + 17/10*p^3*B(p-5)  (mod p^4)",
-        4, _eval_mhs_bernoulli(True, (2,), -7, Fraction(17, 10)), minp=7,
+        4, _eval_mhs_bernoulli(True, (2,), -7, Fraction(17, 10), 3), minp=7,
     )
     add(
         "C23.c",
         "half-range weight-3 sum against the p^2-divided weight-1 sum",
         "H_n(3) = 6*H_(p-1)(1)/p^2 - 81/10*p^2*B(p-5)  (mod p^3)",
-        3, _eval_mhs_bernoulli(True, (3,), 6, Fraction(-81, 10)), minp=7,
+        3, _eval_mhs_bernoulli(True, (3,), 6, Fraction(-81, 10), 2), minp=7,
     )
     add(
         "C23.d",
         "half-range (1,2) and (1,3) sums against the p^2-divided weight-1 sum",
         "H_n(1,2) + p*H_n(1,3) = -9/2*H_(p-1)(1)/p^2 - 49/20*p^2*B(p-5)  (mod p^3)",
-        3, _eval_half_h12_h13, minp=7,
+        3, _closed_form(
+            lambda ring: (
+                mhs((ring.p - 1) // 2, (1, 2), ring) + mhs((ring.p - 1) // 2, (1, 3), ring) * ring.p
+            ),
+            _h1_term(Fraction(-9, 2), 2), _mod_p(Fraction(-49, 20), 2, _bernoulli_p(5)),
+        ), minp=7,
     )
     for r in (1, 2, 3):
         for s in (1, 2, 3):
@@ -909,124 +849,155 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "C41.a",
         "odd-denominator central binomial sum at t=1/4",
         "s1(1/4) = (-1)^((p+1)/2)*(q_p(2) - p^2/16*B(p-3))  (mod p^3)",
-        3, _eval_quotient_expansion(
-            partial(s1, Fraction(1, 4), 0), partial(fermat_quotient, 2), 1,
-            (1,), (Fraction(-1, 16), _bernoulli_p3), sign_plus,
+        3, _closed_form(
+            lambda ring: s1(Fraction(1, 4), 0, ring), _quotient_poly(fermat(2), 1, (1,)),
+            _mod_p(Fraction(-1, 16), 2, _bernoulli_p(3)), sign=sign_plus,
         ), minp=5,
     )
     add(
         "C41.b",
         "odd-denominator central binomial sum at t=1/16",
         "s1(1/16) = (-1)^((p+1)/2)/36*p^2*B(p-3)  (mod p^3)",
-        3, _eval_s1_sixteenth, minp=5,
+        3, _closed_form(
+            lambda ring: s1(Fraction(1, 16), 0, ring),
+            _mod_p(Fraction(1, 36), 2, _bernoulli_p(3)), sign=sign_plus,
+        ), minp=5,
     )
     add(
         "C41.c",
         "odd-denominator central binomial sum at t=1/8",
         "s1(1/8) = (-1)^((p+1)/2)*(2|p)*[q/2 - p/8*q^2 + p^2/16*(q^3 - B(p-3)/8)]  (mod p^3)",
-        3, _eval_quotient_expansion(
-            partial(s1, Fraction(1, 8), 0), partial(fermat_quotient, 2), 1,
-            (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)), (Fraction(-1, 128), _bernoulli_p3),
-            lambda p: sign_plus(p) * legendre(2, p),
+        3, _closed_form(
+            lambda ring: s1(Fraction(1, 8), 0, ring),
+            _quotient_poly(fermat(2), 1, (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))),
+            _mod_p(Fraction(-1, 128), 2, _bernoulli_p(3)),
+            sign=lambda p: sign_plus(p) * legendre(2, p),
         ), minp=5,
     )
     add(
         "C41.d",
         "odd-denominator central binomial sum at t=3/16",
         "s1(3/16) = (-1)^((p+1)/2)*(3|p)*[q3/2 - p/8*q3^2 + p^2*(q3^3/16 - B(p-3)/27)]  (mod p^3)",
-        3, _eval_quotient_expansion(
-            partial(s1, Fraction(3, 16), 0), partial(fermat_quotient, 3), 1,
-            (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)), (Fraction(-1, 27), _bernoulli_p3),
-            lambda p: sign_plus(p) * legendre(3, p),
+        3, _closed_form(
+            lambda ring: s1(Fraction(3, 16), 0, ring),
+            _quotient_poly(fermat(3), 1, (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))),
+            _mod_p(Fraction(-1, 27), 2, _bernoulli_p(3)),
+            sign=lambda p: sign_plus(p) * legendre(3, p),
         ), minp=5,
     )
     add(
         "C41.e",
         "odd-denominator central binomial sum at t=-1/32",
         "s1(-1/32) = (2|p)*[2q - p*q^2 + p^2/3*(2q^3 - 7/32*B(p-3))]  (mod p^3)",
-        3, _eval_quotient_expansion(
-            partial(s1, Fraction(-1, 32), 0), partial(fermat_quotient, 2), 1,
-            (2, -1, Fraction(2, 3)), (Fraction(-7, 96), _bernoulli_p3), partial(legendre, 2),
+        3, _closed_form(
+            lambda ring: s1(Fraction(-1, 32), 0, ring),
+            _quotient_poly(fermat(2), 1, (2, -1, Fraction(2, 3))),
+            _mod_p(Fraction(-7, 96), 2, _bernoulli_p(3)), sign=partial(legendre, 2),
         ), minp=5,
     )
     add(
         "C41.f",
         "odd-denominator central binomial sum at t=-1/16 against the Lucas quotient",
         "s1(-1/16) = q_L - p^2/15*(q_L^3/2 + B(p-3)), q_L = (L_p-1)/p  (mod p^3)",
-        3, _eval_quotient_expansion(
-            partial(s1, Fraction(-1, 16), 0), lucas_quotient, 1,
-            (1, 0, Fraction(-1, 30)), (Fraction(-1, 15), _bernoulli_p3),
+        3, _closed_form(
+            lambda ring: s1(Fraction(-1, 16), 0, ring),
+            _quotient_poly(lucas_quotient, 1, (1, 0, Fraction(-1, 30))),
+            _mod_p(Fraction(-1, 15), 2, _bernoulli_p(3)),
         ), minp=7,
     )
     add(
         "C42.a",
         "plain central binomial sum at t=1/16 against a Bernoulli polynomial value",
         "sum_(k<=n) C(2k,k)/16^k = (3|p) + (-1|p)*p^2/24*B_(p-2)(1/3)  (mod p^3)",
-        3, _eval_s2_sixteenth_b13, minp=5, cap=600,
+        3, _closed_form(
+            lambda ring: ring.one() + s2(Fraction(1, 16), 0, ring),
+            lambda ring: ring.from_int(legendre(3, ring.p)),
+            _mod_p(Fraction(1, 24), 2, lambda p: bernoulli_third(p) * sign_minus(p)),
+        ), minp=5, cap=600,
     )
     add(
         "C42.b",
         "plain central binomial sum at t=3/16 against a Bernoulli polynomial value",
         "sum_(k<=n) C(2k,k)(3/16)^k = 1 + (-3|p)*p^2/12*B_(p-2)(1/3)  (mod p^3)",
-        3, _eval_s2_three_sixteenth_b13, minp=5, cap=600,
+        3, _closed_form(
+            lambda ring: ring.one() + s2(Fraction(3, 16), 0, ring), PrimePower.one,
+            _mod_p(Fraction(1, 12), 2, lambda p: bernoulli_third(p) * legendre(-3, p)),
+        ), minp=5, cap=600,
     )
     add(
         "T43.F",
         "Fibonacci-weighted central binomial sum against the Fibonacci quotient",
         "sum C(2k,k)F_(2k+1)/((2k+1)16^k) = (-1)^((p+1)/2)*(F_p - (p|5))/p  (mod p^2)",
-        2, _eval_fibonacci_weighted, minp=3, excl=(5,),
+        2, _closed_form(
+            lambda ring: fib_lucas_sum("F", ring), _quotient_poly(_fibonacci_quotient, 1, (1,)),
+            sign=sign_plus,
+        ), minp=3, excl=(5,),
     )
     add(
         "T43.L",
         "Lucas-weighted central binomial sum against the Lucas quotient",
         "sum C(2k,k)L_(2k+1)/((2k+1)16^k) = (-1)^((p+1)/2)*(L_p - 1)/p  (mod p^2)",
-        2, _eval_lucas_weighted, minp=3, excl=(5,),
+        2, _closed_form(
+            lambda ring: fib_lucas_sum("L", ring), _quotient_poly(lucas_quotient, 1, (1,)),
+            sign=sign_plus,
+        ), minp=3, excl=(5,),
     )
     add(
         "C45.a",
         "squared-denominator central binomial sum at t=1/4",
         "sum C(2k,k)/((2k+1)^2*4^k) = (-1)^((p+1)/2)*(q^2/2 - p*q^3/3 - p/16*B(p-3))  (mod p^2)",
-        2, _eval_quotient_expansion(
-            partial(s1, Fraction(1, 4), 1), partial(fermat_quotient, 2), 2,
-            (Fraction(1, 2), Fraction(-1, 3)), (Fraction(-1, 16), _bernoulli_p3), sign_plus,
+        2, _closed_form(
+            lambda ring: s1(Fraction(1, 4), 1, ring),
+            _quotient_poly(fermat(2), 2, (Fraction(1, 2), Fraction(-1, 3))),
+            _mod_p(Fraction(-1, 16), 1, _bernoulli_p(3)), sign=sign_plus,
         ), minp=5,
     )
     add(
         "C45.b",
         "k-divided central binomial sum at t=1/4 against an Euler number",
         "sum C(2k,k)/(k*4^k) = 2q - p*q^2 + (-1)^((p+1)/2)*2p*E(p-3)  (mod p^2)",
-        2, _eval_quotient_expansion(
-            partial(s2, Fraction(1, 4), 1), partial(fermat_quotient, 2), 1,
-            (2, -1), (2, lambda p: euler_number(p - 3, p) * sign_plus(p)),
+        2, _closed_form(
+            lambda ring: s2(Fraction(1, 4), 1, ring), _quotient_poly(fermat(2), 1, (2, -1)),
+            _mod_p(2, 1, lambda p: euler_number(p - 3, p) * sign_plus(p)),
         ), minp=3,
     )
     add(
         "TM.mc1",
         "odd-denominator central binomial sum at t=1/16 to fifth order",
         "s1(1/16) = (-1)^n*(H_(p-1)(1)/12 + 3/160*p^4*B(p-5))  (mod p^5)",
-        5, _eval_s1_sixteenth_mod_p5, minp=7,
+        5, _closed_form(
+            lambda ring: s1(Fraction(1, 16), 0, ring),
+            _h1_term(Fraction(1, 12), 0), _mod_p(Fraction(3, 160), 4, _bernoulli_p(5)),
+            sign=sign_minus,
+        ), minp=7,
     )
     add(
         "TM.mc2",
         "squared-denominator central binomial sum at t=-1/16 to fourth order",
         "s1(-1/16, squared) = H_(p-1)(1)/(5p) + 7/200*p^3*B(p-5)  (mod p^4)",
-        4, _eval_s1_neg_sixteenth_weight2, minp=7,
+        4, _closed_form(
+            lambda ring: s1(Fraction(-1, 16), 1, ring),
+            _h1_term(Fraction(1, 5), 1), _mod_p(Fraction(7, 200), 3, _bernoulli_p(5)),
+        ), minp=7,
     )
     add(
         "C52.weighted",
         "Hbar(2)-weighted central binomial sum at t=1/16 against the divided weight-1 sum",
         "sum C(2k,k)Hbar_k(2)/(16^k(2k+1)) = (-1)^n*H_(p-1)(1)/(12p^2)  (mod p^2)",
-        2, _eval_weighted_first_sixteenth, minp=7,
+        2, _closed_form(
+            lambda ring: weighted_sums(Fraction(1, 16), ring)[0], _h1_term(Fraction(1, 12), 2),
+            sign=sign_minus,
+        ), minp=7,
     )
     for a in (2, 3, 5):
         add(
             f"eq11.a{a}",
             f"refined Euler criterion for a={a} to fourth order",
             f"{a}^((p-1)/2) = ({a}|p)*(1 + p/2*q - p^2/8*q^2 + p^3/16*q^3), q = q_p({a})  (mod p^4)",
-            4, _eval_quotient_expansion(
+            4, _closed_form(
                 lambda ring, a=a: ring.from_int(a) ** ((ring.p - 1) // 2),
-                partial(fermat_quotient, a), 0,
-                (1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)), sign=partial(legendre, a),
+                _quotient_poly(fermat(a), 0, (1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))),
+                sign=partial(legendre, a),
             ), minp=3,
             excl=(a,) if a != 2 else (),
         )
@@ -1224,7 +1195,8 @@ def _graded(check_id: str, prime, t, target, evaluate) -> CheckResult:
 
 def run_congruence(check: CongruenceCheck, p: int, t: Fraction | None = None) -> CheckResult:
     """Evaluate one congruence instance in Z/p^target and grade the p-adic
-    valuation of lhs - rhs.
+    valuation of lhs - rhs.  Every power of p in the statement is the
+    evaluator's own; the ring Z/p^target sets only the precision.
 
     A side outside Z/p^target raises `MixedModuli`, which grades as an ERROR
     row: its valuation and its printed residue would not be read at the

@@ -45,7 +45,9 @@ def repeated(a: int, r: int) -> tuple[int, ...]:
     return (a,) * r
 
 
-def _validated(comp) -> tuple[int, ...]:
+def _validated(n: int, comp) -> tuple[int, ...]:
+    if n < 0:
+        raise PreconditionViolated(f"index n must be non-negative, got {n}")
     comp = tuple(comp)
     if any(not isinstance(a, int) or a < 1 for a in comp):
         raise PreconditionViolated(f"composition parts must be positive integers: {comp}")
@@ -112,7 +114,7 @@ def _odd_mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
 
 def mhs(n: int, comp, ring=QQ):
     """H_n(a_1, ..., a_r): a ``Fraction`` in QQ, a ``Residue`` in a PrimePower."""
-    comp = _validated(comp)
+    comp = _validated(n, comp)
     if isinstance(ring, PrimePower):
         return Residue(_mhs_mod(n, comp, ring), ring)
     return _exact_sum(ring, range(1, n + 1), comp)
@@ -120,7 +122,7 @@ def mhs(n: int, comp, ring=QQ):
 
 def odd_mhs(n: int, comp, ring=QQ):
     """Hbar_n(a_1, ..., a_r): the odd-denominator variant."""
-    comp = _validated(comp)
+    comp = _validated(n, comp)
     if isinstance(ring, PrimePower):
         return Residue(_odd_mhs_mod(n, comp, ring), ring)
     return _exact_sum(ring, range(1, 2 * n, 2), comp)
@@ -129,6 +131,8 @@ def odd_mhs(n: int, comp, ring=QQ):
 def alternating_half_sum(n: int, d: int, ring: PrimePower) -> Residue:
     """sum of (-1)^k/(2k+1)^d over 0 <= k <= n-1, in the ring: the
     denominators 1, 5, 9, ... minus 3, 7, 11, ..., read off one power table."""
+    if n < 0:
+        raise PreconditionViolated(f"index n must be non-negative, got {n}")
     if d < 1:
         raise PreconditionViolated(f"exponent d must be positive, got {d}")
     if 2 * n - 1 >= ring.p:

@@ -22,8 +22,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BaseDivisibleByP
-from .modring import PrimePower, Residue, divide_by_p, inverse_table, prime_power
+from .errors import BaseDivisibleByP, PreconditionViolated
+from .modring import PrimePower, Residue, divide_by_p, inverse_table, legendre, prime_power
 
 __all__ = [
     "LucasParams",
@@ -90,6 +90,8 @@ def lucas_pair_mod(n: int, x, y, ring: PrimePower) -> tuple[Residue, Residue]:
     u_{2k} = u_k * (2*u_{k+1} - x*u_k), u_{2k+1} = u_{k+1}^2 - y*u_k^2,
     and v_n = 2*u_{n+1} - x*u_n.
     """
+    if n < 0:
+        raise PreconditionViolated(f"index n must be non-negative, got {n}")
     m = ring.modulus
     xi = x.value if isinstance(x, Residue) else x % m
     yi = y.value if isinstance(y, Residue) else y % m
@@ -106,6 +108,8 @@ def lucas_pair_mod(n: int, x, y, ring: PrimePower) -> tuple[Residue, Residue]:
 
 def w_value(n: int, x):
     """w_n(x), generic over the coefficient ring."""
+    if n < 0:
+        raise PreconditionViolated(f"index n must be non-negative, got {n}")
     one = x**0
     if n == 0:
         return one
@@ -138,9 +142,12 @@ def fermat_quotient(a: int, p: int, k: int = 1) -> Residue:
 
 def lucas_quotient(p: int, k: int = 1) -> Residue:
     """Lucas quotient q_L = (L_p - 1)/p as a residue mod p^k."""
-    work = prime_power(p, k + 1)
-    _, lp = lucas_pair_mod(p, 1, -1, work)
-    return divide_by_p(lp - 1)
+    return divide_by_p(lucas_pair_mod(p, 1, -1, prime_power(p, k + 1))[1] - 1)
+
+
+def _fibonacci_quotient(p: int, k: int = 1) -> Residue:
+    """Fibonacci quotient (F_p - (p|5))/p as a residue mod p^k, p != 5."""
+    return divide_by_p(lucas_pair_mod(p, 1, -1, prime_power(p, k + 1))[0] - legendre(p, 5))
 
 
 @lru_cache(maxsize=16)

@@ -21,8 +21,9 @@ wraps them by name:
 * ``euler_numbers``: the recurrence sum_k C(2n, 2k)*E_{2k} = 0.
 
 Only mod-p precision is provided: the catalog brings these values into its
-working ring Z/p^k through ``catalog._mod_p_term``, which multiplies them by
-p^(k-1), so higher precision is never needed.
+working ring through ``catalog._mod_p_term``, which multiplies them by the
+power p^e that their statement gives them.  Each such statement holds mod
+p^(e+1), so higher precision is never needed.
 """
 
 from __future__ import annotations

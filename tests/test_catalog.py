@@ -28,7 +28,7 @@ from congrlab.catalog import (
     run_suite,
     select_checks,
 )
-from congrlab.modring import Residue, prime_power
+from congrlab.modring import PrimePower, Residue, prime_power
 from oracles import records
 
 
@@ -242,21 +242,26 @@ class TestLiftInvariance:
 
     @pytest.mark.parametrize(
         "check_id,helper",
-        [("C42.a", "bernoulli_third"), ("C42.b", "bernoulli_third"), ("C45.b", "euler_number")],
+        [
+            ("C42.a", "bernoulli_third"), ("C42.b", "bernoulli_third"), ("C45.b", "euler_number"),
+            ("T32.first", "_v_term"), ("T32.second", "_u_term"),
+        ],
     )
     @pytest.mark.parametrize("p", [7, 11, 13, 101])
     def test_lift_of_the_special_value_keeps_the_result(self, check_id, helper, p, monkeypatch):
+        # The u/v-series sums of T32 are read at t = 1/4.
         check = lookup(check_id)
-        want = run_congruence(check, p)
+        t = _panel_t(check)
+        want = run_congruence(check, p, t)
         assert want.passed
         original = getattr(catalog, helper)
         for r in (1, 2, p + 3, -1):
             monkeypatch.setattr(catalog, helper, _shifted(original, p * r))
-            assert run_congruence(check, p) == want, r
+            assert run_congruence(check, p, t) == want, r
         # A shift that is not a multiple of p changes the verdict, so the
         # patched helper is the one the check reads.
         monkeypatch.setattr(catalog, helper, _shifted(original, 1))
-        assert not run_congruence(check, p).passed
+        assert not run_congruence(check, p, t).passed
 
     def test_bernoulli_readers_census(self, monkeypatch):
         # Every check that reads the Bernoulli value is in BERNOULLI_READERS.
@@ -349,36 +354,43 @@ class TestBinomialRatioExpansion:
         assert (res.lhs, res.rhs) == (str(lhs), str(rhs))
 
 
-class TestQuotientExpansion:
-    """The shared evaluator of the Fermat- and Lucas-quotient closed forms,
-    sign * [q^s * P(p*q) + c * p^(k-1) * x], against that formula summed term
-    by term over Q and then reduced mod p^k."""
+class TestClosedForm:
+    """The shared closed-form evaluator, sign * (sum of its terms), and its term
+    constructors, each against its formula over Q reduced mod p^k: every term
+    states its own power of p, so k sets only the precision."""
 
     COEFFS = [
         (), (1,), (0, Fraction(-1, 8)), (2, 0, Fraction(2, 3)),
         (1, Fraction(1, 2), 0, Fraction(1, 16)),
     ]
-    Q, C, X = 123457, Fraction(-1, 16), 5
+    Q, H, C, X = 123457, Fraction(-9, 2), Fraction(-1, 16), 5
 
     @pytest.mark.parametrize("p", [7, 11, 101])
-    def test_rhs_against_the_expansion_over_q(self, p):
-        cases = itertools.product(range(2, 6), range(3), self.COEFFS, (False, True), (1, -1))
-        for k, s, coeffs, special, sign in cases:
+    def test_rhs_against_the_formula_over_q(self, p):
+        h1 = sum(Fraction(1, i) for i in range(1, p))  # H_(p-1)(1); p^2 divides it
+        quotient = lambda qp, qk: prime_power(qp, qk).from_int(self.Q)
+        value = lambda xp: prime_power(xp, 1).from_int(self.X)
+        terms = [
+            (f"q^{s}*P{c}", catalog._quotient_poly(quotient, s, c),
+             sum((a * self.Q ** (j + s) * p**j for j, a in enumerate(c)), Fraction(0)))
+            for s in range(3) for c in self.COEFFS
+        ]
+        terms += [(f"H/p^{j}", catalog._h1_term(self.H, j), self.H * h1 / p**j) for j in range(3)]
+        terms += [
+            (f"p^{e}*X", catalog._mod_p(self.C, e, value), self.C * p**e * self.X) for e in range(5)
+        ]
+        terms.append(("one", PrimePower.one, Fraction(1)))
+        for k, sign in itertools.product(range(2, 6), (1, -1)):
             ring = prime_power(p, k)
-            ev = catalog._eval_quotient_expansion(
-                lambda r: r.from_int(17),
-                lambda qp, qk: prime_power(qp, qk).from_int(self.Q),
-                s,
-                coeffs,
-                (self.C, lambda xp: prime_power(xp, 1).from_int(self.X)) if special else None,
-                None if sign == 1 else lambda xp: sign,
-            )
-            want = sum((c * self.Q ** (j + s) * p**j for j, c in enumerate(coeffs)), Fraction(0))
-            if special:
-                want += self.C * p ** (k - 1) * self.X
-            assert ev(ring, None) == (ring.from_int(17), ring.from_fraction(sign * want)), (
-                k, s, coeffs, special, sign,
-            )
+            for chosen in [[term] for term in terms] + [terms]:
+                ev = catalog._closed_form(
+                    lambda r: r.from_int(17), *(f for _, f, _ in chosen),
+                    sign=None if sign == 1 else lambda xp: sign,
+                )
+                want = ring.from_fraction(sign * sum(w for _, _, w in chosen))
+                assert ev(ring, None) == (ring.from_int(17), want), (
+                    k, sign, [name for name, _, _ in chosen],
+                )
 
 
 class TestRunIdentity:

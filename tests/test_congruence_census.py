@@ -4,8 +4,10 @@ A congruence whose lhs and rhs both vanish mod p^target shows only lhs = 0;
 the census pins which checks do so at every prime, so that a new one is
 added on purpose.  The mutation test shows that every check can fail: an
 rhs moved by p^(target-1) must grade FAIL, which guards both the grading
-path and the ring each evaluator works in.  The property test runs the
-per-panel checks at parameters t beyond the default panel.
+path and the ring each evaluator works in.  The precision test shows that
+the ring sets only the precision of a check, never a power of p in its
+statement.  The property test runs the per-panel checks at parameters t
+beyond the default panel.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congrlab.catalog import DEFAULT_T_PANEL, builtin_checks, run_congruence, run_suite
-from congrlab.modring import primes_in_range
+from congrlab.modring import prime_power, primes_in_range
 
 #: Checks whose lhs and rhs are both 0 mod p^target at every prime 7..200.
 #: The ``iii`` rhs has a zero coefficient when r = t, and the ``ii`` rhs
@@ -61,6 +63,33 @@ def test_shifted_rhs_fails(check):
             row = run_congruence(mutant, p, t)
             assert row.error is None, row
             assert not row.passed and row.valuation == target - 1, row
+
+
+#: S5.conbin grades the first index k where its sides differ, and it compares
+#: them at the ring's own precision: in Z/p^(target+1) it can stop at another
+#: k, so its sides depend on more than the ring's precision.
+PRECISION_EXEMPT = frozenset({"S5.conbin"})
+
+
+@pytest.mark.parametrize(
+    "check", [c for c in CONGRUENCES if c.id not in PRECISION_EXEMPT], ids=lambda c: c.id
+)
+def test_the_ring_sets_only_precision(check):
+    # Every power of p in a statement is its own, not read from the ring, so
+    # the sides in Z/p^(target+1), reduced mod p^target, are the sides in
+    # Z/p^target.
+    target = check.target_exponent
+    for p in (11, 101, 199):
+        if p < check.min_prime or p in check.excluded_primes:
+            continue
+        if check.prime_cap is not None and p > check.prime_cap:
+            continue
+        ring = prime_power(p, target)
+        for t in DEFAULT_T_PANEL[:2] if check.uses_t_panel else (None,):
+            above = check.evaluator(prime_power(p, target + 1), t)
+            assert [ring.from_int(side.value) for side in above] == list(
+                check.evaluator(ring, t)
+            ), (p, t)
 
 
 #: L31.A2, L31.A3, T32.first, T32.second, T34.first and T34.second.

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from congrlab.errors import NonUnitDenominator, PreconditionViolated
 from congrlab import harmonic
-from congrlab.exactalg import Poly
+from congrlab.exactalg import QQ, Poly
 from congrlab.harmonic import alternating_half_sum, mhs, odd_mhs, repeated
 from congrlab.modring import prime_power
 
@@ -137,6 +137,21 @@ class TestPreconditions:
             odd_mhs(4, (1,), ring)  # denominator 2*3+1 = 7
         with pytest.raises(NonUnitDenominator):
             alternating_half_sum(4, 1, ring)
+
+    # Unguarded, a negative slice wraps around the power table (mhs(-3, (1,))
+    # mod 11^2 reads 106, odd_mhs(-2, (1,)) 58) and the exact sum is empty (0).
+    @pytest.mark.parametrize("ring", [QQ, prime_power(11, 2)], ids=["exact", "mod"])
+    def test_negative_index_rejected(self, ring):
+        for n in (-1, -3):
+            with pytest.raises(PreconditionViolated):
+                mhs(n, (1,), ring)
+            with pytest.raises(PreconditionViolated):
+                odd_mhs(n, (1,), ring)
+
+    def test_negative_alternating_index_rejected(self):
+        for n in (-1, -2):
+            with pytest.raises(PreconditionViolated):
+                alternating_half_sum(n, 1, prime_power(11, 2))
 
 
 @pytest.mark.parametrize(

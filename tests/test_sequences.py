@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congrlab.errors import BaseDivisibleByP
+from congrlab.errors import BaseDivisibleByP, PreconditionViolated
 from congrlab.exactalg import Poly
 from congrlab.modring import prime_power
 from congrlab.sequences import (
@@ -89,6 +89,11 @@ class TestLucasPairMod:
         assert u2 == u * v
         assert v2 == v * v - 2 * pow(y, n, ring.modulus)
 
+    def test_negative_index_rejected(self):
+        # Unguarded, the doubling loop reads bin(-2) = '-0b10' and raises ValueError.
+        with pytest.raises(PreconditionViolated):
+            lucas_pair_mod(-2, 1, -1, prime_power(11, 2))
+
 
 class TestRecurrenceColumn:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 40])
@@ -129,6 +134,13 @@ class TestWPolynomials:
         for x in (1, 2, 5):
             for n in (0, 1, 5, 20):
                 assert int(w_value_mod(n, x, ring)) == w_value(n, x) % 169
+
+    def test_negative_index_rejected(self):
+        # Unguarded, the recurrence loop runs no step and w_value(-2, 3) is w_1 = 7.
+        with pytest.raises(PreconditionViolated):
+            w_value(-2, Fraction(3))
+        with pytest.raises(PreconditionViolated):
+            w_value_mod(-2, 3, prime_power(11, 2))
 
     @pytest.mark.parametrize("p", [3, 5, 7, 13, 199, 997])
     def test_mod_matches_exact_at_prime_powers(self, p):
