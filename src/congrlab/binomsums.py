@@ -55,7 +55,8 @@ def _check_d(d: int) -> None:
 def binomial_column(t: Fraction, ring: PrimePower) -> tuple[int, ...]:
     """C(2k,k) t^k mod p^k for 0 <= k <= (p-1)/2, as raw integers.
 
-    Cached: the checks at one prime read 25 distinct (t, ring) columns.
+    Cached: the checks at one prime read 25 distinct (t, ring) columns, and
+    the sweep empties the cache when the prime's unit ends.
     """
     m = ring.modulus
     tv = ring.from_fraction(t).value
@@ -169,7 +170,7 @@ def alternating_v_sum(t: Fraction, odd: bool, ring: PrimePower) -> Residue:
     sign (-1)^k is folded in by negating v_2.
     """
     tv = ring.from_fraction(t).value
-    v2 = tv * tv - 2
+    v2 = (tv * tv - 2) % ring.modulus
     if odd:
         seeds, weights = (tv, -(v2 * tv - tv)), _odd_powers(ring, 1)  # v_1, -v_3
     else:

@@ -16,10 +16,11 @@ from collections import namedtuple
 from fnmatch import fnmatchcase
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb, inf
 from operator import mul
 
+from . import binomsums, harmonic, modring, sequences, specialnum
 from .binomsums import (
     _dot,
     _odd_powers,
@@ -281,10 +282,14 @@ def _h1_term(h, j: int):
     return lambda ring: _div_p_times(mhs(ring.p - 1, (1,), prime_power(ring.p, ring.k + j)), j) * h
 
 
-def _mod_p(c, e: int, value):
-    """The term c * p^e * X(p), ``value`` the map p -> X(p) for a value known
-    only mod p."""
-    return lambda ring: _mod_p_term(ring, c, e, value(ring.p))
+def _mod_p(c, e: int, value, sign=None):
+    """The term sign(p) * c * p^e * X(p), ``value`` the map p -> X(p) for a
+    value known only mod p.  A missing sign is 1.  The sign goes into the
+    coefficient, so the representative of X(p) reaches the factor p^e as
+    ``value`` gave it."""
+    if sign is None:
+        return lambda ring: _mod_p_term(ring, c, e, value(ring.p))
+    return lambda ring: _mod_p_term(ring, c * sign(ring.p), e, value(ring.p))
 
 
 def _eval_mhs_bernoulli(half: bool, comp: tuple[int, ...], h1: int, coeff: Fraction, e: int):
@@ -912,7 +917,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         3, _closed_form(
             lambda ring: ring.one() + s2(Fraction(1, 16), 0, ring),
             lambda ring: ring.from_int(legendre(3, ring.p)),
-            _mod_p(Fraction(1, 24), 2, lambda p: bernoulli_third(p) * sign_minus(p)),
+            _mod_p(Fraction(1, 24), 2, lambda p: bernoulli_third(p), sign=sign_minus),
         ), minp=5, cap=600,
     )
     add(
@@ -921,7 +926,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "sum_(k<=n) C(2k,k)(3/16)^k = 1 + (-3|p)*p^2/12*B_(p-2)(1/3)  (mod p^3)",
         3, _closed_form(
             lambda ring: ring.one() + s2(Fraction(3, 16), 0, ring), PrimePower.one,
-            _mod_p(Fraction(1, 12), 2, lambda p: bernoulli_third(p) * legendre(-3, p)),
+            _mod_p(Fraction(1, 12), 2, lambda p: bernoulli_third(p), sign=lambda p: legendre(-3, p)),
         ), minp=5, cap=600,
     )
     add(
@@ -958,7 +963,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "sum C(2k,k)/(k*4^k) = 2q - p*q^2 + (-1)^((p+1)/2)*2p*E(p-3)  (mod p^2)",
         2, _closed_form(
             lambda ring: s2(Fraction(1, 4), 1, ring), _quotient_poly(fermat(2), 1, (2, -1)),
-            _mod_p(2, 1, lambda p: euler_number(p - 3, p) * sign_plus(p)),
+            _mod_p(2, 1, lambda p: euler_number(p - 3, p), sign=sign_plus),
         ), minp=3,
     )
     add(
@@ -1193,14 +1198,17 @@ def _graded(check_id: str, prime, t, target, evaluate) -> CheckResult:
     return CheckResult(check_id, prime, t, target, valuation, valuation >= target, lhs, rhs)
 
 
-def run_congruence(check: CongruenceCheck, p: int, t: Fraction | None = None) -> CheckResult:
+def run_congruence(
+    check: CongruenceCheck, p: int, t: Fraction | None = None, t_text: str | None = None
+) -> CheckResult:
     """Evaluate one congruence instance in Z/p^target and grade the p-adic
     valuation of lhs - rhs.  Every power of p in the statement is the
     evaluator's own; the ring Z/p^target sets only the precision.
 
     A side outside Z/p^target raises `MixedModuli`, which grades as an ERROR
     row: its valuation and its printed residue would not be read at the
-    target.
+    target.  ``t_text`` is ``str(t)`` when the caller has rendered it
+    already; a row whose sides are equal holds one string for both.
     """
     target = check.target_exponent
 
@@ -1210,9 +1218,12 @@ def run_congruence(check: CongruenceCheck, p: int, t: Fraction | None = None) ->
         for side in (lhs, rhs):
             if side.ring != ring:
                 raise MixedModuli(f"a side is in {side.ring!r}, not in {ring!r}")
-        return (lhs - rhs).valuation(), str(lhs), str(rhs)
+        text = str(lhs)
+        return (lhs - rhs).valuation(), text, text if lhs.value == rhs.value else str(rhs)
 
-    return _graded(check.id, p, str(t) if t is not None else None, target, evaluate)
+    if t_text is None and t is not None:
+        t_text = str(t)
+    return _graded(check.id, p, t_text, target, evaluate)
 
 
 def run_identity(check: IdentityCheck, params: dict) -> CheckResult:
@@ -1234,13 +1245,42 @@ def _applicable_ts(check: CongruenceCheck, p: int, panel) -> list:
     ]
 
 
+#: The kernel caches whose keys hold a prime or one of its rings.  A sweep
+#: never reads a prime's entries again once its unit ends.  The cache objects
+#: are taken here, at import, because a profiler may rebind the module names
+#: to wrappers without ``cache_clear``.
+_UNIT_CACHES = (
+    harmonic._powers,
+    harmonic._mhs_mod,
+    harmonic._odd_mhs_mod,
+    binomsums.binomial_column,
+    binomsums.weighted_sums,
+    binomsums._u_sums,
+    modring.inverse_table,
+    sequences.central_binomials,
+    specialnum.bernoulli_powersum,
+)
+
+
 def _run_unit(unit) -> list[CheckResult]:
-    if unit[0] == "c":
-        _, p, items = unit
-        return [run_congruence(_registry()[cid], p, t) for cid, t in items]
-    _, cid, indices = unit
-    check = _registry()[cid]
-    return [run_identity(check, dict(check.cases[i])) for i in indices]
+    """The rows of one unit: every congruence instance at one prime, or the
+    cases of one identity.
+
+    The kernel tables built for the unit live as long as the unit: the
+    caches of `_UNIT_CACHES` are emptied when it ends, also in a pool
+    worker, so a range of primes holds one prime's tables at a time.
+    """
+    try:
+        if unit[0] == "c":
+            _, p, items = unit
+            texts = {t: str(t) for t in {t for _, t in items} - {None}}
+            return [run_congruence(_registry()[cid], p, t, texts.get(t)) for cid, t in items]
+        _, cid, indices = unit
+        check = _registry()[cid]
+        return [run_identity(check, dict(check.cases[i])) for i in indices]
+    finally:
+        for cache in _UNIT_CACHES:
+            cache.cache_clear()
 
 
 def run_suite(
@@ -1256,15 +1296,19 @@ def run_suite(
     """Run every applicable instance of the selected checks and report.
 
     Work is grouped into one unit per identity check plus one unit per
-    prime (all congruence checks at that prime), so worker-local caches are
-    reused.  The identity units go first, since the largest of them outlasts
-    any prime unit, then the primes in ascending order.  A pool of
-    min(jobs, units, CPUs) worker processes runs them; with one unit or ``jobs=1``
-    they run in this process and ``concurrent.futures.process`` (with
-    multiprocessing and pickle) is never imported.  A prime unit carries its
-    panel values as ``Fraction`` objects, and rows come back as `CheckResult`
-    named tuples.  Results are sorted by (check id, prime, t) regardless of
-    job count, making reports byte-identical across schedules.
+    prime (all congruence checks at that prime), so the kernel tables of a
+    prime are built once and read by all its checks; `_run_unit` frees them
+    when the unit ends.  The identity units go first, since the largest of
+    them outlasts any prime unit, then the primes in ascending order.  A
+    pool of min(jobs, units, CPUs) worker processes runs them; with one unit
+    or ``jobs=1`` they run in this process and ``concurrent.futures.process``
+    (with multiprocessing and pickle) is never imported.  A prime unit
+    carries its panel values as ``Fraction`` objects, and rows come back as
+    `CheckResult` named tuples.  The rows are the only state kept across
+    units.  They are bucketed by check id as they arrive, and each bucket is
+    sorted by (prime, t), so the results come out in (check id, prime, t)
+    order regardless of job count, making reports byte-identical across
+    schedules.
     """
     started = time.perf_counter()
     selected = select_checks(patterns)
@@ -1286,7 +1330,7 @@ def run_suite(
         if items:
             units.append(("c", p, tuple(items)))
 
-    results: list[CheckResult] = []
+    buckets: dict[str, list[CheckResult]] = {}
     # The pool starts all its workers at once, so start no idle ones, and no
     # more than the machine has CPUs.
     workers = min(jobs, len(units), os.cpu_count() or 1)
@@ -1302,7 +1346,8 @@ def run_suite(
     try:
         # _run_unit is looked up at call time so that profilers can replace it.
         for batch in mapper(_run_unit, units):
-            results.extend(batch)
+            for row in batch:
+                buckets.setdefault(row.check_id, []).append(row)
             if fail_fast and any(not r.passed for r in batch):
                 break
     finally:
@@ -1310,5 +1355,7 @@ def run_suite(
             # Drop the units not yet started; pool.map submitted them all.
             pool.shutdown(cancel_futures=True)
 
-    results.sort(key=CheckResult.sort_key)
-    return Report(results=tuple(results), wall_seconds=time.perf_counter() - started)
+    for bucket in buckets.values():
+        bucket.sort(key=CheckResult.sort_key)
+    results = tuple(chain.from_iterable(buckets[cid] for cid in sorted(buckets)))
+    return Report(results=results, wall_seconds=time.perf_counter() - started)

@@ -270,8 +270,9 @@ def inverse_table(ring: PrimePower) -> tuple[int, ...]:
 
     Entry i holds the inverse of i; entry 0 is a zero placeholder.  One
     modular inversion plus O(p) multiplications in total.  A sweep reads
-    about six rings per prime and moves on to the next prime, so a small
-    bound keeps large primes from piling up O(p) tables.
+    about six rings per prime, and its prime unit empties this cache when it
+    ends (``catalog._run_unit``); the bound only caps what a caller outside
+    a sweep keeps.
     """
     p, m = ring.p, ring.modulus
     prefix = [1] * p

@@ -45,8 +45,14 @@ class LucasParams(namedtuple("LucasParams", "x y")):
     __slots__ = ()
 
 
+def _check_index(n: int) -> None:
+    if n < 0:
+        raise PreconditionViolated(f"index n must be non-negative, got {n}")
+
+
 def lucas_u_upto(n: int, params: LucasParams) -> list:
     """[u_0, u_1, ..., u_n]."""
+    _check_index(n)
     x, y = params.x, params.y
     out = [x * 0]
     if n >= 1:
@@ -58,6 +64,7 @@ def lucas_u_upto(n: int, params: LucasParams) -> list:
 
 def lucas_v_upto(n: int, params: LucasParams) -> list:
     """[v_0, v_1, ..., v_n]."""
+    _check_index(n)
     x, y = params.x, params.y
     one = x**0
     out = [one + one]
@@ -90,8 +97,7 @@ def lucas_pair_mod(n: int, x, y, ring: PrimePower) -> tuple[Residue, Residue]:
     u_{2k} = u_k * (2*u_{k+1} - x*u_k), u_{2k+1} = u_{k+1}^2 - y*u_k^2,
     and v_n = 2*u_{n+1} - x*u_n.
     """
-    if n < 0:
-        raise PreconditionViolated(f"index n must be non-negative, got {n}")
+    _check_index(n)
     m = ring.modulus
     xi = x.value if isinstance(x, Residue) else x % m
     yi = y.value if isinstance(y, Residue) else y % m
@@ -108,8 +114,7 @@ def lucas_pair_mod(n: int, x, y, ring: PrimePower) -> tuple[Residue, Residue]:
 
 def w_value(n: int, x):
     """w_n(x), generic over the coefficient ring."""
-    if n < 0:
-        raise PreconditionViolated(f"index n must be non-negative, got {n}")
+    _check_index(n)
     one = x**0
     if n == 0:
         return one

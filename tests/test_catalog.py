@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
 import math
 import pickle
+import pkgutil
 import subprocess
 import sys
 import time
@@ -13,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import congrlab
 import congrlab.catalog as catalog
 from congrlab import binomsums, harmonic, modring, sequences, specialnum
 from congrlab.catalog import (
@@ -252,12 +255,25 @@ class TestLiftInvariance:
         # The u/v-series sums of T32 are read at t = 1/4.
         check = lookup(check_id)
         t = _panel_t(check)
+        term = catalog._mod_p_term
+        received = []
+
+        def spy(ring, coeff, e, x):
+            received.append(x.value)
+            return term(ring, coeff, e, x)
+
+        monkeypatch.setattr(catalog, "_mod_p_term", spy)
         want = run_congruence(check, p, t)
         assert want.passed
+        (value,) = received
         original = getattr(catalog, helper)
         for r in (1, 2, p + 3, -1):
+            received.clear()
             monkeypatch.setattr(catalog, helper, _shifted(original, p * r))
             assert run_congruence(check, p, t) == want, r
+            # The lift reaches the factor p^e as the helper gave it: no sign
+            # or other factor mod p reduces it on the way.
+            assert received == [value + p * r], r
         # A shift that is not a multiple of p changes the verdict, so the
         # patched helper is the one the check reads.
         monkeypatch.setattr(catalog, helper, _shifted(original, 1))
@@ -615,24 +631,92 @@ VALUE_CACHES = {
     "bernoulli_powersum": specialnum.bernoulli_powersum,
 }
 
+UNIT_CACHES = {**KERNEL_CACHES, **VALUE_CACHES}
+
+
+class _Census:
+    """Stands in for a cache of ``catalog._UNIT_CACHES``: records its
+    ``cache_info()`` in ``out`` just before `_run_unit` empties it."""
+
+    def __init__(self, name, cache, out):
+        self.name, self.cache, self.out = name, cache, out
+
+    def cache_clear(self):
+        self.out[self.name] = self.cache.cache_info()
+        self.cache.cache_clear()
+
 
 @pytest.fixture(scope="module")
 def one_prime_census():
-    """cache_info() of each kernel and value cache after a cold ``--checks '*'``
-    run at p = 101."""
-    for module in (binomsums, harmonic, modring, sequences, specialnum):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
-    assert run_suite(prime_lo=101, prime_hi=101, patterns=("*",), jobs=1).status == "pass"
-    caches = {**KERNEL_CACHES, **VALUE_CACHES}
-    return {name: cache.cache_info() for name, cache in caches.items()}
+    """cache_info() of each kernel and value cache at the end of a cold
+    ``--checks '*'`` unit at p = 101, just before the unit empties it.  The
+    identity units run first, and the census keeps the last unit's."""
+    for cache in catalog._UNIT_CACHES:
+        cache.cache_clear()
+    census = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "_UNIT_CACHES", tuple(_Census(n, c, census) for n, c in UNIT_CACHES.items()))
+        assert run_suite(prime_lo=101, prime_hi=101, patterns=("*",), jobs=1).status == "pass"
+    return census
 
 
-@pytest.mark.parametrize("name", [*KERNEL_CACHES, *VALUE_CACHES])
+@pytest.mark.parametrize("name", list(UNIT_CACHES))
 def test_kernel_cache_bound_fits_one_prime(one_prime_census, name):
     # A sweep runs its primes in ascending order and never goes back to one,
     # so each cache needs only the keys of about one prime.  A bound far
     # above that keeps the tables (or values) of many primes at once.
     info = one_prime_census[name]
     assert 0 < info.currsize <= info.maxsize <= 3 * info.currsize, info
+    # Nothing is evicted inside a unit: every fill is still held at its end.
+    assert info.misses == info.currsize, info
+
+
+def test_the_unit_caches_are_the_kernel_and_value_caches():
+    assert sorted(map(id, catalog._UNIT_CACHES)) == sorted(map(id, UNIT_CACHES.values()))
+
+
+def test_unit_caches_are_empty_after_a_sweep():
+    report = run_suite(prime_lo=7, prime_hi=11, patterns=("*",), jobs=1, kinds=("congruence",))
+    assert {r.prime for r in report.results} == {7, 11} and report.status == "pass"
+    assert [name for name, cache in UNIT_CACHES.items() if cache.cache_info().currsize] == []
+
+
+#: The ``lru_cache`` functions that outlive a unit: the ring constructor (one
+#: small object per (p, k)), the check registry, and the O(p^2) Bernoulli and
+#: Euler tables, which only the tests read.
+LONG_LIVED_CACHES = {
+    "congrlab.modring.prime_power",
+    "congrlab.catalog.builtin_checks",
+    "congrlab.catalog._registry",
+    "congrlab.specialnum.bernoulli_table",
+    "congrlab.specialnum.euler_numbers",
+}
+
+
+def test_every_lru_cache_is_unit_scoped_or_long_lived():
+    # A new cache keyed by a prime must join catalog._UNIT_CACHES, or a sweep
+    # keeps its tables for up to maxsize primes.
+    found = set()
+    for info in pkgutil.iter_modules(congrlab.__path__, "congrlab."):
+        for value in vars(importlib.import_module(info.name)).values():
+            if hasattr(value, "cache_clear"):
+                found.add(f"{value.__module__}.{value.__qualname__}")
+    scoped = {f"{c.__module__}.{c.__qualname__}" for c in catalog._UNIT_CACHES}
+    assert not scoped & LONG_LIVED_CACHES
+    assert found == scoped | LONG_LIVED_CACHES
+
+
+def test_a_rebound_cache_name_is_still_cleared(monkeypatch):
+    # A profiler rebinds kernel names to plain wrappers without cache_clear;
+    # the unit still empties the cache object behind the wrapper.
+    cached = harmonic._mhs_mod
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        return cached(*args)
+
+    monkeypatch.setattr(harmonic, "_mhs_mod", wrapper)
+    report = run_suite(prime_lo=11, prime_hi=11, patterns=("i.*",), jobs=1)
+    assert report.status == "pass" and calls
+    assert cached.cache_info().currsize == 0

@@ -45,6 +45,12 @@ class TestIntegerSequences:
         assert lucas_u_upto(1, FIB_LUCAS) == [0, 1]
         assert lucas_v_upto(1, FIB_LUCAS) == [2, 1]
 
+    @pytest.mark.parametrize("upto", [lucas_u_upto, lucas_v_upto])
+    def test_negative_index_rejected(self, upto):
+        # Unguarded, n = -2 gives the one-entry table [u_0] or [v_0].
+        with pytest.raises(PreconditionViolated):
+            upto(-2, FIB_LUCAS)
+
     def test_pell_numbers(self):
         # u_n for (x, y) = (2, -1): 0, 1, 2, 5, 12, 29, 70, ...
         assert lucas_u_upto(6, LucasParams(2, -1)) == [0, 1, 2, 5, 12, 29, 70]
