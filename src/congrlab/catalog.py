@@ -11,6 +11,7 @@ across worker processes, and collects a deterministic `Report`.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from collections import namedtuple
 from fnmatch import fnmatchcase
@@ -287,9 +288,7 @@ def _mod_p(c, e: int, value, sign=None):
     value known only mod p.  A missing sign is 1.  The sign goes into the
     coefficient, so the representative of X(p) reaches the factor p^e as
     ``value`` gave it."""
-    if sign is None:
-        return lambda ring: _mod_p_term(ring, c, e, value(ring.p))
-    return lambda ring: _mod_p_term(ring, c * sign(ring.p), e, value(ring.p))
+    return lambda ring: _mod_p_term(ring, c if sign is None else c * sign(ring.p), e, value(ring.p))
 
 
 def _eval_mhs_bernoulli(half: bool, comp: tuple[int, ...], h1: int, coeff: Fraction, e: int):
@@ -1198,17 +1197,15 @@ def _graded(check_id: str, prime, t, target, evaluate) -> CheckResult:
     return CheckResult(check_id, prime, t, target, valuation, valuation >= target, lhs, rhs)
 
 
-def run_congruence(
-    check: CongruenceCheck, p: int, t: Fraction | None = None, t_text: str | None = None
-) -> CheckResult:
+def run_congruence(check: CongruenceCheck, p: int, t: Fraction | None = None) -> CheckResult:
     """Evaluate one congruence instance in Z/p^target and grade the p-adic
     valuation of lhs - rhs.  Every power of p in the statement is the
     evaluator's own; the ring Z/p^target sets only the precision.
 
     A side outside Z/p^target raises `MixedModuli`, which grades as an ERROR
     row: its valuation and its printed residue would not be read at the
-    target.  ``t_text`` is ``str(t)`` when the caller has rendered it
-    already; a row whose sides are equal holds one string for both.
+    target.  A row whose sides are equal holds one string for both, and
+    the rows of one panel value share one interned ``str(t)``.
     """
     target = check.target_exponent
 
@@ -1221,9 +1218,7 @@ def run_congruence(
         text = str(lhs)
         return (lhs - rhs).valuation(), text, text if lhs.value == rhs.value else str(rhs)
 
-    if t_text is None and t is not None:
-        t_text = str(t)
-    return _graded(check.id, p, t_text, target, evaluate)
+    return _graded(check.id, p, sys.intern(str(t)) if t is not None else None, target, evaluate)
 
 
 def run_identity(check: IdentityCheck, params: dict) -> CheckResult:
@@ -1273,8 +1268,7 @@ def _run_unit(unit) -> list[CheckResult]:
     try:
         if unit[0] == "c":
             _, p, items = unit
-            texts = {t: str(t) for t in {t for _, t in items} - {None}}
-            return [run_congruence(_registry()[cid], p, t, texts.get(t)) for cid, t in items]
+            return [run_congruence(_registry()[cid], p, t) for cid, t in items]
         _, cid, indices = unit
         check = _registry()[cid]
         return [run_identity(check, dict(check.cases[i])) for i in indices]
