@@ -195,9 +195,14 @@ def _neg_one_pow(e: int) -> int:
     return 1 if e % 2 == 0 else -1
 
 
-def _sign_half(p: int, offset: int) -> int:
-    """(-1)**((p+offset)/2) for offset in {-1, +1}."""
-    return _neg_one_pow((p + offset) // 2)
+def _sign_plus(p: int) -> int:
+    """(-1)^((p+1)/2)."""
+    return _neg_one_pow((p + 1) // 2)
+
+
+def _sign_minus(p: int) -> int:
+    """(-1)^((p-1)/2), that is (-1)^n for n = (p-1)/2."""
+    return _neg_one_pow((p - 1) // 2)
 
 
 def _div_p_times(x: Residue, times: int) -> Residue:
@@ -241,25 +246,54 @@ def _u_term(t: Fraction, modp: PrimePower) -> Residue:
 # Each evaluator takes (ring, t): ring is Z/p^k, t the panel value (None for
 # a check without a panel), and returns (lhs, rhs) as residues of that ring.
 # The ring sets only the precision: each power of p of a statement is written
-# in the registry or in its evaluator, so the sides in Z/p^(target+1) agree
-# mod p^target with those in Z/p^target, where the sweep runs them.  An
-# evaluator that divides a value by p^j computes it in Z/p^(k+j) first.
+# in the registry, as a term of `_closed_form` or, for the six panel checks
+# and S5.conbin, in their hand-written evaluators below.  So the sides in
+# Z/p^(target+1) agree mod p^target with those in Z/p^target, where the sweep
+# runs them.  A term or evaluator that divides a value by p^j computes it in
+# Z/p^(k+j) first.
+
+
+def _sum_of(*terms):
+    """The term sum of term(ring) over ``terms``; ring.zero() with none."""
+    return lambda ring: sum((term(ring) for term in terms), ring.zero())
 
 
 def _closed_form(lhs, *terms, sign=None):
     """lhs(ring) = sign(p) * (sum of term(ring) over ``terms``) (mod p^k).
 
-    Each term states its own power of p: `_quotient_poly`, `_h1_term`,
-    `_mod_p`, or a constant such as ``PrimePower.one``.  A missing sign is 1.
+    Each term states its own power of p: `_harmonic`, `_quotient_poly`,
+    `_mod_p`, or a constant such as ``PrimePower.one``; `_sum_of` builds a
+    multi-term lhs.  With no terms the rhs is 0, and a missing sign is 1.
     """
+    rhs = _sum_of(*terms)
 
     def ev(ring: PrimePower, t):
-        rhs = sum((term(ring) for term in terms), ring.zero())
+        value = rhs(ring)
         if sign is not None:
-            rhs = rhs * sign(ring.p)
-        return lhs(ring), rhs
+            value = value * sign(ring.p)
+        return lhs(ring), value
 
     return ev
+
+
+def _harmonic(c, e: int, comp: tuple[int, ...], half: bool = True, odd: bool = False):
+    """The term c * p^e * S, S = Hbar_N(comp) if ``odd`` else H_N(comp), and
+    N = (p-1)/2 if ``half`` else p-1.
+
+    For e < 0 the sum is taken in Z/p^(k-e) and divided by p^-e, which needs
+    p^-e to divide it: p^2 divides H_(p-1)(1), and p divides H_(p-1)(2), for
+    p >= 5.
+    """
+    kernel = odd_mhs if odd else mhs
+
+    def term(ring: PrimePower):
+        p = ring.p
+        n = (p - 1) // 2 if half else p - 1
+        if e >= 0:
+            return kernel(n, comp, ring) * c * p**e
+        return _div_p_times(kernel(n, comp, prime_power(p, ring.k - e)), -e) * c
+
+    return term
 
 
 def _quotient_poly(quotient, s: int, coeffs: tuple):
@@ -275,12 +309,6 @@ def _quotient_poly(quotient, s: int, coeffs: tuple):
         return acc * q**s
 
     return term
-
-
-def _h1_term(h, j: int):
-    """The term h * H_(p-1)(1)/p^j, from H_(p-1)(1) in Z/p^(k+j); p^2 divides
-    H_(p-1)(1) for p >= 5."""
-    return lambda ring: _div_p_times(mhs(ring.p - 1, (1,), prime_power(ring.p, ring.k + j)), j) * h
 
 
 def _mod_p(c, e: int, value, sign=None):
@@ -299,95 +327,10 @@ def _eval_mhs_bernoulli(half: bool, comp: tuple[int, ...], h1: int, coeff: Fract
     """
     w = sum(comp)
     return _closed_form(
-        lambda ring: mhs((ring.p - 1) // 2 if half else ring.p - 1, comp, ring),
-        *((_h1_term(h1, w - 1),) if h1 else ()),
+        _harmonic(1, 0, comp, half),
+        *((_harmonic(h1, 1 - w, (1,), half=False),) if h1 else ()),
         _mod_p(coeff, e, _bernoulli_p(w + e)),
     )
-
-
-def _eval_full_h1_expansion(ring: PrimePower, t):
-    p = ring.p
-    lhs = mhs(p - 1, (1,), ring)
-    rhs = (
-        -(mhs(p - 1, (2,), ring) * Fraction(1, 2) * p)
-        - mhs(p - 1, (3,), ring) * Fraction(1, 6) * (p * p)
-    )
-    return lhs, rhs
-
-
-def _eval_full_from_half(r: int, a: int):
-    """H_(p-1)(r) from H_n(r+j), j = 0..a."""
-
-    def ev(ring: PrimePower, t):
-        p = ring.p
-        n = (p - 1) // 2
-        lhs = mhs(p - 1, (r,), ring)
-        acc = sum((mhs(n, (r + j,), ring) * (comb(r - 1 + j, j) * p**j) for j in range(a + 1)), 0)
-        return lhs, mhs(n, (r,), ring) + acc * _neg_one_pow(r)
-
-    return ev
-
-
-def _eval_half_weighted_zero(ring: PrimePower, t):
-    p = ring.p
-    n = (p - 1) // 2
-    lhs = (
-        mhs(n, (2,), ring)
-        + mhs(n, (3,), ring) * Fraction(7, 6) * p
-        + mhs(n, (4,), ring) * Fraction(5, 8) * (p * p)
-    )
-    return lhs, ring.zero()
-
-
-def _eval_odd_depth2_expansion(r: int, s: int):
-    def ev(ring: PrimePower, t):
-        p = ring.p
-        n = (p - 1) // 2
-        lhs = odd_mhs(n, (r, s), ring)
-        inner = (
-            mhs(n, (s, r), ring)
-            + (mhs(n, (s, r + 1), ring) * r + mhs(n, (s + 1, r), ring) * s)
-            * Fraction(1, 2)
-            * p
-            + (
-                mhs(n, (s, r + 2), ring) * comb(r + 1, 2)
-                + mhs(n, (s + 1, r + 1), ring) * (r * s)
-                + mhs(n, (s + 2, r), ring) * comb(s + 1, 2)
-            )
-            * Fraction(1, 4)
-            * (p * p)
-        )
-        rhs = inner * Fraction(1, (-2) ** (r + s))
-        return lhs, rhs
-
-    return ev
-
-
-def _eval_alternating_vs_odd(ring: PrimePower, t):
-    p = ring.p
-    n = (p - 1) // 2
-    lhs = alternating_half_sum(n, 1, ring) * (2 * _neg_one_pow(n))
-    rhs = (
-        odd_mhs(n, (1,), ring)
-        - odd_mhs(n, (2,), ring) * p
-        - odd_mhs(n, (2, 1), ring) * (p * p)
-        + odd_mhs(n, (2, 2), ring) * (p**3)
-        + odd_mhs(n, (2, 2, 1), ring) * (p**4)
-    )
-    return lhs, rhs
-
-
-def _eval_central_binomial_mod_p6(ring: PrimePower, t):
-    p = ring.p
-    n = (p - 1) // 2
-    central = ring.from_int(central_binomials(ring)[n])
-    lhs = central * _neg_one_pow(n) / ring.from_int(pow(4, p - 1, ring.modulus))
-    rhs = (
-        ring.one()
-        - mhs(p - 1, (1,), ring) * Fraction(1, 4) * p
-        - _mod_p_term(ring, Fraction(1, 80), 5, bernoulli_number(p - 5, p))
-    )
-    return lhs, rhs
 
 
 def _eval_weighted_first_mod_p(ring: PrimePower, t: Fraction):
@@ -437,11 +380,6 @@ def _eval_s2_quadratic_arg(ring: PrimePower, t: Fraction):
     lhs = s2(t * t / 16, 1, ring)
     rhs = q * 4 - q * q * (2 * p) + alternating_v_sum(t, False, ring)
     return lhs, rhs
-
-
-def _eval_central_squares(ring: PrimePower, t):
-    lhs = _dot(ring, central_binomials(ring), binomial_column(Fraction(1, 16), ring))
-    return lhs, ring.from_int(_neg_one_pow((ring.p - 1) // 2))
 
 
 def _eval_binomial_ratio_expansion(ring: PrimePower, t):
@@ -657,9 +595,6 @@ def _congruence_checks() -> list[CongruenceCheck]:
             )
         )
 
-    sign_plus = partial(_sign_half, offset=1)  # (-1)^((p+1)/2)
-    sign_minus = partial(_sign_half, offset=-1)  # (-1)^((p-1)/2)
-
     def fermat(a):  # q_p(a) mod p^k, with fermat_quotient looked up at call time
         return lambda p, k: fermat_quotient(a, p, k)
 
@@ -706,7 +641,11 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "iv.h1",
         "weight-1 full harmonic sum expanded through weights 2 and 3",
         "H_(p-1)(1) = -p/2*H_(p-1)(2) - p^2/6*H_(p-1)(3)  (mod p^5)",
-        5, _eval_full_h1_expansion, minp=7,
+        5, _closed_form(
+            _harmonic(1, 0, (1,), half=False),
+            _harmonic(Fraction(-1, 2), 1, (2,), half=False),
+            _harmonic(Fraction(-1, 6), 2, (3,), half=False),
+        ), minp=7,
     )
     add(
         "v.h12",
@@ -719,8 +658,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "half-range weight-1 sum against Fermat-quotient powers",
         "H_n(1) = -2*q + p*q^2 - p^2*(2/3*q^3 + 7/12*B(p-3)), q = q_p(2), n = (p-1)/2  (mod p^3)",
         3, _closed_form(
-            lambda ring: mhs((ring.p - 1) // 2, (1,), ring),
-            _quotient_poly(fermat(2), 1, (-2, 1, Fraction(-2, 3))),
+            _harmonic(1, 0, (1,)), _quotient_poly(fermat(2), 1, (-2, 1, Fraction(-2, 3))),
             _mod_p(Fraction(-7, 12), 2, _bernoulli_p(3)),
         ), minp=7,
     )
@@ -746,7 +684,10 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"L21.C1.r{r}a{a}",
                 f"full weight-{r} sum from half-range sums through order p^{a}",
                 f"H_(p-1)({r}) = H_n({r}) + (-1)^{r} * sum_k C({r - 1}+k,k)*H_n({r}+k)*p^k, k=0..{a}  (mod p^{a + 1})",
-                a + 1, _eval_full_from_half(r, a), minp=r + 3,
+                a + 1, _closed_form(
+                    _harmonic(1, 0, (r,), half=False), _harmonic(1, 0, (r,)),
+                    *(_harmonic(_neg_one_pow(r) * comb(r - 1 + j, j), j, (r + j,)) for j in range(a + 1)),
+                ), minp=r + 3,
             )
     for w in (3, 5, 7):
         for s in range(1, w):
@@ -762,7 +703,9 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "T22.zero",
         "weighted half-range combination of weights 2,3,4 vanishing mod p^4",
         "H_n(2) + 7/6*p*H_n(3) + 5/8*p^2*H_n(4) = 0  (mod p^4)",
-        4, _eval_half_weighted_zero, minp=5,
+        4, _closed_form(_sum_of(
+            _harmonic(1, 0, (2,)), _harmonic(Fraction(7, 6), 1, (3,)), _harmonic(Fraction(5, 8), 2, (4,)),
+        )), minp=5,
     )
     add(
         "C23.a",
@@ -787,10 +730,8 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "half-range (1,2) and (1,3) sums against the p^2-divided weight-1 sum",
         "H_n(1,2) + p*H_n(1,3) = -9/2*H_(p-1)(1)/p^2 - 49/20*p^2*B(p-5)  (mod p^3)",
         3, _closed_form(
-            lambda ring: (
-                mhs((ring.p - 1) // 2, (1, 2), ring) + mhs((ring.p - 1) // 2, (1, 3), ring) * ring.p
-            ),
-            _h1_term(Fraction(-9, 2), 2), _mod_p(Fraction(-49, 20), 2, _bernoulli_p(5)),
+            _sum_of(_harmonic(1, 0, (1, 2)), _harmonic(1, 1, (1, 3))),
+            _harmonic(Fraction(-9, 2), -2, (1,), half=False), _mod_p(Fraction(-49, 20), 2, _bernoulli_p(5)),
         ), minp=7,
     )
     for r in (1, 2, 3):
@@ -799,19 +740,40 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"L25.r{r}s{s}",
                 f"odd-index depth-2 sum ({r},{s}) from reversed half-range sums",
                 f"Hbar_n({r},{s}) = (-2)^-{r + s} * [H_n({s},{r}) + p/2*({r}*H_n({s},{r + 1}) + {s}*H_n({s + 1},{r})) + p^2/4*(...)]  (mod p^3)",
-                3, _eval_odd_depth2_expansion(r, s), minp=3,
+                3, _closed_form(
+                    _harmonic(1, 0, (r, s), odd=True),
+                    *(_harmonic(Fraction(c, (-2) ** (r + s)), e, comp) for c, e, comp in (
+                        (1, 0, (s, r)),
+                        (Fraction(r, 2), 1, (s, r + 1)), (Fraction(s, 2), 1, (s + 1, r)),
+                        (Fraction(comb(r + 1, 2), 4), 2, (s, r + 2)),
+                        (Fraction(r * s, 4), 2, (s + 1, r + 1)),
+                        (Fraction(comb(s + 1, 2), 4), 2, (s + 2, r)),
+                    )),
+                ), minp=3,
             )
     add(
         "L26.alts",
         "alternating odd-denominator sum expanded in odd-index harmonic sums",
         "2*(-1)^n*sum((-1)^k/(2k+1)) = Hbar(1) - p*Hbar(2) - p^2*Hbar(2,1) + p^3*Hbar(2,2) + p^4*Hbar(2,2,1)  (mod p^5)",
-        5, _eval_alternating_vs_odd, minp=7,
+        5, _closed_form(
+            lambda ring: alternating_half_sum((ring.p - 1) // 2, 1, ring) * (2 * _sign_minus(ring.p)),
+            _harmonic(1, 0, (1,), odd=True), _harmonic(-1, 1, (2,), odd=True),
+            _harmonic(-1, 2, (2, 1), odd=True), _harmonic(1, 3, (2, 2), odd=True),
+            _harmonic(1, 4, (2, 2, 1), odd=True),
+        ), minp=7,
     )
     add(
         "C27.morley",
         "central binomial coefficient over 4^(p-1) to sixth order",
         "(-1)^n/4^(p-1)*C(p-1,n) = 1 - p/4*H_(p-1)(1) - p^5/80*B(p-5)  (mod p^6)",
-        6, _eval_central_binomial_mod_p6, minp=7,
+        6, _closed_form(
+            lambda ring: (
+                ring.from_int(central_binomials(ring)[(ring.p - 1) // 2]) * _sign_minus(ring.p)
+                / ring.from_int(pow(4, ring.p - 1, ring.modulus))
+            ),
+            PrimePower.one, _harmonic(Fraction(-1, 4), 1, (1,), half=False),
+            _mod_p(Fraction(-1, 80), 5, _bernoulli_p(5)),
+        ), minp=7,
     )
     add(
         "L31.A2",
@@ -855,7 +817,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "s1(1/4) = (-1)^((p+1)/2)*(q_p(2) - p^2/16*B(p-3))  (mod p^3)",
         3, _closed_form(
             lambda ring: s1(Fraction(1, 4), 0, ring), _quotient_poly(fermat(2), 1, (1,)),
-            _mod_p(Fraction(-1, 16), 2, _bernoulli_p(3)), sign=sign_plus,
+            _mod_p(Fraction(-1, 16), 2, _bernoulli_p(3)), sign=_sign_plus,
         ), minp=5,
     )
     add(
@@ -864,7 +826,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "s1(1/16) = (-1)^((p+1)/2)/36*p^2*B(p-3)  (mod p^3)",
         3, _closed_form(
             lambda ring: s1(Fraction(1, 16), 0, ring),
-            _mod_p(Fraction(1, 36), 2, _bernoulli_p(3)), sign=sign_plus,
+            _mod_p(Fraction(1, 36), 2, _bernoulli_p(3)), sign=_sign_plus,
         ), minp=5,
     )
     add(
@@ -875,7 +837,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
             lambda ring: s1(Fraction(1, 8), 0, ring),
             _quotient_poly(fermat(2), 1, (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))),
             _mod_p(Fraction(-1, 128), 2, _bernoulli_p(3)),
-            sign=lambda p: sign_plus(p) * legendre(2, p),
+            sign=lambda p: _sign_plus(p) * legendre(2, p),
         ), minp=5,
     )
     add(
@@ -886,7 +848,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
             lambda ring: s1(Fraction(3, 16), 0, ring),
             _quotient_poly(fermat(3), 1, (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))),
             _mod_p(Fraction(-1, 27), 2, _bernoulli_p(3)),
-            sign=lambda p: sign_plus(p) * legendre(3, p),
+            sign=lambda p: _sign_plus(p) * legendre(3, p),
         ), minp=5,
     )
     add(
@@ -916,7 +878,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         3, _closed_form(
             lambda ring: ring.one() + s2(Fraction(1, 16), 0, ring),
             lambda ring: ring.from_int(legendre(3, ring.p)),
-            _mod_p(Fraction(1, 24), 2, lambda p: bernoulli_third(p), sign=sign_minus),
+            _mod_p(Fraction(1, 24), 2, lambda p: bernoulli_third(p), sign=_sign_minus),
         ), minp=5, cap=600,
     )
     add(
@@ -934,7 +896,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "sum C(2k,k)F_(2k+1)/((2k+1)16^k) = (-1)^((p+1)/2)*(F_p - (p|5))/p  (mod p^2)",
         2, _closed_form(
             lambda ring: fib_lucas_sum("F", ring), _quotient_poly(_fibonacci_quotient, 1, (1,)),
-            sign=sign_plus,
+            sign=_sign_plus,
         ), minp=3, excl=(5,),
     )
     add(
@@ -943,7 +905,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "sum C(2k,k)L_(2k+1)/((2k+1)16^k) = (-1)^((p+1)/2)*(L_p - 1)/p  (mod p^2)",
         2, _closed_form(
             lambda ring: fib_lucas_sum("L", ring), _quotient_poly(lucas_quotient, 1, (1,)),
-            sign=sign_plus,
+            sign=_sign_plus,
         ), minp=3, excl=(5,),
     )
     add(
@@ -953,7 +915,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         2, _closed_form(
             lambda ring: s1(Fraction(1, 4), 1, ring),
             _quotient_poly(fermat(2), 2, (Fraction(1, 2), Fraction(-1, 3))),
-            _mod_p(Fraction(-1, 16), 1, _bernoulli_p(3)), sign=sign_plus,
+            _mod_p(Fraction(-1, 16), 1, _bernoulli_p(3)), sign=_sign_plus,
         ), minp=5,
     )
     add(
@@ -962,7 +924,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "sum C(2k,k)/(k*4^k) = 2q - p*q^2 + (-1)^((p+1)/2)*2p*E(p-3)  (mod p^2)",
         2, _closed_form(
             lambda ring: s2(Fraction(1, 4), 1, ring), _quotient_poly(fermat(2), 1, (2, -1)),
-            _mod_p(2, 1, lambda p: euler_number(p - 3, p), sign=sign_plus),
+            _mod_p(2, 1, lambda p: euler_number(p - 3, p), sign=_sign_plus),
         ), minp=3,
     )
     add(
@@ -971,8 +933,8 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "s1(1/16) = (-1)^n*(H_(p-1)(1)/12 + 3/160*p^4*B(p-5))  (mod p^5)",
         5, _closed_form(
             lambda ring: s1(Fraction(1, 16), 0, ring),
-            _h1_term(Fraction(1, 12), 0), _mod_p(Fraction(3, 160), 4, _bernoulli_p(5)),
-            sign=sign_minus,
+            _harmonic(Fraction(1, 12), 0, (1,), half=False), _mod_p(Fraction(3, 160), 4, _bernoulli_p(5)),
+            sign=_sign_minus,
         ), minp=7,
     )
     add(
@@ -981,7 +943,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "s1(-1/16, squared) = H_(p-1)(1)/(5p) + 7/200*p^3*B(p-5)  (mod p^4)",
         4, _closed_form(
             lambda ring: s1(Fraction(-1, 16), 1, ring),
-            _h1_term(Fraction(1, 5), 1), _mod_p(Fraction(7, 200), 3, _bernoulli_p(5)),
+            _harmonic(Fraction(1, 5), -1, (1,), half=False), _mod_p(Fraction(7, 200), 3, _bernoulli_p(5)),
         ), minp=7,
     )
     add(
@@ -989,8 +951,9 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "Hbar(2)-weighted central binomial sum at t=1/16 against the divided weight-1 sum",
         "sum C(2k,k)Hbar_k(2)/(16^k(2k+1)) = (-1)^n*H_(p-1)(1)/(12p^2)  (mod p^2)",
         2, _closed_form(
-            lambda ring: weighted_sums(Fraction(1, 16), ring)[0], _h1_term(Fraction(1, 12), 2),
-            sign=sign_minus,
+            lambda ring: weighted_sums(Fraction(1, 16), ring)[0],
+            _harmonic(Fraction(1, 12), -2, (1,), half=False),
+            sign=_sign_minus,
         ), minp=7,
     )
     for a in (2, 3, 5):
@@ -1009,7 +972,10 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "rv.squares",
         "sum of squared central binomials over 16^k",
         "sum_(k<=n) C(2k,k)^2/16^k = (-1)^n  (mod p^2)",
-        2, _eval_central_squares, minp=3,
+        2, _closed_form(
+            lambda ring: _dot(ring, central_binomials(ring), binomial_column(Fraction(1, 16), ring)),
+            PrimePower.one, sign=_sign_minus,
+        ), minp=3,
     )
     add(
         "S5.conbin",

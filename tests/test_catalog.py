@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib
 import itertools
 import json
@@ -86,6 +87,24 @@ class TestRegistry:
                 assert 1 <= c.target_exponent <= 8, c.id
             else:
                 assert c.cases, c.id
+
+    def test_hand_written_evaluators_census(self):
+        # Every congruence but these is a `_closed_form` whose terms state
+        # their powers of p in the registry; a new hand-written evaluator
+        # has to join this set on purpose.
+        hand_written = {
+            c.id for c in builtin_checks()
+            if c.kind == "congruence" and c.evaluator.__qualname__ != "_closed_form.<locals>.ev"
+        }
+        assert hand_written == {
+            "L31.A2", "L31.A3", "T32.first", "T32.second", "T34.first", "T34.second", "S5.conbin",
+        }
+
+    def test_statement_names_the_target_modulus(self):
+        for c in builtin_checks():
+            if c.kind == "congruence":
+                modulus = "p" if c.target_exponent == 1 else f"p^{c.target_exponent}"
+                assert c.statement.endswith(f"(mod {modulus})"), c.id
 
     def test_metadata_pins(self):
         assert lookup("C42.a").prime_cap == 600
@@ -370,6 +389,18 @@ class TestBinomialRatioExpansion:
         assert (res.lhs, res.rhs) == (str(lhs), str(rhs))
 
 
+@functools.lru_cache(maxsize=None)
+def _harmonic_over_q(n: int, comp: tuple, odd: bool) -> Fraction:
+    """H_n(comp), or Hbar_n(comp) if ``odd``, summed over Q term by term:
+    comp[0] goes with the smallest denominator."""
+    dens = range(1, 2 * n, 2) if odd else range(1, n + 1)
+    return sum(
+        (math.prod(Fraction(1, d**a) for d, a in zip(ds, comp))
+         for ds in itertools.combinations(dens, len(comp))),
+        Fraction(0),
+    )
+
+
 class TestClosedForm:
     """The shared closed-form evaluator, sign * (sum of its terms), and its term
     constructors, each against its formula over Q reduced mod p^k: every term
@@ -380,10 +411,18 @@ class TestClosedForm:
         (1, Fraction(1, 2), 0, Fraction(1, 16)),
     ]
     Q, H, C, X = 123457, Fraction(-9, 2), Fraction(-1, 16), 5
+    #: (comp, e, half, odd) of the `_harmonic` rows: every composition at
+    #: e = 0..2 over the half range, plain and odd, and the full range, plain;
+    #: e < 0 only where p^-e divides the full sum (p >= 5).
+    HARMONIC = [
+        (comp, e, half, odd)
+        for comp in ((1,), (2,), (1, 2))
+        for half, odd in ((True, False), (True, True), (False, False))
+        for e in range(3)
+    ] + [((1,), -2, False, False), ((1,), -1, False, False), ((2,), -1, False, False)]
 
     @pytest.mark.parametrize("p", [7, 11, 101])
     def test_rhs_against_the_formula_over_q(self, p):
-        h1 = sum(Fraction(1, i) for i in range(1, p))  # H_(p-1)(1); p^2 divides it
         quotient = lambda qp, qk: prime_power(qp, qk).from_int(self.Q)
         value = lambda xp: prime_power(xp, 1).from_int(self.X)
         terms = [
@@ -391,19 +430,25 @@ class TestClosedForm:
              sum((a * self.Q ** (j + s) * p**j for j, a in enumerate(c)), Fraction(0)))
             for s in range(3) for c in self.COEFFS
         ]
-        terms += [(f"H/p^{j}", catalog._h1_term(self.H, j), self.H * h1 / p**j) for j in range(3)]
+        terms += [
+            (f"p^{e}*{'Hbar' if odd else 'H'}_{'half' if half else 'full'}{comp}",
+             catalog._harmonic(self.H, e, comp, half, odd),
+             self.H * Fraction(p) ** e * _harmonic_over_q((p - 1) // 2 if half else p - 1, comp, odd))
+            for comp, e, half, odd in self.HARMONIC
+        ]
         terms += [
             (f"p^{e}*X", catalog._mod_p(self.C, e, value), self.C * p**e * self.X) for e in range(5)
         ]
         terms.append(("one", PrimePower.one, Fraction(1)))
         for k, sign in itertools.product(range(2, 6), (1, -1)):
             ring = prime_power(p, k)
-            for chosen in [[term] for term in terms] + [terms]:
+            # With no terms the rhs is ring.zero().
+            for chosen in [[]] + [[term] for term in terms] + [terms]:
                 ev = catalog._closed_form(
                     lambda r: r.from_int(17), *(f for _, f, _ in chosen),
                     sign=None if sign == 1 else lambda xp: sign,
                 )
-                want = ring.from_fraction(sign * sum(w for _, _, w in chosen))
+                want = ring.from_fraction(sign * sum((w for _, _, w in chosen), Fraction(0)))
                 assert ev(ring, None) == (ring.from_int(17), want), (
                     k, sign, [name for name, _, _ in chosen],
                 )
