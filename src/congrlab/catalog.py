@@ -33,7 +33,7 @@ from .binomsums import (
     s2,
     weighted_sums,
 )
-from .errors import MixedModuli
+from .errors import MixedModuli, PreconditionViolated
 from .exactalg import Poly, QuadExt
 from .harmonic import alternating_half_sum, mhs, odd_mhs, repeated
 from .modring import (
@@ -205,12 +205,6 @@ def _sign_minus(p: int) -> int:
     return _neg_one_pow((p - 1) // 2)
 
 
-def _div_p_times(x: Residue, times: int) -> Residue:
-    for _ in range(times):
-        x = divide_by_p(x)
-    return x
-
-
 def _mod_p_term(ring: PrimePower, coeff: int | Fraction, e: int, x: Residue) -> Residue:
     """coeff * p^e * x in the ring, for a value x known only mod p: a
     Bernoulli or Euler number, B_(p-2)(1/3), a u/v-series sum.
@@ -240,17 +234,30 @@ def _u_term(t: Fraction, modp: PrimePower) -> Residue:
     return base * rhs_lucas_sum("u", 2 - 16 * t, 2, modp) * Fraction(1, 2)
 
 
+def _w_half(x: Fraction, ring: PrimePower) -> Residue:
+    """w_n(x) in the ring, n = (p-1)/2."""
+    return w_value_mod((ring.p - 1) // 2, ring.from_fraction(x), ring)
+
+
+def _v_p_term(t: Fraction, ring: PrimePower) -> Residue:
+    """[(-1)^n*(v_p(t) - t^p) + 2p*sum_(k<n) (-1)^k v_(2k+1)(t)/(2k+1)]/t in
+    the ring, n = (p-1)/2: p^2 times the rhs of T34.first."""
+    tr = ring.from_fraction(t)
+    vp = lucas_pair_mod(ring.p, tr, 1, ring)[1]
+    return ((vp - tr**ring.p) * _sign_minus(ring.p) + alternating_v_sum(t, True, ring) * (2 * ring.p)) / tr
+
+
 # ---------------------------------------------------------------------------
 # congruence evaluators
 #
 # Each evaluator takes (ring, t): ring is Z/p^k, t the panel value (None for
 # a check without a panel), and returns (lhs, rhs) as residues of that ring.
-# The ring sets only the precision: each power of p of a statement is written
-# in the registry, as a term of `_closed_form` or, for the six panel checks
-# and S5.conbin, in their hand-written evaluators below.  So the sides in
-# Z/p^(target+1) agree mod p^target with those in Z/p^target, where the sweep
-# runs them.  A term or evaluator that divides a value by p^j computes it in
-# Z/p^(k+j) first.
+# Every congruence but S5.conbin is a `_closed_form` (for a panel check, one
+# per t by `_per_t`) whose terms each state their power of p in the registry:
+# `_harmonic`, `_quotient_poly` and `_mod_p`, and `_over_p` for a term
+# divided by p^j, the one place that divides by a power of p.  The ring sets
+# only the precision, so the sides in Z/p^(target+1) agree mod p^target with
+# those in Z/p^target, where the sweep runs them.
 
 
 def _sum_of(*terms):
@@ -262,8 +269,9 @@ def _closed_form(lhs, *terms, sign=None):
     """lhs(ring) = sign(p) * (sum of term(ring) over ``terms``) (mod p^k).
 
     Each term states its own power of p: `_harmonic`, `_quotient_poly`,
-    `_mod_p`, or a constant such as ``PrimePower.one``; `_sum_of` builds a
-    multi-term lhs.  With no terms the rhs is 0, and a missing sign is 1.
+    `_mod_p`, `_over_p` of a term divided by p^j, or a term with no power of
+    p (``PrimePower.one``, a w-value); `_sum_of` builds a multi-term lhs.
+    With no terms the rhs is 0, and a missing sign is 1.
     """
     rhs = _sum_of(*terms)
 
@@ -276,22 +284,39 @@ def _closed_form(lhs, *terms, sign=None):
     return ev
 
 
+def _per_t(build):
+    """A panel check's evaluator: build(t) is its `_closed_form` at t, built
+    at each call, so every name its terms read is looked up at call time."""
+    return lambda ring, t: build(t)(ring, t)
+
+
+def _over_p(j: int, term):
+    """The term term/p^j: ``term`` is computed in Z/p^(k+j) and divided
+    exactly by p^j, which raises `NotDivisibleByP` unless p^j divides it."""
+
+    def over(ring: PrimePower):
+        x = term(prime_power(ring.p, ring.k + j))
+        for _ in range(j):
+            x = divide_by_p(x)
+        return x
+
+    return over
+
+
 def _harmonic(c, e: int, comp: tuple[int, ...], half: bool = True, odd: bool = False):
     """The term c * p^e * S, S = Hbar_N(comp) if ``odd`` else H_N(comp), and
     N = (p-1)/2 if ``half`` else p-1.
 
-    For e < 0 the sum is taken in Z/p^(k-e) and divided by p^-e, which needs
-    p^-e to divide it: p^2 divides H_(p-1)(1), and p divides H_(p-1)(2), for
-    p >= 5.
+    For e < 0 it is `_over_p` of c * S, which needs p^-e to divide S: p^2
+    divides H_(p-1)(1), and p divides H_(p-1)(2), for p >= 5.
     """
+    if e < 0:
+        return _over_p(-e, _harmonic(c, 0, comp, half, odd))
     kernel = odd_mhs if odd else mhs
 
     def term(ring: PrimePower):
         p = ring.p
-        n = (p - 1) // 2 if half else p - 1
-        if e >= 0:
-            return kernel(n, comp, ring) * c * p**e
-        return _div_p_times(kernel(n, comp, prime_power(p, ring.k - e)), -e) * c
+        return kernel((p - 1) // 2 if half else p - 1, comp, ring) * c * p**e
 
     return term
 
@@ -331,55 +356,6 @@ def _eval_mhs_bernoulli(half: bool, comp: tuple[int, ...], h1: int, coeff: Fract
         *((_harmonic(h1, 1 - w, (1,), half=False),) if h1 else ()),
         _mod_p(coeff, e, _bernoulli_p(w + e)),
     )
-
-
-def _eval_weighted_first_mod_p(ring: PrimePower, t: Fraction):
-    return weighted_sums(t, ring)[0], _v_term(t, ring)
-
-
-def _eval_weighted_second_mod_p(ring: PrimePower, t: Fraction):
-    return weighted_sums(t, ring)[1], _u_term(t, ring)
-
-
-def _eval_s1_mod_p3(ring: PrimePower, t: Fraction):
-    p = ring.p
-    work = prime_power(p, ring.k + 1)
-    n = (p - 1) // 2
-    wn = w_value_mod(n, work.from_fraction(1 - 8 * t), work)
-    head = divide_by_p(wn - work.from_fraction(-16 * t) ** n)
-    lhs = s1(t, 0, ring)
-    rhs = head + _mod_p_term(ring, 1, 2, _v_term(t, prime_power(p, 1)))
-    return lhs, rhs
-
-
-def _eval_s2_mod_p3(ring: PrimePower, t: Fraction):
-    p = ring.p
-    n = (p - 1) // 2
-    lhs = (ring.one() + s2(t, 0, ring)) * _neg_one_pow(n)
-    fac = _u_term(t, prime_power(p, 1))
-    wn = w_value_mod(n, ring.from_fraction(8 * t - 1), ring)
-    rhs = wn + _mod_p_term(ring, _neg_one_pow(n), 2, fac)
-    return lhs, rhs
-
-
-def _eval_s1_quadratic_arg(ring: PrimePower, t: Fraction):
-    p = ring.p
-    work = prime_power(p, ring.k + 2)
-    n = (p - 1) // 2
-    tr = work.from_fraction(t)
-    vp = lucas_pair_mod(p, tr, 1, work)[1]
-    x = ((vp - tr**p) * _neg_one_pow(n) + alternating_v_sum(t, True, work) * (2 * p)) / tr
-    rhs = _div_p_times(x, 2)
-    lhs = s1(t * t / 16, 1, ring)
-    return lhs, rhs
-
-
-def _eval_s2_quadratic_arg(ring: PrimePower, t: Fraction):
-    p = ring.p
-    q = fermat_quotient(2, p, ring.k)
-    lhs = s2(t * t / 16, 1, ring)
-    rhs = q * 4 - q * q * (2 * p) + alternating_v_sum(t, False, ring)
-    return lhs, rhs
 
 
 def _eval_binomial_ratio_expansion(ring: PrimePower, t):
@@ -779,37 +755,56 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "L31.A2",
         "weighted central binomial sum with inner weight Hbar_k(2) against a v-series",
         "sum C(2k,k)t^k Hbar_k(2)/(2k+1) = 1/64*(-1/t)^((p+1)/2) * sum v_k(2-16t)/k^3  (mod p)",
-        1, _eval_weighted_first_mod_p, minp=5, panel=True,
+        1, _per_t(lambda t: _closed_form(
+            lambda ring: weighted_sums(t, ring)[0], _mod_p(1, 0, lambda p: _v_term(t, prime_power(p, 1))),
+        )), minp=5, panel=True,
     )
     add(
         "L31.A3",
         "weighted central binomial sum with inner weight Hbar_k(2) against a u-series",
         "sum C(2k,k)t^k Hbar_k(2) = 1/2*(-1/t)^((p-1)/2) * sum u_k(2-16t)/k^2  (mod p)",
-        1, _eval_weighted_second_mod_p, minp=5, panel=True,
+        1, _per_t(lambda t: _closed_form(
+            lambda ring: weighted_sums(t, ring)[1], _mod_p(1, 0, lambda p: _u_term(t, prime_power(p, 1))),
+        )), minp=5, panel=True,
     )
     add(
         "T32.first",
         "odd-denominator central binomial sum against a w-value to third order",
         "sum C(2k,k)t^k/(2k+1) = [w_n(1-8t) - (-16t)^n]/p + p^2/64*(-1/t)^((p+1)/2)*sum v_k(2-16t)/k^3  (mod p^3)",
-        3, _eval_s1_mod_p3, minp=5, panel=True,
+        3, _per_t(lambda t: _closed_form(
+            lambda ring: s1(t, 0, ring),
+            _over_p(1, lambda ring: (
+                _w_half(1 - 8 * t, ring) - ring.from_fraction(-16 * t) ** ((ring.p - 1) // 2)
+            )),
+            _mod_p(1, 2, lambda p: _v_term(t, prime_power(p, 1))),
+        )), minp=5, panel=True,
     )
     add(
         "T32.second",
         "plain central binomial sum against a w-value to third order",
         "(-1)^n sum C(2k,k)t^k = w_n(8t-1) + p^2/(2t^n)*sum u_k(2-16t)/k^2  (mod p^3)",
-        3, _eval_s2_mod_p3, minp=5, panel=True,
+        3, _per_t(lambda t: _closed_form(
+            lambda ring: (ring.one() + s2(t, 0, ring)) * _sign_minus(ring.p),
+            partial(_w_half, 8 * t - 1),
+            _mod_p(1, 2, lambda p: _u_term(t, prime_power(p, 1)), sign=_sign_minus),
+        )), minp=5, panel=True,
     )
     add(
         "T34.first",
         "squared-denominator central binomial sum against odd-index v-values",
         "sum C(2k,k)(t/4)^(2k)/(2k+1)^2 = (-1)^n*(v_p(t)-t^p)/(t*p^2) + 2/(t*p)*sum (-1)^k v_(2k+1)(t)/(2k+1)  (mod p^2)",
-        2, _eval_s1_quadratic_arg, minp=3, panel=True,
+        2, _per_t(lambda t: _closed_form(
+            lambda ring: s1(t * t / 16, 1, ring), _over_p(2, partial(_v_p_term, t)),
+        )), minp=3, panel=True,
     )
     add(
         "T34.second",
         "k-divided central binomial sum against even-index v-values",
         "sum C(2k,k)(t/4)^(2k)/k = 4*q_p(2) - 2p*q_p(2)^2 + sum (-1)^k v_(2k)(t)/k  (mod p^2)",
-        2, _eval_s2_quadratic_arg, minp=3, panel=True,
+        2, _per_t(lambda t: _closed_form(
+            lambda ring: s2(t * t / 16, 1, ring), _quotient_poly(fermat(2), 1, (4, -2)),
+            partial(alternating_v_sum, t, False),
+        )), minp=3, panel=True,
     )
     add(
         "C41.a",
@@ -1163,19 +1158,28 @@ def _graded(check_id: str, prime, t, target, evaluate) -> CheckResult:
     return CheckResult(check_id, prime, t, target, valuation, valuation >= target, lhs, rhs)
 
 
+def _stated_at(check: CongruenceCheck, p: int) -> bool:
+    """Whether the statement covers p; the prime cap only bounds a sweep."""
+    return p >= check.min_prime and p not in check.excluded_primes
+
+
 def run_congruence(check: CongruenceCheck, p: int, t: Fraction | None = None) -> CheckResult:
     """Evaluate one congruence instance in Z/p^target and grade the p-adic
     valuation of lhs - rhs.  Every power of p in the statement is the
     evaluator's own; the ring Z/p^target sets only the precision.
 
-    A side outside Z/p^target raises `MixedModuli`, which grades as an ERROR
-    row: its valuation and its printed residue would not be read at the
-    target.  A row whose sides are equal holds one string for both, and
-    the rows of one panel value share one interned ``str(t)``.
+    A prime the statement does not cover raises `PreconditionViolated`, and
+    a side outside Z/p^target raises `MixedModuli`; each grades as an ERROR
+    row, since neither verdict would say anything about the statement.  A
+    row whose sides are equal holds one string for both, and the rows of one
+    panel value share one interned ``str(t)``.
     """
     target = check.target_exponent
 
     def evaluate():
+        if not _stated_at(check, p):
+            excluded = f", p not in {sorted(check.excluded_primes)}" if check.excluded_primes else ""
+            raise PreconditionViolated(f"{check.id} is stated for p >= {check.min_prime}{excluded}, not p = {p}")
         ring = prime_power(p, target)
         lhs, rhs = check.evaluator(ring, t)
         for side in (lhs, rhs):
@@ -1195,15 +1199,6 @@ def run_identity(check: IdentityCheck, params: dict) -> CheckResult:
         return (inf if lhs == rhs else 0), _render_exact(lhs), _render_exact(rhs)
 
     return _graded(check.id, params.get("p"), _render_params(params), inf, evaluate)
-
-
-def _applicable_ts(check: CongruenceCheck, p: int, panel) -> list:
-    if not check.uses_t_panel:
-        return [None]
-    return [
-        t for t in panel
-        if t.numerator % p != 0 and t.denominator % p != 0
-    ]
 
 
 #: The kernel caches whose keys hold a prime or one of its rings.  A sweep
@@ -1279,16 +1274,15 @@ def run_suite(
     # Evaluators take t as a Fraction; an int panel value would stay an int.
     t_panel = tuple(map(Fraction, t_panel))
     for p in primes_in_range(prime_lo, prime_hi):
-        items = []
-        for check in congruences:
-            if p < check.min_prime or p in check.excluded_primes:
-                continue
-            if check.prime_cap is not None and not no_cap and p > check.prime_cap:
-                continue
-            for t in _applicable_ts(check, p, t_panel):
-                items.append((check.id, t))
+        ts = [t for t in t_panel if t.numerator % p and t.denominator % p]
+        items = tuple(
+            (check.id, t)
+            for check in congruences
+            if _stated_at(check, p) and (no_cap or check.prime_cap is None or p <= check.prime_cap)
+            for t in (ts if check.uses_t_panel else (None,))
+        )
         if items:
-            units.append(("c", p, tuple(items)))
+            units.append(("c", p, items))
 
     buckets: dict[str, list[CheckResult]] = {}
     # The pool starts all its workers at once, so start no idle ones, and no

@@ -89,16 +89,19 @@ class TestRegistry:
                 assert c.cases, c.id
 
     def test_hand_written_evaluators_census(self):
-        # Every congruence but these is a `_closed_form` whose terms state
-        # their powers of p in the registry; a new hand-written evaluator
-        # has to join this set on purpose.
-        hand_written = {
-            c.id for c in builtin_checks()
-            if c.kind == "congruence" and c.evaluator.__qualname__ != "_closed_form.<locals>.ev"
-        }
-        assert hand_written == {
-            "L31.A2", "L31.A3", "T32.first", "T32.second", "T34.first", "T34.second", "S5.conbin",
-        }
+        # Every congruence but S5.conbin is a `_closed_form` whose terms state
+        # their powers of p in the registry: a panel check builds one per t
+        # through `_per_t`, and every other check holds one.  A hand-written
+        # evaluator, a panel check among them, has to join this census on
+        # purpose.
+        built_by: dict[str, set] = {}
+        for c in builtin_checks():
+            if c.kind == "congruence":
+                built_by.setdefault(c.evaluator.__qualname__, set()).add(c.id)
+        panel = {c.id for c in builtin_checks() if c.kind == "congruence" and c.uses_t_panel}
+        assert built_by.pop("_per_t.<locals>.<lambda>") == panel
+        assert len(built_by.pop("_closed_form.<locals>.ev")) == 113 - 1 - len(panel)
+        assert list(built_by.values()) == [{"S5.conbin"}]
 
     def test_statement_names_the_target_modulus(self):
         for c in builtin_checks():
@@ -207,6 +210,25 @@ class TestRunCongruence:
         res = run_congruence(lookup("C41.a"), 5)
         assert int(res.lhs) == 22 and int(res.rhs) == 22  # mod 5^3
 
+    @pytest.mark.parametrize(
+        "check_id,p",
+        [
+            ("L21.C2.r2s1", 3), ("L21.C2.r4s1", 5), ("L21.C2.r6s1", 7), ("L31.A2", 3),
+            ("T32.first", 3), ("C41.a", 3), ("C41.c", 3), ("T43.L", 5), ("C52.weighted", 5),
+            ("T43.F", 5),
+        ],
+    )
+    def test_prime_outside_the_statement_is_an_error(self, check_id, p):
+        # Below min_prime or at an excluded prime the statement says nothing,
+        # so the row is an error, not a verdict: the first nine of these
+        # graded FAIL and T43.F at 5 graded PASS.
+        check = lookup(check_id)
+        res = run_congruence(check, p, _panel_t(check))
+        assert not res.passed and res.valuation == 0
+        assert res.error is not None and res.error.startswith("PreconditionViolated")
+        assert res.lhs == f"ERROR: {res.error}" and res.rhs == ""
+        assert Report(results=(res,)).exit_code == 2
+
     def test_side_outside_the_target_ring_is_an_error(self):
         # Both sides in Z/7^3 for a target of 2: 1 and 50 agree mod 7^2, so
         # reduced to the target they would grade PASS and print 1 and 1.
@@ -267,11 +289,12 @@ class TestLiftInvariance:
         [
             ("C42.a", "bernoulli_third"), ("C42.b", "bernoulli_third"), ("C45.b", "euler_number"),
             ("T32.first", "_v_term"), ("T32.second", "_u_term"),
+            ("L31.A2", "_v_term"), ("L31.A3", "_u_term"),
         ],
     )
     @pytest.mark.parametrize("p", [7, 11, 13, 101])
     def test_lift_of_the_special_value_keeps_the_result(self, check_id, helper, p, monkeypatch):
-        # The u/v-series sums of T32 are read at t = 1/4.
+        # The u/v-series sums of L31 and T32 are read at t = 1/4.
         check = lookup(check_id)
         t = _panel_t(check)
         term = catalog._mod_p_term
@@ -410,7 +433,7 @@ class TestClosedForm:
         (), (1,), (0, Fraction(-1, 8)), (2, 0, Fraction(2, 3)),
         (1, Fraction(1, 2), 0, Fraction(1, 16)),
     ]
-    Q, H, C, X = 123457, Fraction(-9, 2), Fraction(-1, 16), 5
+    Q, H, C, X, Y = 123457, Fraction(-9, 2), Fraction(-1, 16), 5, Fraction(123457, 3)
     #: (comp, e, half, odd) of the `_harmonic` rows: every composition at
     #: e = 0..2 over the half range, plain and odd, and the full range, plain;
     #: e < 0 only where p^-e divides the full sum (p >= 5).
@@ -438,6 +461,11 @@ class TestClosedForm:
         ]
         terms += [
             (f"p^{e}*X", catalog._mod_p(self.C, e, value), self.C * p**e * self.X) for e in range(5)
+        ]
+        # p^j * Y computed in Z/p^(k+j) and divided by p^j is Y mod p^k.
+        terms += [
+            (f"p^{j}*Y/p^{j}", catalog._over_p(j, lambda r, j=j: r.from_fraction(self.Y * r.p**j)), self.Y)
+            for j in (1, 2)
         ]
         terms.append(("one", PrimePower.one, Fraction(1)))
         for k, sign in itertools.product(range(2, 6), (1, -1)):

@@ -19,4 +19,8 @@ def _library_example() -> str:
 def test_library_use_example_runs(capsys):
     exec(compile(_library_example(), str(README), "exec"), {"__name__": "readme_example"})
     out = capsys.readouterr().out.splitlines()
-    assert out == ["-1 + 2*x + 4*x^2", "pass (704, 0, 0)"]
+    assert out == [
+        "-1 + 2*x + 4*x^2",
+        "PreconditionViolated: C41.a is stated for p >= 5, not p = 3",
+        "pass (704, 0, 0)",
+    ]
