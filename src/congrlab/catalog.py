@@ -212,7 +212,7 @@ def _mod_p_term(ring: PrimePower, coeff: int | Fraction, e: int, x: Residue) -> 
     Each statement with such a term holds mod p^(e+1), where the factor p^e
     kills any lift x + p*r: every representative of x gives the same row.
     """
-    return ring.from_fraction(Fraction(coeff)) * ring.p**e * x.value
+    return Residue(ring.value_of(coeff) * ring.p**e * x.value % ring.modulus, ring)
 
 
 def _bernoulli_p(j: int):
@@ -220,18 +220,19 @@ def _bernoulli_p(j: int):
     return lambda p: bernoulli_number(p - j, p)
 
 
-def _v_term(t: Fraction, modp: PrimePower) -> Residue:
-    """1/64 * (-1/t)^((p+1)/2) * sum_(k<p) v_k(2-16t)/k^3 in Z/p: the rhs of
-    L31.A2 and the p^2 term of T32.first."""
-    base = modp.from_fraction(Fraction(-1) / t) ** ((modp.p + 1) // 2)
-    return base * rhs_lucas_sum("v", 2 - 16 * t, 3, modp) * Fraction(1, 64)
+def _v_term(c: Fraction, s: Fraction, p: int) -> Residue:
+    """1/64 * s^((p+1)/2) * sum_(k<p) v_k(c)/k^3 in Z/p, at c = 2-16t and
+    s = -1/t: the rhs of L31.A2 and the p^2 term of T32.first."""
+    modp = prime_power(p, 1)
+    return rhs_lucas_sum("v", c, 3, modp) * (pow(modp.value_of(s), (p + 1) // 2, p) * pow(64, -1, p))
 
 
-def _u_term(t: Fraction, modp: PrimePower) -> Residue:
-    """1/2 * (-1/t)^((p-1)/2) * sum_(k<p) u_k(2-16t)/k^2 in Z/p: the rhs of
-    L31.A3 and, times (-1)^((p-1)/2), the p^2 term of T32.second."""
-    base = modp.from_fraction(Fraction(-1) / t) ** ((modp.p - 1) // 2)
-    return base * rhs_lucas_sum("u", 2 - 16 * t, 2, modp) * Fraction(1, 2)
+def _u_term(c: Fraction, s: Fraction, p: int) -> Residue:
+    """1/2 * s^((p-1)/2) * sum_(k<p) u_k(c)/k^2 in Z/p, at c = 2-16t and
+    s = -1/t: the rhs of L31.A3 and, times (-1)^((p-1)/2), the p^2 term of
+    T32.second."""
+    modp = prime_power(p, 1)
+    return rhs_lucas_sum("u", c, 2, modp) * (pow(modp.value_of(s), (p - 1) // 2, p) * pow(2, -1, p))
 
 
 def _w_half(x: Fraction, ring: PrimePower) -> Residue:
@@ -260,9 +261,21 @@ def _v_p_term(t: Fraction, ring: PrimePower) -> Residue:
 # those in Z/p^target, where the sweep runs them.
 
 
+def _raw_sum(terms, ring: PrimePower) -> int:
+    """The sum of the representatives of term(ring) over ``terms``,
+    unreduced; a term in another ring raises `MixedModuli`."""
+    total = 0
+    for term in terms:
+        x = term(ring)
+        if x.ring is not ring and x.ring != ring:
+            raise MixedModuli(f"cannot mix {ring!r} and {x.ring!r}")
+        total += x.value
+    return total
+
+
 def _sum_of(*terms):
-    """The term sum of term(ring) over ``terms``; ring.zero() with none."""
-    return lambda ring: sum((term(ring) for term in terms), ring.zero())
+    """The term sum of term(ring) over ``terms``, reduced once; 0 with none."""
+    return lambda ring: Residue(_raw_sum(terms, ring) % ring.modulus, ring)
 
 
 def _closed_form(lhs, *terms, sign=None):
@@ -271,23 +284,28 @@ def _closed_form(lhs, *terms, sign=None):
     Each term states its own power of p: `_harmonic`, `_quotient_poly`,
     `_mod_p`, `_over_p` of a term divided by p^j, or a term with no power of
     p (``PrimePower.one``, a w-value); `_sum_of` builds a multi-term lhs.
-    With no terms the rhs is 0, and a missing sign is 1.
+    With no terms the rhs is 0, and a missing sign is 1.  The rhs sums the
+    terms' representatives as integers and reduces once.
     """
-    rhs = _sum_of(*terms)
 
     def ev(ring: PrimePower, t):
-        value = rhs(ring)
-        if sign is not None:
-            value = value * sign(ring.p)
-        return lhs(ring), value
+        total = _raw_sum(terms, ring) * (1 if sign is None else sign(ring.p))
+        return lhs(ring), Residue(total % ring.modulus, ring)
 
     return ev
 
 
+@lru_cache(maxsize=128)
+def _form_at(build, t):
+    """build(t), kept per (builder, panel value) and not rebuilt at each prime."""
+    return build(t)
+
+
 def _per_t(build):
     """A panel check's evaluator: build(t) is its `_closed_form` at t, built
-    at each call, so every name its terms read is looked up at call time."""
-    return lambda ring, t: build(t)(ring, t)
+    once per t by `_form_at`.  Its terms look up every helper they call at
+    call time, so a helper patched after the build is still the one read."""
+    return lambda ring, t: _form_at(build, t)(ring, t)
 
 
 def _over_p(j: int, term):
@@ -312,11 +330,12 @@ def _harmonic(c, e: int, comp: tuple[int, ...], half: bool = True, odd: bool = F
     """
     if e < 0:
         return _over_p(-e, _harmonic(c, 0, comp, half, odd))
-    kernel = odd_mhs if odd else mhs
 
     def term(ring: PrimePower):
         p = ring.p
-        return kernel((p - 1) // 2 if half else p - 1, comp, ring) * c * p**e
+        kernel = harmonic._odd_mhs_mod if odd else harmonic._mhs_mod
+        x = kernel((p - 1) // 2 if half else p - 1, comp, ring)
+        return Residue(ring.value_of(c) * p**e * x % ring.modulus, ring)
 
     return term
 
@@ -326,12 +345,11 @@ def _quotient_poly(quotient, s: int, coeffs: tuple):
     coeffs[1]*x + ..."""
 
     def term(ring: PrimePower):
-        q = quotient(ring.p, ring.k)
-        pq = q * ring.p
-        acc = ring.zero()
+        m, q = ring.modulus, quotient(ring.p, ring.k).value
+        acc = 0
         for c in reversed(coeffs):
-            acc = acc * pq + c
-        return acc * q**s
+            acc = (acc * q * ring.p + ring.value_of(c)) % m
+        return Residue(acc * pow(q, s, m) % m, ring)
 
     return term
 
@@ -756,7 +774,8 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "weighted central binomial sum with inner weight Hbar_k(2) against a v-series",
         "sum C(2k,k)t^k Hbar_k(2)/(2k+1) = 1/64*(-1/t)^((p+1)/2) * sum v_k(2-16t)/k^3  (mod p)",
         1, _per_t(lambda t: _closed_form(
-            lambda ring: weighted_sums(t, ring)[0], _mod_p(1, 0, lambda p: _v_term(t, prime_power(p, 1))),
+            lambda ring: weighted_sums(t, ring)[0],
+            _mod_p(1, 0, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _v_term(c, s, p)),
         )), minp=5, panel=True,
     )
     add(
@@ -764,7 +783,8 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "weighted central binomial sum with inner weight Hbar_k(2) against a u-series",
         "sum C(2k,k)t^k Hbar_k(2) = 1/2*(-1/t)^((p-1)/2) * sum u_k(2-16t)/k^2  (mod p)",
         1, _per_t(lambda t: _closed_form(
-            lambda ring: weighted_sums(t, ring)[1], _mod_p(1, 0, lambda p: _u_term(t, prime_power(p, 1))),
+            lambda ring: weighted_sums(t, ring)[1],
+            _mod_p(1, 0, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _u_term(c, s, p)),
         )), minp=5, panel=True,
     )
     add(
@@ -773,10 +793,10 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "sum C(2k,k)t^k/(2k+1) = [w_n(1-8t) - (-16t)^n]/p + p^2/64*(-1/t)^((p+1)/2)*sum v_k(2-16t)/k^3  (mod p^3)",
         3, _per_t(lambda t: _closed_form(
             lambda ring: s1(t, 0, ring),
-            _over_p(1, lambda ring: (
-                _w_half(1 - 8 * t, ring) - ring.from_fraction(-16 * t) ** ((ring.p - 1) // 2)
+            _over_p(1, lambda ring, x=1 - 8 * t, y=-16 * t: (
+                _w_half(x, ring) - ring.from_fraction(y) ** ((ring.p - 1) // 2)
             )),
-            _mod_p(1, 2, lambda p: _v_term(t, prime_power(p, 1))),
+            _mod_p(1, 2, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _v_term(c, s, p)),
         )), minp=5, panel=True,
     )
     add(
@@ -785,8 +805,8 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "(-1)^n sum C(2k,k)t^k = w_n(8t-1) + p^2/(2t^n)*sum u_k(2-16t)/k^2  (mod p^3)",
         3, _per_t(lambda t: _closed_form(
             lambda ring: (ring.one() + s2(t, 0, ring)) * _sign_minus(ring.p),
-            partial(_w_half, 8 * t - 1),
-            _mod_p(1, 2, lambda p: _u_term(t, prime_power(p, 1)), sign=_sign_minus),
+            lambda ring, x=8 * t - 1: _w_half(x, ring),
+            _mod_p(1, 2, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _u_term(c, s, p), sign=_sign_minus),
         )), minp=5, panel=True,
     )
     add(
@@ -794,7 +814,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "squared-denominator central binomial sum against odd-index v-values",
         "sum C(2k,k)(t/4)^(2k)/(2k+1)^2 = (-1)^n*(v_p(t)-t^p)/(t*p^2) + 2/(t*p)*sum (-1)^k v_(2k+1)(t)/(2k+1)  (mod p^2)",
         2, _per_t(lambda t: _closed_form(
-            lambda ring: s1(t * t / 16, 1, ring), _over_p(2, partial(_v_p_term, t)),
+            lambda ring, u=t * t / 16: s1(u, 1, ring), _over_p(2, lambda ring: _v_p_term(t, ring)),
         )), minp=3, panel=True,
     )
     add(
@@ -802,8 +822,8 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "k-divided central binomial sum against even-index v-values",
         "sum C(2k,k)(t/4)^(2k)/k = 4*q_p(2) - 2p*q_p(2)^2 + sum (-1)^k v_(2k)(t)/k  (mod p^2)",
         2, _per_t(lambda t: _closed_form(
-            lambda ring: s2(t * t / 16, 1, ring), _quotient_poly(fermat(2), 1, (4, -2)),
-            partial(alternating_v_sum, t, False),
+            lambda ring, u=t * t / 16: s2(u, 1, ring), _quotient_poly(fermat(2), 1, (4, -2)),
+            lambda ring: alternating_v_sum(t, False, ring),
         )), minp=3, panel=True,
     )
     add(
@@ -1183,7 +1203,7 @@ def run_congruence(check: CongruenceCheck, p: int, t: Fraction | None = None) ->
         ring = prime_power(p, target)
         lhs, rhs = check.evaluator(ring, t)
         for side in (lhs, rhs):
-            if side.ring != ring:
+            if side.ring is not ring and side.ring != ring:
                 raise MixedModuli(f"a side is in {side.ring!r}, not in {ring!r}")
         text = str(lhs)
         return (lhs - rhs).valuation(), text, text if lhs.value == rhs.value else str(rhs)

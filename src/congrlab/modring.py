@@ -121,11 +121,17 @@ class PrimePower:
 
     def from_fraction(self, q: Fraction) -> Residue:
         """Embed the rational q; requires p coprime to its denominator."""
+        return Residue(self.value_of(q), self)
+
+    def value_of(self, q: int | Fraction) -> int:
+        """The representative of the integer or rational q, as a raw integer."""
+        m = self.modulus
+        if isinstance(q, int):
+            return q % m
         b = q.denominator
         if b % self.p == 0:
             raise DenominatorDivisibleByP(f"denominator {b} divisible by p={self.p}")
-        m = self.modulus
-        return Residue(q.numerator * pow(b, -1, m) % m, self)
+        return q.numerator * pow(b, -1, m) % m
 
 
 @lru_cache(maxsize=None)
@@ -143,42 +149,43 @@ class Residue:
         self.value = value
         self.ring = ring
 
-    def _coerce(self, other) -> "Residue | None":
+    def _raw(self, other) -> int | None:
+        """``other`` as a raw integer of this ring (an int as given), or None."""
         if isinstance(other, Residue):
             if other.ring is self.ring or other.ring == self.ring:
-                return other
+                return other.value
             raise MixedModuli(f"cannot mix {self.ring!r} and {other.ring!r}")
         if isinstance(other, int):
-            return self.ring.from_int(other)
+            return other
         if isinstance(other, Fraction):
-            return self.ring.from_fraction(other)
+            return self.ring.value_of(other)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._raw(other)
         if o is None:
             return NotImplemented
-        return Residue((self.value + o.value) % self.ring.modulus, self.ring)
+        return Residue((self.value + o) % self.ring.modulus, self.ring)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._raw(other)
         if o is None:
             return NotImplemented
-        return Residue((self.value - o.value) % self.ring.modulus, self.ring)
+        return Residue((self.value - o) % self.ring.modulus, self.ring)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._raw(other)
         if o is None:
             return NotImplemented
-        return Residue((o.value - self.value) % self.ring.modulus, self.ring)
+        return Residue((o - self.value) % self.ring.modulus, self.ring)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._raw(other)
         if o is None:
             return NotImplemented
-        return Residue(self.value * o.value % self.ring.modulus, self.ring)
+        return Residue(self.value * o % self.ring.modulus, self.ring)
 
     __rmul__ = __mul__
 
@@ -199,16 +206,16 @@ class Residue:
             raise NotAUnit(f"{self.value} is not a unit mod {self.ring.p}^{self.ring.k}") from None
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._raw(other)
         if o is None:
             return NotImplemented
-        return self * o.inv()
+        return self * self.ring.from_int(o).inv()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._raw(other)
         if o is None:
             return NotImplemented
-        return o * self.inv()
+        return self.inv() * o
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Residue):
@@ -266,23 +273,17 @@ def legendre(a: int, p: int) -> int:
 
 @lru_cache(maxsize=16)
 def inverse_table(ring: PrimePower) -> tuple[int, ...]:
-    """Inverses of 1..p-1 mod p^k via the batched product trick.
+    """Inverses of 1..p-1 mod m = p^k in one pass: m = floor(m/i)*i + (m mod
+    i) gives 1/i = (m - floor(m/i)) * inv[m mod i] (mod m), where m mod i < i
+    is a unit, as every i < p is.
 
-    Entry i holds the inverse of i; entry 0 is a zero placeholder.  One
-    modular inversion plus O(p) multiplications in total.  A sweep reads
-    about six rings per prime, and its prime unit empties this cache when it
-    ends (``catalog._run_unit``); the bound only caps what a caller outside
-    a sweep keeps.
+    Entry i holds the inverse of i; entry 0 is a zero placeholder.  A sweep
+    reads about six rings per prime, and its prime unit empties this cache
+    when it ends (``catalog._run_unit``); the bound only caps what a caller
+    outside a sweep keeps.
     """
     p, m = ring.p, ring.modulus
-    prefix = [1] * p
-    acc = 1
-    for i in range(1, p):
-        acc = acc * i % m
-        prefix[i] = acc
-    inv = [0] * p
-    acc = pow(prefix[p - 1], -1, m)
-    for i in range(p - 1, 0, -1):
-        inv[i] = acc * prefix[i - 1] % m
-        acc = acc * i % m
+    inv = [0, 1]
+    for i in range(2, p):
+        inv.append((m - m // i) * inv[m % i] % m)
     return tuple(inv)

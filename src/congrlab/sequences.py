@@ -161,7 +161,7 @@ def central_binomials(ring: PrimePower) -> tuple[int, ...]:
     k*C(2k,k) = 2(2k-1)*C(2k-2,k-1).
 
     All divisors k <= (p-1)/2 are units mod p, so the table is exact in the
-    ring; built in O(p) with the batched inverse table.
+    ring; built in O(p) with the cached inverse table.
     """
     p, m = ring.p, ring.modulus
     inv = inverse_table(ring)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from .errors import IndexOutOfRange
 from .harmonic import mhs
@@ -48,15 +49,12 @@ __all__ = [
 
 @lru_cache(maxsize=8)
 def bernoulli_powersum(m: int, p: int) -> Residue:
-    """B_m mod p for even 2 <= m <= p-3, via the power sum S_m mod p^2."""
+    """B_m mod p for even 2 <= m <= p-3: the power sum S_m = p*B_m mod p^2,
+    summed by one ``map(pow, ...)`` in C, divided exactly by p."""
     if m % 2 != 0 or not 2 <= m <= p - 3:
         raise IndexOutOfRange(f"powersum route needs even m in [2, p-3], got m={m}, p={p}")
     m2 = p * p
-    s = 0
-    for x in range(1, p):
-        s += pow(x, m, m2)
-    s %= m2
-    # s = p*B_m (mod p^2); the quotient is exact by construction.
+    s = sum(map(pow, range(1, p), repeat(m), repeat(m2))) % m2
     return Residue(s // p % p, prime_power(p, 1))
 
 
@@ -176,7 +174,8 @@ def euler_number(m: int, p: int) -> Residue:
 
     The Euler polynomials satisfy E_m(x) + E_m(x+1) = 2x^m, so the
     alternating sum of (1/2 + k)^m over 0 <= k < p telescopes to
-    (E_m(1/2) + E_m(1/2 + p))/2, and both terms are E_m/2^m mod p.
+    (E_m(1/2) + E_m(1/2 + p))/2, and both terms are E_m/2^m mod p.  The
+    terms of each sign are summed by one ``map(pow, ...)`` in C, and
     ``euler_numbers`` is the independent O(p^2) oracle.
     """
     if m < 0:
@@ -185,6 +184,6 @@ def euler_number(m: int, p: int) -> Residue:
         return prime_power(p, 1).zero()
     if m > p - 3:
         raise IndexOutOfRange(f"E_{m} mod {p} outside the supported range 0..p-3")
-    plus = sum(pow(j, m, p) for j in range(1, 2 * p, 4))
-    minus = sum(pow(j, m, p) for j in range(3, 2 * p, 4))
+    plus = sum(map(pow, range(1, 2 * p, 4), repeat(m), repeat(p)))
+    minus = sum(map(pow, range(3, 2 * p, 4), repeat(m), repeat(p)))
     return prime_power(p, 1).from_int((plus - minus) % p)

@@ -8,6 +8,15 @@ from pathlib import Path
 import pytest
 
 import congrlab
+from congrlab.catalog import run_suite
+
+
+@pytest.fixture(scope="session")
+def congruence_sweep():
+    """The congruence rows of the default sweep, primes 7..1000 on a pool of
+    up to eight workers, run once: criterion 1 reads every row, and the
+    zero-vs-zero census the rows with p <= 200."""
+    return run_suite(prime_lo=7, prime_hi=1000, patterns=("all",), jobs=8, kinds=("congruence",))
 
 
 @pytest.fixture

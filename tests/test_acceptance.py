@@ -52,9 +52,8 @@ def _pinned_digests() -> dict:
     return json.loads((PERFBENCH / "digests.json").read_text())
 
 
-def test_criterion_1_full_congruence_sweep():
-    report = run_suite(prime_lo=7, prime_hi=1000, patterns=("all",), jobs=8,
-                       kinds=("congruence",))
+def test_criterion_1_full_congruence_sweep(congruence_sweep):
+    report = congruence_sweep
     passed, failed, errored = report.counts()
     all_ids = {c.id for c in builtin_checks() if c.kind == "congruence"}
     seen_ids = {r.check_id for r in report.results}

@@ -32,6 +32,7 @@ from congrlab.catalog import (
     run_suite,
     select_checks,
 )
+from congrlab.errors import MixedModuli
 from congrlab.modring import PrimePower, Residue, prime_power
 from oracles import records
 
@@ -361,6 +362,42 @@ class TestLiftInvariance:
         assert any(flipped) == (check_id not in ZERO_COEFFICIENT)
 
 
+#: Each helper that the panel checks' forms call, with the checks that call it.
+PANEL_HELPERS = {
+    "_v_term": {"L31.A2", "T32.first"},
+    "_u_term": {"L31.A3", "T32.second"},
+    "_mod_p_term": {"L31.A2", "L31.A3", "T32.first", "T32.second"},
+    "_w_half": {"T32.first", "T32.second"},
+    "_v_p_term": {"T34.first"},
+    "alternating_v_sum": {"T34.first", "T34.second"},
+}
+
+
+@pytest.mark.parametrize("helper", list(PANEL_HELPERS))
+def test_a_kept_panel_form_reads_its_helpers_at_call_time(helper, monkeypatch):
+    # `_per_t` keeps each panel check's form per t, so a form that bound a
+    # helper when it was built would go on calling the original after a
+    # patch.  Every form is built first, then the patched helper must be
+    # called by its checks, and no form may be built again.
+    panel = [c for c in builtin_checks() if c.kind == "congruence" and c.uses_t_panel]
+    t, p = Fraction(1, 4), 101
+    for check in panel:
+        assert run_congruence(check, p, t).passed
+    built = catalog._form_at.cache_info().misses
+    original = getattr(catalog, helper)
+    callers = []
+
+    def spy(*args):
+        callers.append(current)
+        return original(*args)
+
+    monkeypatch.setattr(catalog, helper, spy)
+    for check in panel:
+        current = check.id
+        assert run_congruence(check, p, t).passed
+    assert set(callers) == PANEL_HELPERS[helper]
+    assert catalog._form_at.cache_info().misses == built
+
 
 def _conbin_sides_over_q(p: int, k: int) -> tuple[Fraction, Fraction]:
     """Both sides of S5.conbin at index k, exactly over Q."""
@@ -480,6 +517,22 @@ class TestClosedForm:
                 assert ev(ring, None) == (ring.from_int(17), want), (
                     k, sign, [name for name, _, _ in chosen],
                 )
+
+    def test_a_term_in_another_ring_is_rejected(self):
+        # The rhs adds the terms' representatives as integers, so it checks
+        # their rings itself: a representative mod 7^4 read as one mod 7^3
+        # would pass unnoticed.
+        ring = prime_power(7, 3)
+        for other in (prime_power(7, 4), prime_power(11, 3)):
+            term = lambda r, other=other: other.from_int(400)
+            with pytest.raises(MixedModuli):
+                catalog._closed_form(PrimePower.one, term)(ring, None)
+            with pytest.raises(MixedModuli):
+                catalog._sum_of(term)(ring)
+        # A ring equal to the sweep's but built apart is the same ring.
+        term = lambda r: PrimePower(7, 3).from_int(400)
+        assert catalog._closed_form(PrimePower.one, term)(ring, None) == (ring.one(), ring.from_int(400))
+        assert catalog._sum_of(term)(ring) == ring.from_int(400)
 
 
 class TestRunIdentity:
@@ -755,12 +808,14 @@ def test_unit_caches_are_empty_after_a_sweep():
 
 
 #: The ``lru_cache`` functions that outlive a unit: the ring constructor (one
-#: small object per (p, k)), the check registry, and the O(p^2) Bernoulli and
-#: Euler tables, which only the tests read.
+#: small object per (p, k)), the check registry, the panel checks' forms
+#: (keyed by builder and t, not by a prime: at most 128 small closures), and
+#: the O(p^2) Bernoulli and Euler tables, which only the tests read.
 LONG_LIVED_CACHES = {
     "congrlab.modring.prime_power",
     "congrlab.catalog.builtin_checks",
     "congrlab.catalog._registry",
+    "congrlab.catalog._form_at",
     "congrlab.specialnum.bernoulli_table",
     "congrlab.specialnum.euler_numbers",
 }

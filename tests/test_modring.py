@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import operator
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congrlab.errors import (
@@ -155,10 +156,15 @@ class TestResidueArithmetic:
             ring.from_fraction(Fraction(1, 21))
 
     def test_mixed_moduli_rejected(self):
-        with pytest.raises(MixedModuli):
-            _ = prime_power(7, 2).one() + prime_power(7, 3).one()
-        with pytest.raises(MixedModuli):
-            _ = prime_power(7, 2).one() + prime_power(11, 2).one()
+        x = prime_power(7, 2).from_int(3)
+        for op in (operator.add, operator.sub, operator.mul):
+            for other in (prime_power(7, 3), prime_power(11, 2)):
+                with pytest.raises(MixedModuli):
+                    op(x, other.from_int(5))
+                with pytest.raises(MixedModuli):
+                    op(other.from_int(5), x)
+            # A ring equal to x's but built apart is the same ring.
+            assert op(x, PrimePower(7, 2).from_int(5)) == op(3, 5) % 49
 
     def test_equality_and_hash(self):
         ring = prime_power(7, 2)
@@ -219,14 +225,13 @@ class TestLegendre:
 
 
 class TestInverseTable:
-    @pytest.mark.parametrize("p,k", [(7, 1), (7, 3), (101, 2)])
+    @pytest.mark.parametrize("p,k", [(p, k) for p in (3, 7, 101, 997) for k in range(1, MAX_EXPONENT + 1)])
     def test_matches_modular_inverse(self, p, k):
         ring = prime_power(p, k)
         table = inverse_table(ring)
         assert len(table) == p
         assert table[0] == 0
-        for i in range(1, p):
-            assert i * table[i] % ring.modulus == 1
+        assert list(table[1:]) == [pow(i, -1, ring.modulus) for i in range(1, p)]
 
 
 @given(
@@ -244,6 +249,46 @@ def test_residue_ring_laws(p, k, a, b):
     assert x + y == y + x
     assert x * (y + ring.one()) == x * y + x
     assert int(-x + x) == 0
+
+
+#: An operand of a residue: an int of any size or sign, a bool, a rational, or
+#: ("residue", n) for n in the same ring.
+OPERANDS = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.fractions(max_denominator=10**6),
+    st.tuples(st.just("residue"), st.integers()),
+)
+
+
+@given(
+    st.sampled_from(PRIMES),
+    st.integers(min_value=1, max_value=MAX_EXPONENT),
+    st.integers(),
+    OPERANDS,
+    st.sampled_from([operator.add, operator.sub, operator.mul]),
+)
+@example(7, 2, 5, -60, operator.sub)
+@example(7, 2, 5, 10**30 + 1, operator.mul)
+@example(7, 2, 5, True, operator.add)
+@settings(max_examples=200, deadline=None)
+def test_operands_match_their_embedding(p, k, a, operand, op):
+    # The arithmetic takes an int or a residue of the ring as it is: it must
+    # agree with embedding the operand first, through from_int or
+    # from_fraction, in both operand orders.
+    ring = prime_power(p, k)
+    x = ring.from_int(a)
+    if isinstance(operand, tuple):
+        operand = y = ring.from_int(operand[1])
+    elif isinstance(operand, Fraction):
+        if operand.denominator % p == 0:
+            return
+        y = ring.from_fraction(operand)
+    else:
+        y = ring.from_int(operand)
+    for got, want in ((op(x, operand), op(x.value, y.value)), (op(operand, x), op(y.value, x.value))):
+        assert isinstance(got, Residue) and got.ring is ring
+        assert got.value == want % ring.modulus
 
 
 @given(st.sampled_from(PRIMES), st.integers(min_value=1, max_value=4), st.integers())

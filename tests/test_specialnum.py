@@ -55,7 +55,7 @@ class TestBernoulliRoutes:
             expect = b.numerator * pow(b.denominator, -1, p) % p
             assert int(table[m]) == expect
 
-    @pytest.mark.parametrize("p", primes_in_range(5, 60))
+    @pytest.mark.parametrize("p", primes_in_range(5, 60) + [101, 997])
     def test_routes_agree(self, p):
         table = bernoulli_table(p)
         for m in range(2, p - 2, 2):
@@ -151,7 +151,7 @@ class TestEuler:
 
     def test_sum_route_matches_recurrence(self):
         # The O(p) alternating-sum route against the O(p^2) recurrence.
-        for p in primes_in_range(7, 400):
+        for p in primes_in_range(7, 400) + [997]:
             table = euler_numbers(p - 3, p)
             for m in range(0, p - 2, 2):
                 assert euler_number(m, p) == table[m], (m, p)
