@@ -120,6 +120,10 @@ def weighted_sums(t: Fraction, ring: PrimePower) -> tuple[Residue, Residue]:
     return first, _dot(ring, column, hbar)
 
 
+#: The t = 1/16 of `fib_lucas_sum`'s column, built once.
+_SIXTEENTH = Fraction(1, 16)
+
+
 def fib_lucas_sum(kind: str, ring: PrimePower) -> Residue:
     """sum_{k=0}^{(p-3)/2} C(2k,k) W_{2k+1} / ((2k+1) 16^k), W in {F, L}."""
     if kind not in ("F", "L"):
@@ -127,7 +131,7 @@ def fib_lucas_sum(kind: str, ring: PrimePower) -> Residue:
     weights = _odd_powers(ring, 1)
     # W_{2k+3} = 3*W_{2k+1} - W_{2k-1}, from (W_1, W_3)
     odd_terms = recurrence_column(len(weights), 1, 2 if kind == "F" else 4, 3, 1, ring.modulus)
-    return _dot(ring, binomial_column(Fraction(1, 16), ring)[:-1], weights, odd_terms)
+    return _dot(ring, binomial_column(_SIXTEENTH, ring)[:-1], weights, odd_terms)
 
 
 @lru_cache(maxsize=32)

@@ -62,6 +62,12 @@ from .specialnum import bernoulli_number, bernoulli_third, euler_number
 __all__ = [
     "DEFAULT_T_PANEL",
     "CongruenceCheck",
+    "ClosedForm",
+    "PerT",
+    "Harmonic",
+    "QuotientPoly",
+    "ModP",
+    "OverP",
     "IdentityCheck",
     "CheckResult",
     "Report",
@@ -99,7 +105,8 @@ class CongruenceCheck(
     ``description``, ``statement``, ``target_exponent``, ``evaluator`` (a
     callable (ring, t) -> (lhs, rhs), both sides residues of ``ring`` =
     Z/p^k, with t None for a check without a panel; the sweep passes
-    k = target_exponent, and k sets only the precision of the sides),
+    k = target_exponent, and k sets only the precision of the sides; for a
+    registered check a `ClosedForm`, a `PerT` of one, or S5.conbin's own),
     ``min_prime`` (3), ``excluded_primes`` (empty frozenset),
     ``uses_t_panel`` (False) and ``prime_cap`` (None).
     """
@@ -253,12 +260,13 @@ def _v_p_term(t: Fraction, ring: PrimePower) -> Residue:
 #
 # Each evaluator takes (ring, t): ring is Z/p^k, t the panel value (None for
 # a check without a panel), and returns (lhs, rhs) as residues of that ring.
-# Every congruence but S5.conbin is a `_closed_form` (for a panel check, one
-# per t by `_per_t`) whose terms each state their power of p in the registry:
-# `_harmonic`, `_quotient_poly` and `_mod_p`, and `_over_p` for a term
+# Every congruence but S5.conbin is a `ClosedForm` (for a panel check, one
+# per t by `PerT`), data whose terms each state their power of p in the
+# registry: `Harmonic`, `QuotientPoly` and `ModP`, and `OverP` for a term
 # divided by p^j, the one place that divides by a power of p.  The ring sets
 # only the precision, so the sides in Z/p^(target+1) agree mod p^target with
-# those in Z/p^target, where the sweep runs them.
+# those in Z/p^target, where the sweep runs them.  A term reads every helper
+# it calls from this module at call time, so a patched helper is the one read.
 
 
 def _raw_sum(terms, ring: PrimePower) -> int:
@@ -273,26 +281,21 @@ def _raw_sum(terms, ring: PrimePower) -> int:
     return total
 
 
-def _sum_of(*terms):
-    """The term sum of term(ring) over ``terms``, reduced once; 0 with none."""
-    return lambda ring: Residue(_raw_sum(terms, ring) % ring.modulus, ring)
+class ClosedForm(namedtuple("ClosedForm", "lhs terms sign", defaults=(None,))):
+    """The evaluator of sum(lhs) = sign(p) * sum(terms) (mod p^k).
 
-
-def _closed_form(lhs, *terms, sign=None):
-    """lhs(ring) = sign(p) * (sum of term(ring) over ``terms``) (mod p^k).
-
-    Each term states its own power of p: `_harmonic`, `_quotient_poly`,
-    `_mod_p`, `_over_p` of a term divided by p^j, or a term with no power of
-    p (``PrimePower.one``, a w-value); `_sum_of` builds a multi-term lhs.
-    With no terms the rhs is 0, and a missing sign is 1.  The rhs sums the
-    terms' representatives as integers and reduces once.
+    ``lhs`` and ``terms`` are tuples of terms: `Harmonic`, `QuotientPoly`,
+    `ModP`, `OverP`, or a callable ring -> residue with no power of p
+    (``PrimePower.one``, a w-value).  Each side sums its terms'
+    representatives as integers and reduces once; a side with no terms is 0,
+    and a missing sign is 1.
     """
 
-    def ev(ring: PrimePower, t):
-        total = _raw_sum(terms, ring) * (1 if sign is None else sign(ring.p))
-        return lhs(ring), Residue(total % ring.modulus, ring)
+    __slots__ = ()
 
-    return ev
+    def __call__(self, ring: PrimePower, t):
+        total = _raw_sum(self.terms, ring) * (1 if self.sign is None else self.sign(ring.p))
+        return Residue(_raw_sum(self.lhs, ring) % ring.modulus, ring), Residue(total % ring.modulus, ring)
 
 
 @lru_cache(maxsize=128)
@@ -301,65 +304,74 @@ def _form_at(build, t):
     return build(t)
 
 
-def _per_t(build):
-    """A panel check's evaluator: build(t) is its `_closed_form` at t, built
-    once per t by `_form_at`.  Its terms look up every helper they call at
-    call time, so a helper patched after the build is still the one read."""
-    return lambda ring, t: _form_at(build, t)(ring, t)
+class PerT(namedtuple("PerT", "build")):
+    """A panel check's evaluator: build(t) is its `ClosedForm` at t, built
+    once per t by `_form_at`."""
+
+    __slots__ = ()
+
+    def __call__(self, ring: PrimePower, t):
+        return _form_at(self.build, t)(ring, t)
 
 
-def _over_p(j: int, term):
+class OverP(namedtuple("OverP", "j term")):
     """The term term/p^j: ``term`` is computed in Z/p^(k+j) and divided
     exactly by p^j, which raises `NotDivisibleByP` unless p^j divides it."""
 
-    def over(ring: PrimePower):
-        x = term(prime_power(ring.p, ring.k + j))
-        for _ in range(j):
+    __slots__ = ()
+
+    def __call__(self, ring: PrimePower) -> Residue:
+        x = self.term(prime_power(ring.p, ring.k + self.j))
+        for _ in range(self.j):
             x = divide_by_p(x)
         return x
 
-    return over
 
-
-def _harmonic(c, e: int, comp: tuple[int, ...], half: bool = True, odd: bool = False):
+class Harmonic(namedtuple("Harmonic", "c e comp half odd", defaults=(True, False))):
     """The term c * p^e * S, S = Hbar_N(comp) if ``odd`` else H_N(comp), and
     N = (p-1)/2 if ``half`` else p-1.
 
-    For e < 0 it is `_over_p` of c * S, which needs p^-e to divide S: p^2
+    For e < 0 it is `OverP` of c * S, which needs p^-e to divide S: p^2
     divides H_(p-1)(1), and p divides H_(p-1)(2), for p >= 5.
     """
-    if e < 0:
-        return _over_p(-e, _harmonic(c, 0, comp, half, odd))
 
-    def term(ring: PrimePower):
+    __slots__ = ()
+
+    def __call__(self, ring: PrimePower) -> Residue:
+        c, e, comp, half, odd = self
+        if e < 0:
+            return OverP(-e, self._replace(e=0))(ring)
         p = ring.p
         kernel = harmonic._odd_mhs_mod if odd else harmonic._mhs_mod
         x = kernel((p - 1) // 2 if half else p - 1, comp, ring)
         return Residue(ring.value_of(c) * p**e * x % ring.modulus, ring)
 
-    return term
 
-
-def _quotient_poly(quotient, s: int, coeffs: tuple):
+class QuotientPoly(namedtuple("QuotientPoly", "quotient s coeffs")):
     """The term q^s * P(p*q), q = quotient(p, k) and P(x) = coeffs[0] +
     coeffs[1]*x + ..."""
 
-    def term(ring: PrimePower):
-        m, q = ring.modulus, quotient(ring.p, ring.k).value
+    __slots__ = ()
+
+    def __call__(self, ring: PrimePower) -> Residue:
+        m, q = ring.modulus, self.quotient(ring.p, ring.k).value
         acc = 0
-        for c in reversed(coeffs):
+        for c in reversed(self.coeffs):
             acc = (acc * q * ring.p + ring.value_of(c)) % m
-        return Residue(acc * pow(q, s, m) % m, ring)
-
-    return term
+        return Residue(acc * pow(q, self.s, m) % m, ring)
 
 
-def _mod_p(c, e: int, value, sign=None):
+class ModP(namedtuple("ModP", "c e value sign", defaults=(None,))):
     """The term sign(p) * c * p^e * X(p), ``value`` the map p -> X(p) for a
     value known only mod p.  A missing sign is 1.  The sign goes into the
     coefficient, so the representative of X(p) reaches the factor p^e as
     ``value`` gave it."""
-    return lambda ring: _mod_p_term(ring, c if sign is None else c * sign(ring.p), e, value(ring.p))
+
+    __slots__ = ()
+
+    def __call__(self, ring: PrimePower) -> Residue:
+        c = self.c if self.sign is None else self.c * self.sign(ring.p)
+        return _mod_p_term(ring, c, self.e, self.value(ring.p))
 
 
 def _eval_mhs_bernoulli(half: bool, comp: tuple[int, ...], h1: int, coeff: Fraction, e: int):
@@ -369,11 +381,14 @@ def _eval_mhs_bernoulli(half: bool, comp: tuple[int, ...], h1: int, coeff: Fract
     With h1 = 0 the weight-1 sum is not computed at all.
     """
     w = sum(comp)
-    return _closed_form(
-        _harmonic(1, 0, comp, half),
-        *((_harmonic(h1, 1 - w, (1,), half=False),) if h1 else ()),
-        _mod_p(coeff, e, _bernoulli_p(w + e)),
+    return ClosedForm(
+        (Harmonic(1, 0, comp, half),),
+        ((Harmonic(h1, 1 - w, (1,), half=False),) if h1 else ()) + (ModP(coeff, e, _bernoulli_p(w + e)),),
     )
+
+
+#: The t of S5.conbin's column C(2k,k)/(-16)^k, built once.
+_CONBIN_T = Fraction(-1, 16)
 
 
 def _eval_binomial_ratio_expansion(ring: PrimePower, t):
@@ -392,7 +407,7 @@ def _eval_binomial_ratio_expansion(ring: PrimePower, t):
         lambda c, k: c * (2 * k + 2) * (2 * k + 3) * inv[n + k + 1] * inv[n - k - 1] % m,
         initial=inv[n],
     )
-    ratio = map(mul, binomial_column(Fraction(-1, 16), ring), binom_inv)
+    ratio = map(mul, binomial_column(_CONBIN_T, ring), binom_inv)
     for r, o, o2, a2, a4, a22 in zip(ratio, io, io2, h2, h4, h22):
         lhs_k = r % m
         a = o2 + a2
@@ -635,11 +650,10 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "iv.h1",
         "weight-1 full harmonic sum expanded through weights 2 and 3",
         "H_(p-1)(1) = -p/2*H_(p-1)(2) - p^2/6*H_(p-1)(3)  (mod p^5)",
-        5, _closed_form(
-            _harmonic(1, 0, (1,), half=False),
-            _harmonic(Fraction(-1, 2), 1, (2,), half=False),
-            _harmonic(Fraction(-1, 6), 2, (3,), half=False),
-        ), minp=7,
+        5, ClosedForm((Harmonic(1, 0, (1,), half=False),), (
+            Harmonic(Fraction(-1, 2), 1, (2,), half=False),
+            Harmonic(Fraction(-1, 6), 2, (3,), half=False),
+        )), minp=7,
     )
     add(
         "v.h12",
@@ -651,10 +665,9 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "vi.1",
         "half-range weight-1 sum against Fermat-quotient powers",
         "H_n(1) = -2*q + p*q^2 - p^2*(2/3*q^3 + 7/12*B(p-3)), q = q_p(2), n = (p-1)/2  (mod p^3)",
-        3, _closed_form(
-            _harmonic(1, 0, (1,)), _quotient_poly(fermat(2), 1, (-2, 1, Fraction(-2, 3))),
-            _mod_p(Fraction(-7, 12), 2, _bernoulli_p(3)),
-        ), minp=7,
+        3, ClosedForm((Harmonic(1, 0, (1,)),), (
+            QuotientPoly(fermat(2), 1, (-2, 1, Fraction(-2, 3))), ModP(Fraction(-7, 12), 2, _bernoulli_p(3)),
+        )), minp=7,
     )
     for r in (2, 4):
         coeff = Fraction(r * (2 ** (r + 1) - 1), 2 * (r + 1))
@@ -678,10 +691,10 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"L21.C1.r{r}a{a}",
                 f"full weight-{r} sum from half-range sums through order p^{a}",
                 f"H_(p-1)({r}) = H_n({r}) + (-1)^{r} * sum_k C({r - 1}+k,k)*H_n({r}+k)*p^k, k=0..{a}  (mod p^{a + 1})",
-                a + 1, _closed_form(
-                    _harmonic(1, 0, (r,), half=False), _harmonic(1, 0, (r,)),
-                    *(_harmonic(_neg_one_pow(r) * comb(r - 1 + j, j), j, (r + j,)) for j in range(a + 1)),
-                ), minp=r + 3,
+                a + 1, ClosedForm((Harmonic(1, 0, (r,), half=False),), (
+                    Harmonic(1, 0, (r,)),
+                    *(Harmonic(_neg_one_pow(r) * comb(r - 1 + j, j), j, (r + j,)) for j in range(a + 1)),
+                )), minp=r + 3,
             )
     for w in (3, 5, 7):
         for s in range(1, w):
@@ -697,9 +710,9 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "T22.zero",
         "weighted half-range combination of weights 2,3,4 vanishing mod p^4",
         "H_n(2) + 7/6*p*H_n(3) + 5/8*p^2*H_n(4) = 0  (mod p^4)",
-        4, _closed_form(_sum_of(
-            _harmonic(1, 0, (2,)), _harmonic(Fraction(7, 6), 1, (3,)), _harmonic(Fraction(5, 8), 2, (4,)),
-        )), minp=5,
+        4, ClosedForm((
+            Harmonic(1, 0, (2,)), Harmonic(Fraction(7, 6), 1, (3,)), Harmonic(Fraction(5, 8), 2, (4,)),
+        ), ()), minp=5,
     )
     add(
         "C23.a",
@@ -723,10 +736,9 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "C23.d",
         "half-range (1,2) and (1,3) sums against the p^2-divided weight-1 sum",
         "H_n(1,2) + p*H_n(1,3) = -9/2*H_(p-1)(1)/p^2 - 49/20*p^2*B(p-5)  (mod p^3)",
-        3, _closed_form(
-            _sum_of(_harmonic(1, 0, (1, 2)), _harmonic(1, 1, (1, 3))),
-            _harmonic(Fraction(-9, 2), -2, (1,), half=False), _mod_p(Fraction(-49, 20), 2, _bernoulli_p(5)),
-        ), minp=7,
+        3, ClosedForm((Harmonic(1, 0, (1, 2)), Harmonic(1, 1, (1, 3))), (
+            Harmonic(Fraction(-9, 2), -2, (1,), half=False), ModP(Fraction(-49, 20), 2, _bernoulli_p(5)),
+        )), minp=7,
     )
     for r in (1, 2, 3):
         for s in (1, 2, 3):
@@ -734,183 +746,170 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 f"L25.r{r}s{s}",
                 f"odd-index depth-2 sum ({r},{s}) from reversed half-range sums",
                 f"Hbar_n({r},{s}) = (-2)^-{r + s} * [H_n({s},{r}) + p/2*({r}*H_n({s},{r + 1}) + {s}*H_n({s + 1},{r})) + p^2/4*(...)]  (mod p^3)",
-                3, _closed_form(
-                    _harmonic(1, 0, (r, s), odd=True),
-                    *(_harmonic(Fraction(c, (-2) ** (r + s)), e, comp) for c, e, comp in (
+                3, ClosedForm((Harmonic(1, 0, (r, s), odd=True),), tuple(
+                    Harmonic(Fraction(c, (-2) ** (r + s)), e, comp) for c, e, comp in (
                         (1, 0, (s, r)),
                         (Fraction(r, 2), 1, (s, r + 1)), (Fraction(s, 2), 1, (s + 1, r)),
                         (Fraction(comb(r + 1, 2), 4), 2, (s, r + 2)),
                         (Fraction(r * s, 4), 2, (s + 1, r + 1)),
                         (Fraction(comb(s + 1, 2), 4), 2, (s + 2, r)),
-                    )),
-                ), minp=3,
+                    )
+                )), minp=3,
             )
     add(
         "L26.alts",
         "alternating odd-denominator sum expanded in odd-index harmonic sums",
         "2*(-1)^n*sum((-1)^k/(2k+1)) = Hbar(1) - p*Hbar(2) - p^2*Hbar(2,1) + p^3*Hbar(2,2) + p^4*Hbar(2,2,1)  (mod p^5)",
-        5, _closed_form(
+        5, ClosedForm((
             lambda ring: alternating_half_sum((ring.p - 1) // 2, 1, ring) * (2 * _sign_minus(ring.p)),
-            _harmonic(1, 0, (1,), odd=True), _harmonic(-1, 1, (2,), odd=True),
-            _harmonic(-1, 2, (2, 1), odd=True), _harmonic(1, 3, (2, 2), odd=True),
-            _harmonic(1, 4, (2, 2, 1), odd=True),
-        ), minp=7,
+        ), (
+            Harmonic(1, 0, (1,), odd=True), Harmonic(-1, 1, (2,), odd=True),
+            Harmonic(-1, 2, (2, 1), odd=True), Harmonic(1, 3, (2, 2), odd=True),
+            Harmonic(1, 4, (2, 2, 1), odd=True),
+        )), minp=7,
     )
     add(
         "C27.morley",
         "central binomial coefficient over 4^(p-1) to sixth order",
         "(-1)^n/4^(p-1)*C(p-1,n) = 1 - p/4*H_(p-1)(1) - p^5/80*B(p-5)  (mod p^6)",
-        6, _closed_form(
-            lambda ring: (
-                ring.from_int(central_binomials(ring)[(ring.p - 1) // 2]) * _sign_minus(ring.p)
-                / ring.from_int(pow(4, ring.p - 1, ring.modulus))
-            ),
-            PrimePower.one, _harmonic(Fraction(-1, 4), 1, (1,), half=False),
-            _mod_p(Fraction(-1, 80), 5, _bernoulli_p(5)),
-        ), minp=7,
+        6, ClosedForm((lambda ring: (
+            ring.from_int(central_binomials(ring)[(ring.p - 1) // 2]) * _sign_minus(ring.p)
+            / ring.from_int(pow(4, ring.p - 1, ring.modulus))
+        ),), (
+            PrimePower.one, Harmonic(Fraction(-1, 4), 1, (1,), half=False),
+            ModP(Fraction(-1, 80), 5, _bernoulli_p(5)),
+        )), minp=7,
     )
     add(
         "L31.A2",
         "weighted central binomial sum with inner weight Hbar_k(2) against a v-series",
         "sum C(2k,k)t^k Hbar_k(2)/(2k+1) = 1/64*(-1/t)^((p+1)/2) * sum v_k(2-16t)/k^3  (mod p)",
-        1, _per_t(lambda t: _closed_form(
-            lambda ring: weighted_sums(t, ring)[0],
-            _mod_p(1, 0, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _v_term(c, s, p)),
+        1, PerT(lambda t: ClosedForm(
+            (lambda ring: weighted_sums(t, ring)[0],),
+            (ModP(1, 0, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _v_term(c, s, p)),),
         )), minp=5, panel=True,
     )
     add(
         "L31.A3",
         "weighted central binomial sum with inner weight Hbar_k(2) against a u-series",
         "sum C(2k,k)t^k Hbar_k(2) = 1/2*(-1/t)^((p-1)/2) * sum u_k(2-16t)/k^2  (mod p)",
-        1, _per_t(lambda t: _closed_form(
-            lambda ring: weighted_sums(t, ring)[1],
-            _mod_p(1, 0, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _u_term(c, s, p)),
+        1, PerT(lambda t: ClosedForm(
+            (lambda ring: weighted_sums(t, ring)[1],),
+            (ModP(1, 0, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _u_term(c, s, p)),),
         )), minp=5, panel=True,
     )
     add(
         "T32.first",
         "odd-denominator central binomial sum against a w-value to third order",
         "sum C(2k,k)t^k/(2k+1) = [w_n(1-8t) - (-16t)^n]/p + p^2/64*(-1/t)^((p+1)/2)*sum v_k(2-16t)/k^3  (mod p^3)",
-        3, _per_t(lambda t: _closed_form(
-            lambda ring: s1(t, 0, ring),
-            _over_p(1, lambda ring, x=1 - 8 * t, y=-16 * t: (
+        3, PerT(lambda t: ClosedForm((lambda ring: s1(t, 0, ring),), (
+            OverP(1, lambda ring, x=1 - 8 * t, y=-16 * t: (
                 _w_half(x, ring) - ring.from_fraction(y) ** ((ring.p - 1) // 2)
             )),
-            _mod_p(1, 2, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _v_term(c, s, p)),
-        )), minp=5, panel=True,
+            ModP(1, 2, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _v_term(c, s, p)),
+        ))), minp=5, panel=True,
     )
     add(
         "T32.second",
         "plain central binomial sum against a w-value to third order",
         "(-1)^n sum C(2k,k)t^k = w_n(8t-1) + p^2/(2t^n)*sum u_k(2-16t)/k^2  (mod p^3)",
-        3, _per_t(lambda t: _closed_form(
-            lambda ring: (ring.one() + s2(t, 0, ring)) * _sign_minus(ring.p),
+        3, PerT(lambda t: ClosedForm((lambda ring: (ring.one() + s2(t, 0, ring)) * _sign_minus(ring.p),), (
             lambda ring, x=8 * t - 1: _w_half(x, ring),
-            _mod_p(1, 2, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _u_term(c, s, p), sign=_sign_minus),
-        )), minp=5, panel=True,
+            ModP(1, 2, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _u_term(c, s, p), sign=_sign_minus),
+        ))), minp=5, panel=True,
     )
     add(
         "T34.first",
         "squared-denominator central binomial sum against odd-index v-values",
         "sum C(2k,k)(t/4)^(2k)/(2k+1)^2 = (-1)^n*(v_p(t)-t^p)/(t*p^2) + 2/(t*p)*sum (-1)^k v_(2k+1)(t)/(2k+1)  (mod p^2)",
-        2, _per_t(lambda t: _closed_form(
-            lambda ring, u=t * t / 16: s1(u, 1, ring), _over_p(2, lambda ring: _v_p_term(t, ring)),
+        2, PerT(lambda t: ClosedForm(
+            (lambda ring, u=t * t / 16: s1(u, 1, ring),), (OverP(2, lambda ring: _v_p_term(t, ring)),),
         )), minp=3, panel=True,
     )
     add(
         "T34.second",
         "k-divided central binomial sum against even-index v-values",
         "sum C(2k,k)(t/4)^(2k)/k = 4*q_p(2) - 2p*q_p(2)^2 + sum (-1)^k v_(2k)(t)/k  (mod p^2)",
-        2, _per_t(lambda t: _closed_form(
-            lambda ring, u=t * t / 16: s2(u, 1, ring), _quotient_poly(fermat(2), 1, (4, -2)),
-            lambda ring: alternating_v_sum(t, False, ring),
-        )), minp=3, panel=True,
+        2, PerT(lambda t: ClosedForm((lambda ring, u=t * t / 16: s2(u, 1, ring),), (
+            QuotientPoly(fermat(2), 1, (4, -2)), lambda ring: alternating_v_sum(t, False, ring),
+        ))), minp=3, panel=True,
     )
     add(
         "C41.a",
         "odd-denominator central binomial sum at t=1/4",
         "s1(1/4) = (-1)^((p+1)/2)*(q_p(2) - p^2/16*B(p-3))  (mod p^3)",
-        3, _closed_form(
-            lambda ring: s1(Fraction(1, 4), 0, ring), _quotient_poly(fermat(2), 1, (1,)),
-            _mod_p(Fraction(-1, 16), 2, _bernoulli_p(3)), sign=_sign_plus,
-        ), minp=5,
+        3, ClosedForm((lambda ring, u=Fraction(1, 4): s1(u, 0, ring),), (
+            QuotientPoly(fermat(2), 1, (1,)), ModP(Fraction(-1, 16), 2, _bernoulli_p(3)),
+        ), sign=_sign_plus), minp=5,
     )
     add(
         "C41.b",
         "odd-denominator central binomial sum at t=1/16",
         "s1(1/16) = (-1)^((p+1)/2)/36*p^2*B(p-3)  (mod p^3)",
-        3, _closed_form(
-            lambda ring: s1(Fraction(1, 16), 0, ring),
-            _mod_p(Fraction(1, 36), 2, _bernoulli_p(3)), sign=_sign_plus,
+        3, ClosedForm(
+            (lambda ring, u=Fraction(1, 16): s1(u, 0, ring),),
+            (ModP(Fraction(1, 36), 2, _bernoulli_p(3)),), sign=_sign_plus,
         ), minp=5,
     )
     add(
         "C41.c",
         "odd-denominator central binomial sum at t=1/8",
         "s1(1/8) = (-1)^((p+1)/2)*(2|p)*[q/2 - p/8*q^2 + p^2/16*(q^3 - B(p-3)/8)]  (mod p^3)",
-        3, _closed_form(
-            lambda ring: s1(Fraction(1, 8), 0, ring),
-            _quotient_poly(fermat(2), 1, (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))),
-            _mod_p(Fraction(-1, 128), 2, _bernoulli_p(3)),
-            sign=lambda p: _sign_plus(p) * legendre(2, p),
-        ), minp=5,
+        3, ClosedForm((lambda ring, u=Fraction(1, 8): s1(u, 0, ring),), (
+            QuotientPoly(fermat(2), 1, (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))),
+            ModP(Fraction(-1, 128), 2, _bernoulli_p(3)),
+        ), sign=lambda p: _sign_plus(p) * legendre(2, p)), minp=5,
     )
     add(
         "C41.d",
         "odd-denominator central binomial sum at t=3/16",
         "s1(3/16) = (-1)^((p+1)/2)*(3|p)*[q3/2 - p/8*q3^2 + p^2*(q3^3/16 - B(p-3)/27)]  (mod p^3)",
-        3, _closed_form(
-            lambda ring: s1(Fraction(3, 16), 0, ring),
-            _quotient_poly(fermat(3), 1, (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))),
-            _mod_p(Fraction(-1, 27), 2, _bernoulli_p(3)),
-            sign=lambda p: _sign_plus(p) * legendre(3, p),
-        ), minp=5,
+        3, ClosedForm((lambda ring, u=Fraction(3, 16): s1(u, 0, ring),), (
+            QuotientPoly(fermat(3), 1, (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))),
+            ModP(Fraction(-1, 27), 2, _bernoulli_p(3)),
+        ), sign=lambda p: _sign_plus(p) * legendre(3, p)), minp=5,
     )
     add(
         "C41.e",
         "odd-denominator central binomial sum at t=-1/32",
         "s1(-1/32) = (2|p)*[2q - p*q^2 + p^2/3*(2q^3 - 7/32*B(p-3))]  (mod p^3)",
-        3, _closed_form(
-            lambda ring: s1(Fraction(-1, 32), 0, ring),
-            _quotient_poly(fermat(2), 1, (2, -1, Fraction(2, 3))),
-            _mod_p(Fraction(-7, 96), 2, _bernoulli_p(3)), sign=partial(legendre, 2),
-        ), minp=5,
+        3, ClosedForm((lambda ring, u=Fraction(-1, 32): s1(u, 0, ring),), (
+            QuotientPoly(fermat(2), 1, (2, -1, Fraction(2, 3))), ModP(Fraction(-7, 96), 2, _bernoulli_p(3)),
+        ), sign=partial(legendre, 2)), minp=5,
     )
     add(
         "C41.f",
         "odd-denominator central binomial sum at t=-1/16 against the Lucas quotient",
         "s1(-1/16) = q_L - p^2/15*(q_L^3/2 + B(p-3)), q_L = (L_p-1)/p  (mod p^3)",
-        3, _closed_form(
-            lambda ring: s1(Fraction(-1, 16), 0, ring),
-            _quotient_poly(lucas_quotient, 1, (1, 0, Fraction(-1, 30))),
-            _mod_p(Fraction(-1, 15), 2, _bernoulli_p(3)),
-        ), minp=7,
+        3, ClosedForm((lambda ring, u=Fraction(-1, 16): s1(u, 0, ring),), (
+            QuotientPoly(lucas_quotient, 1, (1, 0, Fraction(-1, 30))),
+            ModP(Fraction(-1, 15), 2, _bernoulli_p(3)),
+        )), minp=7,
     )
     add(
         "C42.a",
         "plain central binomial sum at t=1/16 against a Bernoulli polynomial value",
         "sum_(k<=n) C(2k,k)/16^k = (3|p) + (-1|p)*p^2/24*B_(p-2)(1/3)  (mod p^3)",
-        3, _closed_form(
-            lambda ring: ring.one() + s2(Fraction(1, 16), 0, ring),
+        3, ClosedForm((lambda ring, u=Fraction(1, 16): ring.one() + s2(u, 0, ring),), (
             lambda ring: ring.from_int(legendre(3, ring.p)),
-            _mod_p(Fraction(1, 24), 2, lambda p: bernoulli_third(p), sign=_sign_minus),
-        ), minp=5, cap=600,
+            ModP(Fraction(1, 24), 2, lambda p: bernoulli_third(p), sign=_sign_minus),
+        )), minp=5, cap=600,
     )
     add(
         "C42.b",
         "plain central binomial sum at t=3/16 against a Bernoulli polynomial value",
         "sum_(k<=n) C(2k,k)(3/16)^k = 1 + (-3|p)*p^2/12*B_(p-2)(1/3)  (mod p^3)",
-        3, _closed_form(
-            lambda ring: ring.one() + s2(Fraction(3, 16), 0, ring), PrimePower.one,
-            _mod_p(Fraction(1, 12), 2, lambda p: bernoulli_third(p), sign=lambda p: legendre(-3, p)),
-        ), minp=5, cap=600,
+        3, ClosedForm((lambda ring, u=Fraction(3, 16): ring.one() + s2(u, 0, ring),), (
+            PrimePower.one,
+            ModP(Fraction(1, 12), 2, lambda p: bernoulli_third(p), sign=lambda p: legendre(-3, p)),
+        )), minp=5, cap=600,
     )
     add(
         "T43.F",
         "Fibonacci-weighted central binomial sum against the Fibonacci quotient",
         "sum C(2k,k)F_(2k+1)/((2k+1)16^k) = (-1)^((p+1)/2)*(F_p - (p|5))/p  (mod p^2)",
-        2, _closed_form(
-            lambda ring: fib_lucas_sum("F", ring), _quotient_poly(_fibonacci_quotient, 1, (1,)),
+        2, ClosedForm(
+            (lambda ring: fib_lucas_sum("F", ring),), (QuotientPoly(_fibonacci_quotient, 1, (1,)),),
             sign=_sign_plus,
         ), minp=3, excl=(5,),
     )
@@ -918,8 +917,8 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "T43.L",
         "Lucas-weighted central binomial sum against the Lucas quotient",
         "sum C(2k,k)L_(2k+1)/((2k+1)16^k) = (-1)^((p+1)/2)*(L_p - 1)/p  (mod p^2)",
-        2, _closed_form(
-            lambda ring: fib_lucas_sum("L", ring), _quotient_poly(lucas_quotient, 1, (1,)),
+        2, ClosedForm(
+            (lambda ring: fib_lucas_sum("L", ring),), (QuotientPoly(lucas_quotient, 1, (1,)),),
             sign=_sign_plus,
         ), minp=3, excl=(5,),
     )
@@ -927,48 +926,43 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "C45.a",
         "squared-denominator central binomial sum at t=1/4",
         "sum C(2k,k)/((2k+1)^2*4^k) = (-1)^((p+1)/2)*(q^2/2 - p*q^3/3 - p/16*B(p-3))  (mod p^2)",
-        2, _closed_form(
-            lambda ring: s1(Fraction(1, 4), 1, ring),
-            _quotient_poly(fermat(2), 2, (Fraction(1, 2), Fraction(-1, 3))),
-            _mod_p(Fraction(-1, 16), 1, _bernoulli_p(3)), sign=_sign_plus,
-        ), minp=5,
+        2, ClosedForm((lambda ring, u=Fraction(1, 4): s1(u, 1, ring),), (
+            QuotientPoly(fermat(2), 2, (Fraction(1, 2), Fraction(-1, 3))),
+            ModP(Fraction(-1, 16), 1, _bernoulli_p(3)),
+        ), sign=_sign_plus), minp=5,
     )
     add(
         "C45.b",
         "k-divided central binomial sum at t=1/4 against an Euler number",
         "sum C(2k,k)/(k*4^k) = 2q - p*q^2 + (-1)^((p+1)/2)*2p*E(p-3)  (mod p^2)",
-        2, _closed_form(
-            lambda ring: s2(Fraction(1, 4), 1, ring), _quotient_poly(fermat(2), 1, (2, -1)),
-            _mod_p(2, 1, lambda p: euler_number(p - 3, p), sign=_sign_plus),
-        ), minp=3,
+        2, ClosedForm((lambda ring, u=Fraction(1, 4): s2(u, 1, ring),), (
+            QuotientPoly(fermat(2), 1, (2, -1)),
+            ModP(2, 1, lambda p: euler_number(p - 3, p), sign=_sign_plus),
+        )), minp=3,
     )
     add(
         "TM.mc1",
         "odd-denominator central binomial sum at t=1/16 to fifth order",
         "s1(1/16) = (-1)^n*(H_(p-1)(1)/12 + 3/160*p^4*B(p-5))  (mod p^5)",
-        5, _closed_form(
-            lambda ring: s1(Fraction(1, 16), 0, ring),
-            _harmonic(Fraction(1, 12), 0, (1,), half=False), _mod_p(Fraction(3, 160), 4, _bernoulli_p(5)),
-            sign=_sign_minus,
-        ), minp=7,
+        5, ClosedForm((lambda ring, u=Fraction(1, 16): s1(u, 0, ring),), (
+            Harmonic(Fraction(1, 12), 0, (1,), half=False), ModP(Fraction(3, 160), 4, _bernoulli_p(5)),
+        ), sign=_sign_minus), minp=7,
     )
     add(
         "TM.mc2",
         "squared-denominator central binomial sum at t=-1/16 to fourth order",
         "s1(-1/16, squared) = H_(p-1)(1)/(5p) + 7/200*p^3*B(p-5)  (mod p^4)",
-        4, _closed_form(
-            lambda ring: s1(Fraction(-1, 16), 1, ring),
-            _harmonic(Fraction(1, 5), -1, (1,), half=False), _mod_p(Fraction(7, 200), 3, _bernoulli_p(5)),
-        ), minp=7,
+        4, ClosedForm((lambda ring, u=Fraction(-1, 16): s1(u, 1, ring),), (
+            Harmonic(Fraction(1, 5), -1, (1,), half=False), ModP(Fraction(7, 200), 3, _bernoulli_p(5)),
+        )), minp=7,
     )
     add(
         "C52.weighted",
         "Hbar(2)-weighted central binomial sum at t=1/16 against the divided weight-1 sum",
         "sum C(2k,k)Hbar_k(2)/(16^k(2k+1)) = (-1)^n*H_(p-1)(1)/(12p^2)  (mod p^2)",
-        2, _closed_form(
-            lambda ring: weighted_sums(Fraction(1, 16), ring)[0],
-            _harmonic(Fraction(1, 12), -2, (1,), half=False),
-            sign=_sign_minus,
+        2, ClosedForm(
+            (lambda ring, u=Fraction(1, 16): weighted_sums(u, ring)[0],),
+            (Harmonic(Fraction(1, 12), -2, (1,), half=False),), sign=_sign_minus,
         ), minp=7,
     )
     for a in (2, 3, 5):
@@ -976,9 +970,9 @@ def _congruence_checks() -> list[CongruenceCheck]:
             f"eq11.a{a}",
             f"refined Euler criterion for a={a} to fourth order",
             f"{a}^((p-1)/2) = ({a}|p)*(1 + p/2*q - p^2/8*q^2 + p^3/16*q^3), q = q_p({a})  (mod p^4)",
-            4, _closed_form(
-                lambda ring, a=a: ring.from_int(a) ** ((ring.p - 1) // 2),
-                _quotient_poly(fermat(a), 0, (1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))),
+            4, ClosedForm(
+                (lambda ring, a=a: ring.from_int(a) ** ((ring.p - 1) // 2),),
+                (QuotientPoly(fermat(a), 0, (1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))),),
                 sign=partial(legendre, a),
             ), minp=3,
             excl=(a,) if a != 2 else (),
@@ -987,9 +981,9 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "rv.squares",
         "sum of squared central binomials over 16^k",
         "sum_(k<=n) C(2k,k)^2/16^k = (-1)^n  (mod p^2)",
-        2, _closed_form(
-            lambda ring: _dot(ring, central_binomials(ring), binomial_column(Fraction(1, 16), ring)),
-            PrimePower.one, sign=_sign_minus,
+        2, ClosedForm(
+            (lambda ring, u=Fraction(1, 16): _dot(ring, central_binomials(ring), binomial_column(u, ring)),),
+            (PrimePower.one,), sign=_sign_minus,
         ), minp=3,
     )
     add(
@@ -1188,9 +1182,10 @@ def run_congruence(check: CongruenceCheck, p: int, t: Fraction | None = None) ->
     valuation of lhs - rhs.  Every power of p in the statement is the
     evaluator's own; the ring Z/p^target sets only the precision.
 
-    A prime the statement does not cover raises `PreconditionViolated`, and
-    a side outside Z/p^target raises `MixedModuli`; each grades as an ERROR
-    row, since neither verdict would say anything about the statement.  A
+    A prime the statement does not cover, a missing t for a panel check and
+    a t for a check without a panel each raise `PreconditionViolated`, and a
+    side outside Z/p^target raises `MixedModuli`; each grades as an ERROR
+    row, since no verdict would say anything about the statement.  A
     row whose sides are equal holds one string for both, and the rows of one
     panel value share one interned ``str(t)``.
     """
@@ -1200,6 +1195,9 @@ def run_congruence(check: CongruenceCheck, p: int, t: Fraction | None = None) ->
         if not _stated_at(check, p):
             excluded = f", p not in {sorted(check.excluded_primes)}" if check.excluded_primes else ""
             raise PreconditionViolated(f"{check.id} is stated for p >= {check.min_prime}{excluded}, not p = {p}")
+        if (t is None) == check.uses_t_panel:
+            stated = "at each panel value t" if check.uses_t_panel else "without a t"
+            raise PreconditionViolated(f"{check.id} is stated {stated}, not t = {t}")
         ring = prime_power(p, target)
         lhs, rhs = check.evaluator(ring, t)
         for side in (lhs, rhs):

@@ -19,7 +19,6 @@ Sequence conventions:
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BaseDivisibleByP, PreconditionViolated
@@ -131,7 +130,7 @@ def w_value_mod(n: int, x, ring: PrimePower) -> Residue:
     u_{n+1} = v_n/2 + x*u_n, so one ``lucas_pair_mod`` call gives it.
     """
     u, v = lucas_pair_mod(n, x * 2, 1, ring)
-    return u * (x + 1) + v * Fraction(1, 2)
+    return u * (x + 1) + v * ((ring.modulus + 1) // 2)  # (m+1)/2 = 1/2 mod m
 
 
 def fermat_quotient(a: int, p: int, k: int = 1) -> Residue:

@@ -21,7 +21,7 @@ wraps them by name:
 * ``euler_numbers``: the recurrence sum_k C(2n, 2k)*E_{2k} = 0.
 
 Only mod-p precision is provided: the catalog brings these values into its
-working ring through ``catalog._mod_p`` terms, which multiply them by the
+working ring through ``catalog.ModP`` terms, which multiply them by the
 power p^e that their statement gives them.  Each such statement holds mod
 p^(e+1), so higher precision is never needed.
 """

@@ -90,18 +90,19 @@ class TestRegistry:
                 assert c.cases, c.id
 
     def test_hand_written_evaluators_census(self):
-        # Every congruence but S5.conbin is a `_closed_form` whose terms state
+        # Every congruence but S5.conbin is a `ClosedForm` whose terms state
         # their powers of p in the registry: a panel check builds one per t
-        # through `_per_t`, and every other check holds one.  A hand-written
+        # through `PerT`, and every other check holds one.  A hand-written
         # evaluator, a panel check among them, has to join this census on
         # purpose.
-        built_by: dict[str, set] = {}
+        built_by: dict[type, set] = {}
         for c in builtin_checks():
             if c.kind == "congruence":
-                built_by.setdefault(c.evaluator.__qualname__, set()).add(c.id)
+                built_by.setdefault(type(c.evaluator), set()).add(c.id)
         panel = {c.id for c in builtin_checks() if c.kind == "congruence" and c.uses_t_panel}
-        assert built_by.pop("_per_t.<locals>.<lambda>") == panel
-        assert len(built_by.pop("_closed_form.<locals>.ev")) == 113 - 1 - len(panel)
+        assert built_by.pop(catalog.PerT) == panel
+        assert all(isinstance(lookup(cid).evaluator.build(Fraction(1, 4)), catalog.ClosedForm) for cid in panel)
+        assert len(built_by.pop(catalog.ClosedForm)) == 113 - 1 - len(panel)
         assert list(built_by.values()) == [{"S5.conbin"}]
 
     def test_statement_names_the_target_modulus(self):
@@ -196,6 +197,19 @@ class TestRunCongruence:
         assert res.error is not None and "DenominatorDivisibleByP" in res.error
         rec = res.record()
         assert rec["pass"] is False and rec["lhs"].startswith("ERROR:")
+
+    @pytest.mark.parametrize("check_id,t,stated", [
+        ("L31.A2", None, "L31.A2 is stated at each panel value t, not t = None"),
+        ("C41.a", Fraction(1, 4), "C41.a is stated without a t, not t = 1/4"),
+    ])
+    def test_a_t_that_does_not_fit_the_check_is_an_error(self, check_id, t, stated):
+        # A panel check needs its t, and a check without a panel reads none:
+        # L31.A2 without a t raised a TypeError, and C41.a at t = 1/4 graded
+        # PASS for a t it never read.
+        res = run_congruence(lookup(check_id), 7, t)
+        assert not res.passed and res.valuation == 0
+        assert res.error == f"PreconditionViolated: {stated}"
+        assert res.lhs == f"ERROR: {res.error}" and res.rhs == ""
 
     def test_non_library_exception_becomes_error_record(self):
         # t = 0 makes this evaluator divide by zero outside the error taxonomy.
@@ -375,7 +389,7 @@ PANEL_HELPERS = {
 
 @pytest.mark.parametrize("helper", list(PANEL_HELPERS))
 def test_a_kept_panel_form_reads_its_helpers_at_call_time(helper, monkeypatch):
-    # `_per_t` keeps each panel check's form per t, so a form that bound a
+    # `PerT` keeps each panel check's form per t, so a form that bound a
     # helper when it was built would go on calling the original after a
     # patch.  Every form is built first, then the patched helper must be
     # called by its checks, and no form may be built again.
@@ -397,6 +411,37 @@ def test_a_kept_panel_form_reads_its_helpers_at_call_time(helper, monkeypatch):
         assert run_congruence(check, p, t).passed
     assert set(callers) == PANEL_HELPERS[helper]
     assert catalog._form_at.cache_info().misses == built
+
+
+#: The helpers that the tests patch in ``catalog``.  A term looks each one up
+#: at call time; a form that held one of these objects would freeze it.
+PATCHED_HELPERS = (
+    "_mod_p_term", "bernoulli_number", "bernoulli_third", "euler_number", "_v_term", "_u_term",
+    "binomial_column", "_w_half", "_v_p_term", "alternating_v_sum",
+)
+
+
+def _held(value, helpers) -> list:
+    """The objects among ``helpers`` that ``value`` holds: a form or term
+    and, recursively, its fields (a panel check's form at t = 1/4), the items
+    of its tuples and the function and arguments of a ``partial``."""
+    if isinstance(value, catalog.PerT):
+        value = value.build(Fraction(1, 4))
+    if isinstance(value, functools.partial):
+        value = (value.func, *value.args)
+    if isinstance(value, tuple):
+        return [h for item in value for h in _held(item, helpers)]
+    return [h for h in helpers if value is h]
+
+
+def test_no_form_holds_a_patched_helper():
+    helpers = [getattr(catalog, name) for name in PATCHED_HELPERS]
+    evaluators = [c.evaluator for c in builtin_checks() if c.kind == "congruence"]
+    assert _held(evaluators, helpers) == []
+    # The walk finds a helper stored under an OverP and behind a partial.
+    planted = catalog.ClosedForm((), (catalog.OverP(1, catalog.ModP(1, 2, catalog.bernoulli_third)),),
+                                 sign=functools.partial(catalog.euler_number, 2))
+    assert _held(planted, helpers) == [catalog.bernoulli_third, catalog.euler_number]
 
 
 def _conbin_sides_over_q(p: int, k: int) -> tuple[Fraction, Fraction]:
@@ -463,8 +508,8 @@ def _harmonic_over_q(n: int, comp: tuple, odd: bool) -> Fraction:
 
 class TestClosedForm:
     """The shared closed-form evaluator, sign * (sum of its terms), and its term
-    constructors, each against its formula over Q reduced mod p^k: every term
-    states its own power of p, so k sets only the precision."""
+    types, each against its formula over Q reduced mod p^k: every term states
+    its own power of p, so k sets only the precision."""
 
     COEFFS = [
         (), (1,), (0, Fraction(-1, 8)), (2, 0, Fraction(2, 3)),
@@ -486,22 +531,22 @@ class TestClosedForm:
         quotient = lambda qp, qk: prime_power(qp, qk).from_int(self.Q)
         value = lambda xp: prime_power(xp, 1).from_int(self.X)
         terms = [
-            (f"q^{s}*P{c}", catalog._quotient_poly(quotient, s, c),
+            (f"q^{s}*P{c}", catalog.QuotientPoly(quotient, s, c),
              sum((a * self.Q ** (j + s) * p**j for j, a in enumerate(c)), Fraction(0)))
             for s in range(3) for c in self.COEFFS
         ]
         terms += [
             (f"p^{e}*{'Hbar' if odd else 'H'}_{'half' if half else 'full'}{comp}",
-             catalog._harmonic(self.H, e, comp, half, odd),
+             catalog.Harmonic(self.H, e, comp, half, odd),
              self.H * Fraction(p) ** e * _harmonic_over_q((p - 1) // 2 if half else p - 1, comp, odd))
             for comp, e, half, odd in self.HARMONIC
         ]
         terms += [
-            (f"p^{e}*X", catalog._mod_p(self.C, e, value), self.C * p**e * self.X) for e in range(5)
+            (f"p^{e}*X", catalog.ModP(self.C, e, value), self.C * p**e * self.X) for e in range(5)
         ]
         # p^j * Y computed in Z/p^(k+j) and divided by p^j is Y mod p^k.
         terms += [
-            (f"p^{j}*Y/p^{j}", catalog._over_p(j, lambda r, j=j: r.from_fraction(self.Y * r.p**j)), self.Y)
+            (f"p^{j}*Y/p^{j}", catalog.OverP(j, lambda r, j=j: r.from_fraction(self.Y * r.p**j)), self.Y)
             for j in (1, 2)
         ]
         terms.append(("one", PrimePower.one, Fraction(1)))
@@ -509,8 +554,8 @@ class TestClosedForm:
             ring = prime_power(p, k)
             # With no terms the rhs is ring.zero().
             for chosen in [[]] + [[term] for term in terms] + [terms]:
-                ev = catalog._closed_form(
-                    lambda r: r.from_int(17), *(f for _, f, _ in chosen),
+                ev = catalog.ClosedForm(
+                    (lambda r: r.from_int(17),), tuple(f for _, f, _ in chosen),
                     sign=None if sign == 1 else lambda xp: sign,
                 )
                 want = ring.from_fraction(sign * sum((w for _, _, w in chosen), Fraction(0)))
@@ -526,13 +571,13 @@ class TestClosedForm:
         for other in (prime_power(7, 4), prime_power(11, 3)):
             term = lambda r, other=other: other.from_int(400)
             with pytest.raises(MixedModuli):
-                catalog._closed_form(PrimePower.one, term)(ring, None)
+                catalog.ClosedForm((PrimePower.one,), (term,))(ring, None)
             with pytest.raises(MixedModuli):
-                catalog._sum_of(term)(ring)
+                catalog.ClosedForm((term,), ())(ring, None)
         # A ring equal to the sweep's but built apart is the same ring.
         term = lambda r: PrimePower(7, 3).from_int(400)
-        assert catalog._closed_form(PrimePower.one, term)(ring, None) == (ring.one(), ring.from_int(400))
-        assert catalog._sum_of(term)(ring) == ring.from_int(400)
+        assert catalog.ClosedForm((PrimePower.one,), (term,))(ring, None) == (ring.one(), ring.from_int(400))
+        assert catalog.ClosedForm((term, term), ())(ring, None) == (ring.from_int(800), ring.zero())
 
 
 class TestRunIdentity:
@@ -809,7 +854,7 @@ def test_unit_caches_are_empty_after_a_sweep():
 
 #: The ``lru_cache`` functions that outlive a unit: the ring constructor (one
 #: small object per (p, k)), the check registry, the panel checks' forms
-#: (keyed by builder and t, not by a prime: at most 128 small closures), and
+#: (keyed by builder and t, not by a prime: at most 128 small tuples), and
 #: the O(p^2) Bernoulli and Euler tables, which only the tests read.
 LONG_LIVED_CACHES = {
     "congrlab.modring.prime_power",

@@ -5,7 +5,8 @@ and every module-level private function or class is referenced somewhere in
 the package outside its own definition.  ``__init__.py`` only re-exports, so
 it is not checked for these, though its references count.  Every name in a
 module's ``__all__``, ``__init__.py``'s included, is defined or imported at
-that module's top level.
+that module's top level, and every public module-level function or class is
+in its module's ``__all__``.
 """
 
 from __future__ import annotations
@@ -79,6 +80,19 @@ def stale_exports(tree: ast.Module) -> list[str]:
     return sorted(_exported(tree) - bound)
 
 
+def unexported_publics(tree: ast.Module) -> list[str]:
+    """Module-level functions and classes without a leading underscore that
+    are missing from ``__all__``."""
+    exported = _exported(tree)
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in exported
+    ]
+
+
 def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
     """Module-level ``_private`` functions and classes that nothing in the
     package refers to outside their own definition."""
@@ -106,6 +120,11 @@ def test_every_import_is_used_or_exported(path):
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda path: path.name)
 def test_every_export_is_defined_or_imported(path):
     assert stale_exports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_public_definition_is_exported(path):
+    assert unexported_publics(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 def test_every_private_definition_is_referenced():
@@ -140,3 +159,7 @@ def test_the_guard_sees_a_stale_export():
         "    pass\n"
     )
     assert stale_exports(tree) == ["Rational"]
+    assert unexported_publics(tree) == []
+    assert unexported_publics(ast.parse("__all__ = ['f']\ndef f(): pass\ndef g(): pass\nclass C: pass\n")) == [
+        "g", "C",
+    ]
