@@ -52,10 +52,11 @@ def _check_d(d: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def binomial_column(t: Fraction, ring: PrimePower) -> tuple[int, ...]:
-    """C(2k,k) t^k mod p^k for 0 <= k <= (p-1)/2, as raw integers.
+def binomial_column(t: int | Fraction, ring: PrimePower) -> tuple[int, ...]:
+    """C(2k,k) t^k mod p^k for 0 <= k <= (p-1)/2, as raw integers; t is a
+    rational or a raw integer of the ring.
 
-    Cached: the checks at one prime read 25 distinct (t, ring) columns, and
+    Cached: the checks at one prime read 28 distinct (t, ring) columns, and
     the sweep empties the cache when the prime's unit ends.
     """
     m = ring.modulus
@@ -91,13 +92,13 @@ def _half_inverses(ring: PrimePower) -> tuple[int, ...]:
     return inverse_table(ring)[: (ring.p + 1) // 2]
 
 
-def s1(t: Fraction, d: int, ring: PrimePower) -> Residue:
+def s1(t: int | Fraction, d: int, ring: PrimePower) -> Residue:
     """sum_{k=0}^{(p-3)/2} C(2k,k) t^k / (2k+1)^(d+1) in the ring."""
     _check_d(d)
     return _dot(ring, binomial_column(t, ring)[:-1], _odd_powers(ring, d + 1))
 
 
-def s2(t: Fraction, d: int, ring: PrimePower) -> Residue:
+def s2(t: int | Fraction, d: int, ring: PrimePower) -> Residue:
     """sum_{k=1}^{(p-1)/2} C(2k,k) t^k / k^d in the ring."""
     _check_d(d)
     column = binomial_column(t, ring)
@@ -135,30 +136,32 @@ def fib_lucas_sum(kind: str, ring: PrimePower) -> Residue:
 
 
 @lru_cache(maxsize=32)
-def _u_sums(c: Fraction, ring: PrimePower) -> tuple[tuple[Residue, Residue], ...]:
+def _u_sums(c: int, ring: PrimePower) -> tuple[tuple[Residue, Residue], ...]:
     """For d = 2, 3 in turn: (sum_{k=1}^{p-1} u_k/k^d, sum_{k=1}^{p-1} u_{k+1}/k^d).
 
-    Both come from one column u_0..u_p of u(c, 1); only the sums are kept,
-    since the column holds p + 1 entries.
+    Both come from one column u_0..u_p of u(c, 1), c a raw integer of the
+    ring; only the sums are kept, since the column holds p + 1 entries.
     """
-    u = recurrence_column(ring.p + 1, 0, 1, ring.from_fraction(c).value, 1, ring.modulus)
+    u = recurrence_column(ring.p + 1, 0, 1, c, 1, ring.modulus)
     # entry 0 of the power tables is 0, which drops the k = 0 term
     weights = (_powers(ring, 2), _powers(ring, 3))
     return tuple((_dot(ring, u[:-1], w), _dot(ring, u[1:], w)) for w in weights)
 
 
-def rhs_lucas_sum(kind: str, c: Fraction, d: int, ring: PrimePower) -> Residue:
+def rhs_lucas_sum(kind: str, c: int | Fraction, d: int, ring: PrimePower) -> Residue:
     """sum_{k=1}^{p-1} s_k(c)/k^d with s = u (kind 'u') or v (kind 'v').
 
     Needed only mod p by its consumers, but computed in whatever ring is
-    passed; c is the one-parameter recurrence coefficient (y = 1).  Both
-    kinds read the cached sums of one u column, since v_k = 2u_{k+1} - c*u_k:
-    the v-sum is 2*sum u_{k+1}/k^d - c*sum u_k/k^d.
+    passed; c is the one-parameter recurrence coefficient (y = 1), read as
+    its representative in the ring.  Both kinds read the cached sums of one
+    u column, since v_k = 2u_{k+1} - c*u_k: the v-sum is
+    2*sum u_{k+1}/k^d - c*sum u_k/k^d.
     """
     if kind not in ("u", "v"):
         raise PreconditionViolated(f"kind must be 'u' or 'v', got {kind!r}")
     if d not in (2, 3):
         raise PreconditionViolated(f"sum exponent d must be 2 or 3, got {d}")
+    c = ring.value_of(c)
     below, above = _u_sums(c, ring)[d - 2]
     if kind == "u":
         return below

@@ -94,8 +94,8 @@ class CongruenceCheck(
     namedtuple(
         "CongruenceCheck",
         "id description statement target_exponent evaluator"
-        " min_prime excluded_primes uses_t_panel prime_cap",
-        defaults=(3, frozenset(), False, None),
+        " min_prime excluded_primes prime_cap",
+        defaults=(3, frozenset(), None),
     )
 ):
     """A single congruence verified per prime (and per panel value t).
@@ -107,12 +107,17 @@ class CongruenceCheck(
     Z/p^k, with t None for a check without a panel; the sweep passes
     k = target_exponent, and k sets only the precision of the sides; for a
     registered check a `ClosedForm`, a `PerT` of one, or S5.conbin's own),
-    ``min_prime`` (3), ``excluded_primes`` (empty frozenset),
-    ``uses_t_panel`` (False) and ``prime_cap`` (None).
+    ``min_prime`` (3), ``excluded_primes`` (empty frozenset) and
+    ``prime_cap`` (None).  A check runs at each panel value t exactly when
+    its evaluator is a `PerT`, which ``uses_t_panel`` reads.
     """
 
     __slots__ = ()
     kind = "congruence"
+
+    @property
+    def uses_t_panel(self) -> bool:
+        return isinstance(self.evaluator, PerT)
 
 
 class IdentityCheck(
@@ -227,24 +232,26 @@ def _bernoulli_p(j: int):
     return lambda p: bernoulli_number(p - j, p)
 
 
-def _v_term(c: Fraction, s: Fraction, p: int) -> Residue:
+def _v_term(t: Fraction, p: int) -> Residue:
     """1/64 * s^((p+1)/2) * sum_(k<p) v_k(c)/k^3 in Z/p, at c = 2-16t and
     s = -1/t: the rhs of L31.A2 and the p^2 term of T32.first."""
     modp = prime_power(p, 1)
-    return rhs_lucas_sum("v", c, 3, modp) * (pow(modp.value_of(s), (p + 1) // 2, p) * pow(64, -1, p))
+    tr = modp.from_fraction(t)
+    return rhs_lucas_sum("v", 2 - 16 * tr.value, 3, modp) * ((-tr.inv()) ** ((p + 1) // 2) * pow(64, -1, p))
 
 
-def _u_term(c: Fraction, s: Fraction, p: int) -> Residue:
+def _u_term(t: Fraction, p: int) -> Residue:
     """1/2 * s^((p-1)/2) * sum_(k<p) u_k(c)/k^2 in Z/p, at c = 2-16t and
     s = -1/t: the rhs of L31.A3 and, times (-1)^((p-1)/2), the p^2 term of
     T32.second."""
     modp = prime_power(p, 1)
-    return rhs_lucas_sum("u", c, 2, modp) * (pow(modp.value_of(s), (p - 1) // 2, p) * pow(2, -1, p))
+    tr = modp.from_fraction(t)
+    return rhs_lucas_sum("u", 2 - 16 * tr.value, 2, modp) * ((-tr.inv()) ** ((p - 1) // 2) * pow(2, -1, p))
 
 
-def _w_half(x: Fraction, ring: PrimePower) -> Residue:
+def _w_half(x: Residue, ring: PrimePower) -> Residue:
     """w_n(x) in the ring, n = (p-1)/2."""
-    return w_value_mod((ring.p - 1) // 2, ring.from_fraction(x), ring)
+    return w_value_mod((ring.p - 1) // 2, x, ring)
 
 
 def _v_p_term(t: Fraction, ring: PrimePower) -> Residue:
@@ -261,7 +268,7 @@ def _v_p_term(t: Fraction, ring: PrimePower) -> Residue:
 # Each evaluator takes (ring, t): ring is Z/p^k, t the panel value (None for
 # a check without a panel), and returns (lhs, rhs) as residues of that ring.
 # Every congruence but S5.conbin is a `ClosedForm` (for a panel check, one
-# per t by `PerT`), data whose terms each state their power of p in the
+# built at t by `PerT`), data whose terms each state their power of p in the
 # registry: `Harmonic`, `QuotientPoly` and `ModP`, and `OverP` for a term
 # divided by p^j, the one place that divides by a power of p.  The ring sets
 # only the precision, so the sides in Z/p^(target+1) agree mod p^target with
@@ -298,20 +305,15 @@ class ClosedForm(namedtuple("ClosedForm", "lhs terms sign", defaults=(None,))):
         return Residue(_raw_sum(self.lhs, ring) % ring.modulus, ring), Residue(total % ring.modulus, ring)
 
 
-@lru_cache(maxsize=128)
-def _form_at(build, t):
-    """build(t), kept per (builder, panel value) and not rebuilt at each prime."""
-    return build(t)
-
-
 class PerT(namedtuple("PerT", "build")):
-    """A panel check's evaluator: build(t) is its `ClosedForm` at t, built
-    once per t by `_form_at`."""
+    """A panel check's evaluator: build(t) is its `ClosedForm` at t, built at
+    each call.  Its terms compute what they derive from t in their ring, so
+    the sides depend on t only through its residue."""
 
     __slots__ = ()
 
     def __call__(self, ring: PrimePower, t):
-        return _form_at(self.build, t)(ring, t)
+        return self.build(t)(ring, t)
 
 
 class OverP(namedtuple("OverP", "j term")):
@@ -589,7 +591,7 @@ def _ident_w_special_values(params):
 def _congruence_checks() -> list[CongruenceCheck]:
     checks: list[CongruenceCheck] = []
 
-    def add(cid, desc, stmt, target, ev, *, minp=3, excl=(), panel=False, cap=None):
+    def add(cid, desc, stmt, target, ev, *, minp=3, excl=(), cap=None):
         checks.append(
             CongruenceCheck(
                 id=cid,
@@ -599,7 +601,6 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 evaluator=ev,
                 min_prime=minp,
                 excluded_primes=frozenset(excl),
-                uses_t_panel=panel,
                 prime_cap=cap,
             )
         )
@@ -637,8 +638,6 @@ def _congruence_checks() -> list[CongruenceCheck]:
         for r in range(1, w - 1):
             for s in range(1, w - r):
                 u = w - r - s
-                if u < 1:
-                    continue
                 coeff = Fraction((-1) ** r * comb(w, r) - (-1) ** u * comb(w, u), 2 * w)
                 add(
                     f"iii.r{r}s{s}t{u}",
@@ -785,54 +784,52 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "weighted central binomial sum with inner weight Hbar_k(2) against a v-series",
         "sum C(2k,k)t^k Hbar_k(2)/(2k+1) = 1/64*(-1/t)^((p+1)/2) * sum v_k(2-16t)/k^3  (mod p)",
         1, PerT(lambda t: ClosedForm(
-            (lambda ring: weighted_sums(t, ring)[0],),
-            (ModP(1, 0, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _v_term(c, s, p)),),
-        )), minp=5, panel=True,
+            (lambda ring: weighted_sums(t, ring)[0],), (ModP(1, 0, lambda p: _v_term(t, p)),),
+        )), minp=5,
     )
     add(
         "L31.A3",
         "weighted central binomial sum with inner weight Hbar_k(2) against a u-series",
         "sum C(2k,k)t^k Hbar_k(2) = 1/2*(-1/t)^((p-1)/2) * sum u_k(2-16t)/k^2  (mod p)",
         1, PerT(lambda t: ClosedForm(
-            (lambda ring: weighted_sums(t, ring)[1],),
-            (ModP(1, 0, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _u_term(c, s, p)),),
-        )), minp=5, panel=True,
+            (lambda ring: weighted_sums(t, ring)[1],), (ModP(1, 0, lambda p: _u_term(t, p)),),
+        )), minp=5,
     )
     add(
         "T32.first",
         "odd-denominator central binomial sum against a w-value to third order",
         "sum C(2k,k)t^k/(2k+1) = [w_n(1-8t) - (-16t)^n]/p + p^2/64*(-1/t)^((p+1)/2)*sum v_k(2-16t)/k^3  (mod p^3)",
         3, PerT(lambda t: ClosedForm((lambda ring: s1(t, 0, ring),), (
-            OverP(1, lambda ring, x=1 - 8 * t, y=-16 * t: (
-                _w_half(x, ring) - ring.from_fraction(y) ** ((ring.p - 1) // 2)
+            OverP(1, lambda ring: (
+                _w_half(1 - 8 * ring.from_fraction(t), ring) - (-16 * ring.from_fraction(t)) ** ((ring.p - 1) // 2)
             )),
-            ModP(1, 2, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _v_term(c, s, p)),
-        ))), minp=5, panel=True,
+            ModP(1, 2, lambda p: _v_term(t, p)),
+        ))), minp=5,
     )
     add(
         "T32.second",
         "plain central binomial sum against a w-value to third order",
         "(-1)^n sum C(2k,k)t^k = w_n(8t-1) + p^2/(2t^n)*sum u_k(2-16t)/k^2  (mod p^3)",
         3, PerT(lambda t: ClosedForm((lambda ring: (ring.one() + s2(t, 0, ring)) * _sign_minus(ring.p),), (
-            lambda ring, x=8 * t - 1: _w_half(x, ring),
-            ModP(1, 2, lambda p, c=2 - 16 * t, s=Fraction(-1) / t: _u_term(c, s, p), sign=_sign_minus),
-        ))), minp=5, panel=True,
+            lambda ring: _w_half(8 * ring.from_fraction(t) - 1, ring),
+            ModP(1, 2, lambda p: _u_term(t, p), sign=_sign_minus),
+        ))), minp=5,
     )
     add(
         "T34.first",
         "squared-denominator central binomial sum against odd-index v-values",
         "sum C(2k,k)(t/4)^(2k)/(2k+1)^2 = (-1)^n*(v_p(t)-t^p)/(t*p^2) + 2/(t*p)*sum (-1)^k v_(2k+1)(t)/(2k+1)  (mod p^2)",
         2, PerT(lambda t: ClosedForm(
-            (lambda ring, u=t * t / 16: s1(u, 1, ring),), (OverP(2, lambda ring: _v_p_term(t, ring)),),
-        )), minp=3, panel=True,
+            (lambda ring: s1((ring.from_fraction(t) ** 2 / 16).value, 1, ring),), (OverP(2, lambda ring: _v_p_term(t, ring)),),
+        )), minp=3,
     )
     add(
         "T34.second",
         "k-divided central binomial sum against even-index v-values",
         "sum C(2k,k)(t/4)^(2k)/k = 4*q_p(2) - 2p*q_p(2)^2 + sum (-1)^k v_(2k)(t)/k  (mod p^2)",
-        2, PerT(lambda t: ClosedForm((lambda ring, u=t * t / 16: s2(u, 1, ring),), (
+        2, PerT(lambda t: ClosedForm((lambda ring: s2((ring.from_fraction(t) ** 2 / 16).value, 1, ring),), (
             QuotientPoly(fermat(2), 1, (4, -2)), lambda ring: alternating_v_sum(t, False, ring),
-        ))), minp=3, panel=True,
+        ))), minp=3,
     )
     add(
         "C41.a",

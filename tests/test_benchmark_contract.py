@@ -59,3 +59,25 @@ def test_run_suite_calls_run_unit_at_call_time(monkeypatch):
     report = catalog.run_suite(prime_lo=7, prime_hi=11, patterns=("iv.h1",), jobs=1)
     assert [unit[1] for unit in calls] == [7, 11]
     assert [r.prime for r in report.results] == [7, 11]
+
+
+def test_the_names_the_benchmark_workers_read_exist():
+    # ``perfbench/worker.py`` schedules the expected instances from these
+    # check fields, drives the CLI and renders the identity report;
+    # ``perfbench/run.py`` builds the registry and reads the default panel.
+    import congrlab
+    from congrlab import cli
+
+    assert isinstance(cli.DEFAULT_T_PANEL, tuple) and cli.DEFAULT_T_PANEL == catalog.DEFAULT_T_PANEL
+    assert callable(cli.main)
+    for check in congrlab.builtin_checks():
+        if check.kind == "congruence":
+            assert isinstance(check.min_prime, int), check.id
+            assert isinstance(check.excluded_primes, frozenset), check.id
+            assert check.prime_cap is None or isinstance(check.prime_cap, int), check.id
+            assert type(check.uses_t_panel) is bool, check.id
+        else:
+            assert check.cases, check.id
+    report = congrlab.run_suite(kinds=("identity",))
+    assert report.status == "pass"
+    assert isinstance(cli.format_report(report, "json"), str)

@@ -99,7 +99,7 @@ class TestRegistry:
         for c in builtin_checks():
             if c.kind == "congruence":
                 built_by.setdefault(type(c.evaluator), set()).add(c.id)
-        panel = {c.id for c in builtin_checks() if c.kind == "congruence" and c.uses_t_panel}
+        panel = {"L31.A2", "L31.A3", "T32.first", "T32.second", "T34.first", "T34.second"}
         assert built_by.pop(catalog.PerT) == panel
         assert all(isinstance(lookup(cid).evaluator.build(Fraction(1, 4)), catalog.ClosedForm) for cid in panel)
         assert len(built_by.pop(catalog.ClosedForm)) == 113 - 1 - len(panel)
@@ -212,12 +212,36 @@ class TestRunCongruence:
         assert res.lhs == f"ERROR: {res.error}" and res.rhs == ""
 
     def test_non_library_exception_becomes_error_record(self):
-        # t = 0 makes this evaluator divide by zero outside the error taxonomy.
-        res = run_congruence(lookup("L31.A2"), 7, Fraction(0))
+        # An evaluator that divides by zero outside the error taxonomy.
+        def evaluator(ring, t):
+            return ring.one(), ring.from_int(1 // 0)
+
+        crash = CongruenceCheck(
+            id="synthetic.crash",
+            description="an rhs that divides by zero",
+            statement="1 = 1/0 mod p",
+            target_exponent=1,
+            evaluator=evaluator,
+        )
+        res = run_congruence(crash, 7)
         assert not res.passed and res.valuation == 0
         assert res.error is not None and res.error.startswith("ZeroDivisionError")
         assert res.lhs == f"ERROR: {res.error}" and res.rhs == ""
         assert Report(results=(res,)).exit_code == 2
+
+    @pytest.mark.parametrize("check_id", [
+        "L31.A2", "L31.A3", "T32.first", "T32.second", "T34.first", "T34.second",
+    ])
+    @pytest.mark.parametrize("t", [Fraction(0), Fraction(7), Fraction(14, 3), Fraction(1, 7)])
+    def test_a_t_divisible_by_p_is_a_library_error(self, check_id, t):
+        # Each panel form embeds t in Z/7^k and, but for T34.second, inverts
+        # it there, so p | t raises from the ring, not as a bare
+        # ZeroDivisionError or ValueError; T34.second holds at t = 0, 7, 14/3.
+        res = run_congruence(lookup(check_id), 7, t)
+        if check_id == "T34.second" and t.denominator % 7:
+            assert res.passed and res.error is None
+        else:
+            assert not res.passed and res.error.startswith(("NotAUnit", "DenominatorDivisibleByP")), res
 
     def test_lhs_rhs_reduced_to_target(self):
         # Each evaluator works in Z/p^target, so the sides print as residues
@@ -389,15 +413,10 @@ PANEL_HELPERS = {
 
 @pytest.mark.parametrize("helper", list(PANEL_HELPERS))
 def test_a_kept_panel_form_reads_its_helpers_at_call_time(helper, monkeypatch):
-    # `PerT` keeps each panel check's form per t, so a form that bound a
-    # helper when it was built would go on calling the original after a
-    # patch.  Every form is built first, then the patched helper must be
-    # called by its checks, and no form may be built again.
+    # A panel form looks up each helper in ``catalog`` when it runs, so a
+    # patched helper is called by exactly the panel checks that use it.
     panel = [c for c in builtin_checks() if c.kind == "congruence" and c.uses_t_panel]
     t, p = Fraction(1, 4), 101
-    for check in panel:
-        assert run_congruence(check, p, t).passed
-    built = catalog._form_at.cache_info().misses
     original = getattr(catalog, helper)
     callers = []
 
@@ -410,7 +429,6 @@ def test_a_kept_panel_form_reads_its_helpers_at_call_time(helper, monkeypatch):
         current = check.id
         assert run_congruence(check, p, t).passed
     assert set(callers) == PANEL_HELPERS[helper]
-    assert catalog._form_at.cache_info().misses == built
 
 
 #: The helpers that the tests patch in ``catalog``.  A term looks each one up
@@ -853,14 +871,12 @@ def test_unit_caches_are_empty_after_a_sweep():
 
 
 #: The ``lru_cache`` functions that outlive a unit: the ring constructor (one
-#: small object per (p, k)), the check registry, the panel checks' forms
-#: (keyed by builder and t, not by a prime: at most 128 small tuples), and
-#: the O(p^2) Bernoulli and Euler tables, which only the tests read.
+#: small object per (p, k)), the check registry, and the O(p^2) Bernoulli and
+#: Euler tables, which only the tests read.
 LONG_LIVED_CACHES = {
     "congrlab.modring.prime_power",
     "congrlab.catalog.builtin_checks",
     "congrlab.catalog._registry",
-    "congrlab.catalog._form_at",
     "congrlab.specialnum.bernoulli_table",
     "congrlab.specialnum.euler_numbers",
 }
