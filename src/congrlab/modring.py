@@ -123,11 +123,15 @@ class PrimePower:
         """Embed the rational q; requires p coprime to its denominator."""
         return Residue(self.value_of(q), self)
 
-    def value_of(self, q: int | Fraction) -> int:
-        """The representative of the integer or rational q, as a raw integer."""
+    def value_of(self, q: int | Fraction | Residue) -> int:
+        """The raw integer of q: an integer, a rational or a residue of this ring."""
         m = self.modulus
         if isinstance(q, int):
             return q % m
+        if isinstance(q, Residue):
+            if q.ring is self or q.ring == self:
+                return q.value
+            raise MixedModuli(f"cannot mix {self!r} and {q.ring!r}")
         b = q.denominator
         if b % self.p == 0:
             raise DenominatorDivisibleByP(f"denominator {b} divisible by p={self.p}")
@@ -151,13 +155,11 @@ class Residue:
 
     def _raw(self, other) -> int | None:
         """``other`` as a raw integer of this ring (an int as given), or None."""
-        if isinstance(other, Residue):
-            if other.ring is self.ring or other.ring == self.ring:
-                return other.value
-            raise MixedModuli(f"cannot mix {self.ring!r} and {other.ring!r}")
+        if isinstance(other, Residue) and other.ring is self.ring:
+            return other.value
         if isinstance(other, int):
             return other
-        if isinstance(other, Fraction):
+        if isinstance(other, (Residue, Fraction)):
             return self.ring.value_of(other)
         return None
 

@@ -49,29 +49,25 @@ def _check_index(n: int) -> None:
         raise PreconditionViolated(f"index n must be non-negative, got {n}")
 
 
-def lucas_u_upto(n: int, params: LucasParams) -> list:
-    """[u_0, u_1, ..., u_n]."""
+def _lucas_upto(n: int, params: LucasParams, s0, s1) -> list:
+    """[s_0, s_1, ..., s_n] of s_j = x*s_{j-1} - y*s_{j-2} from the seeds."""
     _check_index(n)
-    x, y = params.x, params.y
-    out = [x * 0]
-    if n >= 1:
-        out.append(x**0)
+    x, y = params
+    out = [s0, s1][: n + 1]
     for _ in range(n - 1):
         out.append(x * out[-1] - y * out[-2])
     return out
+
+
+def lucas_u_upto(n: int, params: LucasParams) -> list:
+    """[u_0, u_1, ..., u_n]."""
+    return _lucas_upto(n, params, params.x * 0, params.x**0)
 
 
 def lucas_v_upto(n: int, params: LucasParams) -> list:
     """[v_0, v_1, ..., v_n]."""
-    _check_index(n)
-    x, y = params.x, params.y
-    one = x**0
-    out = [one + one]
-    if n >= 1:
-        out.append(x)
-    for _ in range(n - 1):
-        out.append(x * out[-1] - y * out[-2])
-    return out
+    one = params.x**0
+    return _lucas_upto(n, params, one + one, params.x)
 
 
 def recurrence_column(n: int, s0: int, s1: int, x: int, y: int, m: int) -> list[int]:
@@ -94,12 +90,11 @@ def lucas_pair_mod(n: int, x, y, ring: PrimePower) -> tuple[Residue, Residue]:
 
     Doubling identities (valid for arbitrary y):
     u_{2k} = u_k * (2*u_{k+1} - x*u_k), u_{2k+1} = u_{k+1}^2 - y*u_k^2,
-    and v_n = 2*u_{n+1} - x*u_n.
+    and v_n = 2*u_{n+1} - x*u_n.  x and y are read by ``ring.value_of``.
     """
     _check_index(n)
     m = ring.modulus
-    xi = x.value if isinstance(x, Residue) else x % m
-    yi = y.value if isinstance(y, Residue) else y % m
+    xi, yi = ring.value_of(x), ring.value_of(y)
     a, b = 0, 1
     for bit in map(int, bin(n)[2:]) if n else ():
         c = a * (2 * b - xi * a) % m
@@ -124,7 +119,7 @@ def w_value(n: int, x):
 
 
 def w_value_mod(n: int, x, ring: PrimePower) -> Residue:
-    """w_n(x) in Z/p^k in O(log n), x an int or a residue of the ring.
+    """w_n(x) in Z/p^k in O(log n), x an int, a rational or a residue of the ring.
 
     w_n(x) = u_{n+1} + u_n at Lucas parameters (2x, 1), and
     u_{n+1} = v_n/2 + x*u_n, so one ``lucas_pair_mod`` call gives it.

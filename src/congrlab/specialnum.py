@@ -108,7 +108,7 @@ def bernoulli_poly_value(m: int, x: Fraction, p: int, table: tuple[int, ...]) ->
         raise IndexOutOfRange(f"table holds B_0..B_{len(table) - 1}, evaluation asked for p={p}")
     ring = prime_power(p, 1)
     inv = inverse_table(ring)
-    xv = ring.from_fraction(Fraction(x)).value
+    xv = ring.value_of(x)
     # Accumulate C(m, k)*B_k*x^(m-k), updating the binomial multiplicatively.
     xpow = pow(xv, m, p)
     xinv = pow(xv, -1, p) if xv else 0

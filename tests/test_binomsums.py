@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from congrlab.errors import DenominatorDivisibleByP, PreconditionViolated
 from congrlab.binomsums import (
+    _column,
     _dot,
+    _weighted_sums,
     alternating_v_sum,
     binomial_column,
     fib_lucas_sum,
@@ -173,12 +175,26 @@ def test_cached_columns_keep_rings_apart():
 
 def test_weighted_sums_leave_the_column_cache_alone():
     # The mod-p columns of the weighted sums have no other reader, so they
-    # are built without filling the cache of binomial_column.
+    # are built without filling the column cache.
     ring = prime_power(13, 1)
-    binomial_column.cache_clear()
-    weighted_sums.cache_clear()
+    _column.cache_clear()
+    _weighted_sums.cache_clear()
     weighted_sums(Fraction(1, 4), ring)
-    assert binomial_column.cache_info().currsize == 0
+    assert _column.cache_info().currsize == 0
+
+
+def test_one_column_per_residue_of_t():
+    # The caches are keyed by t's residue: a rational t and its raw integer
+    # in the ring share one column, and so do t and t + p^k.
+    ring = prime_power(101, 2)
+    tv = ring.value_of(Fraction(1, 4))
+    _column.cache_clear()
+    assert s2(Fraction(1, 4), 1, ring) == s2(tv + ring.modulus, 1, ring)
+    s1(tv, 1, ring)
+    assert _column.cache_info().misses == 1
+    _weighted_sums.cache_clear()
+    assert weighted_sums(Fraction(1, 4), ring) == weighted_sums(tv, ring)
+    assert _weighted_sums.cache_info().misses == 1
 
 
 class TestGuards:

@@ -165,6 +165,10 @@ class TestResidueArithmetic:
                     op(other.from_int(5), x)
             # A ring equal to x's but built apart is the same ring.
             assert op(x, PrimePower(7, 2).from_int(5)) == op(3, 5) % 49
+        # The embedding itself reads a residue of the ring, and only of it.
+        assert x.ring.value_of(PrimePower(7, 2).from_int(5)) == 5
+        with pytest.raises(MixedModuli):
+            x.ring.value_of(prime_power(7, 3).from_int(5))
 
     def test_equality_and_hash(self):
         ring = prime_power(7, 2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congrlab.errors import BaseDivisibleByP, PreconditionViolated
+from congrlab.errors import BaseDivisibleByP, DenominatorDivisibleByP, MixedModuli, PreconditionViolated
 from congrlab.exactalg import Poly
 from congrlab.modring import prime_power
 from congrlab.sequences import (
@@ -95,6 +95,27 @@ class TestLucasPairMod:
         assert u2 == u * v
         assert v2 == v * v - 2 * pow(y, n, ring.modulus)
 
+    def test_rational_coefficients_are_embedded(self):
+        # x and y go through the ring's one embedding; a Fraction read as
+        # x % m would leave a rational residue.
+        ring = prime_power(7, 3)
+        for x, y in [(Fraction(1, 3), Fraction(2, 5)), (Fraction(-5, 2), 3), (2, Fraction(1, 4))]:
+            params = LucasParams(Fraction(x), Fraction(y))
+            us, vs = lucas_u_upto(12, params), lucas_v_upto(12, params)
+            for n in (0, 1, 2, 5, 12):
+                u, v = lucas_pair_mod(n, x, y, ring)
+                assert type(u.value) is int and type(v.value) is int
+                assert (u, v) == (ring.from_fraction(us[n]), ring.from_fraction(vs[n]))
+
+    def test_foreign_residue_and_denominator_p_are_rejected(self):
+        ring = prime_power(7, 2)
+        with pytest.raises(MixedModuli):
+            lucas_pair_mod(5, prime_power(7, 1).from_int(3), 1, ring)
+        with pytest.raises(MixedModuli):
+            lucas_pair_mod(5, 3, prime_power(11, 2).from_int(1), ring)
+        with pytest.raises(DenominatorDivisibleByP):
+            lucas_pair_mod(5, Fraction(1, 7), 1, ring)
+
     def test_negative_index_rejected(self):
         # Unguarded, the doubling loop reads bin(-2) = '-0b10' and raises ValueError.
         with pytest.raises(PreconditionViolated):
@@ -140,6 +161,24 @@ class TestWPolynomials:
         for x in (1, 2, 5):
             for n in (0, 1, 5, 20):
                 assert int(w_value_mod(n, x, ring)) == w_value(n, x) % 169
+
+    def test_mod_at_a_rational_argument(self):
+        # w_4(1/3) = 2845/81, which is 20 mod 7^2.
+        ring = prime_power(7, 2)
+        assert w_value_mod(4, Fraction(1, 3), ring).value == 20
+        for p, k in ((7, 2), (13, 3), (101, 1)):
+            ring = prime_power(p, k)
+            for x in (Fraction(1, 3), Fraction(-7, 5), Fraction(3, 2)):
+                for n in (0, 1, 4, (p - 1) // 2):
+                    got = w_value_mod(n, x, ring)
+                    assert type(got.value) is int and got == ring.from_fraction(w_value(n, x))
+
+    def test_mod_rejects_a_foreign_residue_and_denominator_p(self):
+        ring = prime_power(7, 2)
+        with pytest.raises(MixedModuli):
+            w_value_mod(4, prime_power(7, 1).from_int(3), ring)
+        with pytest.raises(DenominatorDivisibleByP):
+            w_value_mod(4, Fraction(1, 7), ring)
 
     def test_negative_index_rejected(self):
         # Unguarded, the recurrence loop runs no step and w_value(-2, 3) is w_1 = 7.
