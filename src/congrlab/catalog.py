@@ -1273,13 +1273,13 @@ def run_suite(
     pool of min(jobs, units, CPUs) worker processes runs them; with one unit
     or ``jobs=1`` they run in this process and ``concurrent.futures.process``
     (with multiprocessing and pickle) is never imported.  A prime unit
-    carries its panel values as ``Fraction`` objects.  It runs its checks
-    without a panel, then the panel checks one t at a time, so each t's
-    tables are read in one burst.  Rows come back as `CheckResult` named
-    tuples and are the only state kept across units.  They are bucketed by
-    check id as they arrive, and each bucket is sorted by (prime, t), so the
-    results come out in (check id, prime, t) order regardless of job count,
-    making reports byte-identical across schedules.
+    carries its panel values as ``Fraction`` objects and runs its instances
+    check by check in registry order, each panel check over the whole panel
+    before the next check.  Rows come back as `CheckResult` named tuples and
+    are the only state kept across units.  They are bucketed by check id as
+    they arrive, and each bucket is sorted by (prime, t), so the results come
+    out in (check id, prime, t) order regardless of job count, making reports
+    byte-identical across schedules.
     """
     started = time.perf_counter()
     selected = select_checks(patterns)
@@ -1289,15 +1289,14 @@ def run_suite(
     units: list[tuple] = [("i", c.id, tuple(range(len(c.cases)))) for c in identities]
     # Evaluators take t as a Fraction; an int panel value would stay an int.
     t_panel = tuple(map(Fraction, t_panel))
-    plain = [c for c in congruences if not c.uses_t_panel]
-    panel = [c for c in congruences if c.uses_t_panel]
     for p in primes_in_range(prime_lo, prime_hi):
         ts = [t for t in t_panel if t.numerator % p and t.denominator % p]
-        plain_ids, panel_ids = (
-            [c.id for c in checks if _stated_at(c, p) and (no_cap or c.prime_cap is None or p <= c.prime_cap)]
-            for checks in (plain, panel)
+        items = tuple(
+            (check.id, t)
+            for check in congruences
+            if _stated_at(check, p) and (no_cap or check.prime_cap is None or p <= check.prime_cap)
+            for t in (ts if check.uses_t_panel else (None,))
         )
-        items = tuple((cid, None) for cid in plain_ids) + tuple((cid, t) for t in ts for cid in panel_ids)
         if items:
             units.append(("c", p, items))
 

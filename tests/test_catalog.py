@@ -861,25 +861,6 @@ def test_kernel_cache_bound_fits_one_prime(one_prime_census, name):
     assert info.misses == info.currsize, info
 
 
-def test_per_t_tables_hit_at_any_panel_size():
-    # A prime unit runs the panel checks one t at a time, so the tables of
-    # one t are read in one burst: a panel larger than the caches' bounds
-    # (32 entries) still reuses them.  Per t, L31.A2, L31.A3, T32.first and
-    # T32.second read one _u_sums entry, and L31.A2 and L31.A3 one
-    # _weighted_sums entry.
-    for cache in catalog._UNIT_CACHES:
-        cache.cache_clear()
-    census = {}
-    panel = tuple(Fraction(a, 7) for a in range(1, 41))  # 40 values, distinct mod 101
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(catalog, "_UNIT_CACHES", tuple(_Census(n, c, census) for n, c in UNIT_CACHES.items()))
-        report = run_suite(prime_lo=101, prime_hi=101, patterns=("L31.*", "T32.*", "T34.*"), t_panel=panel)
-    assert len(report.results) == 6 * 40 and report.status == "pass"
-    u_sums, weighted = census["_u_sums"], census["weighted_sums"]
-    assert u_sums.misses == 40 and u_sums.hits >= 3 * u_sums.misses, u_sums
-    assert weighted.misses == 40 and weighted.hits >= weighted.misses, weighted
-
-
 def test_a_congruence_unit_hashes_no_fraction(monkeypatch):
     # Per-unit caches take t's residue, never a Fraction: a Fraction key pays
     # the pure-Python Fraction.__hash__ at every lookup, and two keys for one
