@@ -5,9 +5,10 @@ raw-integer columns over k: C(2k,k) t^k from ``binomial_column``, a
 ``recurrence_column`` of a Lucas-type sequence, and slices of the cached
 power tables 1/i^a of ``harmonic``.  What several checks read at one
 (p, t) is built once: ``binomial_column`` and ``weighted_sums`` are cached
-keyed by t's residue, and ``rhs_lucas_sum`` reads both of its kinds off the
-cached sums of one u column.  The exact-rational oracles that recompute the
-same sums over Q live with the tests, in ``tests/oracles.py``.
+keyed by t's residue, the t-free weights of ``weighted_sums`` once per ring,
+and ``rhs_lucas_sum`` reads both of its kinds off the cached sums of one u
+column.  The exact-rational oracles that recompute the same sums over Q live
+with the tests, in ``tests/oracles.py``.
 
 Families (p an odd prime, working modulus p^k from the ring):
 
@@ -121,9 +122,17 @@ def _weighted_sums(tv: int, ring: PrimePower) -> tuple[Residue, Residue]:
     """``weighted_sums`` at the raw integer tv.  Its mod-p column has no other
     reader, so it is built without filling the cache of ``_column``."""
     column = _column.__wrapped__(tv, ring)
-    hbar = list(accumulate(_odd_powers(ring, 2), initial=0))  # Hbar_k(2), k <= (p-1)/2
-    first = _dot(ring, column[:-1], hbar[:-1], _odd_powers(ring, 1))
-    return first, _dot(ring, column, hbar)
+    over_odd, hbar = _hbar_weights(ring)
+    return _dot(ring, column[:-1], over_odd), _dot(ring, column, hbar)
+
+
+@lru_cache(maxsize=4)
+def _hbar_weights(ring: PrimePower) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The t-free weights of ``_weighted_sums``, reduced: Hbar_k(2)/(2k+1)
+    for k <= (p-3)/2 and Hbar_k(2) for k <= (p-1)/2."""
+    m = ring.modulus
+    hbar = [h % m for h in accumulate(_odd_powers(ring, 2), initial=0)]
+    return tuple([h * w % m for h, w in zip(hbar, _odd_powers(ring, 1))]), tuple(hbar)
 
 
 def fib_lucas_sum(kind: str, ring: PrimePower) -> Residue:

@@ -218,11 +218,13 @@ def _sign_minus(p: int) -> int:
 
 
 def _mod_p_term(ring: PrimePower, coeff: int | Fraction, e: int, x: Residue) -> Residue:
-    """coeff * p^e * x in the ring, for a value x known only mod p: a
-    Bernoulli or Euler number, B_(p-2)(1/3), a u/v-series sum.
+    """coeff * p^e * x in the ring, for a value x that is needed only mod
+    p^(k-e): a Bernoulli or Euler number, B_(p-2)(1/3) or a u/v-series sum,
+    known only mod p, or T34's v-series sum, taken mod p^(k-1) for e = 1.
 
-    Each statement with such a term holds mod p^(e+1), where the factor p^e
-    kills any lift x + p*r: every representative of x gives the same row.
+    In Z/p^k the factor p^e kills any lift x + p^(k-e)*r, so every
+    representative of x gives the same row.  A value known only mod p thus
+    needs e >= k-1: each statement with one holds mod p^(e+1).
     """
     return Residue(ring.value_of(coeff) * ring.p**e * x.value % ring.modulus, ring)
 
@@ -256,10 +258,13 @@ def _w_half(x: Residue, ring: PrimePower) -> Residue:
 
 def _v_p_term(t: Fraction, ring: PrimePower) -> Residue:
     """[(-1)^n*(v_p(t) - t^p) + 2p*sum_(k<n) (-1)^k v_(2k+1)(t)/(2k+1)]/t in
-    the ring, n = (p-1)/2: p^2 times the rhs of T34.first."""
+    the ring, n = (p-1)/2: p^2 times the rhs of T34.first.  The sum is
+    multiplied by p, so it is taken one power of p lower, in Z/p^(k-1)."""
+    p = ring.p
     tr = ring.from_fraction(t)
-    vp = lucas_pair_mod(ring.p, tr, 1, ring)[1]
-    return ((vp - tr**ring.p) * _sign_minus(ring.p) + alternating_v_sum(t, True, ring) * (2 * ring.p)) / tr
+    vp = lucas_pair_mod(p, tr, 1, ring)[1]
+    vsum = _mod_p_term(ring, 2, 1, alternating_v_sum(t, True, prime_power(p, ring.k - 1)))
+    return ((vp - tr**p) * _sign_minus(p) + vsum) / tr
 
 
 # ---------------------------------------------------------------------------
@@ -1226,9 +1231,11 @@ _UNIT_CACHES = (
     harmonic._odd_mhs_mod,
     binomsums._column,
     binomsums._weighted_sums,
+    binomsums._hbar_weights,
     binomsums._u_sums,
     modring.inverse_table,
     sequences.central_binomials,
+    specialnum._fermat_powers,
     specialnum.bernoulli_powersum,
 )
 
@@ -1251,6 +1258,11 @@ def _run_unit(unit) -> list[CheckResult]:
     finally:
         for cache in _UNIT_CACHES:
             cache.cache_clear()
+
+
+def _repeated_value(values: tuple) -> object | None:
+    """The first of ``values`` equal to an earlier one, or None."""
+    return next((v for i, v in enumerate(values) if v in values[:i]), None)
 
 
 def run_suite(
@@ -1279,7 +1291,8 @@ def run_suite(
     are the only state kept across units.  They are bucketed by check id as
     they arrive, and each bucket is sorted by (prime, t), so the results come
     out in (check id, prime, t) order regardless of job count, making reports
-    byte-identical across schedules.
+    byte-identical across schedules.  A panel that repeats a value raises
+    `PreconditionViolated`, the rule that the CLI's ``--t-panel`` applies.
     """
     started = time.perf_counter()
     selected = select_checks(patterns)
@@ -1289,6 +1302,9 @@ def run_suite(
     units: list[tuple] = [("i", c.id, tuple(range(len(c.cases)))) for c in identities]
     # Evaluators take t as a Fraction; an int panel value would stay an int.
     t_panel = tuple(map(Fraction, t_panel))
+    repeated = _repeated_value(t_panel)
+    if repeated is not None:
+        raise PreconditionViolated(f"t panel repeats the value {repeated}")
     for p in primes_in_range(prime_lo, prime_hi):
         ts = [t for t in t_panel if t.numerator % p and t.denominator % p]
         items = tuple(

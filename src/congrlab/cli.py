@@ -15,6 +15,7 @@ from typing import Callable, TextIO
 from .catalog import (
     DEFAULT_T_PANEL,
     Report,
+    _repeated_value,
     builtin_checks,
     run_suite,
     select_checks,
@@ -70,7 +71,7 @@ def _parse_t_panel(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(
             f"t panel {text!r} contains 0, which every t-dependent check skips"
         )
-    repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    repeated = _repeated_value(values)
     if repeated is not None:
         raise argparse.ArgumentTypeError(f"t panel {text!r} repeats the value {repeated}")
     return values

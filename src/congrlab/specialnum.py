@@ -1,12 +1,21 @@
 """Bernoulli and Euler numbers modulo p, by independent routes.
 
-The sweep reads every special value through an O(p) route:
+The sweep reads every special value through an O(p) route, and the two
+power-sum routes read their powers off the prime's cached power tables
+(entry x of ``harmonic._powers(ring, a)`` is x^-a mod p^k), so no ``pow``
+runs per value:
 
 * ``bernoulli_powersum``: for even m with 2 <= m <= p-3, the power sum
   S_m = sum_{x=1}^{p-1} x^m satisfies S_m = p*B_m (mod p^2) (Faulhaber plus
-  von Staudt-Clausen p-integrality), so one O(p) pass mod p^2 yields B_m mod p.
+  von Staudt-Clausen p-integrality; Z.-H. Sun, Discrete Appl. Math. 105
+  (2000)), so one O(p) pass mod p^2 yields B_m mod p.  As x^m =
+  x^(p-1) * x^-(p-1-m) for p not dividing x, S_m is one dot product of the
+  cached table of x^(p-1) mod p^2 with ``_powers(Z/p^2, p-1-m)``: the tables
+  for j = p-1-m = 2, 4, 6 are the ones the prime's harmonic sums build.
 * ``euler_number``: for even m with 0 <= m <= p-3,
-  E_m = sum_{k=0}^{p-1} (-1)^k (2k+1)^m (mod p), one O(p) pass.
+  E_m = sum_{k=0}^{p-1} (-1)^k (2k+1)^m (mod p), one O(p) pass.  An odd
+  2k+1 > p is the even residue 2k+1-p, so the sum is four strided slices of
+  ``_powers(Z/p, p-1-m)``, whose entry x is x^m mod p.
 * ``bernoulli_third``: B_{p-2}(1/3) = 2*(p/3)*H_{floor(p/3)}(2) (mod p),
   E. Lehmer's congruence, from one O(p) harmonic sum.
 
@@ -31,9 +40,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
+from operator import mul
 
 from .errors import IndexOutOfRange
-from .harmonic import mhs
+from .harmonic import _powers, mhs
 from .modring import Residue, inverse_table, legendre, prime_power
 
 __all__ = [
@@ -47,14 +57,21 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=2)
+def _fermat_powers(p: int) -> tuple[int, ...]:
+    """x^(p-1) mod p^2 for 0 <= x < p; entry 0 is 0."""
+    return tuple(map(pow, range(p), repeat(p - 1), repeat(p * p)))
+
+
 @lru_cache(maxsize=8)
 def bernoulli_powersum(m: int, p: int) -> Residue:
     """B_m mod p for even 2 <= m <= p-3: the power sum S_m = p*B_m mod p^2,
-    summed by one ``map(pow, ...)`` in C, divided exactly by p."""
+    summed as the dot product of x^(p-1) with x^-(p-1-m) mod p^2 over
+    1 <= x < p, divided exactly by p."""
     if m % 2 != 0 or not 2 <= m <= p - 3:
         raise IndexOutOfRange(f"powersum route needs even m in [2, p-3], got m={m}, p={p}")
-    m2 = p * p
-    s = sum(map(pow, range(1, p), repeat(m), repeat(m2))) % m2
+    ring = prime_power(p, 2)
+    s = sum(map(mul, _fermat_powers(p), _powers(ring, p - 1 - m))) % ring.modulus
     return Residue(s // p % p, prime_power(p, 1))
 
 
@@ -174,16 +191,23 @@ def euler_number(m: int, p: int) -> Residue:
 
     The Euler polynomials satisfy E_m(x) + E_m(x+1) = 2x^m, so the
     alternating sum of (1/2 + k)^m over 0 <= k < p telescopes to
-    (E_m(1/2) + E_m(1/2 + p))/2, and both terms are E_m/2^m mod p.  The
-    terms of each sign are summed by one ``map(pow, ...)`` in C, and
+    (E_m(1/2) + E_m(1/2 + p))/2, and both terms are E_m/2^m mod p.  For
+    m > 0 the term 2k+1 = p vanishes, an odd 2k+1 < p is x = 1, 3, ... with
+    sign (-1)^((x-1)/2), and an odd 2k+1 > p is the even residue x = 2k+1-p
+    with sign (-1)^((p-1)/2 + x/2).  So the sum is four strided slices of
+    x^m = x^-(p-1-m) mod p, read off ``_powers(Z/p, p-1-m)``;
     ``euler_numbers`` is the independent O(p^2) oracle.
     """
     if m < 0:
         raise IndexOutOfRange(f"E_{m} has a negative index")
+    ring = prime_power(p, 1)
     if m % 2 == 1:
-        return prime_power(p, 1).zero()
+        return ring.zero()
     if m > p - 3:
         raise IndexOutOfRange(f"E_{m} mod {p} outside the supported range 0..p-3")
-    plus = sum(map(pow, range(1, 2 * p, 4), repeat(m), repeat(p)))
-    minus = sum(map(pow, range(3, 2 * p, 4), repeat(m), repeat(p)))
-    return prime_power(p, 1).from_int((plus - minus) % p)
+    if m == 0:
+        return ring.one()
+    x = _powers(ring, p - 1 - m)  # entry 0 is 0
+    odd = sum(x[1::4]) - sum(x[3::4])
+    even = sum(x[4::4]) - sum(x[2::4])
+    return ring.from_int(odd - even if p % 4 == 3 else odd + even)

@@ -3,14 +3,18 @@
 The sums recompute over Q, term by term with ``Fraction``, a value that the
 package computes mod p^k from raw-integer columns, so they share no logic
 with the code under test.  The tests reduce them into Z/p^k with
-``PrimePower.from_fraction``.  ``records`` is the input of the general JSON
-encoder that the streamed report writer must match byte for byte.
+``PrimePower.from_fraction``.  The two power-sum routes to B_m and E_m
+raise every base to the power m with ``pow``, where the package reads the
+powers off its cached tables of inverse powers.  ``records`` is the input
+of the general JSON encoder that the streamed report writer must match
+byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 
 def p_adic_valuation(q: Fraction | int, p: int) -> int | float:
@@ -31,6 +35,21 @@ def p_adic_valuation(q: Fraction | int, p: int) -> int | float:
         d //= p
         v -= 1
     return v
+
+
+def bernoulli_by_pow(m: int, p: int) -> int:
+    """B_m mod p for even 2 <= m <= p-3 from the power sum
+    sum_{x=1}^{p-1} x^m = p*B_m (mod p^2), each x^m by ``pow``."""
+    m2 = p * p
+    return sum(map(pow, range(1, p), repeat(m), repeat(m2))) % m2 // p
+
+
+def euler_by_pow(m: int, p: int) -> int:
+    """E_m mod p for even 0 <= m <= p-3 as sum_{k=0}^{p-1} (-1)^k (2k+1)^m,
+    each (2k+1)^m by ``pow``."""
+    plus = sum(map(pow, range(1, 2 * p, 4), repeat(m), repeat(p)))
+    minus = sum(map(pow, range(3, 2 * p, 4), repeat(m), repeat(p)))
+    return (plus - minus) % p
 
 
 def s1_exact(p: int, t: Fraction, d: int) -> Fraction:

@@ -13,6 +13,7 @@ from congrlab.errors import DenominatorDivisibleByP, PreconditionViolated
 from congrlab.binomsums import (
     _column,
     _dot,
+    _hbar_weights,
     _weighted_sums,
     alternating_v_sum,
     binomial_column,
@@ -195,6 +196,18 @@ def test_one_column_per_residue_of_t():
     _weighted_sums.cache_clear()
     assert weighted_sums(Fraction(1, 4), ring) == weighted_sums(tv, ring)
     assert _weighted_sums.cache_info().misses == 1
+
+
+def test_weight_columns_once_per_ring():
+    # The Hbar_k(2) weights do not depend on t: the sums at three values of t
+    # in one ring build them once, and another ring builds its own.
+    rings = (prime_power(101, 2), prime_power(101, 3))
+    _weighted_sums.cache_clear()
+    _hbar_weights.cache_clear()
+    for ring in rings:
+        for t in (Fraction(1, 4), Fraction(-1, 16), Fraction(5, 3)):
+            assert weighted_sums(t, ring) == tuple(map(ring.from_fraction, weighted_sums_exact(101, t)))
+    assert _hbar_weights.cache_info().misses == 2
 
 
 class TestGuards:

@@ -32,7 +32,7 @@ from congrlab.catalog import (
     run_suite,
     select_checks,
 )
-from congrlab.errors import MixedModuli
+from congrlab.errors import MixedModuli, PreconditionViolated
 from congrlab.modring import PrimePower, Residue, prime_power
 from oracles import records
 
@@ -400,11 +400,30 @@ class TestLiftInvariance:
         assert any(flipped) == (check_id not in ZERO_COEFFICIENT)
 
 
+def test_t34_takes_its_v_sum_one_power_lower(monkeypatch):
+    # T34.first multiplies its v-series sum by 2p, so _v_p_term takes the sum
+    # in Z/p^(k-1): the rows equal those with the sum in the full ring Z/p^k,
+    # and a sum taken in Z/p^(k-2) changes some row.
+    original = catalog.alternating_v_sum
+
+    def rows(shift):
+        def at(t, odd, ring):
+            return original(t, odd, prime_power(ring.p, ring.k + shift))
+
+        monkeypatch.setattr(catalog, "alternating_v_sum", at)
+        return records(run_suite(7, 200, patterns=("T34.first",), kinds=("congruence",)))
+
+    want = rows(0)
+    assert len(want) == 43 * len(DEFAULT_T_PANEL) and all(r["pass"] for r in want)  # 43 primes
+    assert rows(1) == want
+    assert rows(-1) != want
+
+
 #: Each helper that the panel checks' forms call, with the checks that call it.
 PANEL_HELPERS = {
     "_v_term": {"L31.A2", "T32.first"},
     "_u_term": {"L31.A3", "T32.second"},
-    "_mod_p_term": {"L31.A2", "L31.A3", "T32.first", "T32.second"},
+    "_mod_p_term": {"L31.A2", "L31.A3", "T32.first", "T32.second", "T34.first"},
     "_w_half": {"T32.first", "T32.second"},
     "_v_p_term": {"T34.first"},
     "alternating_v_sum": {"T34.first", "T34.second"},
@@ -687,6 +706,11 @@ class TestRunSuite:
         assert 7 not in primes and primes[0] == 11
         assert rep.status == "pass"
 
+    def test_a_repeated_panel_value_is_rejected(self):
+        # 2/2 is 1: the rows at t = 1 would be run and reported twice.
+        with pytest.raises(PreconditionViolated, match="repeats the value 1$"):
+            run_suite(11, 11, patterns=("L31.A2",), t_panel=(1, Fraction(2, 2), Fraction(1, 4)))
+
     def test_fail_fast_stops_early(self, monkeypatch):
         import congrlab.catalog as catalog
 
@@ -810,7 +834,9 @@ KERNEL_CACHES = {
     "_powers": harmonic._powers,
     "binomial_column": binomsums._column,
     "weighted_sums": binomsums._weighted_sums,
+    "_hbar_weights": binomsums._hbar_weights,
     "_u_sums": binomsums._u_sums,
+    "_fermat_powers": specialnum._fermat_powers,
 }
 
 #: The caches whose entries are one value each: a harmonic sum at one

@@ -2,7 +2,9 @@
 
 The two Bernoulli routes (power sums mod p^2 and the binomial recurrence) are
 deliberately independent implementations; their agreement is asserted both
-here and in the acceptance suite.
+here and in the acceptance suite.  The power-sum routes read their powers off
+cached power tables, so they are also held to ``pow`` oracles that build no
+table, at primes near 10^4 where the recurrences would take seconds.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from congrlab.specialnum import (
     euler_number,
     euler_numbers,
 )
+from oracles import bernoulli_by_pow, euler_by_pow
 
 # Exact small Bernoulli numbers (even indices) and Euler numbers.
 EXACT_B = {
@@ -77,6 +80,18 @@ class TestBernoulliRoutes:
         with pytest.raises(IndexOutOfRange):
             bernoulli_number(22, 23)  # p-1 is not p-integral
         assert len(bernoulli_table(23)) == 22  # B_0..B_21
+
+
+class TestPowerTableRoutes:
+    """``bernoulli_powersum`` and ``euler_number`` take x^m from the tables of
+    inverse powers, against routes that raise each x with ``pow``."""
+
+    @pytest.mark.parametrize("p", [9973, 10007])
+    def test_against_pow_near_ten_thousand(self, p):
+        for m in (2, 4, 2 * (p // 4), p - 7, p - 5, p - 3):
+            assert int(bernoulli_powersum(m, p)) == bernoulli_by_pow(m, p), m
+        for m in (0, 2, 2 * (p // 4), p - 5, p - 3):
+            assert int(euler_number(m, p)) == euler_by_pow(m, p), m
 
 
 class TestBernoulliPolynomial:
@@ -150,8 +165,9 @@ class TestEuler:
         assert int(euler_number(1, 3)) == 0
 
     def test_sum_route_matches_recurrence(self):
-        # The O(p) alternating-sum route against the O(p^2) recurrence.
-        for p in primes_in_range(7, 400) + [997]:
+        # The O(p) alternating-sum route against the O(p^2) recurrence, from
+        # E_0, which the route sets apart, and from the smallest primes.
+        for p in primes_in_range(3, 400) + [997]:
             table = euler_numbers(p - 3, p)
             for m in range(0, p - 2, 2):
                 assert euler_number(m, p) == table[m], (m, p)
