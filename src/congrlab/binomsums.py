@@ -1,14 +1,14 @@
 """Central binomial sums over half ranges, with several weight families.
 
 Each modular evaluator is one sum of elementwise products (``_dot``) of
-raw-integer columns over k: C(2k,k) t^k from ``binomial_column``, a
-``recurrence_column`` of a Lucas-type sequence, and slices of the cached
-power tables 1/i^a of ``harmonic``.  What several checks read at one
-(p, t) is built once: ``binomial_column`` and ``weighted_sums`` are cached
-keyed by t's residue, the t-free weights of ``weighted_sums`` once per ring,
-and ``rhs_lucas_sum`` reads both of its kinds off the cached sums of one u
-column.  The exact-rational oracles that recompute the same sums over Q live
-with the tests, in ``tests/oracles.py``.
+raw-integer columns over k (C(2k,k) t^k from ``binomial_column``, a
+Lucas-type ``recurrence_column``, slices of the power tables 1/i^a of
+``harmonic``) but ``weighted_sums``: two polynomials in t, by Horner's rule.
+Within a unit (``modring.unit_scope``) what several checks read at one
+(p, t) is built once: ``binomial_column`` and ``weighted_sums`` keyed by t's
+residue, the polynomials' coefficients once per ring, and the u-column sums
+of ``rhs_lucas_sum``.  Outside a unit nothing is memoized.  The oracles over
+Q live with the tests, in ``tests/oracles.py``.
 
 Families (p an odd prime, working modulus p^k from the ring):
 
@@ -27,13 +27,12 @@ Families (p an odd prime, working modulus p^k from the ring):
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
 from .errors import PreconditionViolated
 from .harmonic import _powers
-from .modring import PrimePower, Residue, inverse_table
+from .modring import PrimePower, Residue, inverse_table, unit_cached
 from .sequences import central_binomials, recurrence_column
 
 __all__ = [
@@ -55,13 +54,13 @@ def _check_d(d: int) -> None:
 def binomial_column(t: int | Fraction, ring: PrimePower) -> tuple[int, ...]:
     """C(2k,k) t^k mod p^k for 0 <= k <= (p-1)/2, as raw integers.
 
-    Cached by t's residue in ``_column``: the checks at one prime read 26
-    distinct columns at p = 101.
+    Memoized by t's residue in ``_column`` for the open unit: the checks at
+    one prime read 26 distinct columns at p = 101.
     """
     return _column(ring.value_of(t), ring)
 
 
-@lru_cache(maxsize=64)
+@unit_cached
 def _column(tv: int, ring: PrimePower) -> tuple[int, ...]:
     """``binomial_column`` at the raw integer tv of the ring."""
     m = ring.modulus
@@ -112,27 +111,30 @@ def s2(t: int | Fraction, d: int, ring: PrimePower) -> Residue:
 
 
 def weighted_sums(t: int | Fraction, ring: PrimePower) -> tuple[Residue, Residue]:
-    """The pair of Hbar_k(2)-weighted central binomial sums at t, cached by
+    """The pair of Hbar_k(2)-weighted central binomial sums at t, memoized by
     t's residue: L31.A2 and L31.A3 each read one element, C52 the first."""
     return _weighted_sums(ring.value_of(t), ring)
 
 
-@lru_cache(maxsize=32)
+@unit_cached
 def _weighted_sums(tv: int, ring: PrimePower) -> tuple[Residue, Residue]:
-    """``weighted_sums`` at the raw integer tv.  Its mod-p column has no other
-    reader, so it is built without filling the cache of ``_column``."""
-    column = _column.__wrapped__(tv, ring)
-    over_odd, hbar = _hbar_weights(ring)
-    return _dot(ring, column[:-1], over_odd), _dot(ring, column, hbar)
-
-
-@lru_cache(maxsize=4)
-def _hbar_weights(ring: PrimePower) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The t-free weights of ``_weighted_sums``, reduced: Hbar_k(2)/(2k+1)
-    for k <= (p-3)/2 and Hbar_k(2) for k <= (p-1)/2."""
+    """``weighted_sums`` at the raw integer tv, by Horner's rule on the t-free
+    coefficients of ``_hbar_weights``: no column of t^k is built."""
     m = ring.modulus
-    hbar = [h % m for h in accumulate(_odd_powers(ring, 2), initial=0)]
-    return tuple([h * w % m for h, w in zip(hbar, _odd_powers(ring, 1))]), tuple(hbar)
+    over_odd, hbar = _hbar_weights(ring)
+    x, y = 0, hbar[0]
+    for a, b in zip(over_odd, hbar[1:]):
+        x, y = (x * tv + a) % m, (y * tv + b) % m
+    return Residue(x, ring), Residue(y, ring)
+
+
+@unit_cached
+def _hbar_weights(ring: PrimePower) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ``_weighted_sums`` coefficients, top degree first: C(2k,k) Hbar_k(2)
+    / (2k+1) for k <= (p-3)/2 and C(2k,k) Hbar_k(2) for k <= (p-1)/2."""
+    m = ring.modulus
+    hbar = [c * h % m for c, h in zip(central_binomials(ring), accumulate(_odd_powers(ring, 2), initial=0))]
+    return tuple([h * w % m for h, w in zip(hbar, _odd_powers(ring, 1))][::-1]), tuple(hbar[::-1])
 
 
 def fib_lucas_sum(kind: str, ring: PrimePower) -> Residue:
@@ -145,7 +147,7 @@ def fib_lucas_sum(kind: str, ring: PrimePower) -> Residue:
     return _dot(ring, binomial_column(pow(16, -1, ring.modulus), ring)[:-1], weights, odd_terms)
 
 
-@lru_cache(maxsize=32)
+@unit_cached
 def _u_sums(c: int, ring: PrimePower) -> tuple[tuple[Residue, Residue], ...]:
     """For d = 2, 3 in turn: (sum_{k=1}^{p-1} u_k/k^d, sum_{k=1}^{p-1} u_{k+1}/k^d).
 

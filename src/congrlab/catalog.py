@@ -21,7 +21,7 @@ from itertools import accumulate, chain
 from math import comb, inf
 from operator import mul
 
-from . import binomsums, harmonic, modring, sequences, specialnum
+from . import harmonic, modring
 from .binomsums import (
     _dot,
     _odd_powers,
@@ -1221,43 +1221,20 @@ def run_identity(check: IdentityCheck, params: dict) -> CheckResult:
     return _graded(check.id, params.get("p"), _render_params(params), inf, evaluate)
 
 
-#: The kernel caches whose keys hold a prime or one of its rings.  A sweep
-#: never reads a prime's entries again once its unit ends.  The cache objects
-#: are taken here, at import, because a profiler may rebind the module names
-#: to wrappers without ``cache_clear``.
-_UNIT_CACHES = (
-    harmonic._powers,
-    harmonic._mhs_mod,
-    harmonic._odd_mhs_mod,
-    binomsums._column,
-    binomsums._weighted_sums,
-    binomsums._hbar_weights,
-    binomsums._u_sums,
-    modring.inverse_table,
-    sequences.central_binomials,
-    specialnum._fermat_powers,
-    specialnum.bernoulli_powersum,
-)
-
-
 def _run_unit(unit) -> list[CheckResult]:
     """The rows of one unit: every congruence instance at one prime, or the
     cases of one identity.
 
-    The kernel tables built for the unit live as long as the unit: the
-    caches of `_UNIT_CACHES` are emptied when it ends, also in a pool
-    worker, so a range of primes holds one prime's tables at a time.
+    The kernel tables built for the unit live as long as its
+    `modring.unit_scope`, also in a pool worker: one prime's at a time.
     """
-    try:
+    with modring.unit_scope():
         if unit[0] == "c":
             _, p, items = unit
             return [run_congruence(_registry()[cid], p, t) for cid, t in items]
         _, cid, indices = unit
         check = _registry()[cid]
         return [run_identity(check, dict(check.cases[i])) for i in indices]
-    finally:
-        for cache in _UNIT_CACHES:
-            cache.cache_clear()
 
 
 def _repeated_value(values: tuple) -> object | None:
@@ -1279,10 +1256,11 @@ def run_suite(
 
     Work is grouped into one unit per identity check plus one unit per
     prime (all congruence checks at that prime), so the kernel tables of a
-    prime are built once and read by all its checks; `_run_unit` frees them
-    when the unit ends.  The identity units go first, since the largest of
-    them outlasts any prime unit, then the primes in ascending order.  A
-    pool of min(jobs, units, CPUs) worker processes runs them; with one unit
+    prime are built once and read by all its checks, for one unit only:
+    `_run_unit` opens a `modring.unit_scope`, and outside a unit nothing is
+    memoized.  The identity units go first, since the largest of them
+    outlasts any prime unit, then the primes in ascending order.  A pool of
+    min(jobs, units, CPUs) worker processes runs them; with one unit
     or ``jobs=1`` they run in this process and ``concurrent.futures.process``
     (with multiprocessing and pickle) is never imported.  A prime unit
     carries its panel values as ``Fraction`` objects and runs its instances

@@ -21,14 +21,13 @@ slices of one power table.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 from operator import mul
 
 from .errors import NonUnitDenominator, PreconditionViolated
 from .exactalg import QQ, RationalField
-from .modring import PrimePower, Residue, inverse_table
+from .modring import PrimePower, Residue, inverse_table, unit_cached
 
 __all__ = [
     "repeated",
@@ -54,7 +53,7 @@ def _validated(n: int, comp) -> tuple[int, ...]:
     return comp
 
 
-@lru_cache(maxsize=64)
+@unit_cached
 def _powers(ring: PrimePower, a: int) -> tuple[int, ...]:
     """``inverse_table(ring)`` with every entry raised to the power a >= 1.
 
@@ -98,14 +97,14 @@ def _exact_sum(ring, dens: range, comp: tuple[int, ...]) -> Fraction:
     return Fraction(_dp_sum([[x**a for x in scaled] for a in comp]), L ** sum(comp))
 
 
-@lru_cache(maxsize=256)
+@unit_cached
 def _mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if n >= ring.p:
         raise NonUnitDenominator(f"H_{n} mod {ring.p}^{ring.k} hits the denominator p")
     return _dp_sum([_powers(ring, a)[1 : n + 1] for a in comp]) % ring.modulus
 
 
-@lru_cache(maxsize=32)
+@unit_cached
 def _odd_mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if 2 * n - 1 >= ring.p:
         raise NonUnitDenominator(f"Hbar_{n} mod {ring.p}^{ring.k} hits the denominator p")

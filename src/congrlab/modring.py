@@ -9,8 +9,9 @@ residues comfortably machine-friendly.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import compress
 from math import isqrt
 
@@ -32,6 +33,8 @@ __all__ = [
     "divide_by_p",
     "legendre",
     "inverse_table",
+    "unit_cached",
+    "unit_scope",
 ]
 
 MAX_EXPONENT = 8
@@ -136,6 +139,37 @@ class PrimePower:
         if b % self.p == 0:
             raise DenominatorDivisibleByP(f"denominator {b} divisible by p={self.p}")
         return q.numerator * pow(b, -1, m) % m
+
+
+#: The tables of every `unit_cached` kernel, and whether a unit is open.
+_UNIT_TABLES = []
+_memoizing = False
+
+
+def unit_cached(fn):
+    """``fn``, memoized while a `unit_scope` is open and storing nothing outside one."""
+    cached = lru_cache(maxsize=None)(fn)
+    _UNIT_TABLES.append(cached)
+
+    @wraps(fn)
+    def memo(*args, **kwargs):
+        return cached(*args, **kwargs) if _memoizing else fn(*args, **kwargs)
+
+    memo.cache_info = cached.cache_info
+    return memo
+
+
+@contextmanager
+def unit_scope():
+    """Memoize the `unit_cached` kernels in the block, then empty all their tables."""
+    global _memoizing
+    outer, _memoizing = _memoizing, True
+    try:
+        yield
+    finally:
+        _memoizing = outer
+        for table in _UNIT_TABLES:
+            table.cache_clear()
 
 
 @lru_cache(maxsize=None)
@@ -273,16 +307,14 @@ def legendre(a: int, p: int) -> int:
     return 1 if e == 1 else -1
 
 
-@lru_cache(maxsize=16)
+@unit_cached
 def inverse_table(ring: PrimePower) -> tuple[int, ...]:
     """Inverses of 1..p-1 mod m = p^k in one pass: m = floor(m/i)*i + (m mod
     i) gives 1/i = (m - floor(m/i)) * inv[m mod i] (mod m), where m mod i < i
     is a unit, as every i < p is.
 
     Entry i holds the inverse of i; entry 0 is a zero placeholder.  A sweep
-    reads about six rings per prime, and its prime unit empties this cache
-    when it ends (``catalog._run_unit``); the bound only caps what a caller
-    outside a sweep keeps.
+    reads about six rings per prime, each table for one unit (`unit_scope`).
     """
     p, m = ring.p, ring.modulus
     inv = [0, 1]

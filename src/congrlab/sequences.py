@@ -19,10 +19,9 @@ Sequence conventions:
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .errors import BaseDivisibleByP, PreconditionViolated
-from .modring import PrimePower, Residue, divide_by_p, inverse_table, legendre, prime_power
+from .modring import PrimePower, Residue, divide_by_p, inverse_table, legendre, prime_power, unit_cached
 
 __all__ = [
     "LucasParams",
@@ -149,7 +148,7 @@ def _fibonacci_quotient(p: int, k: int = 1) -> Residue:
     return divide_by_p(lucas_pair_mod(p, 1, -1, prime_power(p, k + 1))[0] - legendre(p, 5))
 
 
-@lru_cache(maxsize=16)
+@unit_cached
 def central_binomials(ring: PrimePower) -> tuple[int, ...]:
     """C(2k, k) mod p^k for 0 <= k <= (p-1)/2, as raw integers, via the ratio
     k*C(2k,k) = 2(2k-1)*C(2k-2,k-1).

@@ -44,7 +44,7 @@ from operator import mul
 
 from .errors import IndexOutOfRange
 from .harmonic import _powers, mhs
-from .modring import Residue, inverse_table, legendre, prime_power
+from .modring import Residue, inverse_table, legendre, prime_power, unit_cached
 
 __all__ = [
     "bernoulli_powersum",
@@ -57,13 +57,13 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=2)
+@unit_cached
 def _fermat_powers(p: int) -> tuple[int, ...]:
     """x^(p-1) mod p^2 for 0 <= x < p; entry 0 is 0."""
     return tuple(map(pow, range(p), repeat(p - 1), repeat(p * p)))
 
 
-@lru_cache(maxsize=8)
+@unit_cached
 def bernoulli_powersum(m: int, p: int) -> Residue:
     """B_m mod p for even 2 <= m <= p-3: the power sum S_m = p*B_m mod p^2,
     summed as the dot product of x^(p-1) with x^-(p-1-m) mod p^2 over

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from functools import lru_cache
+from itertools import combinations, repeat
 
 
 def p_adic_valuation(q: Fraction | int, p: int) -> int | float:
@@ -35,6 +36,15 @@ def p_adic_valuation(q: Fraction | int, p: int) -> int | float:
         d //= p
         v -= 1
     return v
+
+
+@lru_cache(maxsize=None)
+def harmonic_over_q(n: int, comp: tuple, odd: bool = False) -> Fraction:
+    """H_n(comp), or Hbar_n(comp) if ``odd``, summed over Q term by term, one
+    term per increasing tuple of denominators: comp[0] goes with the smallest."""
+    dens = range(1, 2 * n, 2) if odd else range(1, n + 1)
+    terms = (math.prod(Fraction(1, d**a) for d, a in zip(ds, comp)) for ds in combinations(dens, len(comp)))
+    return sum(terms, Fraction(0))
 
 
 def bernoulli_by_pow(m: int, p: int) -> int:

@@ -14,7 +14,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import comb, inf
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from congrlab.cli import format_report
 from congrlab.harmonic import mhs, odd_mhs
 from congrlab.modring import primes_in_range
 from congrlab.specialnum import bernoulli_powersum, bernoulli_table
-from oracles import p_adic_valuation, s1_exact
+from oracles import harmonic_over_q, p_adic_valuation, s1_exact
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -155,27 +155,15 @@ def test_criterion_4_bernoulli_cross_oracle():
     _verdict(4, "Bernoulli cross-oracle", ok)
 
 
-def _brute_mhs(n: int, comp: tuple[int, ...], odd: bool) -> Fraction:
-    """Nested-enumeration reference, independent of the DP implementation."""
-    base = range(n) if odd else range(1, n + 1)
-    total = Fraction(0)
-    for idx in combinations(base, len(comp)):
-        term = Fraction(1)
-        for i, a in zip(idx, comp):
-            term /= Fraction(2 * i + 1 if odd else i) ** a
-        total += term
-    return total
-
-
 def test_criterion_5_harmonic_oracle_equivalence():
     ok = True
 
     comps = [c for d in (1, 2, 3) for c in product(range(1, 5), repeat=d)]
     for n in range(0, 13):
         for comp in comps:
-            if mhs(n, comp) != _brute_mhs(n, comp, odd=False):
+            if mhs(n, comp) != harmonic_over_q(n, comp):
                 ok = False
-            if odd_mhs(n, comp) != _brute_mhs(n, comp, odd=True):
+            if odd_mhs(n, comp) != harmonic_over_q(n, comp, odd=True):
                 ok = False
 
     rng = random.Random(20260814)

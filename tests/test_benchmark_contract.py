@@ -2,8 +2,9 @@
 
 ``perfbench/tracer.py`` wraps library functions from the outside, and both it
 and ``perfbench/hostspeed.py`` replace ``catalog._run_unit``.  A refactor that
-renames one of those functions, drops an ``lru_cache``, or binds
-``_run_unit`` early would break the benchmark without failing any other test.
+renames one of those functions, memoizes a "plain" target, stops a "cached"
+target's ``cache_info().misses`` counting its fills, or binds ``_run_unit``
+early would break the benchmark without failing any other test.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import congrlab.catalog as catalog
+from congrlab.modring import prime_power, unit_scope
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,11 +42,28 @@ def test_every_tracer_target_resolves(tracer):
     for prefix, modname, path, kind in tracer.TARGETS:
         fn = _resolve(modname, path)
         assert callable(fn), prefix
-        if kind == "cached":
-            assert hasattr(fn, "cache_info"), f"{prefix}: {modname}.{path} is not lru_cached"
+        # A "plain" or "exact" span is one call; a memo's would mix fills and hits.
+        assert hasattr(fn, "cache_info") == (kind == "cached"), f"{prefix}: {modname}.{path} is not {kind}"
         if kind == "exact":
             # The tracer reads the ring as the third positional argument.
             assert list(inspect.signature(fn).parameters)[2] == "ring", prefix
+
+
+def test_a_cold_call_in_a_unit_fills_each_cached_target(tracer):
+    # The tracer counts a call as a fill when cache_info().misses rises.
+    ring = prime_power(101, 2)
+    cold_args = {"harmonic.mhs.mod": (10, (1, 2), ring), "harmonic.odd_mhs.mod": (10, (1, 2), ring),
+                 "specialnum.euler_numbers": (10, 101), "specialnum.bernoulli_table": (13,),
+                 "specialnum.bernoulli_powersum": (10, 101), "sequences.central_binomials": (ring,),
+                 "modring.inverse_table": (ring,), "modring.prime_power": (101, 2)}
+    cached = {prefix: _resolve(modname, path) for prefix, modname, path, kind in tracer.TARGETS if kind == "cached"}
+    assert cached.keys() == cold_args.keys()
+    for prefix, fn in cached.items():
+        with unit_scope():
+            getattr(fn, "cache_clear", lambda: None)()  # empties a long-lived lru_cache
+            misses = fn.cache_info().misses
+            fn(*cold_args[prefix])
+            assert fn.cache_info().misses == misses + 1, prefix
 
 
 def test_run_suite_calls_run_unit_at_call_time(monkeypatch):

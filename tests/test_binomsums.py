@@ -25,7 +25,7 @@ from congrlab.binomsums import (
 )
 from congrlab.catalog import DEFAULT_T_PANEL
 from congrlab.harmonic import odd_mhs
-from congrlab.modring import primes_in_range, prime_power
+from congrlab.modring import primes_in_range, prime_power, unit_scope
 from congrlab.sequences import LucasParams, lucas_u_upto, lucas_v_upto, recurrence_column
 from oracles import fib_lucas_sum_exact, s1_exact, s2_exact, weighted_sums_exact
 
@@ -164,24 +164,13 @@ def test_cached_columns_keep_rings_apart():
     p, t = 13, Fraction(3, 16)
     rings = (prime_power(p, 1), prime_power(p, 2))
     want_pair = weighted_sums_exact(p, t)
-    for ring in rings + rings:
-        column = tuple(
-            ring.from_fraction(math.comb(2 * j, j) * t**j).value for j in range((p + 1) // 2)
-        )
-        assert binomial_column(t, ring) == column
-        assert weighted_sums(t, ring) == tuple(ring.from_fraction(w) for w in want_pair)
-    assert binomial_column(t, rings[0]) != binomial_column(t, rings[1])
-    assert weighted_sums(t, rings[0])[1].ring == rings[0]
-
-
-def test_weighted_sums_leave_the_column_cache_alone():
-    # The mod-p columns of the weighted sums have no other reader, so they
-    # are built without filling the column cache.
-    ring = prime_power(13, 1)
-    _column.cache_clear()
-    _weighted_sums.cache_clear()
-    weighted_sums(Fraction(1, 4), ring)
-    assert _column.cache_info().currsize == 0
+    with unit_scope():
+        for ring in rings + rings:
+            column = tuple(ring.from_fraction(math.comb(2 * j, j) * t**j).value for j in range((p + 1) // 2))
+            assert binomial_column(t, ring) == column
+            assert weighted_sums(t, ring) == tuple(ring.from_fraction(w) for w in want_pair)
+        assert binomial_column(t, rings[0]) != binomial_column(t, rings[1])
+        assert weighted_sums(t, rings[0])[1].ring == rings[0]
 
 
 def test_one_column_per_residue_of_t():
@@ -189,25 +178,23 @@ def test_one_column_per_residue_of_t():
     # in the ring share one column, and so do t and t + p^k.
     ring = prime_power(101, 2)
     tv = ring.value_of(Fraction(1, 4))
-    _column.cache_clear()
-    assert s2(Fraction(1, 4), 1, ring) == s2(tv + ring.modulus, 1, ring)
-    s1(tv, 1, ring)
-    assert _column.cache_info().misses == 1
-    _weighted_sums.cache_clear()
-    assert weighted_sums(Fraction(1, 4), ring) == weighted_sums(tv, ring)
-    assert _weighted_sums.cache_info().misses == 1
+    with unit_scope():
+        assert s2(Fraction(1, 4), 1, ring) == s2(tv + ring.modulus, 1, ring)
+        s1(tv, 1, ring)
+        assert _column.cache_info().misses == 1
+        assert weighted_sums(Fraction(1, 4), ring) == weighted_sums(tv, ring)
+        assert _weighted_sums.cache_info().misses == 1
 
 
 def test_weight_columns_once_per_ring():
     # The Hbar_k(2) weights do not depend on t: the sums at three values of t
     # in one ring build them once, and another ring builds its own.
     rings = (prime_power(101, 2), prime_power(101, 3))
-    _weighted_sums.cache_clear()
-    _hbar_weights.cache_clear()
-    for ring in rings:
-        for t in (Fraction(1, 4), Fraction(-1, 16), Fraction(5, 3)):
-            assert weighted_sums(t, ring) == tuple(map(ring.from_fraction, weighted_sums_exact(101, t)))
-    assert _hbar_weights.cache_info().misses == 2
+    with unit_scope():
+        for ring in rings:
+            for t in (Fraction(1, 4), Fraction(-1, 16), Fraction(5, 3)):
+                assert weighted_sums(t, ring) == tuple(map(ring.from_fraction, weighted_sums_exact(101, t)))
+        assert _hbar_weights.cache_info().misses == 2
 
 
 class TestGuards:

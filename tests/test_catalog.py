@@ -12,6 +12,7 @@ import pkgutil
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -33,8 +34,8 @@ from congrlab.catalog import (
     select_checks,
 )
 from congrlab.errors import MixedModuli, PreconditionViolated
-from congrlab.modring import PrimePower, Residue, prime_power
-from oracles import records
+from congrlab.modring import PrimePower, Residue, prime_power, primes_in_range, unit_scope
+from oracles import harmonic_over_q, records
 
 
 class TestRegistry:
@@ -531,18 +532,6 @@ class TestBinomialRatioExpansion:
         assert (res.lhs, res.rhs) == (str(lhs), str(rhs))
 
 
-@functools.lru_cache(maxsize=None)
-def _harmonic_over_q(n: int, comp: tuple, odd: bool) -> Fraction:
-    """H_n(comp), or Hbar_n(comp) if ``odd``, summed over Q term by term:
-    comp[0] goes with the smallest denominator."""
-    dens = range(1, 2 * n, 2) if odd else range(1, n + 1)
-    return sum(
-        (math.prod(Fraction(1, d**a) for d, a in zip(ds, comp))
-         for ds in itertools.combinations(dens, len(comp))),
-        Fraction(0),
-    )
-
-
 class TestClosedForm:
     """The shared closed-form evaluator, sign * (sum of its terms), and its term
     types, each against its formula over Q reduced mod p^k: every term states
@@ -575,7 +564,7 @@ class TestClosedForm:
         terms += [
             (f"p^{e}*{'Hbar' if odd else 'H'}_{'half' if half else 'full'}{comp}",
              catalog.Harmonic(self.H, e, comp, half, odd),
-             self.H * Fraction(p) ** e * _harmonic_over_q((p - 1) // 2 if half else p - 1, comp, odd))
+             self.H * Fraction(p) ** e * harmonic_over_q((p - 1) // 2 if half else p - 1, comp, odd))
             for comp, e, half, odd in self.HARMONIC
         ]
         terms += [
@@ -826,65 +815,74 @@ class TestRunSuite:
         assert back == rows and all(type(row) is CheckResult for row in back)
 
 
-#: The caches whose entries hold O(p) integers (or sums over such a column),
-#: each named by the kernel that reads it.
-KERNEL_CACHES = {
-    "inverse_table": modring.inverse_table,
-    "central_binomials": sequences.central_binomials,
-    "_powers": harmonic._powers,
-    "binomial_column": binomsums._column,
-    "weighted_sums": binomsums._weighted_sums,
-    "_hbar_weights": binomsums._hbar_weights,
-    "_u_sums": binomsums._u_sums,
-    "_fermat_powers": specialnum._fermat_powers,
+#: The memo of each kernel whose tables live one unit, by the name its test
+#: ids show, and how many tables one cold ``--checks '*'`` unit at p = 101
+#: fills: as many as when each was an lru_cache with a bound.
+UNIT_CACHES = {
+    "inverse_table": (modring.inverse_table, 6),
+    "central_binomials": (sequences.central_binomials, 6),
+    "_powers": (harmonic._powers, 26),
+    "binomial_column": (binomsums._column, 26),
+    "weighted_sums": (binomsums._weighted_sums, 14),
+    "_hbar_weights": (binomsums._hbar_weights, 2),
+    "_u_sums": (binomsums._u_sums, 13),
+    "_fermat_powers": (specialnum._fermat_powers, 1),
+    "_mhs_mod": (harmonic._mhs_mod, 106),
+    "_odd_mhs_mod": (harmonic._odd_mhs_mod, 14),
+    "bernoulli_powersum": (specialnum.bernoulli_powersum, 3),
 }
 
-#: The caches whose entries are one value each: a harmonic sum at one
-#: (n, composition, ring), or B_m mod p.
-VALUE_CACHES = {
-    "_mhs_mod": harmonic._mhs_mod,
-    "_odd_mhs_mod": harmonic._odd_mhs_mod,
-    "bernoulli_powersum": specialnum.bernoulli_powersum,
-}
 
-UNIT_CACHES = {**KERNEL_CACHES, **VALUE_CACHES}
+def _tables() -> dict:
+    """The ``cache_info()`` of each unit table, by name."""
+    return {name: memo.cache_info() for name, (memo, _) in UNIT_CACHES.items()}
 
 
-class _Census:
-    """Stands in for a cache of ``catalog._UNIT_CACHES``: records its
-    ``cache_info()`` in ``out`` just before `_run_unit` empties it."""
+@contextmanager
+def _unit_ends():
+    """The ``cache_info()`` of every unit table at the end of each unit that
+    `_run_unit` opens meanwhile, taken just before the unit empties it."""
+    ends = []
 
-    def __init__(self, name, cache, out):
-        self.name, self.cache, self.out = name, cache, out
+    @contextmanager
+    def recording():
+        with unit_scope():
+            yield
+            ends.append(_tables())
 
-    def cache_clear(self):
-        self.out[self.name] = self.cache.cache_info()
-        self.cache.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modring, "unit_scope", recording)
+        yield ends
 
 
 @pytest.fixture(scope="module")
 def one_prime_census():
-    """cache_info() of each kernel and value cache at the end of a cold
-    ``--checks '*'`` unit at p = 101, just before the unit empties it.  The
+    """The tables at the end of a cold ``--checks '*'`` unit at p = 101.  The
     identity units run first, and the census keeps the last unit's."""
-    for cache in catalog._UNIT_CACHES:
-        cache.cache_clear()
-    census = {}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(catalog, "_UNIT_CACHES", tuple(_Census(n, c, census) for n, c in UNIT_CACHES.items()))
+    with _unit_ends() as ends:
         assert run_suite(prime_lo=101, prime_hi=101, patterns=("*",), jobs=1).status == "pass"
-    return census
+    return ends[-1]
 
 
 @pytest.mark.parametrize("name", list(UNIT_CACHES))
 def test_kernel_cache_bound_fits_one_prime(one_prime_census, name):
     # A sweep runs its primes in ascending order and never goes back to one,
-    # so each cache needs only the keys of about one prime.  A bound far
-    # above that keeps the tables (or values) of many primes at once.
+    # so each table is bounded by its unit: it keeps every fill of the unit,
+    # as many as pinned, and evicts none.
     info = one_prime_census[name]
-    assert 0 < info.currsize <= info.maxsize <= 3 * info.currsize, info
-    # Nothing is evicted inside a unit: every fill is still held at its end.
-    assert info.misses == info.currsize, info
+    assert info.misses == UNIT_CACHES[name][1] and info.currsize == info.misses, info
+
+
+def test_a_wide_panel_reuses_its_per_t_tables_within_a_unit():
+    # With 40 panel values the per-t tables of one prime outnumber any small
+    # bound; kept for the whole unit, the checks after the first read them.
+    panel = [Fraction(a, 7) for a in range(1, 41)]
+    with _unit_ends() as ends:
+        report = run_suite(prime_lo=101, prime_hi=107, patterns=("L31.*", "T32.*", "T34.*"), t_panel=panel)
+    assert report.status == "pass" and len({r.t for r in report.results}) == 40
+    assert len(ends) == 3
+    for end in ends:
+        assert end["_u_sums"].hits and end["weighted_sums"].hits, end
 
 
 def test_a_congruence_unit_hashes_no_fraction(monkeypatch):
@@ -906,13 +904,21 @@ def test_a_congruence_unit_hashes_no_fraction(monkeypatch):
 
 
 def test_the_unit_caches_are_the_kernel_and_value_caches():
-    assert sorted(map(id, catalog._UNIT_CACHES)) == sorted(map(id, UNIT_CACHES.values()))
+    assert set(modring._UNIT_TABLES) == {memo.cache_info.__self__ for memo, _ in UNIT_CACHES.values()}
 
 
 def test_unit_caches_are_empty_after_a_sweep():
     report = run_suite(prime_lo=7, prime_hi=11, patterns=("*",), jobs=1, kinds=("congruence",))
     assert {r.prime for r in report.results} == {7, 11} and report.status == "pass"
-    assert [name for name, cache in UNIT_CACHES.items() if cache.cache_info().currsize] == []
+    assert not any(info.currsize for info in _tables().values())
+    # A library loop over primes, no unit open, keeps no table either.
+    for p in primes_in_range(7, 60):
+        ring = prime_power(p, 3)
+        binomsums.s1(Fraction(1, 4), 1, ring)
+        harmonic.mhs(p - 1, (1, 2), ring)
+        specialnum.bernoulli_powersum(p - 3, p)
+    specialnum.bernoulli_powersum(2, 10007)
+    assert not any(info.currsize for info in _tables().values())
 
 
 #: The ``lru_cache`` functions that outlive a unit: the ring constructor (one
@@ -928,29 +934,31 @@ LONG_LIVED_CACHES = {
 
 
 def test_every_lru_cache_is_unit_scoped_or_long_lived():
-    # A new cache keyed by a prime must join catalog._UNIT_CACHES, or a sweep
-    # keeps its tables for up to maxsize primes.
-    found = set()
+    # A new lru_cache keyed by a prime would keep its tables across units; a
+    # kernel memoized with modring.unit_cached keeps them for one unit.
+    lru_caches, unit_memos = set(), set()
     for info in pkgutil.iter_modules(congrlab.__path__, "congrlab."):
         for value in vars(importlib.import_module(info.name)).values():
             if hasattr(value, "cache_clear"):
-                found.add(f"{value.__module__}.{value.__qualname__}")
-    scoped = {f"{c.__module__}.{c.__qualname__}" for c in catalog._UNIT_CACHES}
-    assert not scoped & LONG_LIVED_CACHES
-    assert found == scoped | LONG_LIVED_CACHES
+                lru_caches.add(f"{value.__module__}.{value.__qualname__}")
+            elif hasattr(value, "cache_info"):
+                unit_memos.add(value.cache_info.__self__)
+    assert lru_caches == LONG_LIVED_CACHES
+    assert unit_memos == set(modring._UNIT_TABLES)
 
 
 def test_a_rebound_cache_name_is_still_cleared(monkeypatch):
-    # A profiler rebinds kernel names to plain wrappers without cache_clear;
-    # the unit still empties the cache object behind the wrapper.
-    cached = harmonic._mhs_mod
-    calls = []
+    # A profiler rebinds kernel names to plain wrappers; the unit still
+    # empties the table behind the wrapper.
+    memo = harmonic._mhs_mod
+    sizes = []
 
     def wrapper(*args):
-        calls.append(args)
-        return cached(*args)
+        value = memo(*args)
+        sizes.append(memo.cache_info().currsize)
+        return value
 
     monkeypatch.setattr(harmonic, "_mhs_mod", wrapper)
     report = run_suite(prime_lo=11, prime_hi=11, patterns=("i.*",), jobs=1)
-    assert report.status == "pass" and calls
-    assert cached.cache_info().currsize == 0
+    assert report.status == "pass" and max(sizes) > 0
+    assert memo.cache_info().currsize == 0

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from congrlab import catalog
 from congrlab.catalog import (
     DEFAULT_T_PANEL,
     ClosedForm,
@@ -34,7 +33,7 @@ from congrlab.catalog import (
     lookup,
     run_congruence,
 )
-from congrlab.modring import prime_power, primes_in_range
+from congrlab.modring import prime_power, primes_in_range, unit_scope
 
 #: Checks whose lhs and rhs are both 0 mod p^target at every prime 7..200.
 #: The ``iii`` rhs has a zero coefficient when r = t, and the ``ii`` rhs
@@ -235,18 +234,17 @@ def dead_terms(checks, primes) -> set:
         for i in range(len(getattr(form_of(check), side)))
     }
     for p in primes:
-        for key, mutant in list(undetected.items()):
-            if p < mutant.min_prime or p in mutant.excluded_primes:
-                continue
-            panel = [t for t in DEFAULT_T_PANEL if t.numerator % p and t.denominator % p]
-            for t in panel if mutant.uses_t_panel else (None,):
-                row = run_congruence(mutant, p, t)
-                assert row.error is None, row
-                if not row.passed:
-                    del undetected[key]
-                    break
-        for cache in catalog._UNIT_CACHES:
-            cache.cache_clear()
+        with unit_scope():
+            for key, mutant in list(undetected.items()):
+                if p < mutant.min_prime or p in mutant.excluded_primes:
+                    continue
+                panel = [t for t in DEFAULT_T_PANEL if t.numerator % p and t.denominator % p]
+                for t in panel if mutant.uses_t_panel else (None,):
+                    row = run_congruence(mutant, p, t)
+                    assert row.error is None, row
+                    if not row.passed:
+                        del undetected[key]
+                        break
     return set(undetected)
 
 

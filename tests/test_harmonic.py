@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,28 +14,8 @@ from congrlab.errors import NonUnitDenominator, PreconditionViolated
 from congrlab import harmonic
 from congrlab.exactalg import QQ, Poly
 from congrlab.harmonic import alternating_half_sum, mhs, odd_mhs, repeated
-from congrlab.modring import prime_power
-
-
-def brute_mhs(n: int, comp: tuple[int, ...]) -> Fraction:
-    """Reference value by direct enumeration of increasing index tuples."""
-    total = Fraction(0)
-    for idx in combinations(range(1, n + 1), len(comp)):
-        term = Fraction(1)
-        for i, a in zip(idx, comp):
-            term /= Fraction(i) ** a
-        total += term
-    return total
-
-
-def brute_odd_mhs(n: int, comp: tuple[int, ...]) -> Fraction:
-    total = Fraction(0)
-    for idx in combinations(range(n), len(comp)):
-        term = Fraction(1)
-        for i, a in zip(idx, comp):
-            term /= Fraction(2 * i + 1) ** a
-        total += term
-    return total
+from congrlab.modring import prime_power, unit_scope
+from oracles import harmonic_over_q
 
 
 def brute_alternating(n: int, d: int) -> Fraction:
@@ -159,8 +140,8 @@ class TestPreconditions:
     [(n, c) for n in range(0, 9) for c in [(1,), (2,), (1, 1), (1, 2), (2, 1), (3, 1, 2)]],
 )
 def test_against_brute_force(n, comp):
-    assert mhs(n, comp) == brute_mhs(n, comp)
-    assert odd_mhs(n, comp) == brute_odd_mhs(n, comp)
+    assert mhs(n, comp) == harmonic_over_q(n, comp)
+    assert odd_mhs(n, comp) == harmonic_over_q(n, comp, odd=True)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -194,24 +175,23 @@ def test_large_part_mod():
         assert odd_mhs(4, comp, ring) == ring.from_fraction(odd_mhs(4, comp)), comp
 
 
-@pytest.mark.parametrize("clear_between_calls", [False, True])
-def test_power_tables_follow_the_ring(clear_between_calls):
+@pytest.mark.parametrize("outside_a_unit", [False, True])
+def test_power_tables_follow_the_ring(outside_a_unit):
     # Rings of one prime at different exponents share every cache key but
     # the ring; alternating them shows no power table is read for the wrong
-    # modulus, whether the tables stay cached or are rebuilt on each call.
+    # modulus, whether the tables stay memoized in one unit or are rebuilt on
+    # each call, as they are outside a unit.
     p = 13
-    harmonic._mhs_mod.cache_clear()
-    harmonic._odd_mhs_mod.cache_clear()
-    for comp in [(1,), (3, 1), (2, 1, 2), (1, 1, 1, 1)]:
-        for k in (1, 4, 2, 5, 1, 3):
-            if clear_between_calls:
-                harmonic._powers.cache_clear()
-            ring = prime_power(p, k)
-            for n in (p - 1, 5):
-                assert mhs(n, comp, ring) == ring.from_fraction(mhs(n, comp)), (comp, k, n)
-                assert odd_mhs(n // 2, comp, ring) == ring.from_fraction(odd_mhs(n // 2, comp))
-            want = brute_alternating(6, comp[0])
-            assert alternating_half_sum(6, comp[0], ring) == ring.from_fraction(want)
+    with nullcontext() if outside_a_unit else unit_scope():
+        for comp in [(1,), (3, 1), (2, 1, 2), (1, 1, 1, 1)]:
+            for k in (1, 4, 2, 5, 1, 3):
+                ring = prime_power(p, k)
+                for n in (p - 1, 5):
+                    assert mhs(n, comp, ring) == ring.from_fraction(mhs(n, comp)), (comp, k, n)
+                    assert odd_mhs(n // 2, comp, ring) == ring.from_fraction(odd_mhs(n // 2, comp))
+                want = brute_alternating(6, comp[0])
+                assert alternating_half_sum(6, comp[0], ring) == ring.from_fraction(want)
+        assert bool(harmonic._powers.cache_info().currsize) != outside_a_unit
 
 
 part = st.integers(min_value=1, max_value=4)

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from congrlab.errors import DenominatorDivisibleByP, IndexOutOfRange
-from congrlab.modring import prime_power, primes_in_range
+from congrlab.modring import prime_power, primes_in_range, unit_scope
 from congrlab.specialnum import (
     bernoulli_number,
     bernoulli_poly_value,
@@ -61,9 +61,10 @@ class TestBernoulliRoutes:
     @pytest.mark.parametrize("p", primes_in_range(5, 60) + [101, 997])
     def test_routes_agree(self, p):
         table = bernoulli_table(p)
-        for m in range(2, p - 2, 2):
-            assert bernoulli_powersum(m, p) == table[m]
-            assert bernoulli_number(m, p) == table[m]
+        with unit_scope():  # the power tables of p, built once
+            for m in range(2, p - 2, 2):
+                assert bernoulli_powersum(m, p) == table[m]
+                assert bernoulli_number(m, p) == table[m]
 
     def test_index_classes(self):
         p = 23
@@ -169,8 +170,9 @@ class TestEuler:
         # E_0, which the route sets apart, and from the smallest primes.
         for p in primes_in_range(3, 400) + [997]:
             table = euler_numbers(p - 3, p)
-            for m in range(0, p - 2, 2):
-                assert euler_number(m, p) == table[m], (m, p)
+            with unit_scope():
+                for m in range(0, p - 2, 2):
+                    assert euler_number(m, p) == table[m], (m, p)
 
 
 class TestLehmer:
