@@ -58,7 +58,6 @@ from .modring import (
     primes_in_range,
 )
 from .sequences import (
-    LucasParams,
     central_binomials,
     fermat_quotient,
     lucas_pair_mod,
@@ -100,7 +99,6 @@ __all__ = [
     "bernoulli_third",
     "euler_number",
     # sequences
-    "LucasParams",
     "lucas_pair_mod",
     "lucas_u_upto",
     "lucas_v_upto",

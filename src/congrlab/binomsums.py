@@ -7,8 +7,8 @@ Lucas-type ``recurrence_column``, slices of the power tables 1/i^a of
 Within a unit (``modring.unit_scope``) what several checks read at one
 (p, t) is built once: ``binomial_column`` and ``weighted_sums`` keyed by t's
 residue, the polynomials' coefficients once per ring, and the u-column sums
-of ``rhs_lucas_sum``.  Outside a unit nothing is memoized.  The oracles over
-Q live with the tests, in ``tests/oracles.py``.
+of ``rhs_lucas_sum``.  A call outside a unit runs in one of its own and
+keeps nothing.  The oracles over Q live with the tests, in ``tests/oracles.py``.
 
 Families (p an odd prime, working modulus p^k from the ring):
 

@@ -46,7 +46,6 @@ from .modring import (
     primes_in_range,
 )
 from .sequences import (
-    LucasParams,
     _fibonacci_quotient,
     central_binomials,
     fermat_quotient,
@@ -182,11 +181,8 @@ class Report(namedtuple("Report", "results wall_seconds", defaults=(0.0,))):
 
     @property
     def status(self) -> str:
-        if any(r.error is not None for r in self.results):
-            return "error"
-        if any(not r.passed for r in self.results):
-            return "fail"
-        return "pass"
+        _, fails, errs = self.counts()
+        return "error" if errs else "fail" if fails else "pass"
 
     @property
     def exit_code(self) -> int:
@@ -234,26 +230,15 @@ def _bernoulli_p(j: int):
     return lambda p: bernoulli_number(p - j, p)
 
 
-def _v_term(t: Fraction, p: int) -> Residue:
-    """1/64 * s^((p+1)/2) * sum_(k<p) v_k(c)/k^3 in Z/p, at c = 2-16t and
-    s = -1/t: the rhs of L31.A2 and the p^2 term of T32.first."""
+def _uv_term(kind: str, t: Fraction, p: int) -> Residue:
+    """scale * s^e * sum_(k<p) s_k(c)/k^d in Z/p for s_k = v_k or u_k, at
+    c = 2-16t and s = -1/t, with (d, e, scale) = (3, (p+1)/2, 1/64) for v
+    and (2, (p-1)/2, 1/2) for u: the rhs of L31.A2 (v) and L31.A3 (u), and
+    the p^2 terms of T32.first (v) and, times (-1)^((p-1)/2), T32.second (u)."""
+    d, e, scale = (3, (p + 1) // 2, 64) if kind == "v" else (2, (p - 1) // 2, 2)
     modp = prime_power(p, 1)
     tr = modp.from_fraction(t)
-    return rhs_lucas_sum("v", 2 - 16 * tr.value, 3, modp) * ((-tr.inv()) ** ((p + 1) // 2) * pow(64, -1, p))
-
-
-def _u_term(t: Fraction, p: int) -> Residue:
-    """1/2 * s^((p-1)/2) * sum_(k<p) u_k(c)/k^2 in Z/p, at c = 2-16t and
-    s = -1/t: the rhs of L31.A3 and, times (-1)^((p-1)/2), the p^2 term of
-    T32.second."""
-    modp = prime_power(p, 1)
-    tr = modp.from_fraction(t)
-    return rhs_lucas_sum("u", 2 - 16 * tr.value, 2, modp) * ((-tr.inv()) ** ((p - 1) // 2) * pow(2, -1, p))
-
-
-def _w_half(x: Residue, ring: PrimePower) -> Residue:
-    """w_n(x) in the ring, n = (p-1)/2."""
-    return w_value_mod((ring.p - 1) // 2, x, ring)
+    return rhs_lucas_sum(kind, 2 - 16 * tr.value, d, modp) * ((-tr.inv()) ** e * pow(scale, -1, p))
 
 
 def _v_p_term(t: Fraction, ring: PrimePower) -> Residue:
@@ -468,13 +453,18 @@ def _hbar_series(k: int, x: int, top: int) -> Fraction:
     )
 
 
+def _odd_ratio_product(n: int, k: int) -> Fraction:
+    """prod_(j<k) (1 - (2n+1)^2/(2j+1)^2), in Q."""
+    out = Fraction(1)
+    for j in range(k):
+        out *= 1 - Fraction((2 * n + 1) ** 2, (2 * j + 1) ** 2)
+    return out
+
+
 def _ident_product_mhs_forms(params):
     n, k = params["n"], params["k"]
-    binform = _wz_weight(n, k)
-    prodform = Fraction(1)
-    for j in range(k):
-        prodform *= 1 - Fraction((2 * n + 1) ** 2, (2 * j + 1) ** 2)
-    return (binform, prodform), (prodform, _hbar_series(k, 2 * n + 1, k))
+    prodform = _odd_ratio_product(n, k)
+    return (_wz_weight(n, k), prodform), (prodform, _hbar_series(k, 2 * n + 1, k))
 
 
 def _ident_w_expansion_odd_weights(params):
@@ -491,13 +481,7 @@ def _ident_w_hypergeometric(params):
     n = params["n"]
     tvar, one = Poly([0, 1]), Poly([1])
     lhs = w_value(n, tvar * 8 - one).scale(Fraction(_neg_one_pow(n)))
-    coeffs = []
-    for k in range(n + 1):
-        c = Fraction(comb(2 * k, k))
-        for j in range(1, k + 1):
-            c *= 1 - Fraction((2 * n + 1) ** 2, (2 * j - 1) ** 2)
-        coeffs.append(c)
-    return lhs, Poly(coeffs)
+    return lhs, Poly([comb(2 * k, k) * _odd_ratio_product(n, k) for k in range(n + 1)])
 
 
 def _ident_integral_w_odd(params):
@@ -505,7 +489,7 @@ def _ident_integral_w_odd(params):
     tvar, one = Poly([0, 1]), Poly([1])
     arg = one - (tvar * tvar).scale(Fraction(1, 2))
     lhs = w_value(n, arg).integrate_from_zero()
-    vs = lucas_v_upto(2 * n + 1, LucasParams(tvar, one))
+    vs = lucas_v_upto(2 * n + 1, tvar, one)
     rhs = Poly([])
     for k in range(n):
         rhs = rhs + vs[2 * k + 1].scale(Fraction(2 * _neg_one_pow(k), 2 * k + 1))
@@ -519,7 +503,7 @@ def _ident_integral_w_even(params):
     arg = (tvar * tvar).scale(Fraction(1, 2)) - one
     numerator = w_value(n, arg).scale(Fraction(_neg_one_pow(n))) - one
     lhs = numerator.shift_down().integrate_from_zero()
-    vs = lucas_v_upto(2 * n, LucasParams(tvar, one))
+    vs = lucas_v_upto(2 * n, tvar, one)
     rhs = Poly([])
     for k in range(1, n + 1):
         rhs = rhs + vs[2 * k].scale(Fraction(_neg_one_pow(k), 2 * k))
@@ -530,7 +514,7 @@ def _ident_integral_w_even(params):
 def _ident_w_from_u(params):
     n = params["n"]
     xvar, one = Poly([0, 1]), Poly([1])
-    us = lucas_u_upto(n + 1, LucasParams(xvar * 2, one))
+    us = lucas_u_upto(n + 1, xvar * 2, one)
     return w_value(n, xvar), us[n + 1] + us[n]
 
 
@@ -789,7 +773,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "weighted central binomial sum with inner weight Hbar_k(2) against a v-series",
         "sum C(2k,k)t^k Hbar_k(2)/(2k+1) = 1/64*(-1/t)^((p+1)/2) * sum v_k(2-16t)/k^3  (mod p)",
         1, PerT(lambda t: ClosedForm(
-            (lambda ring: weighted_sums(t, ring)[0],), (ModP(1, 0, lambda p: _v_term(t, p)),),
+            (lambda ring: weighted_sums(t, ring)[0],), (ModP(1, 0, lambda p: _uv_term("v", t, p)),),
         )), minp=5,
     )
     add(
@@ -797,7 +781,7 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "weighted central binomial sum with inner weight Hbar_k(2) against a u-series",
         "sum C(2k,k)t^k Hbar_k(2) = 1/2*(-1/t)^((p-1)/2) * sum u_k(2-16t)/k^2  (mod p)",
         1, PerT(lambda t: ClosedForm(
-            (lambda ring: weighted_sums(t, ring)[1],), (ModP(1, 0, lambda p: _u_term(t, p)),),
+            (lambda ring: weighted_sums(t, ring)[1],), (ModP(1, 0, lambda p: _uv_term("u", t, p)),),
         )), minp=5,
     )
     add(
@@ -806,9 +790,10 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "sum C(2k,k)t^k/(2k+1) = [w_n(1-8t) - (-16t)^n]/p + p^2/64*(-1/t)^((p+1)/2)*sum v_k(2-16t)/k^3  (mod p^3)",
         3, PerT(lambda t: ClosedForm((lambda ring: s1(t, 0, ring),), (
             OverP(1, lambda ring: (
-                _w_half(1 - 8 * ring.from_fraction(t), ring) - (-16 * ring.from_fraction(t)) ** ((ring.p - 1) // 2)
+                w_value_mod((ring.p - 1) // 2, 1 - 8 * ring.from_fraction(t), ring)
+                - (-16 * ring.from_fraction(t)) ** ((ring.p - 1) // 2)
             )),
-            ModP(1, 2, lambda p: _v_term(t, p)),
+            ModP(1, 2, lambda p: _uv_term("v", t, p)),
         ))), minp=5,
     )
     add(
@@ -816,8 +801,8 @@ def _congruence_checks() -> list[CongruenceCheck]:
         "plain central binomial sum against a w-value to third order",
         "(-1)^n sum C(2k,k)t^k = w_n(8t-1) + p^2/(2t^n)*sum u_k(2-16t)/k^2  (mod p^3)",
         3, PerT(lambda t: ClosedForm((lambda ring: (ring.one() + s2(t, 0, ring)) * _sign_minus(ring.p),), (
-            lambda ring: _w_half(8 * ring.from_fraction(t) - 1, ring),
-            ModP(1, 2, lambda p: _u_term(t, p), sign=_sign_minus),
+            lambda ring: w_value_mod((ring.p - 1) // 2, 8 * ring.from_fraction(t) - 1, ring),
+            ModP(1, 2, lambda p: _uv_term("u", t, p), sign=_sign_minus),
         ))), minp=5,
     )
     add(
@@ -1257,20 +1242,21 @@ def run_suite(
     Work is grouped into one unit per identity check plus one unit per
     prime (all congruence checks at that prime), so the kernel tables of a
     prime are built once and read by all its checks, for one unit only:
-    `_run_unit` opens a `modring.unit_scope`, and outside a unit nothing is
-    memoized.  The identity units go first, since the largest of them
-    outlasts any prime unit, then the primes in ascending order.  A pool of
-    min(jobs, units, CPUs) worker processes runs them; with one unit
-    or ``jobs=1`` they run in this process and ``concurrent.futures.process``
-    (with multiprocessing and pickle) is never imported.  A prime unit
-    carries its panel values as ``Fraction`` objects and runs its instances
-    check by check in registry order, each panel check over the whole panel
-    before the next check.  Rows come back as `CheckResult` named tuples and
-    are the only state kept across units.  They are bucketed by check id as
-    they arrive, and each bucket is sorted by (prime, t), so the results come
-    out in (check id, prime, t) order regardless of job count, making reports
-    byte-identical across schedules.  A panel that repeats a value raises
-    `PreconditionViolated`, the rule that the CLI's ``--t-panel`` applies.
+    `_run_unit` opens a `modring.unit_scope`; a kernel called outside one
+    opens its own and keeps nothing.  The identity units go first, since the
+    largest of them outlasts any prime unit, then the primes in ascending
+    order.  A pool of min(jobs, units, CPUs) worker processes runs them;
+    with one unit or ``jobs=1`` they run in this process and
+    ``concurrent.futures.process`` (with multiprocessing and pickle) is never
+    imported.  A prime unit carries its panel values as ``Fraction`` objects
+    and runs its instances check by check in registry order, each panel
+    check over the whole panel before the next check.  Rows come back as
+    `CheckResult` named tuples and are the only state kept across units.
+    They are bucketed by check id as they arrive, and each bucket is sorted
+    by (prime, t), so the results come out in (check id, prime, t) order
+    regardless of job count, making reports byte-identical across schedules.
+    A panel that repeats a value raises `PreconditionViolated`, the rule that
+    the CLI's ``--t-panel`` applies.
     """
     started = time.perf_counter()
     selected = select_checks(patterns)

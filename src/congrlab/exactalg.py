@@ -25,6 +25,21 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
+def _power(x, e, one):
+    """x^e for an int e >= 0 by square-and-multiply from ``one``, else
+    NotImplemented, so that ``**`` raises TypeError."""
+    if not isinstance(e, int) or e < 0:
+        return NotImplemented
+    result, square = one, x
+    while e:
+        if e & 1:
+            result = result * square
+        e >>= 1
+        if e:
+            square = square * square
+    return result
+
+
 class RationalField:
     """The ring Q: the ring argument that selects the exact harmonic sums."""
 
@@ -110,17 +125,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        result = Poly([1])
-        square = self
-        while e:
-            if e & 1:
-                result = result * square
-            e >>= 1
-            if e:
-                square = square * square
-        return result
+        return _power(self, e, Poly([1]))
 
     def __eq__(self, other) -> bool:
         o = self._wrap(other)
@@ -209,17 +214,7 @@ class QuadExt:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        result = QuadExt(1, 0, self.d)
-        square = self
-        while e:
-            if e & 1:
-                result = result * square
-            e >>= 1
-            if e:
-                square = square * square
-        return result
+        return _power(self, e, QuadExt(1, 0, self.d))
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)

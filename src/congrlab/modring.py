@@ -48,7 +48,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for n < 2^64)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -147,13 +147,17 @@ _memoizing = False
 
 
 def unit_cached(fn):
-    """``fn``, memoized while a `unit_scope` is open and storing nothing outside one."""
+    """``fn``, memoized while a `unit_scope` is open.  Called with no unit
+    open, it runs in a unit of its own: nothing outlives the call."""
     cached = lru_cache(maxsize=None)(fn)
     _UNIT_TABLES.append(cached)
 
     @wraps(fn)
     def memo(*args, **kwargs):
-        return cached(*args, **kwargs) if _memoizing else fn(*args, **kwargs)
+        if _memoizing:
+            return cached(*args, **kwargs)
+        with unit_scope():
+            return cached(*args, **kwargs)
 
     memo.cache_info = cached.cache_info
     return memo
@@ -161,7 +165,8 @@ def unit_cached(fn):
 
 @contextmanager
 def unit_scope():
-    """Memoize the `unit_cached` kernels in the block, then empty all their tables."""
+    """Memoize the `unit_cached` kernels in the block, then empty all their
+    tables.  A kernel called outside any unit runs in one of its own."""
     global _memoizing
     outer, _memoizing = _memoizing, True
     try:

@@ -2,8 +2,9 @@
 
 The recurrences here are generic over the coefficient ring: any element type
 with ``+``, ``-``, ``*`` and ``** 0`` works (modular residues, exact
-rationals, polynomials, quadratic-field elements).  Mod p^k there is also
-fast doubling for single far-out terms such as F_p, L_p and w_n, and
+rationals, polynomials, quadratic-field elements), and the u/v functions
+take the coefficients x and y as two arguments.  Mod p^k there is also fast
+doubling for single far-out terms such as F_p, L_p and w_n, and
 ``recurrence_column``, every term up to n as raw integers for the sums.
 
 Sequence conventions:
@@ -18,13 +19,10 @@ Sequence conventions:
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .errors import BaseDivisibleByP, PreconditionViolated
 from .modring import PrimePower, Residue, divide_by_p, inverse_table, legendre, prime_power, unit_cached
 
 __all__ = [
-    "LucasParams",
     "lucas_u_upto",
     "lucas_v_upto",
     "lucas_pair_mod",
@@ -37,36 +35,29 @@ __all__ = [
 ]
 
 
-class LucasParams(namedtuple("LucasParams", "x y")):
-    """Recurrence coefficients (x, y) for s_n = x*s_{n-1} - y*s_{n-2}."""
-
-    __slots__ = ()
-
-
 def _check_index(n: int) -> None:
     if n < 0:
         raise PreconditionViolated(f"index n must be non-negative, got {n}")
 
 
-def _lucas_upto(n: int, params: LucasParams, s0, s1) -> list:
+def _lucas_upto(n: int, x, y, s0, s1) -> list:
     """[s_0, s_1, ..., s_n] of s_j = x*s_{j-1} - y*s_{j-2} from the seeds."""
     _check_index(n)
-    x, y = params
     out = [s0, s1][: n + 1]
     for _ in range(n - 1):
         out.append(x * out[-1] - y * out[-2])
     return out
 
 
-def lucas_u_upto(n: int, params: LucasParams) -> list:
-    """[u_0, u_1, ..., u_n]."""
-    return _lucas_upto(n, params, params.x * 0, params.x**0)
+def lucas_u_upto(n: int, x, y) -> list:
+    """[u_0, u_1, ..., u_n] of u(x, y)."""
+    return _lucas_upto(n, x, y, x * 0, x**0)
 
 
-def lucas_v_upto(n: int, params: LucasParams) -> list:
-    """[v_0, v_1, ..., v_n]."""
-    one = params.x**0
-    return _lucas_upto(n, params, one + one, params.x)
+def lucas_v_upto(n: int, x, y) -> list:
+    """[v_0, v_1, ..., v_n] of v(x, y)."""
+    one = x**0
+    return _lucas_upto(n, x, y, one + one, x)
 
 
 def recurrence_column(n: int, s0: int, s1: int, x: int, y: int, m: int) -> list[int]:

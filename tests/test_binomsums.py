@@ -26,7 +26,7 @@ from congrlab.binomsums import (
 from congrlab.catalog import DEFAULT_T_PANEL
 from congrlab.harmonic import odd_mhs
 from congrlab.modring import primes_in_range, prime_power, unit_scope
-from congrlab.sequences import LucasParams, lucas_u_upto, lucas_v_upto, recurrence_column
+from congrlab.sequences import lucas_u_upto, lucas_v_upto, recurrence_column
 from oracles import fib_lucas_sum_exact, s1_exact, s2_exact, weighted_sums_exact
 
 T_VALUES = [Fraction(1, 4), Fraction(-1, 4), Fraction(1, 16), Fraction(3, 16), Fraction(2)]
@@ -85,7 +85,7 @@ def test_binomial_column(p, k):
 
 
 def _v_sums_exact(p: int, t: Fraction) -> tuple[Fraction, Fraction]:
-    vs = lucas_v_upto(p, LucasParams(t, Fraction(1)))
+    vs = lucas_v_upto(p, t, Fraction(1))
     half = (p - 1) // 2
     odd = sum(Fraction((-1) ** k) * vs[2 * k + 1] / (2 * k + 1) for k in range(half))
     even = sum(Fraction((-1) ** k) * vs[2 * k] / k for k in range(1, half + 1))
@@ -109,8 +109,7 @@ def test_alternating_v_sums_match_exact(p):
 def test_fib_lucas_sum_uses_odd_indices():
     # The exact twin walks W_1, W_3, W_5, ...; pin against the closed sequences.
     p = 13
-    fib_lucas = LucasParams(1, -1)
-    for kind, seq in (("F", lucas_u_upto(p, fib_lucas)), ("L", lucas_v_upto(p, fib_lucas))):
+    for kind, seq in (("F", lucas_u_upto(p, 1, -1)), ("L", lucas_v_upto(p, 1, -1))):
         want = sum(
             Fraction(math.comb(2 * k, k) * seq[2 * k + 1], (2 * k + 1) * 16**k)
             for k in range((p - 1) // 2)
@@ -122,9 +121,8 @@ def test_fib_lucas_sum_uses_odd_indices():
 def test_rhs_lucas_sum_matches_iteration(p):
     ring = prime_power(p, 1)
     for c in (Fraction(3), Fraction(-1), Fraction(5, 2)):
-        params = LucasParams(c, Fraction(1))
-        us = lucas_u_upto(p - 1, params)
-        vs = lucas_v_upto(p - 1, params)
+        us = lucas_u_upto(p - 1, c, Fraction(1))
+        vs = lucas_v_upto(p - 1, c, Fraction(1))
         for d in (2, 3):
             want_u = sum(us[k] / Fraction(k) ** d for k in range(1, p))
             want_v = sum(vs[k] / Fraction(k) ** d for k in range(1, p))

@@ -328,8 +328,8 @@ class TestLiftInvariance:
         "check_id,helper",
         [
             ("C42.a", "bernoulli_third"), ("C42.b", "bernoulli_third"), ("C45.b", "euler_number"),
-            ("T32.first", "_v_term"), ("T32.second", "_u_term"),
-            ("L31.A2", "_v_term"), ("L31.A3", "_u_term"),
+            ("T32.first", "_uv_term"), ("T32.second", "_uv_term"),
+            ("L31.A2", "_uv_term"), ("L31.A3", "_uv_term"),
         ],
     )
     @pytest.mark.parametrize("p", [7, 11, 13, 101])
@@ -422,10 +422,9 @@ def test_t34_takes_its_v_sum_one_power_lower(monkeypatch):
 
 #: Each helper that the panel checks' forms call, with the checks that call it.
 PANEL_HELPERS = {
-    "_v_term": {"L31.A2", "T32.first"},
-    "_u_term": {"L31.A3", "T32.second"},
+    "_uv_term": {"L31.A2", "L31.A3", "T32.first", "T32.second"},
     "_mod_p_term": {"L31.A2", "L31.A3", "T32.first", "T32.second", "T34.first"},
-    "_w_half": {"T32.first", "T32.second"},
+    "w_value_mod": {"T32.first", "T32.second"},
     "_v_p_term": {"T34.first"},
     "alternating_v_sum": {"T34.first", "T34.second"},
 }
@@ -454,8 +453,8 @@ def test_a_kept_panel_form_reads_its_helpers_at_call_time(helper, monkeypatch):
 #: The helpers that the tests patch in ``catalog``.  A term looks each one up
 #: at call time; a form that held one of these objects would freeze it.
 PATCHED_HELPERS = (
-    "_mod_p_term", "bernoulli_number", "bernoulli_third", "euler_number", "_v_term", "_u_term",
-    "binomial_column", "_w_half", "_v_p_term", "alternating_v_sum",
+    "_mod_p_term", "bernoulli_number", "bernoulli_third", "euler_number", "_uv_term",
+    "binomial_column", "w_value_mod", "_v_p_term", "alternating_v_sum",
 )
 
 
@@ -840,8 +839,9 @@ def _tables() -> dict:
 
 @contextmanager
 def _unit_ends():
-    """The ``cache_info()`` of every unit table at the end of each unit that
-    `_run_unit` opens meanwhile, taken just before the unit empties it."""
+    """The ``cache_info()`` of every unit table at the end of each unit opened
+    meanwhile, by `_run_unit` or by a kernel called outside a unit, taken
+    just before the unit empties it."""
     ends = []
 
     @contextmanager
@@ -918,6 +918,17 @@ def test_unit_caches_are_empty_after_a_sweep():
         harmonic.mhs(p - 1, (1, 2), ring)
         specialnum.bernoulli_powersum(p - 3, p)
     specialnum.bernoulli_powersum(2, 10007)
+    assert not any(info.currsize for info in _tables().values())
+
+
+def test_a_kernel_called_outside_a_unit_runs_in_one_of_its_own():
+    # The kernels it calls share one inverse table and one power table per
+    # exponent, and the unit empties every table when the call returns.
+    ring = prime_power(101, 3)
+    with _unit_ends() as ends:
+        assert harmonic.mhs(100, (1, 2, 3), ring) == ring.from_fraction(harmonic.mhs(100, (1, 2, 3)))
+    (end,) = ends
+    assert end["inverse_table"].misses == 1 and end["_powers"].misses == 3, end
     assert not any(info.currsize for info in _tables().values())
 
 

@@ -6,7 +6,9 @@ the package outside its own definition.  ``__init__.py`` only re-exports, so
 it is not checked for these, though its references count.  Every name in a
 module's ``__all__``, ``__init__.py``'s included, is defined or imported at
 that module's top level, and every public module-level function or class is
-in its module's ``__all__``.
+in its module's ``__all__``.  The ``_private`` names that one module reads
+from another are pinned, so new coupling to another module's layout comes
+with a stated reason.
 """
 
 from __future__ import annotations
@@ -110,6 +112,58 @@ def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
             if total[name] - _references(node)[name] < 1:
                 out.append(f"{module}:{name}")
     return out
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(tree: ast.Module) -> set[str]:
+    """The ``_private`` names of sibling modules that a module reads, as
+    "m._x": each ``from .m import _x``, and each ``m._x`` for a module m
+    bound by ``from . import m``."""
+    siblings, out = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    siblings[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    out.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and _private(node.attr):
+            if node.value.id in siblings:
+                out.add(f"{siblings[node.value.id]}.{node.attr}")
+    return out
+
+
+#: Every private name that one package module reads from another: a kernel
+#: or helper that a sibling shares rather than copies.
+PRIVATE_READS = {
+    "binomsums.py": {"harmonic._powers"},
+    "catalog.py": {
+        "binomsums._dot", "binomsums._odd_powers", "harmonic._mhs_mod", "harmonic._odd_mhs_mod",
+        "sequences._fibonacci_quotient",
+    },
+    "cli.py": {"catalog._repeated_value"},
+    "specialnum.py": {"harmonic._powers"},
+}
+
+
+def test_cross_module_private_reads_are_pinned():
+    reads = {name: private_reads(tree) for name, tree in _trees().items()}
+    assert {name: found for name, found in reads.items() if found} == PRIVATE_READS
+
+
+def test_the_guard_sees_a_planted_private_read():
+    tree = ast.parse(
+        "from . import harmonic as h, modring\n"
+        "from .modring import _MR_BASES, is_prime\n"
+        "import os\n"
+        "def f(ring):\n"
+        "    return h._powers(ring, 1), h.mhs, modring.__name__, os._exit, _MR_BASES\n"
+    )
+    assert private_reads(tree) == {"harmonic._powers", "modring._MR_BASES"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -85,6 +85,14 @@ class TestQuadExt:
             _ = QuadExt(1, 1, 5) + QuadExt(1, 1, 3)
 
 
+@pytest.mark.parametrize("e", [-1, 1.5])
+@pytest.mark.parametrize("base", [Poly([1, 1]), QuadExt(1, 1, 5)], ids=["Poly", "QuadExt"])
+def test_power_takes_only_a_non_negative_int(base, e):
+    # __pow__ declines any other exponent, and ** then raises TypeError.
+    with pytest.raises(TypeError):
+        _ = base**e
+
+
 @given(
     st.fractions(max_denominator=100),
     st.fractions(max_denominator=100),

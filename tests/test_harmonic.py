@@ -179,8 +179,8 @@ def test_large_part_mod():
 def test_power_tables_follow_the_ring(outside_a_unit):
     # Rings of one prime at different exponents share every cache key but
     # the ring; alternating them shows no power table is read for the wrong
-    # modulus, whether the tables stay memoized in one unit or are rebuilt on
-    # each call, as they are outside a unit.
+    # modulus, whether the tables stay memoized in one unit or live one call,
+    # as they do outside a unit, where each call opens a unit of its own.
     p = 13
     with nullcontext() if outside_a_unit else unit_scope():
         for comp in [(1,), (3, 1), (2, 1, 2), (1, 1, 1, 1)]:

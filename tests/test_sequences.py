@@ -13,7 +13,6 @@ from congrlab.errors import BaseDivisibleByP, DenominatorDivisibleByP, MixedModu
 from congrlab.exactalg import Poly
 from congrlab.modring import prime_power, unit_scope
 from congrlab.sequences import (
-    LucasParams,
     central_binomials,
     fermat_quotient,
     lucas_pair_mod,
@@ -27,37 +26,36 @@ from congrlab.sequences import (
 
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 6765]
 LUC = [2, 1, 3, 4, 7, 11, 18, 29, 47, 76, 123, 199, 322, 521, 843, 1364, 2207, 3571, 5778, 9349]
-FIB_LUCAS = LucasParams(1, -1)  # u_n = F_n, v_n = L_n
+FIB_LUCAS = (1, -1)  # (x, y) with u_n = F_n, v_n = L_n
 
 
 class TestIntegerSequences:
     def test_fibonacci_table(self):
-        fib = lucas_u_upto(50, FIB_LUCAS)
+        fib = lucas_u_upto(50, *FIB_LUCAS)
         assert fib[:21] == FIB
         assert fib[50] == 12586269025
 
     def test_lucas_table(self):
-        assert lucas_v_upto(19, FIB_LUCAS) == LUC
+        assert lucas_v_upto(19, *FIB_LUCAS) == LUC
 
     def test_upto_tables(self):
-        assert lucas_u_upto(0, FIB_LUCAS) == [0]
-        assert lucas_v_upto(0, FIB_LUCAS) == [2]
-        assert lucas_u_upto(1, FIB_LUCAS) == [0, 1]
-        assert lucas_v_upto(1, FIB_LUCAS) == [2, 1]
+        assert lucas_u_upto(0, *FIB_LUCAS) == [0]
+        assert lucas_v_upto(0, *FIB_LUCAS) == [2]
+        assert lucas_u_upto(1, *FIB_LUCAS) == [0, 1]
+        assert lucas_v_upto(1, *FIB_LUCAS) == [2, 1]
 
     @pytest.mark.parametrize("upto", [lucas_u_upto, lucas_v_upto])
     def test_negative_index_rejected(self, upto):
         # Unguarded, n = -2 gives the one-entry table [u_0] or [v_0].
         with pytest.raises(PreconditionViolated):
-            upto(-2, FIB_LUCAS)
+            upto(-2, *FIB_LUCAS)
 
     def test_pell_numbers(self):
         # u_n for (x, y) = (2, -1): 0, 1, 2, 5, 12, 29, 70, ...
-        assert lucas_u_upto(6, LucasParams(2, -1)) == [0, 1, 2, 5, 12, 29, 70]
+        assert lucas_u_upto(6, 2, -1) == [0, 1, 2, 5, 12, 29, 70]
 
     def test_rational_parameters(self):
-        params = LucasParams(Fraction(1, 2), Fraction(-1, 3))
-        us = lucas_u_upto(4, params)
+        us = lucas_u_upto(4, Fraction(1, 2), Fraction(-1, 3))
         assert us[2] == Fraction(1, 2)
         assert us[3] == us[2] * Fraction(1, 2) + Fraction(1, 3) * us[1]
 
@@ -67,9 +65,8 @@ class TestLucasPairMod:
     def test_matches_iteration(self, p, k):
         ring = prime_power(p, k)
         for x, y in [(1, -1), (2, -1), (3, 5), (p + 4, 2)]:
-            params = LucasParams(x, y)
-            us = lucas_u_upto(30, params)
-            vs = lucas_v_upto(30, params)
+            us = lucas_u_upto(30, x, y)
+            vs = lucas_v_upto(30, x, y)
             for n in (0, 1, 2, 7, 29, 30):
                 u, v = lucas_pair_mod(n, x, y, ring)
                 assert int(u) == us[n] % ring.modulus
@@ -100,8 +97,7 @@ class TestLucasPairMod:
         # x % m would leave a rational residue.
         ring = prime_power(7, 3)
         for x, y in [(Fraction(1, 3), Fraction(2, 5)), (Fraction(-5, 2), 3), (2, Fraction(1, 4))]:
-            params = LucasParams(Fraction(x), Fraction(y))
-            us, vs = lucas_u_upto(12, params), lucas_v_upto(12, params)
+            us, vs = lucas_u_upto(12, Fraction(x), Fraction(y)), lucas_v_upto(12, Fraction(x), Fraction(y))
             for n in (0, 1, 2, 5, 12):
                 u, v = lucas_pair_mod(n, x, y, ring)
                 assert type(u.value) is int and type(v.value) is int
@@ -127,9 +123,8 @@ class TestRecurrenceColumn:
     def test_matches_upto_tables(self, n):
         m = 13**3
         for x, y in [(1, -1), (3, 1), (2, -1), (5, 7), (-4, 1), (m + 6, 1)]:
-            params = LucasParams(x, y)
-            us = [u % m for u in lucas_u_upto(n, params)[:n]]
-            vs = [v % m for v in lucas_v_upto(n, params)[:n]]
+            us = [u % m for u in lucas_u_upto(n, x, y)[:n]]
+            vs = [v % m for v in lucas_v_upto(n, x, y)[:n]]
             assert recurrence_column(n, 0, 1, x, y, m) == us
             assert recurrence_column(n, 2, x, x, y, m) == vs
 
@@ -137,7 +132,7 @@ class TestRecurrenceColumn:
         # F_{2k+1} and L_{2k+1} run at (3, 1), v_2 = L_2 = 3 for Fibonacci/Lucas;
         # negating the multiplier gives (-1)^k * s_k.
         m = 10**9
-        fib, luc = lucas_u_upto(41, FIB_LUCAS), lucas_v_upto(41, FIB_LUCAS)
+        fib, luc = lucas_u_upto(41, *FIB_LUCAS), lucas_v_upto(41, *FIB_LUCAS)
         assert recurrence_column(20, 1, 2, 3, 1, m) == [fib[2 * k + 1] % m for k in range(20)]
         assert recurrence_column(20, 1, 4, 3, 1, m) == [luc[2 * k + 1] % m for k in range(20)]
         signed = [(-1) ** k * luc[2 * k] % m for k in range(20)]
@@ -223,7 +218,7 @@ class TestQuotients:
         # L_5 = 11 -> (11-1)/5 = 2; L_7 = 29 -> (29-1)/7 = 4.
         assert int(lucas_quotient(5)) == 2
         assert int(lucas_quotient(7)) == 4
-        luc = lucas_v_upto(31, FIB_LUCAS)
+        luc = lucas_v_upto(31, *FIB_LUCAS)
         for p in (11, 13, 31):
             assert int(lucas_quotient(p)) == (luc[p] - 1) // p % p
         assert int(lucas_quotient(11, k=2)) == (luc[11] - 1) // 11 % 121

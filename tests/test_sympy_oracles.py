@@ -14,7 +14,7 @@ import pytest
 
 from congrlab.harmonic import mhs
 from congrlab.modring import prime_power, primes_in_range
-from congrlab.sequences import LucasParams, lucas_pair_mod, lucas_u_upto, lucas_v_upto
+from congrlab.sequences import lucas_pair_mod, lucas_u_upto, lucas_v_upto
 from congrlab.specialnum import bernoulli_number, bernoulli_third, euler_number
 
 sympy = pytest.importorskip("sympy")
@@ -53,9 +53,8 @@ def test_fibonacci_and_lucas_numbers(p):
         u, v = lucas_pair_mod(n, 1, -1, ring)
         assert u == ring.from_int(int(sympy.fibonacci(n))), n
         assert v == ring.from_int(int(sympy.lucas(n))), n
-    fib_lucas = LucasParams(1, -1)
-    assert lucas_u_upto(p, fib_lucas) == [int(sympy.fibonacci(n)) for n in range(p + 1)]
-    assert lucas_v_upto(p, fib_lucas) == [int(sympy.lucas(n)) for n in range(p + 1)]
+    assert lucas_u_upto(p, 1, -1) == [int(sympy.fibonacci(n)) for n in range(p + 1)]
+    assert lucas_v_upto(p, 1, -1) == [int(sympy.lucas(n)) for n in range(p + 1)]
 
 
 @pytest.mark.parametrize("a", range(1, 7))
