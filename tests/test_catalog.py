@@ -290,14 +290,30 @@ class TestRunCongruence:
         assert Report(results=(res,)).exit_code == 2
 
 
-def _shifted(original, shift):
-    """``original`` with ``shift`` added to the representative it returns."""
+def _shifted(original, shift, kind=None):
+    """``original`` with ``shift`` added to the representative it returns;
+    with a ``kind``, only on the calls whose first argument is that kind."""
 
     def supply(*args):
         value = original(*args)
+        if kind is not None and args[0] != kind:
+            return value
         return Residue(value.value + shift, value.ring)
 
     return supply
+
+
+#: The cases that patch one series of ``catalog._uv_term``: the name of the
+#: case and the kind of the series.
+SERIES_TERMS = {"_v_term": "v", "_u_term": "u"}
+
+
+def _patch_target(helper):
+    """The name in ``catalog`` that the case ``helper`` patches, and the kind
+    its calls must have (None: every call)."""
+    if helper in SERIES_TERMS:
+        return "_uv_term", SERIES_TERMS[helper]
+    return helper, None
 
 
 def _panel_t(check):
@@ -328,8 +344,8 @@ class TestLiftInvariance:
         "check_id,helper",
         [
             ("C42.a", "bernoulli_third"), ("C42.b", "bernoulli_third"), ("C45.b", "euler_number"),
-            ("T32.first", "_uv_term"), ("T32.second", "_uv_term"),
-            ("L31.A2", "_uv_term"), ("L31.A3", "_uv_term"),
+            ("T32.first", "_v_term"), ("T32.second", "_u_term"),
+            ("L31.A2", "_v_term"), ("L31.A3", "_u_term"),
         ],
     )
     @pytest.mark.parametrize("p", [7, 11, 13, 101])
@@ -348,17 +364,18 @@ class TestLiftInvariance:
         want = run_congruence(check, p, t)
         assert want.passed
         (value,) = received
-        original = getattr(catalog, helper)
+        name, kind = _patch_target(helper)
+        original = getattr(catalog, name)
         for r in (1, 2, p + 3, -1):
             received.clear()
-            monkeypatch.setattr(catalog, helper, _shifted(original, p * r))
+            monkeypatch.setattr(catalog, name, _shifted(original, p * r, kind))
             assert run_congruence(check, p, t) == want, r
             # The lift reaches the factor p^e as the helper gave it: no sign
             # or other factor mod p reduces it on the way.
             assert received == [value + p * r], r
         # A shift that is not a multiple of p changes the verdict, so the
         # patched helper is the one the check reads.
-        monkeypatch.setattr(catalog, helper, _shifted(original, 1))
+        monkeypatch.setattr(catalog, name, _shifted(original, 1, kind))
         assert not run_congruence(check, p, t).passed
 
     def test_bernoulli_readers_census(self, monkeypatch):
@@ -420,9 +437,11 @@ def test_t34_takes_its_v_sum_one_power_lower(monkeypatch):
     assert rows(-1) != want
 
 
-#: Each helper that the panel checks' forms call, with the checks that call it.
+#: Each helper that the panel checks' forms call, with the checks that call
+#: it; ``_v_term`` and ``_u_term`` are the calls of ``_uv_term`` for one series.
 PANEL_HELPERS = {
-    "_uv_term": {"L31.A2", "L31.A3", "T32.first", "T32.second"},
+    "_v_term": {"L31.A2", "T32.first"},
+    "_u_term": {"L31.A3", "T32.second"},
     "_mod_p_term": {"L31.A2", "L31.A3", "T32.first", "T32.second", "T34.first"},
     "w_value_mod": {"T32.first", "T32.second"},
     "_v_p_term": {"T34.first"},
@@ -436,14 +455,16 @@ def test_a_kept_panel_form_reads_its_helpers_at_call_time(helper, monkeypatch):
     # patched helper is called by exactly the panel checks that use it.
     panel = [c for c in builtin_checks() if c.kind == "congruence" and c.uses_t_panel]
     t, p = Fraction(1, 4), 101
-    original = getattr(catalog, helper)
+    name, kind = _patch_target(helper)
+    original = getattr(catalog, name)
     callers = []
 
     def spy(*args):
-        callers.append(current)
+        if kind is None or args[0] == kind:
+            callers.append(current)
         return original(*args)
 
-    monkeypatch.setattr(catalog, helper, spy)
+    monkeypatch.setattr(catalog, name, spy)
     for check in panel:
         current = check.id
         assert run_congruence(check, p, t).passed
