@@ -1206,17 +1206,39 @@ def run_identity(check: IdentityCheck, params: dict) -> CheckResult:
     return _graded(check.id, params.get("p"), _render_params(params), inf, evaluate)
 
 
+@lru_cache(maxsize=None)
+def _walk_groups(check_ids: tuple) -> dict:
+    """The walk plan of a unit that runs these checks: (k, half, odd) -> the
+    frozenset of the compositions that the `Harmonic` terms of their
+    `ClosedForm`s sum in Z/p^k (see `harmonic._walk_plan`).  It holds
+    compositions and ring exponents only, never a term, so no unit hashes a
+    coefficient."""
+    groups: dict = {}
+    for cid in check_ids:
+        check = _registry()[cid]
+        if isinstance(check.evaluator, ClosedForm):
+            for h in check.evaluator.lhs + check.evaluator.terms:
+                if isinstance(h, Harmonic):
+                    # A term with e < 0 sums in Z/p^(k-e), as `Harmonic` says.
+                    k = check.target_exponent - min(h.e, 0)
+                    groups.setdefault((k, h.half, h.odd), set()).add(h.comp)
+    return {key: frozenset(comps) for key, comps in groups.items()}
+
+
 def _run_unit(unit) -> list[CheckResult]:
     """The rows of one unit: every congruence instance at one prime, or the
     cases of one identity.
 
     The kernel tables built for the unit live as long as its
-    `modring.unit_scope`, also in a pool worker: one prime's at a time.
+    `modring.unit_scope`, also in a pool worker: one prime's at a time.  A
+    prime unit walks the harmonic sums of its checks by the plan
+    `_walk_groups` derives once per distinct set of checks.
     """
     with modring.unit_scope():
         if unit[0] == "c":
             _, p, items = unit
-            return [run_congruence(_registry()[cid], p, t) for cid, t in items]
+            with harmonic._walk_plan(p, _walk_groups(tuple(dict.fromkeys(cid for cid, _ in items)))):
+                return [run_congruence(_registry()[cid], p, t) for cid, t in items]
         _, cid, indices = unit
         check = _registry()[cid]
         return [run_identity(check, dict(check.cases[i])) for i in indices]

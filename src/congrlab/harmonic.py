@@ -9,10 +9,17 @@ Conventions (the index order matters and is guarded by tests):
 * The empty composition gives 1 (empty product convention); any nonempty
   composition at n = 0 gives 0 (empty sum).
 
-H and Hbar run one depth-wise dynamic program on raw integers, O(depth * n)
-multiplications.  The modular path feeds it slices of cached power tables
-(entry i of ``_powers(ring, a)`` is i^-a mod p^k, so no ``pow`` in the
-loop) and reduces mod p^k once.  The exact path writes 1/i^a as
+H and Hbar run one dynamic program on raw integers, `_walk`: a depth-first
+walk of the prefix tree of a set of compositions, which accumulates each
+prefix's running sums once and costs one O(n) product pass per composition
+that extends it.  The modular path feeds it iterators over cached power
+tables (entry i of ``_powers(ring, a)`` is i^-a mod p^k, so no ``pow`` in
+the loop, and no table is copied) and reduces mod p^k once.  Within a prime unit the set is a group of
+the unit's plan: every composition that the unit's checks sum to one N in
+one ring, with one parity, taken by ``catalog`` from the `Harmonic` terms
+of the checks it runs and handed over by `_walk_plan`; the first sum of a
+group walks the whole group.  Any other sum, and every sum outside a
+planned unit, walks its one composition.  The exact path writes 1/i^a as
 (L/i)^a / L^a, L the lcm of the denominators, and divides the integer sum
 once by L^|comp|.  The alternating sum, mod p^k only, is a difference of two
 slices of one power table.
@@ -20,8 +27,9 @@ slices of one power table.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import lcm
 from operator import mul
 
@@ -70,22 +78,44 @@ def _powers(ring: PrimePower, a: int) -> tuple[int, ...]:
     return tuple([y * y % m for y in half])
 
 
-def _dp_sum(columns) -> int:
-    """The depth-wise DP on raw integers, unreduced.
+def _walk(column, comps) -> dict:
+    """The DP of every composition in ``comps`` on raw integers, unreduced:
+    one depth-first walk of their prefix tree, a dict from each node of the
+    tree (every composition and every prefix of one) to its sum.
 
-    ``columns[d]`` holds x_1^comp[d], x_2^comp[d], ... for one sequence
-    x_1, x_2, ...; the result sums prod_d x_{i_d}^comp[d] over
-    i_1 < ... < i_r, so comp[0] sits on the smallest index.  Depth d weights
-    entry j by the depth d-1 sum over the indices before j.  The caller
-    reduces or divides once at the end: skipping the per-entry reduction
-    nearly halves the cost of the modular loop.
+    ``column(a)`` gives x_1^a, x_2^a, ... for one sequence x_1, x_2, ...;
+    the sum of comp sums prod_d x_{i_d}^comp[d] over i_1 < ... < i_r, so
+    comp[0] sits on the smallest index.  A prefix's terms are its products
+    ending at each index.  Their running sums, accumulated once per prefix,
+    weight the column of each part that extends it: a composition costs one
+    product pass more than its parent, and a leaf sums its products in that
+    pass.  Only the lists of the prefixes on the current path are alive.  The
+    caller reduces or divides once at the end: skipping the per-entry
+    reduction nearly halves the cost of the modular loop.
     """
-    if not columns:
-        return 1
-    terms = columns[0]
-    for col in columns[1:]:
-        terms = list(map(mul, accumulate(terms, initial=0), col))
-    return sum(terms)
+    tree: dict = {}
+    for comp in comps:
+        node = tree
+        for a in comp:
+            node = node.setdefault(a, {})
+    sums = {(): 1}
+    _visit(column, tree, (), None, sums)
+    return sums
+
+
+def _visit(column, node: dict, prefix: tuple, running, sums: dict) -> None:
+    """Enter the sums of the children of ``prefix`` and their subtrees into
+    ``sums``; ``running`` holds the running sums of prefix's terms (None at
+    the root, whose terms are all 1)."""
+    for a, children in node.items():
+        comp = prefix + (a,)
+        terms = column(a) if running is None else map(mul, running, column(a))
+        if children:
+            weights = list(accumulate(terms, initial=0))
+            sums[comp] = weights[-1]
+            _visit(column, children, comp, weights, sums)
+        else:
+            sums[comp] = sum(terms)
 
 
 def _exact_sum(ring, dens: range, comp: tuple[int, ...]) -> Fraction:
@@ -94,21 +124,64 @@ def _exact_sum(ring, dens: range, comp: tuple[int, ...]) -> Fraction:
         raise PreconditionViolated(f"harmonic sums need QQ or a PrimePower ring, got {ring!r}")
     L = lcm(*dens)
     scaled = [L // i for i in dens]
-    return Fraction(_dp_sum([[x**a for x in scaled] for a in comp]), L ** sum(comp))
+    return Fraction(_walk(lambda a: [x**a for x in scaled], (comp,))[comp], L ** sum(comp))
+
+
+#: The open unit's walk plan: (p^k, n, odd) -> the frozenset of compositions
+#: whose H_n (Hbar_n if odd) the unit's checks read in Z/p^k.  Empty outside
+#: a planned unit.
+_plan: dict = {}
+
+
+@contextmanager
+def _walk_plan(p: int, groups: dict):
+    """Plan the harmonic sums of a unit at the prime p while the block runs.
+
+    ``groups`` maps (k, half, odd) to a frozenset of compositions, summed to
+    N = (p-1)/2 if half else p-1 in Z/p^k.  The first sum of a group that
+    the block computes walks the whole group; a sum outside every group
+    walks alone.
+    """
+    global _plan
+    outer = _plan
+    _plan = {(p**k, (p - 1) // 2 if half else p - 1, odd): comps for (k, half, odd), comps in groups.items()}
+    try:
+        yield
+    finally:
+        _plan = outer
+
+
+@unit_cached
+def _group_sums(n: int, comps: frozenset, ring: PrimePower, odd: bool) -> dict:
+    """comp -> H_n(comp) (Hbar_n(comp) if odd) mod p^k for every comp in
+    comps, from one `_walk` over the power tables.  Each column is an
+    iterator over its table, so the walk copies no table."""
+    m = ring.modulus
+    stop, step = (2 * n, 2) if odd else (n + 1, 1)
+    sums = _walk(lambda a: islice(_powers(ring, a), 1, stop, step), comps)
+    return {comp: sums[comp] % m for comp in comps}
+
+
+def _planned_sum(n: int, comp: tuple[int, ...], ring: PrimePower, odd: bool) -> int:
+    """H_n(comp) or Hbar_n(comp) mod p^k, walked with its group in the plan."""
+    group = _plan.get((ring.modulus, n, odd))
+    if group is None or comp not in group:
+        group = frozenset((comp,))
+    return _group_sums(n, group, ring, odd)[comp]
 
 
 @unit_cached
 def _mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if n >= ring.p:
         raise NonUnitDenominator(f"H_{n} mod {ring.p}^{ring.k} hits the denominator p")
-    return _dp_sum([_powers(ring, a)[1 : n + 1] for a in comp]) % ring.modulus
+    return _planned_sum(n, comp, ring, False)
 
 
 @unit_cached
 def _odd_mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if 2 * n - 1 >= ring.p:
         raise NonUnitDenominator(f"Hbar_{n} mod {ring.p}^{ring.k} hits the denominator p")
-    return _dp_sum([_powers(ring, a)[1 : 2 * n : 2] for a in comp]) % ring.modulus
+    return _planned_sum(n, comp, ring, True)
 
 
 def mhs(n: int, comp, ring=QQ):

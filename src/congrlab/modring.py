@@ -166,15 +166,18 @@ def unit_cached(fn):
 @contextmanager
 def unit_scope():
     """Memoize the `unit_cached` kernels in the block, then empty all their
-    tables.  A kernel called outside any unit runs in one of its own."""
+    tables.  A kernel called outside any unit runs in one of its own.  A
+    scope opened inside an open one joins it: the tables are emptied only
+    when the outermost scope closes."""
     global _memoizing
     outer, _memoizing = _memoizing, True
     try:
         yield
     finally:
         _memoizing = outer
-        for table in _UNIT_TABLES:
-            table.cache_clear()
+        if not outer:
+            for table in _UNIT_TABLES:
+                table.cache_clear()
 
 
 @lru_cache(maxsize=None)

@@ -849,6 +849,7 @@ UNIT_CACHES = {
     "_fermat_powers": (specialnum._fermat_powers, 1),
     "_mhs_mod": (harmonic._mhs_mod, 106),
     "_odd_mhs_mod": (harmonic._odd_mhs_mod, 14),
+    "_group_sums": (harmonic._group_sums, 13),
     "bernoulli_powersum": (specialnum.bernoulli_powersum, 3),
 }
 
@@ -942,24 +943,96 @@ def test_unit_caches_are_empty_after_a_sweep():
     assert not any(info.currsize for info in _tables().values())
 
 
-def test_a_kernel_called_outside_a_unit_runs_in_one_of_its_own():
+def test_a_kernel_called_outside_a_unit_runs_in_one_of_its_own(monkeypatch):
     # The kernels it calls share one inverse table and one power table per
-    # exponent, and the unit empties every table when the call returns.
+    # exponent, and the unit empties every table when the call returns.  With
+    # no unit plan the sum walks its one composition.
     ring = prime_power(101, 3)
+    walks = _walk_spy(monkeypatch)
     with _unit_ends() as ends:
-        assert harmonic.mhs(100, (1, 2, 3), ring) == ring.from_fraction(harmonic.mhs(100, (1, 2, 3)))
+        got = harmonic.mhs(100, (1, 2, 3), ring)
+    assert walks == [{(1, 2, 3)}]
+    assert got == ring.from_fraction(harmonic.mhs(100, (1, 2, 3)))
     (end,) = ends
     assert end["inverse_table"].misses == 1 and end["_powers"].misses == 3, end
     assert not any(info.currsize for info in _tables().values())
 
 
+def test_a_nested_scope_keeps_the_outer_units_tables():
+    # A scope opened inside a unit joins it: closing it empties no table.
+    ring = prime_power(101, 2)
+    with unit_scope():
+        harmonic.mhs(100, (1, 2), ring)
+        with unit_scope():
+            pass
+        assert harmonic._powers.cache_info().currsize == 2
+    assert not any(info.currsize for info in _tables().values())
+
+
+def test_a_nested_scope_keeps_the_walk_plan():
+    # The plan set beside the unit's scope stays in force across a nested
+    # scope, so the second sum of the group reads the first one's walk.
+    ring = prime_power(101, 1)
+    with unit_scope(), harmonic._walk_plan(101, catalog._walk_groups(("ii.r1s1", "ii.r1s2"))):
+        harmonic.mhs(100, (1, 1), ring)
+        with unit_scope():
+            pass
+        harmonic.mhs(100, (1, 2), ring)
+        info = harmonic._group_sums.cache_info()
+        assert (info.misses, info.hits) == (1, 1), info
+    assert not any(info.currsize for info in _tables().values())
+
+
+def _walk_spy(monkeypatch) -> list:
+    """The composition sets of every `harmonic._walk` from now on."""
+    walks, walk = [], harmonic._walk
+
+    def recording(column, comps):
+        walks.append(set(comps))
+        return walk(column, comps)
+
+    monkeypatch.setattr(harmonic, "_walk", recording)
+    return walks
+
+
+class TestWalkPlan:
+    """A prime unit walks the harmonic sums of the checks it runs, and no
+    other: the plan comes from the selected checks' forms, not the registry."""
+
+    def test_one_check_walks_one_composition(self, monkeypatch):
+        walks = _walk_spy(monkeypatch)
+        assert run_suite(prime_lo=101, prime_hi=101, patterns=("ii.r1s1",), jobs=1).status == "pass"
+        assert walks == [{(1, 1)}]
+
+    def test_every_check_walks_each_group_once(self, monkeypatch):
+        # The 37 full-range sums mod p are one walk; the unit's 120 modular
+        # sums (UNIT_CACHES: 106 + 14) are each walked once.  One size-1 walk
+        # is a sum that no form states, specialnum's H_(p/3)(2).
+        walks = _walk_spy(monkeypatch)
+        report = run_suite(prime_lo=101, prime_hi=101, patterns=("*",), jobs=1, kinds=("congruence",))
+        assert report.status == "pass"
+        assert sorted(map(len, walks)) == [1, 1, 3, 3, 4, 5, 5, 5, 6, 9, 14, 27, 37]
+        assert sum(map(len, walks)) == 106 + 14
+        assert {(1, 2, 4), (5, 1, 1), (1, 1)} <= max(walks, key=len)
+
+    def test_the_plan_holds_compositions_and_ring_exponents_only(self):
+        groups = catalog._walk_groups(tuple(c.id for c in builtin_checks() if c.kind == "congruence"))
+        assert len(groups) == 12 and len(groups[1, False, False]) == 37
+        for (k, half, odd), comps in groups.items():
+            assert type(k) is int and type(half) is bool and type(odd) is bool
+            assert type(comps) is frozenset
+            assert all(type(a) is int for comp in comps for a in comp)
+
+
 #: The ``lru_cache`` functions that outlive a unit: the ring constructor (one
-#: small object per (p, k)), the check registry, and the O(p^2) Bernoulli and
-#: Euler tables, which only the tests read.
+#: small object per (p, k)), the check registry, the harmonic walk plan of
+#: each distinct set of checks, and the O(p^2) Bernoulli and Euler tables,
+#: which only the tests read.
 LONG_LIVED_CACHES = {
     "congrlab.modring.prime_power",
     "congrlab.catalog.builtin_checks",
     "congrlab.catalog._registry",
+    "congrlab.catalog._walk_groups",
     "congrlab.specialnum.bernoulli_table",
     "congrlab.specialnum.euler_numbers",
 }

@@ -143,6 +143,7 @@ PRIVATE_READS = {
     "binomsums.py": {"harmonic._powers"},
     "catalog.py": {
         "binomsums._dot", "binomsums._odd_powers", "harmonic._mhs_mod", "harmonic._odd_mhs_mod",
+        "harmonic._walk_plan",
         "sequences._fibonacci_quotient",
     },
     "cli.py": {"catalog._repeated_value"},

@@ -194,6 +194,37 @@ def test_power_tables_follow_the_ring(outside_a_unit):
         assert bool(harmonic._powers.cache_info().currsize) != outside_a_unit
 
 
+@st.composite
+def prefix_sharing_sets(draw) -> frozenset:
+    """A set of compositions of depth <= 4 and parts <= 6, grown from a few
+    shared stems, so the walk has prefixes with several children, prefixes
+    that are compositions of the set and prefixes that are not."""
+    six = st.integers(min_value=1, max_value=6)
+    comps = set()
+    for stem in draw(st.lists(st.lists(six, max_size=3).map(tuple), min_size=1, max_size=3)):
+        tails = st.lists(six, max_size=4 - len(stem)).map(tuple)
+        comps.update(stem + tail for tail in draw(st.lists(tails, min_size=1, max_size=3)))
+    return frozenset(comps)
+
+
+@given(
+    prefix_sharing_sets(),
+    st.sampled_from([3, 5, 7, 11, 13, 31, 61]),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_walk_gives_every_sum_of_its_set(comps, p, k, odd, data):
+    # Each value of one walk of the prefix tree against the sum over Q, one
+    # term per increasing tuple of denominators.
+    top = (p - 1) // 2 if odd else p - 1
+    n = data.draw(st.integers(min_value=0, max_value=min(top, 7)), label="n")
+    ring = prime_power(p, k)
+    sums = harmonic._group_sums(n, comps, ring, odd)
+    assert sums == {comp: ring.value_of(harmonic_over_q(n, comp, odd)) for comp in comps}
+
+
 part = st.integers(min_value=1, max_value=4)
 
 
