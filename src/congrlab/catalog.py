@@ -1210,7 +1210,7 @@ def run_identity(check: IdentityCheck, params: dict) -> CheckResult:
 def _walk_groups(check_ids: tuple) -> dict:
     """The walk plan of a unit that runs these checks: (k, half, odd) -> the
     frozenset of the compositions that the `Harmonic` terms of their
-    `ClosedForm`s sum in Z/p^k (see `harmonic._walk_plan`).  It holds
+    `ClosedForm`s sum in Z/p^k (see `harmonic._plan_walks`).  It holds
     compositions and ring exponents only, never a term, so no unit hashes a
     coefficient."""
     groups: dict = {}
@@ -1226,22 +1226,23 @@ def _walk_groups(check_ids: tuple) -> dict:
 
 
 def _run_unit(unit) -> list[CheckResult]:
-    """The rows of one unit: every congruence instance at one prime, or the
-    cases of one identity.
+    """The rows of one unit, in its order: at one prime p, the checks ``ids``
+    in turn, each panel check over the whole of the panel values ``ts``; or
+    the cases of one identity, in case order.
 
-    The kernel tables built for the unit live as long as its
-    `modring.unit_scope`, also in a pool worker: one prime's at a time.  A
-    prime unit walks the harmonic sums of its checks by the plan
-    `_walk_groups` derives once per distinct set of checks.
+    Every table built for the unit, its harmonic walk plan included, lives
+    as long as its `modring.unit_scope`, also in a pool worker: one prime's
+    at a time.  A prime unit plans the harmonic sums of its checks by the
+    groups `_walk_groups` derives once per distinct set of checks.
     """
     with modring.unit_scope():
-        if unit[0] == "c":
-            _, p, items = unit
-            with harmonic._walk_plan(p, _walk_groups(tuple(dict.fromkeys(cid for cid, _ in items)))):
-                return [run_congruence(_registry()[cid], p, t) for cid, t in items]
-        _, cid, indices = unit
-        check = _registry()[cid]
-        return [run_identity(check, dict(check.cases[i])) for i in indices]
+        if unit[0] == "i":
+            check = _registry()[unit[1]]
+            return [run_identity(check, dict(case)) for case in check.cases]
+        _, p, ids, ts = unit
+        harmonic._plan_walks(p, _walk_groups(ids))
+        checks = map(_registry().get, ids)
+        return [run_congruence(c, p, t) for c in checks for t in (ts if c.uses_t_panel else (None,))]
 
 
 def _repeated_value(values: tuple) -> object | None:
@@ -1270,10 +1271,11 @@ def run_suite(
     order.  A pool of min(jobs, units, CPUs) worker processes runs them;
     with one unit or ``jobs=1`` they run in this process and
     ``concurrent.futures.process`` (with multiprocessing and pickle) is never
-    imported.  A prime unit carries its panel values as ``Fraction`` objects
-    and runs its instances check by check in registry order, each panel
-    check over the whole panel before the next check.  Rows come back as
-    `CheckResult` named tuples and are the only state kept across units.
+    imported.  A prime unit carries the ids of its checks and its panel
+    values, as ``Fraction`` objects, and runs check by check in registry
+    order, each panel check over the whole panel before the next check.
+    Rows come back as `CheckResult` named tuples and are the only state
+    kept across units but for the rings and each check set's walk groups.
     They are bucketed by check id as they arrive, and each bucket is sorted
     by (prime, t), so the results come out in (check id, prime, t) order
     regardless of job count, making reports byte-identical across schedules.
@@ -1285,7 +1287,7 @@ def run_suite(
     congruences = [c for c in selected if c.kind == "congruence" and "congruence" in kinds]
     identities = [c for c in selected if c.kind == "identity" and "identity" in kinds]
 
-    units: list[tuple] = [("i", c.id, tuple(range(len(c.cases)))) for c in identities]
+    units: list[tuple] = [("i", c.id) for c in identities]
     # Evaluators take t as a Fraction; an int panel value would stay an int.
     t_panel = tuple(map(Fraction, t_panel))
     repeated = _repeated_value(t_panel)
@@ -1293,14 +1295,10 @@ def run_suite(
         raise PreconditionViolated(f"t panel repeats the value {repeated}")
     for p in primes_in_range(prime_lo, prime_hi):
         ts = [t for t in t_panel if t.numerator % p and t.denominator % p]
-        items = tuple(
-            (check.id, t)
-            for check in congruences
-            if _stated_at(check, p) and (no_cap or check.prime_cap is None or p <= check.prime_cap)
-            for t in (ts if check.uses_t_panel else (None,))
-        )
-        if items:
-            units.append(("c", p, items))
+        ids = tuple(c.id for c in congruences if _stated_at(c, p) and (ts or not c.uses_t_panel)
+                    and (no_cap or c.prime_cap is None or p <= c.prime_cap))
+        if ids:
+            units.append(("c", p, ids, ts))
 
     buckets: dict[str, list[CheckResult]] = {}
     # The pool starts all its workers at once, so start no idle ones, and no

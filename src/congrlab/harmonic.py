@@ -14,12 +14,13 @@ walk of the prefix tree of a set of compositions, which accumulates each
 prefix's running sums once and costs one O(n) product pass per composition
 that extends it.  The modular path feeds it iterators over cached power
 tables (entry i of ``_powers(ring, a)`` is i^-a mod p^k, so no ``pow`` in
-the loop, and no table is copied) and reduces mod p^k once.  Within a prime unit the set is a group of
-the unit's plan: every composition that the unit's checks sum to one N in
-one ring, with one parity, taken by ``catalog`` from the `Harmonic` terms
-of the checks it runs and handed over by `_walk_plan`; the first sum of a
-group walks the whole group.  Any other sum, and every sum outside a
-planned unit, walks its one composition.  The exact path writes 1/i^a as
+the loop, and no table is copied) and reduces mod p^k once.  Within a
+prime unit the set is a group of the unit's plan: every composition that
+the unit's checks sum to one N in one ring, with one parity, taken by
+``catalog`` from the `Harmonic` terms of the checks it runs and entered by
+`_plan_walks` into `_unit_plan`, a unit table like every other; the first
+sum of a group walks the whole group.  Any other sum, and every sum outside
+a planned unit, walks its one composition.  The exact path writes 1/i^a as
 (L/i)^a / L^a, L the lcm of the denominators, and divides the integer sum
 once by L^|comp|.  The alternating sum, mod p^k only, is a difference of two
 slices of one power table.
@@ -27,7 +28,6 @@ slices of one power table.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import lcm
@@ -127,28 +127,26 @@ def _exact_sum(ring, dens: range, comp: tuple[int, ...]) -> Fraction:
     return Fraction(_walk(lambda a: [x**a for x in scaled], (comp,))[comp], L ** sum(comp))
 
 
-#: The open unit's walk plan: (p^k, n, odd) -> the frozenset of compositions
-#: whose H_n (Hbar_n if odd) the unit's checks read in Z/p^k.  Empty outside
-#: a planned unit.
-_plan: dict = {}
+@unit_cached
+def _unit_plan(p: int) -> dict:
+    """The open unit's walk plan at the prime p: (p^k, n, odd) -> the
+    frozenset of compositions whose H_n (Hbar_n if odd) the unit's checks
+    read in Z/p^k.  Empty until `_plan_walks` fills it, so empty outside a
+    planned unit."""
+    return {}
 
 
-@contextmanager
-def _walk_plan(p: int, groups: dict):
-    """Plan the harmonic sums of a unit at the prime p while the block runs.
+def _plan_walks(p: int, groups: dict) -> None:
+    """Plan the harmonic sums of the open unit at the prime p.
 
     ``groups`` maps (k, half, odd) to a frozenset of compositions, summed to
     N = (p-1)/2 if half else p-1 in Z/p^k.  The first sum of a group that
-    the block computes walks the whole group; a sum outside every group
+    the unit computes walks the whole group; a sum outside every group
     walks alone.
     """
-    global _plan
-    outer = _plan
-    _plan = {(p**k, (p - 1) // 2 if half else p - 1, odd): comps for (k, half, odd), comps in groups.items()}
-    try:
-        yield
-    finally:
-        _plan = outer
+    _unit_plan(p).update(
+        ((p**k, (p - 1) // 2 if half else p - 1, odd), comps) for (k, half, odd), comps in groups.items()
+    )
 
 
 @unit_cached
@@ -164,7 +162,7 @@ def _group_sums(n: int, comps: frozenset, ring: PrimePower, odd: bool) -> dict:
 
 def _planned_sum(n: int, comp: tuple[int, ...], ring: PrimePower, odd: bool) -> int:
     """H_n(comp) or Hbar_n(comp) mod p^k, walked with its group in the plan."""
-    group = _plan.get((ring.modulus, n, odd))
+    group = _unit_plan(ring.p).get((ring.modulus, n, odd))
     if group is None or comp not in group:
         group = frozenset((comp,))
     return _group_sums(n, group, ring, odd)[comp]

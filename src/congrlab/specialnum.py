@@ -20,9 +20,9 @@ runs per value:
   E. Lehmer's congruence, from one O(p) harmonic sum.
 
 The O(p^2) routes are independent test oracles, sharing no logic with the
-fast ones.  They stay in this module, unlike the exact oracles in
-``tests/oracles.py``, because the benchmark's tracer (``perfbench/tracer.py``)
-wraps them by name:
+fast ones, and keep their tables for one unit, like every kernel.  They
+stay here, unlike the exact oracles in ``tests/oracles.py``, because the
+benchmark's tracer (``perfbench/tracer.py``) wraps them by name:
 
 * ``bernoulli_table``: the classical recurrence
   sum_{j=0}^{n} C(n+1, j)*B_j = 0 solved for B_n over Z/p, as raw integers,
@@ -38,7 +38,6 @@ p^(e+1), so higher precision is never needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
 from operator import mul
 
@@ -94,7 +93,7 @@ def bernoulli_number(m: int, p: int) -> Residue:
     return bernoulli_powersum(m, p)
 
 
-@lru_cache(maxsize=64)
+@unit_cached
 def bernoulli_table(p: int) -> tuple[int, ...]:
     """B_0..B_{p-2} mod p as raw integers, from sum_j C(n+1, j)*B_j = 0."""
     ring = prime_power(p, 1)
@@ -157,7 +156,7 @@ def bernoulli_third(p: int) -> Residue:
     return mhs(p // 3, (2,), ring) * (2 * legendre(p, 3))
 
 
-@lru_cache(maxsize=256)
+@unit_cached
 def euler_numbers(limit: int, p: int) -> tuple[Residue, ...]:
     """E_0, E_1, ..., E_limit mod p from sum_k C(2n, 2k)*E_{2k} = 0.
 

@@ -715,6 +715,36 @@ class TestRunSuite:
         assert 7 not in primes and primes[0] == 11
         assert rep.status == "pass"
 
+    def test_a_prime_that_skips_every_panel_value_keeps_its_other_checks(self, monkeypatch):
+        # At p = 7 the one panel value 1/7 drops out: the unit keeps iv.h1
+        # and no panel check, and T32.first alone schedules no unit at all.
+        units, run_unit = [], catalog._run_unit
+        monkeypatch.setattr(catalog, "_run_unit", lambda unit: units.append(unit) or run_unit(unit))
+        panel = (Fraction(1, 7),)
+        mixed = run_suite(prime_lo=7, prime_hi=7, patterns=("T32.first", "iv.h1"), t_panel=panel)
+        assert [(r.check_id, r.prime, r.t) for r in mixed.results] == [("iv.h1", 7, None)]
+        assert mixed.status == "pass" and units == [("c", 7, ("iv.h1",), [])]
+        units.clear()
+        assert run_suite(prime_lo=7, prime_hi=7, patterns=("T32.first",), t_panel=panel).results == ()
+        assert units == []
+
+    def test_a_prime_unit_runs_its_checks_in_order_each_over_its_panel(self):
+        # The raw batch, before run_suite sorts it: check by check in the
+        # unit's order, each panel check over the whole of ts before the next.
+        ts = (Fraction(1, 4), Fraction(-1, 16), Fraction(5, 3))
+        batch = catalog._run_unit(("c", 101, ("v.h12", "T32.first", "ii.r1s1", "T34.first"), ts))
+        panel = [str(t) for t in ts]
+        want = [("v.h12", None)] + [("T32.first", t) for t in panel] + [("ii.r1s1", None)]
+        want += [("T34.first", t) for t in panel]
+        assert [(r.check_id, r.t) for r in batch] == want
+        assert all(r.prime == 101 and r.passed for r in batch)
+
+    def test_an_identity_unit_runs_its_cases_in_case_order(self):
+        check = lookup("A.exact")
+        batch = catalog._run_unit(("i", "A.exact"))
+        assert len(batch) == len(check.cases) and all(r.passed for r in batch)
+        assert [r.t for r in batch] == [catalog._render_params(dict(case)) for case in check.cases]
+
     def test_a_repeated_panel_value_is_rejected(self):
         # 2/2 is 1: the rows at t = 1 would be run and reported twice.
         with pytest.raises(PreconditionViolated, match="repeats the value 1$"):
@@ -851,6 +881,9 @@ UNIT_CACHES = {
     "_odd_mhs_mod": (harmonic._odd_mhs_mod, 14),
     "_group_sums": (harmonic._group_sums, 13),
     "bernoulli_powersum": (specialnum.bernoulli_powersum, 3),
+    "_unit_plan": (harmonic._unit_plan, 1),
+    "bernoulli_table": (specialnum.bernoulli_table, 0),
+    "euler_numbers": (specialnum.euler_numbers, 0),
 }
 
 
@@ -970,10 +1003,12 @@ def test_a_nested_scope_keeps_the_outer_units_tables():
 
 
 def test_a_nested_scope_keeps_the_walk_plan():
-    # The plan set beside the unit's scope stays in force across a nested
-    # scope, so the second sum of the group reads the first one's walk.
+    # The plan made inside the unit stays in force across a nested scope, so
+    # the second sum of the group reads the first one's walk; it ends with
+    # the unit, like every other unit table.
     ring = prime_power(101, 1)
-    with unit_scope(), harmonic._walk_plan(101, catalog._walk_groups(("ii.r1s1", "ii.r1s2"))):
+    with unit_scope():
+        harmonic._plan_walks(101, catalog._walk_groups(("ii.r1s1", "ii.r1s2")))
         harmonic.mhs(100, (1, 1), ring)
         with unit_scope():
             pass
@@ -981,6 +1016,7 @@ def test_a_nested_scope_keeps_the_walk_plan():
         info = harmonic._group_sums.cache_info()
         assert (info.misses, info.hits) == (1, 1), info
     assert not any(info.currsize for info in _tables().values())
+    assert harmonic._unit_plan(101) == {}
 
 
 def _walk_spy(monkeypatch) -> list:
@@ -1025,16 +1061,15 @@ class TestWalkPlan:
 
 
 #: The ``lru_cache`` functions that outlive a unit: the ring constructor (one
-#: small object per (p, k)), the check registry, the harmonic walk plan of
-#: each distinct set of checks, and the O(p^2) Bernoulli and Euler tables,
-#: which only the tests read.
+#: small object per (p, k)), the check registry, and the walk groups of each
+#: distinct set of checks, which hold no value of any prime.  Every table
+#: keyed by a prime, the unit's walk plan and the O(p^2) oracles' included,
+#: is a unit table.
 LONG_LIVED_CACHES = {
     "congrlab.modring.prime_power",
     "congrlab.catalog.builtin_checks",
     "congrlab.catalog._registry",
     "congrlab.catalog._walk_groups",
-    "congrlab.specialnum.bernoulli_table",
-    "congrlab.specialnum.euler_numbers",
 }
 
 

@@ -8,7 +8,9 @@ module's ``__all__``, ``__init__.py``'s included, is defined or imported at
 that module's top level, and every public module-level function or class is
 in its module's ``__all__``.  The ``_private`` names that one module reads
 from another are pinned, so new coupling to another module's layout comes
-with a stated reason.
+with a stated reason.  So is the package's module-level state: every
+``global`` statement, and every module-level name bound to a mutable
+container.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ PRIVATE_READS = {
     "binomsums.py": {"harmonic._powers"},
     "catalog.py": {
         "binomsums._dot", "binomsums._odd_powers", "harmonic._mhs_mod", "harmonic._odd_mhs_mod",
-        "harmonic._walk_plan",
+        "harmonic._plan_walks",
         "sequences._fibonacci_quotient",
     },
     "cli.py": {"catalog._repeated_value"},
@@ -165,6 +167,85 @@ def test_the_guard_sees_a_planted_private_read():
         "    return h._powers(ring, 1), h.mhs, modring.__name__, os._exit, _MR_BASES\n"
     )
     assert private_reads(tree) == {"harmonic._powers", "modring._MR_BASES"}
+
+
+def global_statements(tree: ast.Module) -> set[str]:
+    """Each name that a ``global`` statement rebinds, as "f.x" for a
+    statement in the function (or class) f that holds it innermost."""
+    out = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Global):
+                out.update(f"{scope}.{name}" for name in child.names)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if named else scope)
+
+    visit(tree, "<module>")
+    return out
+
+
+_CONTAINERS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def _mutable(value: ast.AST | None) -> bool:
+    """Whether ``value`` builds a list, dict or set: a display, a
+    comprehension or a call of the constructor."""
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+        return value.func.id in {"list", "dict", "set"}
+    return isinstance(value, _CONTAINERS)
+
+
+def mutable_module_names(tree: ast.Module) -> set[str]:
+    """The module-level names other than ``__all__`` bound to a new list,
+    dict or set, also through a tuple assignment."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            pairs = [(target, node.value) for target in node.targets]
+        elif isinstance(node, ast.AnnAssign):
+            pairs = [(node.target, node.value)]
+        else:
+            continue
+        while pairs:
+            target, value = pairs.pop()
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs.extend(zip(target.elts, value.elts))
+            elif isinstance(target, ast.Name) and target.id != "__all__" and _mutable(value):
+                out.add(target.id)
+    return out
+
+
+#: The package's module-level state.  ``unit_scope`` alone rebinds a module
+#: global, whether a unit is open; the list of unit tables grows once per
+#: kernel at import; and the report writers are a fixed table by format.
+GLOBAL_STATEMENTS = {"modring.py": {"unit_scope._memoizing"}}
+MUTABLE_MODULE_NAMES = {"modring.py": {"_UNIT_TABLES"}, "cli.py": {"_WRITERS"}}
+
+
+def test_module_level_state_is_pinned():
+    trees = _trees()
+    rebound = {name: global_statements(tree) for name, tree in trees.items()}
+    assert {name: found for name, found in rebound.items() if found} == GLOBAL_STATEMENTS
+    mutable = {name: mutable_module_names(tree) for name, tree in trees.items()}
+    assert {name: found for name, found in mutable.items() if found} == MUTABLE_MODULE_NAMES
+
+
+def test_the_guard_sees_planted_module_state():
+    tree = ast.parse(
+        "__all__ = ['f']\n"
+        "_plan: dict = {}\n"
+        "_SEEN, _N = set(), 0\n"
+        "_ROWS = [x for x in range(3)]\n"
+        "_BASES, _ONE = (2, 3), frozenset({1})\n"
+        "def f(p):\n"
+        "    global _plan\n"
+        "    _plan = {p: []}\n"
+        "    local = {}\n"
+        "    return local\n"
+    )
+    assert global_statements(tree) == {"f._plan"}
+    assert mutable_module_names(tree) == {"_plan", "_SEEN", "_ROWS"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
