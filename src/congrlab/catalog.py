@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from collections import namedtuple
+from collections.abc import Iterator
 from fnmatch import fnmatchcase
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -92,8 +93,7 @@ DEFAULT_T_PANEL: tuple[Fraction, ...] = tuple(
 class CongruenceCheck(
     namedtuple(
         "CongruenceCheck",
-        "id description statement target_exponent evaluator"
-        " min_prime excluded_primes prime_cap",
+        "id statement target_exponent evaluator min_prime excluded_primes prime_cap",
         defaults=(3, frozenset(), None),
     )
 ):
@@ -101,14 +101,16 @@ class CongruenceCheck(
 
     A named tuple, like `CheckResult`, so that no start-up pays for importing
     ``dataclasses`` (with ``inspect``, ``ast`` and ``dis``).  Fields: ``id``,
-    ``description``, ``statement``, ``target_exponent``, ``evaluator`` (a
-    callable (ring, t) -> (lhs, rhs), both sides residues of ``ring`` =
-    Z/p^k, with t None for a check without a panel; the sweep passes
-    k = target_exponent, and k sets only the precision of the sides; for a
-    registered check a `ClosedForm`, a `PerT` of one, or S5.conbin's own),
-    ``min_prime`` (3), ``excluded_primes`` (empty frozenset) and
-    ``prime_cap`` (None).  A check runs at each panel value t exactly when
-    its evaluator is a `PerT`, which ``uses_t_panel`` reads.
+    ``statement`` (the congruence as text, its lhs first and its modulus
+    last, as ``--list-checks`` prints it), ``target_exponent``,
+    ``evaluator`` (a callable (ring, t) -> (lhs, rhs), both sides residues
+    of ``ring`` = Z/p^k, with t None for a check without a panel; the sweep
+    passes k = target_exponent, and k sets only the precision of the sides;
+    for a registered check a `ClosedForm`, a `PerT` of one, or S5.conbin's
+    own), ``min_prime`` (3), ``excluded_primes`` (a frozenset, empty) and
+    ``prime_cap`` (None, or the largest prime a sweep runs without
+    ``no_cap``).  A check runs at each panel value t exactly when its
+    evaluator is a `PerT`, which ``uses_t_panel`` reads.
     """
 
     __slots__ = ()
@@ -120,13 +122,15 @@ class CongruenceCheck(
 
 
 class IdentityCheck(
-    namedtuple("IdentityCheck", "id description statement cases evaluator")
+    namedtuple("IdentityCheck", "id statement cases evaluator")
 ):
     """An exact identity verified over a fixed finite parameter family.
 
-    A named tuple with fields ``id``, ``description``, ``statement``,
-    ``cases`` (a tuple of parameter tuples, each of (name, value) pairs) and
-    ``evaluator`` (a callable (params: dict) -> (lhs, rhs)).
+    A named tuple with fields ``id``, ``statement``, ``cases`` (a tuple of
+    parameter tuples, each of (name, value) pairs) and ``evaluator``.  The
+    evaluator takes a case's parameters by name, evaluator(**dict(case)) ->
+    (lhs, rhs), so a case whose names differ from the evaluator's grades as
+    a ``TypeError`` ERROR row.
     """
 
     __slots__ = ()
@@ -414,8 +418,7 @@ def _eval_binomial_ratio_expansion(ring: PrimePower, t):
 # identity evaluators
 
 
-def _ident_odd_vs_even_depth1(params):
-    n, r = params["n"], params["r"]
+def _ident_odd_vs_even_depth1(n, r):
     lhs = odd_mhs(n, (r,))
     rhs = mhs(2 * n, (r,)) - mhs(n, (r,)) * Fraction(1, 2**r)
     return lhs, rhs
@@ -425,8 +428,7 @@ def _wz_weight(n: int, k: int) -> Fraction:
     return Fraction((-16) ** k * comb(n + k, 2 * k), comb(2 * k, k))
 
 
-def _ident_wz_first(params):
-    n = params["n"]
+def _ident_wz_first(n):
     lhs = sum(
         (_wz_weight(n, k) * Fraction(1, 2 * k + 1) for k in range(n + 1)),
         Fraction(0),
@@ -436,8 +438,7 @@ def _ident_wz_first(params):
     return lhs, rhs
 
 
-def _ident_wz_second(params):
-    n = params["n"]
+def _ident_wz_second(n):
     lhs = sum(
         (_wz_weight(n, k) * Fraction(1, (2 * k + 1) ** 2) for k in range(n + 1)),
         Fraction(0),
@@ -461,14 +462,12 @@ def _odd_ratio_product(n: int, k: int) -> Fraction:
     return out
 
 
-def _ident_product_mhs_forms(params):
-    n, k = params["n"], params["k"]
+def _ident_product_mhs_forms(n, k):
     prodform = _odd_ratio_product(n, k)
     return (_wz_weight(n, k), prodform), (prodform, _hbar_series(k, 2 * n + 1, k))
 
 
-def _ident_w_expansion_odd_weights(params):
-    n = params["n"]
+def _ident_w_expansion_odd_weights(n):
     tvar, one = Poly([0, 1]), Poly([1])
     lhs = (w_value(n, one - tvar * 8) - (tvar * -16) ** n).scale(
         Fraction(1, 2 * n + 1)
@@ -477,15 +476,13 @@ def _ident_w_expansion_odd_weights(params):
     return lhs, Poly(coeffs)
 
 
-def _ident_w_hypergeometric(params):
-    n = params["n"]
+def _ident_w_hypergeometric(n):
     tvar, one = Poly([0, 1]), Poly([1])
     lhs = w_value(n, tvar * 8 - one).scale(Fraction(_neg_one_pow(n)))
     return lhs, Poly([comb(2 * k, k) * _odd_ratio_product(n, k) for k in range(n + 1)])
 
 
-def _ident_integral_w_odd(params):
-    n = params["n"]
+def _ident_integral_w_odd(n):
     tvar, one = Poly([0, 1]), Poly([1])
     arg = one - (tvar * tvar).scale(Fraction(1, 2))
     lhs = w_value(n, arg).integrate_from_zero()
@@ -497,8 +494,7 @@ def _ident_integral_w_odd(params):
     return lhs, rhs
 
 
-def _ident_integral_w_even(params):
-    n = params["n"]
+def _ident_integral_w_even(n):
     tvar, one = Poly([0, 1]), Poly([1])
     arg = (tvar * tvar).scale(Fraction(1, 2)) - one
     numerator = w_value(n, arg).scale(Fraction(_neg_one_pow(n))) - one
@@ -511,18 +507,16 @@ def _ident_integral_w_even(params):
     return lhs, rhs
 
 
-def _ident_w_from_u(params):
-    n = params["n"]
+def _ident_w_from_u(n):
     xvar, one = Poly([0, 1]), Poly([1])
     us = lucas_u_upto(n + 1, xvar * 2, one)
     return w_value(n, xvar), us[n + 1] + us[n]
 
 
-def _ident_apery_like(params):
+def _ident_apery_like(n, r):
     """S5.idodd (r odd) and S5.ideven (r even), with h = (r-1)//2: the parity
     picks the base of the binomial weight, the power of 1/(2k+1) on the
     Hbar_k({2}^h) term and the sign s, whose powers alternate the odd sums."""
-    n, r = params["n"], params["r"]
     h = (r - 1) // 2
     base, power, s = (16, 1, -1) if r % 2 else (-16, 2, 1)
     sign = Fraction(_neg_one_pow(h), 4)
@@ -537,8 +531,7 @@ def _ident_apery_like(params):
     return lhs, rhs + sign * tail
 
 
-def _ident_w_golden_pair(params):
-    p = params["p"]
+def _ident_w_golden_pair(p):
     n = (p - 1) // 2
     phi_plus = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
     phi_minus = QuadExt(Fraction(1, 2), Fraction(-1, 2), 5)
@@ -554,8 +547,7 @@ def _ident_w_golden_pair(params):
     return lhs, rhs
 
 
-def _ident_w_special_values(params):
-    p = params["p"]
+def _ident_w_special_values(p):
     n = (p - 1) // 2
     lhs = (
         w_value(n, Fraction(0)),
@@ -577,162 +569,129 @@ def _ident_w_special_values(params):
 # registry
 
 
-def _congruence_checks() -> list[CongruenceCheck]:
-    checks: list[CongruenceCheck] = []
-
-    def add(cid, desc, stmt, target, ev, *, minp=3, excl=(), cap=None):
-        checks.append(
-            CongruenceCheck(
-                id=cid,
-                description=desc,
-                statement=stmt,
-                target_exponent=target,
-                evaluator=ev,
-                min_prime=minp,
-                excluded_primes=frozenset(excl),
-                prime_cap=cap,
-            )
-        )
-
+def _congruence_checks() -> Iterator[CongruenceCheck]:
     def fermat(a):  # q_p(a) mod p^k, with fermat_quotient looked up at call time
         return lambda p, k: fermat_quotient(a, p, k)
 
     for r in (1, 3, 5):
         coeff = Fraction(-r * (r + 1), 2 * (r + 2))
-        add(
+        yield CongruenceCheck(
             f"i.odd.r{r}",
-            f"full harmonic sum of weight {r} against a Bernoulli multiple of p^2",
             f"H_(p-1)({r}) = -{r}*{r + 1}/(2*{r + 2}) * p^2 * B(p-{r + 2})  (mod p^3)",
-            3, _eval_mhs_bernoulli(False, (r,), 0, coeff, 2), minp=r + 3,
+            3, _eval_mhs_bernoulli(False, (r,), 0, coeff, 2), min_prime=r + 3,
         )
     for r in (2, 4, 6):
         coeff = Fraction(r, r + 1)
-        add(
+        yield CongruenceCheck(
             f"i.even.r{r}",
-            f"full harmonic sum of weight {r} against a Bernoulli multiple of p",
             f"H_(p-1)({r}) = {r}/{r + 1} * p * B(p-{r + 1})  (mod p^2)",
-            2, _eval_mhs_bernoulli(False, (r,), 0, coeff, 1), minp=r + 3,
+            2, _eval_mhs_bernoulli(False, (r,), 0, coeff, 1), min_prime=r + 3,
         )
     for w in range(2, 7):
         for s in range(1, w):
             r = w - s
             coeff = Fraction((-1) ** s * comb(w, s), w)
-            add(
+            yield CongruenceCheck(
                 f"ii.r{r}s{s}",
-                f"depth-2 harmonic sum of weight ({r},{s}) against a Bernoulli value",
                 f"H_(p-1)({r},{s}) = (-1)^{s}/{w} * C({w},{s}) * B(p-{w})  (mod p)",
-                1, _eval_mhs_bernoulli(False, (r, s), 0, coeff, 0), minp=w + 1,
+                1, _eval_mhs_bernoulli(False, (r, s), 0, coeff, 0), min_prime=w + 1,
             )
     for w in (3, 5, 7):
         for r in range(1, w - 1):
             for s in range(1, w - r):
                 u = w - r - s
                 coeff = Fraction((-1) ** r * comb(w, r) - (-1) ** u * comb(w, u), 2 * w)
-                add(
+                yield CongruenceCheck(
                     f"iii.r{r}s{s}t{u}",
-                    f"depth-3 harmonic sum of weight ({r},{s},{u}) against a Bernoulli value",
                     f"H_(p-1)({r},{s},{u}) = [(-1)^{r}*C({w},{r}) - (-1)^{u}*C({w},{u})]/(2*{w}) * B(p-{w})  (mod p)",
-                    1, _eval_mhs_bernoulli(False, (r, s, u), 0, coeff, 0), minp=w + 1,
+                    1, _eval_mhs_bernoulli(False, (r, s, u), 0, coeff, 0), min_prime=w + 1,
                 )
-    add(
+    yield CongruenceCheck(
         "iv.h1",
-        "weight-1 full harmonic sum expanded through weights 2 and 3",
         "H_(p-1)(1) = -p/2*H_(p-1)(2) - p^2/6*H_(p-1)(3)  (mod p^5)",
         5, ClosedForm((Harmonic(1, 0, (1,), half=False),), (
             Harmonic(Fraction(-1, 2), 1, (2,), half=False),
             Harmonic(Fraction(-1, 6), 2, (3,), half=False),
-        )), minp=7,
+        )), min_prime=7,
     )
-    add(
+    yield CongruenceCheck(
         "v.h12",
-        "depth-2 (1,2) sum against the p-divided weight-1 sum",
         "H_(p-1)(1,2) = -3*H_(p-1)(1)/p^2 + p^2/2*B(p-5)  (mod p^3)",
-        3, _eval_mhs_bernoulli(False, (1, 2), -3, Fraction(1, 2), 2), minp=7,
+        3, _eval_mhs_bernoulli(False, (1, 2), -3, Fraction(1, 2), 2), min_prime=7,
     )
-    add(
+    yield CongruenceCheck(
         "vi.1",
-        "half-range weight-1 sum against Fermat-quotient powers",
         "H_n(1) = -2*q + p*q^2 - p^2*(2/3*q^3 + 7/12*B(p-3)), q = q_p(2), n = (p-1)/2  (mod p^3)",
         3, ClosedForm((Harmonic(1, 0, (1,)),), (
             QuotientPoly(fermat(2), 1, (-2, 1, Fraction(-2, 3))), ModP(Fraction(-7, 12), 2, _bernoulli_p(3)),
-        )), minp=7,
+        )), min_prime=7,
     )
     for r in (2, 4):
         coeff = Fraction(r * (2 ** (r + 1) - 1), 2 * (r + 1))
-        add(
+        yield CongruenceCheck(
             f"vi.even.r{r}",
-            f"half-range weight-{r} sum against a Bernoulli multiple of p",
             f"H_n({r}) = {r}*(2^{r + 1}-1)/(2*{r + 1}) * p * B(p-{r + 1})  (mod p^2)",
-            2, _eval_mhs_bernoulli(True, (r,), 0, coeff, 1), minp=r + 5,
+            2, _eval_mhs_bernoulli(True, (r,), 0, coeff, 1), min_prime=r + 5,
         )
     for r in (3, 5):
         coeff = Fraction(-(2**r - 2), r)
-        add(
+        yield CongruenceCheck(
             f"vi.odd.r{r}",
-            f"half-range weight-{r} sum against a Bernoulli value",
             f"H_n({r}) = -(2^{r}-2)/{r} * B(p-{r})  (mod p)",
-            1, _eval_mhs_bernoulli(True, (r,), 0, coeff, 0), minp=r + 5,
+            1, _eval_mhs_bernoulli(True, (r,), 0, coeff, 0), min_prime=r + 5,
         )
     for r in (1, 2, 3):
         for a in (1, 2, 3):
-            add(
+            yield CongruenceCheck(
                 f"L21.C1.r{r}a{a}",
-                f"full weight-{r} sum from half-range sums through order p^{a}",
                 f"H_(p-1)({r}) = H_n({r}) + (-1)^{r} * sum_k C({r - 1}+k,k)*H_n({r}+k)*p^k, k=0..{a}  (mod p^{a + 1})",
                 a + 1, ClosedForm((Harmonic(1, 0, (r,), half=False),), (
                     Harmonic(1, 0, (r,)),
                     *(Harmonic(_neg_one_pow(r) * comb(r - 1 + j, j), j, (r + j,)) for j in range(a + 1)),
-                )), minp=r + 3,
+                )), min_prime=r + 3,
             )
     for w in (3, 5, 7):
         for s in range(1, w):
             r = w - s
             coeff = Fraction((-1) ** s * comb(w, s) + 2**w - 2, 2 * w)
-            add(
+            yield CongruenceCheck(
                 f"L21.C2.r{r}s{s}",
-                f"half-range depth-2 sum of odd weight ({r},{s}) against a Bernoulli value",
                 f"H_n({r},{s}) = B(p-{w})/(2*{w}) * ((-1)^{s}*C({w},{s}) + 2^{w} - 2)  (mod p)",
-                1, _eval_mhs_bernoulli(True, (r, s), 0, coeff, 0), minp=w + 1,
+                1, _eval_mhs_bernoulli(True, (r, s), 0, coeff, 0), min_prime=w + 1,
             )
-    add(
+    yield CongruenceCheck(
         "T22.zero",
-        "weighted half-range combination of weights 2,3,4 vanishing mod p^4",
         "H_n(2) + 7/6*p*H_n(3) + 5/8*p^2*H_n(4) = 0  (mod p^4)",
         4, ClosedForm((
             Harmonic(1, 0, (2,)), Harmonic(Fraction(7, 6), 1, (3,)), Harmonic(Fraction(5, 8), 2, (4,)),
-        ), ()), minp=5,
+        ), ()), min_prime=5,
     )
-    add(
+    yield CongruenceCheck(
         "C23.a",
-        "full weight-2 sum against the p-divided weight-1 sum",
         "H_(p-1)(2) = -2*H_(p-1)(1)/p + 2/5*p^3*B(p-5)  (mod p^4)",
-        4, _eval_mhs_bernoulli(False, (2,), -2, Fraction(2, 5), 3), minp=7,
+        4, _eval_mhs_bernoulli(False, (2,), -2, Fraction(2, 5), 3), min_prime=7,
     )
-    add(
+    yield CongruenceCheck(
         "C23.b",
-        "half-range weight-2 sum against the p-divided weight-1 sum",
         "H_n(2) = -7*H_(p-1)(1)/p + 17/10*p^3*B(p-5)  (mod p^4)",
-        4, _eval_mhs_bernoulli(True, (2,), -7, Fraction(17, 10), 3), minp=7,
+        4, _eval_mhs_bernoulli(True, (2,), -7, Fraction(17, 10), 3), min_prime=7,
     )
-    add(
+    yield CongruenceCheck(
         "C23.c",
-        "half-range weight-3 sum against the p^2-divided weight-1 sum",
         "H_n(3) = 6*H_(p-1)(1)/p^2 - 81/10*p^2*B(p-5)  (mod p^3)",
-        3, _eval_mhs_bernoulli(True, (3,), 6, Fraction(-81, 10), 2), minp=7,
+        3, _eval_mhs_bernoulli(True, (3,), 6, Fraction(-81, 10), 2), min_prime=7,
     )
-    add(
+    yield CongruenceCheck(
         "C23.d",
-        "half-range (1,2) and (1,3) sums against the p^2-divided weight-1 sum",
         "H_n(1,2) + p*H_n(1,3) = -9/2*H_(p-1)(1)/p^2 - 49/20*p^2*B(p-5)  (mod p^3)",
         3, ClosedForm((Harmonic(1, 0, (1, 2)), Harmonic(1, 1, (1, 3))), (
             Harmonic(Fraction(-9, 2), -2, (1,), half=False), ModP(Fraction(-49, 20), 2, _bernoulli_p(5)),
-        )), minp=7,
+        )), min_prime=7,
     )
     for r in (1, 2, 3):
         for s in (1, 2, 3):
-            add(
+            yield CongruenceCheck(
                 f"L25.r{r}s{s}",
-                f"odd-index depth-2 sum ({r},{s}) from reversed half-range sums",
                 f"Hbar_n({r},{s}) = (-2)^-{r + s} * [H_n({s},{r}) + p/2*({r}*H_n({s},{r + 1}) + {s}*H_n({s + 1},{r})) + p^2/4*(...)]  (mod p^3)",
                 3, ClosedForm((Harmonic(1, 0, (r, s), odd=True),), tuple(
                     Harmonic(Fraction(c, (-2) ** (r + s)), e, comp) for c, e, comp in (
@@ -742,11 +701,10 @@ def _congruence_checks() -> list[CongruenceCheck]:
                         (Fraction(r * s, 4), 2, (s + 1, r + 1)),
                         (Fraction(comb(s + 1, 2), 4), 2, (s + 2, r)),
                     )
-                )), minp=3,
+                )),
             )
-    add(
+    yield CongruenceCheck(
         "L26.alts",
-        "alternating odd-denominator sum expanded in odd-index harmonic sums",
         "2*(-1)^n*sum((-1)^k/(2k+1)) = Hbar(1) - p*Hbar(2) - p^2*Hbar(2,1) + p^3*Hbar(2,2) + p^4*Hbar(2,2,1)  (mod p^5)",
         5, ClosedForm((
             lambda ring: alternating_half_sum((ring.p - 1) // 2, 1, ring) * (2 * _sign_minus(ring.p)),
@@ -754,11 +712,10 @@ def _congruence_checks() -> list[CongruenceCheck]:
             Harmonic(1, 0, (1,), odd=True), Harmonic(-1, 1, (2,), odd=True),
             Harmonic(-1, 2, (2, 1), odd=True), Harmonic(1, 3, (2, 2), odd=True),
             Harmonic(1, 4, (2, 2, 1), odd=True),
-        )), minp=7,
+        )), min_prime=7,
     )
-    add(
+    yield CongruenceCheck(
         "C27.morley",
-        "central binomial coefficient over 4^(p-1) to sixth order",
         "(-1)^n/4^(p-1)*C(p-1,n) = 1 - p/4*H_(p-1)(1) - p^5/80*B(p-5)  (mod p^6)",
         6, ClosedForm((lambda ring: (
             ring.from_int(central_binomials(ring)[(ring.p - 1) // 2]) * _sign_minus(ring.p)
@@ -766,27 +723,24 @@ def _congruence_checks() -> list[CongruenceCheck]:
         ),), (
             PrimePower.one, Harmonic(Fraction(-1, 4), 1, (1,), half=False),
             ModP(Fraction(-1, 80), 5, _bernoulli_p(5)),
-        )), minp=7,
+        )), min_prime=7,
     )
-    add(
+    yield CongruenceCheck(
         "L31.A2",
-        "weighted central binomial sum with inner weight Hbar_k(2) against a v-series",
         "sum C(2k,k)t^k Hbar_k(2)/(2k+1) = 1/64*(-1/t)^((p+1)/2) * sum v_k(2-16t)/k^3  (mod p)",
         1, PerT(lambda t: ClosedForm(
             (lambda ring: weighted_sums(t, ring)[0],), (ModP(1, 0, lambda p: _uv_term("v", t, p)),),
-        )), minp=5,
+        )), min_prime=5,
     )
-    add(
+    yield CongruenceCheck(
         "L31.A3",
-        "weighted central binomial sum with inner weight Hbar_k(2) against a u-series",
         "sum C(2k,k)t^k Hbar_k(2) = 1/2*(-1/t)^((p-1)/2) * sum u_k(2-16t)/k^2  (mod p)",
         1, PerT(lambda t: ClosedForm(
             (lambda ring: weighted_sums(t, ring)[1],), (ModP(1, 0, lambda p: _uv_term("u", t, p)),),
-        )), minp=5,
+        )), min_prime=5,
     )
-    add(
+    yield CongruenceCheck(
         "T32.first",
-        "odd-denominator central binomial sum against a w-value to third order",
         "sum C(2k,k)t^k/(2k+1) = [w_n(1-8t) - (-16t)^n]/p + p^2/64*(-1/t)^((p+1)/2)*sum v_k(2-16t)/k^3  (mod p^3)",
         3, PerT(lambda t: ClosedForm((lambda ring: s1(t, 0, ring),), (
             OverP(1, lambda ring: (
@@ -794,303 +748,256 @@ def _congruence_checks() -> list[CongruenceCheck]:
                 - (-16 * ring.from_fraction(t)) ** ((ring.p - 1) // 2)
             )),
             ModP(1, 2, lambda p: _uv_term("v", t, p)),
-        ))), minp=5,
+        ))), min_prime=5,
     )
-    add(
+    yield CongruenceCheck(
         "T32.second",
-        "plain central binomial sum against a w-value to third order",
         "(-1)^n sum C(2k,k)t^k = w_n(8t-1) + p^2/(2t^n)*sum u_k(2-16t)/k^2  (mod p^3)",
         3, PerT(lambda t: ClosedForm((lambda ring: (ring.one() + s2(t, 0, ring)) * _sign_minus(ring.p),), (
             lambda ring: w_value_mod((ring.p - 1) // 2, 8 * ring.from_fraction(t) - 1, ring),
             ModP(1, 2, lambda p: _uv_term("u", t, p), sign=_sign_minus),
-        ))), minp=5,
+        ))), min_prime=5,
     )
-    add(
+    yield CongruenceCheck(
         "T34.first",
-        "squared-denominator central binomial sum against odd-index v-values",
         "sum C(2k,k)(t/4)^(2k)/(2k+1)^2 = (-1)^n*(v_p(t)-t^p)/(t*p^2) + 2/(t*p)*sum (-1)^k v_(2k+1)(t)/(2k+1)  (mod p^2)",
         2, PerT(lambda t: ClosedForm(
             (lambda ring: s1((ring.from_fraction(t) ** 2 / 16).value, 1, ring),), (OverP(2, lambda ring: _v_p_term(t, ring)),),
-        )), minp=3,
+        )),
     )
-    add(
+    yield CongruenceCheck(
         "T34.second",
-        "k-divided central binomial sum against even-index v-values",
         "sum C(2k,k)(t/4)^(2k)/k = 4*q_p(2) - 2p*q_p(2)^2 + sum (-1)^k v_(2k)(t)/k  (mod p^2)",
         2, PerT(lambda t: ClosedForm((lambda ring: s2((ring.from_fraction(t) ** 2 / 16).value, 1, ring),), (
             QuotientPoly(fermat(2), 1, (4, -2)), lambda ring: alternating_v_sum(t, False, ring),
-        ))), minp=3,
+        ))),
     )
-    add(
+    yield CongruenceCheck(
         "C41.a",
-        "odd-denominator central binomial sum at t=1/4",
         "s1(1/4) = (-1)^((p+1)/2)*(q_p(2) - p^2/16*B(p-3))  (mod p^3)",
         3, ClosedForm((lambda ring, u=Fraction(1, 4): s1(u, 0, ring),), (
             QuotientPoly(fermat(2), 1, (1,)), ModP(Fraction(-1, 16), 2, _bernoulli_p(3)),
-        ), sign=_sign_plus), minp=5,
+        ), sign=_sign_plus), min_prime=5,
     )
-    add(
+    yield CongruenceCheck(
         "C41.b",
-        "odd-denominator central binomial sum at t=1/16",
         "s1(1/16) = (-1)^((p+1)/2)/36*p^2*B(p-3)  (mod p^3)",
         3, ClosedForm(
             (lambda ring, u=Fraction(1, 16): s1(u, 0, ring),),
             (ModP(Fraction(1, 36), 2, _bernoulli_p(3)),), sign=_sign_plus,
-        ), minp=5,
+        ), min_prime=5,
     )
-    add(
+    yield CongruenceCheck(
         "C41.c",
-        "odd-denominator central binomial sum at t=1/8",
         "s1(1/8) = (-1)^((p+1)/2)*(2|p)*[q/2 - p/8*q^2 + p^2/16*(q^3 - B(p-3)/8)]  (mod p^3)",
         3, ClosedForm((lambda ring, u=Fraction(1, 8): s1(u, 0, ring),), (
             QuotientPoly(fermat(2), 1, (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))),
             ModP(Fraction(-1, 128), 2, _bernoulli_p(3)),
-        ), sign=lambda p: _sign_plus(p) * legendre(2, p)), minp=5,
+        ), sign=lambda p: _sign_plus(p) * legendre(2, p)), min_prime=5,
     )
-    add(
+    yield CongruenceCheck(
         "C41.d",
-        "odd-denominator central binomial sum at t=3/16",
         "s1(3/16) = (-1)^((p+1)/2)*(3|p)*[q3/2 - p/8*q3^2 + p^2*(q3^3/16 - B(p-3)/27)]  (mod p^3)",
         3, ClosedForm((lambda ring, u=Fraction(3, 16): s1(u, 0, ring),), (
             QuotientPoly(fermat(3), 1, (Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))),
             ModP(Fraction(-1, 27), 2, _bernoulli_p(3)),
-        ), sign=lambda p: _sign_plus(p) * legendre(3, p)), minp=5,
+        ), sign=lambda p: _sign_plus(p) * legendre(3, p)), min_prime=5,
     )
-    add(
+    yield CongruenceCheck(
         "C41.e",
-        "odd-denominator central binomial sum at t=-1/32",
         "s1(-1/32) = (2|p)*[2q - p*q^2 + p^2/3*(2q^3 - 7/32*B(p-3))]  (mod p^3)",
         3, ClosedForm((lambda ring, u=Fraction(-1, 32): s1(u, 0, ring),), (
             QuotientPoly(fermat(2), 1, (2, -1, Fraction(2, 3))), ModP(Fraction(-7, 96), 2, _bernoulli_p(3)),
-        ), sign=partial(legendre, 2)), minp=5,
+        ), sign=partial(legendre, 2)), min_prime=5,
     )
-    add(
+    yield CongruenceCheck(
         "C41.f",
-        "odd-denominator central binomial sum at t=-1/16 against the Lucas quotient",
         "s1(-1/16) = q_L - p^2/15*(q_L^3/2 + B(p-3)), q_L = (L_p-1)/p  (mod p^3)",
         3, ClosedForm((lambda ring, u=Fraction(-1, 16): s1(u, 0, ring),), (
             QuotientPoly(lucas_quotient, 1, (1, 0, Fraction(-1, 30))),
             ModP(Fraction(-1, 15), 2, _bernoulli_p(3)),
-        )), minp=7,
+        )), min_prime=7,
     )
-    add(
+    yield CongruenceCheck(
         "C42.a",
-        "plain central binomial sum at t=1/16 against a Bernoulli polynomial value",
         "sum_(k<=n) C(2k,k)/16^k = (3|p) + (-1|p)*p^2/24*B_(p-2)(1/3)  (mod p^3)",
         3, ClosedForm((lambda ring, u=Fraction(1, 16): ring.one() + s2(u, 0, ring),), (
             lambda ring: ring.from_int(legendre(3, ring.p)),
             ModP(Fraction(1, 24), 2, lambda p: bernoulli_third(p), sign=_sign_minus),
-        )), minp=5, cap=600,
+        )), min_prime=5, prime_cap=600,
     )
-    add(
+    yield CongruenceCheck(
         "C42.b",
-        "plain central binomial sum at t=3/16 against a Bernoulli polynomial value",
         "sum_(k<=n) C(2k,k)(3/16)^k = 1 + (-3|p)*p^2/12*B_(p-2)(1/3)  (mod p^3)",
         3, ClosedForm((lambda ring, u=Fraction(3, 16): ring.one() + s2(u, 0, ring),), (
             PrimePower.one,
             ModP(Fraction(1, 12), 2, lambda p: bernoulli_third(p), sign=lambda p: legendre(-3, p)),
-        )), minp=5, cap=600,
+        )), min_prime=5, prime_cap=600,
     )
-    add(
+    yield CongruenceCheck(
         "T43.F",
-        "Fibonacci-weighted central binomial sum against the Fibonacci quotient",
         "sum C(2k,k)F_(2k+1)/((2k+1)16^k) = (-1)^((p+1)/2)*(F_p - (p|5))/p  (mod p^2)",
         2, ClosedForm(
             (lambda ring: fib_lucas_sum("F", ring),), (QuotientPoly(_fibonacci_quotient, 1, (1,)),),
             sign=_sign_plus,
-        ), minp=3, excl=(5,),
+        ), excluded_primes=frozenset({5}),
     )
-    add(
+    yield CongruenceCheck(
         "T43.L",
-        "Lucas-weighted central binomial sum against the Lucas quotient",
         "sum C(2k,k)L_(2k+1)/((2k+1)16^k) = (-1)^((p+1)/2)*(L_p - 1)/p  (mod p^2)",
         2, ClosedForm(
             (lambda ring: fib_lucas_sum("L", ring),), (QuotientPoly(lucas_quotient, 1, (1,)),),
             sign=_sign_plus,
-        ), minp=3, excl=(5,),
+        ), excluded_primes=frozenset({5}),
     )
-    add(
+    yield CongruenceCheck(
         "C45.a",
-        "squared-denominator central binomial sum at t=1/4",
         "sum C(2k,k)/((2k+1)^2*4^k) = (-1)^((p+1)/2)*(q^2/2 - p*q^3/3 - p/16*B(p-3))  (mod p^2)",
         2, ClosedForm((lambda ring, u=Fraction(1, 4): s1(u, 1, ring),), (
             QuotientPoly(fermat(2), 2, (Fraction(1, 2), Fraction(-1, 3))),
             ModP(Fraction(-1, 16), 1, _bernoulli_p(3)),
-        ), sign=_sign_plus), minp=5,
+        ), sign=_sign_plus), min_prime=5,
     )
-    add(
+    yield CongruenceCheck(
         "C45.b",
-        "k-divided central binomial sum at t=1/4 against an Euler number",
         "sum C(2k,k)/(k*4^k) = 2q - p*q^2 + (-1)^((p+1)/2)*2p*E(p-3)  (mod p^2)",
         2, ClosedForm((lambda ring, u=Fraction(1, 4): s2(u, 1, ring),), (
             QuotientPoly(fermat(2), 1, (2, -1)),
             ModP(2, 1, lambda p: euler_number(p - 3, p), sign=_sign_plus),
-        )), minp=3,
+        )),
     )
-    add(
+    yield CongruenceCheck(
         "TM.mc1",
-        "odd-denominator central binomial sum at t=1/16 to fifth order",
         "s1(1/16) = (-1)^n*(H_(p-1)(1)/12 + 3/160*p^4*B(p-5))  (mod p^5)",
         5, ClosedForm((lambda ring, u=Fraction(1, 16): s1(u, 0, ring),), (
             Harmonic(Fraction(1, 12), 0, (1,), half=False), ModP(Fraction(3, 160), 4, _bernoulli_p(5)),
-        ), sign=_sign_minus), minp=7,
+        ), sign=_sign_minus), min_prime=7,
     )
-    add(
+    yield CongruenceCheck(
         "TM.mc2",
-        "squared-denominator central binomial sum at t=-1/16 to fourth order",
         "s1(-1/16, squared) = H_(p-1)(1)/(5p) + 7/200*p^3*B(p-5)  (mod p^4)",
         4, ClosedForm((lambda ring, u=Fraction(-1, 16): s1(u, 1, ring),), (
             Harmonic(Fraction(1, 5), -1, (1,), half=False), ModP(Fraction(7, 200), 3, _bernoulli_p(5)),
-        )), minp=7,
+        )), min_prime=7,
     )
-    add(
+    yield CongruenceCheck(
         "C52.weighted",
-        "Hbar(2)-weighted central binomial sum at t=1/16 against the divided weight-1 sum",
         "sum C(2k,k)Hbar_k(2)/(16^k(2k+1)) = (-1)^n*H_(p-1)(1)/(12p^2)  (mod p^2)",
         2, ClosedForm(
             (lambda ring, u=Fraction(1, 16): weighted_sums(u, ring)[0],),
             (Harmonic(Fraction(1, 12), -2, (1,), half=False),), sign=_sign_minus,
-        ), minp=7,
+        ), min_prime=7,
     )
     for a in (2, 3, 5):
-        add(
+        yield CongruenceCheck(
             f"eq11.a{a}",
-            f"refined Euler criterion for a={a} to fourth order",
             f"{a}^((p-1)/2) = ({a}|p)*(1 + p/2*q - p^2/8*q^2 + p^3/16*q^3), q = q_p({a})  (mod p^4)",
             4, ClosedForm(
                 (lambda ring, a=a: ring.from_int(a) ** ((ring.p - 1) // 2),),
                 (QuotientPoly(fermat(a), 0, (1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16))),),
                 sign=partial(legendre, a),
-            ), minp=3,
-            excl=(a,) if a != 2 else (),
+            ), excluded_primes=frozenset({a} - {2}),
         )
-    add(
+    yield CongruenceCheck(
         "rv.squares",
-        "sum of squared central binomials over 16^k",
         "sum_(k<=n) C(2k,k)^2/16^k = (-1)^n  (mod p^2)",
         2, ClosedForm(
             (lambda ring, u=Fraction(1, 16): _dot(ring, central_binomials(ring), binomial_column(u, ring)),),
             (PrimePower.one,), sign=_sign_minus,
-        ), minp=3,
+        ),
     )
-    add(
+    yield CongruenceCheck(
         "S5.conbin",
-        "binomial ratio expanded in odd-index harmonic sums, per index k",
         "C(2k,k)/((-16)^k*C(n+k,2k+1)) = -2*[1 + p/(2k+1) + ... + p^4*(... + Hbar_k(4) + Hbar_k(2,2))]  (mod p^5)",
-        5, _eval_binomial_ratio_expansion, minp=3,
+        5, _eval_binomial_ratio_expansion,
     )
-    return checks
 
 
-def _identity_checks() -> list[IdentityCheck]:
-    checks: list[IdentityCheck] = []
-
-    def add(cid, desc, stmt, cases, ev):
-        checks.append(
-            IdentityCheck(
-                id=cid, description=desc, statement=stmt,
-                cases=tuple(cases), evaluator=ev,
-            )
-        )
-
-    add(
+def _identity_checks() -> Iterator[IdentityCheck]:
+    yield IdentityCheck(
         "L25.exact",
-        "odd-index depth-1 sum from full and half sums",
         "Hbar_n(r) = H_(2n)(r) - H_n(r)/2^r",
-        ((("n", n), ("r", r)) for n in range(1, 41) for r in range(1, 6)),
+        tuple((("n", n), ("r", r)) for n in range(1, 41) for r in range(1, 6)),
         _ident_odd_vs_even_depth1,
     )
-    add(
+    yield IdentityCheck(
         "L26.wz1",
-        "telescoping evaluation of the signed binomial-ratio sum, linear weights",
         "sum (-16)^k*C(n+k,2k)/((2k+1)*C(2k,k)) = 2*(-1)^n*sum (-1)^k/(2k+1) + 1/(2n+1)",
-        ((("n", n),) for n in range(0, 21)),
+        tuple((("n", n),) for n in range(0, 21)),
         _ident_wz_first,
     )
-    add(
+    yield IdentityCheck(
         "L26.wz2",
-        "telescoping evaluation of the signed binomial-ratio sum, squared weights",
         "sum (-16)^k*C(n+k,2k)/((2k+1)^2*C(2k,k)) = 1/(2n+1)^2",
-        ((("n", n),) for n in range(0, 21)),
+        tuple((("n", n),) for n in range(0, 21)),
         _ident_wz_second,
     )
-    add(
+    yield IdentityCheck(
         "CCC.forms",
-        "three expressions for the signed binomial ratio agree",
         "(-16)^k*C(n+k,2k)/C(2k,k) = prod (1-(2n+1)^2/(2j+1)^2) = sum (-1)^j*(2n+1)^(2j)*Hbar_k(2,...,2)",
-        ((("n", n), ("k", k)) for n in range(0, 13) for k in range(0, n + 1)),
+        tuple((("n", n), ("k", k)) for n in range(0, 13) for k in range(0, n + 1)),
         _ident_product_mhs_forms,
     )
-    add(
+    yield IdentityCheck(
         "A.exact",
-        "w-polynomial minus geometric term expanded over central binomials",
         "[w_n(1-8t) - (-16t)^n]/(2n+1) = sum_k C(2k,k)t^k/(2k+1) * sum_j (-1)^j*(2n+1)^(2j)*Hbar_k({2}^j)",
-        ((("n", n),) for n in range(0, 13)),
+        tuple((("n", n),) for n in range(0, 13)),
         _ident_w_expansion_odd_weights,
     )
-    add(
+    yield IdentityCheck(
         "eq15.exact",
-        "hypergeometric expansion of the reflected w-polynomial",
         "(-1)^n*w_n(8t-1) = sum_k C(2k,k)*prod_j(1-(2n+1)^2/(2j-1)^2)*t^k",
-        ((("n", n),) for n in range(0, 13)),
+        tuple((("n", n),) for n in range(0, 13)),
         _ident_w_hypergeometric,
     )
-    add(
+    yield IdentityCheck(
         "P33.intu",
-        "integral of w_n(1-t^2/2) as odd-index v-values",
         "int_0^t w_n(1-x^2/2) dx = 2*sum (-1)^k*v_(2k+1)(t)/(2k+1) + (-1)^n*v_(2n+1)(t)/(2n+1)",
-        ((("n", n),) for n in range(0, 16)),
+        tuple((("n", n),) for n in range(0, 16)),
         _ident_integral_w_odd,
     )
-    add(
+    yield IdentityCheck(
         "P33.intu1",
-        "logarithmic integral of the centered w-polynomial as even-index v-values",
         "int_0^t [(-1)^n*w_n(x^2/2-1) - 1]/x dx = sum (-1)^k*v_(2k)(t)/(2k) - H_n(1)",
-        ((("n", n),) for n in range(0, 16)),
+        tuple((("n", n),) for n in range(0, 16)),
         _ident_integral_w_even,
     )
-    add(
+    yield IdentityCheck(
         "eq08b.exact",
-        "w-polynomial from consecutive u-values at doubled argument",
         "w_n(x) = u_(n+1)(2x) + u_n(2x)",
-        ((("n", n),) for n in range(0, 31)),
+        tuple((("n", n),) for n in range(0, 31)),
         _ident_w_from_u,
     )
-    add(
+    yield IdentityCheck(
         "S5.idodd",
-        "odd-weight rearrangement of central binomial sums with harmonic weights",
         "sum C(2k,k)/16^k*[...] = sum (-1)^k/(2k+1)^r + (-1)^((r-1)/2)/4 * sum C(2k,k)*(-1)^(n-k)*Hbar_k({2}^h)/(16^k*C(n+k,2k+1)*(2k+1))",
-        ((("n", n), ("r", r)) for n in range(1, 13) for r in (1, 3, 5)),
+        tuple((("n", n), ("r", r)) for n in range(1, 13) for r in (1, 3, 5)),
         _ident_apery_like,
     )
-    add(
+    yield IdentityCheck(
         "S5.ideven",
-        "even-weight rearrangement of central binomial sums with harmonic weights",
         "sum C(2k,k)/(-16)^k*[...] = sum 1/(2k+1)^r + (-1)^(r/2-1)/4 * sum C(2k,k)*Hbar_k({2}^h)/((-16)^k*C(n+k,2k+1)*(2k+1)^2)",
-        ((("n", n), ("r", r)) for n in range(1, 13) for r in (2, 4, 6)),
+        tuple((("n", n), ("r", r)) for n in range(1, 13) for r in (2, 4, 6)),
         _ident_apery_like,
     )
-    add(
+    yield IdentityCheck(
         "T43.w1w2",
-        "golden-ratio w-values combine to the quadratic character of p mod 5",
         "phi+*w_n(phi-/2) -+ phi-*w_n(phi+/2) = (-1)^n*(p|5)*sqrt(5), (-1)^n",
-        ((("p", p),) for p in primes_in_range(7, 100)),
+        tuple((("p", p),) for p in primes_in_range(7, 100)),
         _ident_w_golden_pair,
     )
-    add(
+    yield IdentityCheck(
         "eq12.eq13",
-        "closed forms of w_n at 0, -1/2, 1/2, 5/4",
         "w_n(0) = (-1)^n*(2|p); w_n(-1/2) = (-1)^n*(3|p); w_n(1/2) = (-1)^n; w_n(5/4) = 2^((p+1)/2) - 2^((1-p)/2)",
-        ((("p", p),) for p in primes_in_range(5, 500)),
+        tuple((("p", p),) for p in primes_in_range(5, 500)),
         _ident_w_special_values,
     )
-    return checks
 
 
 @lru_cache(maxsize=1)
 def builtin_checks() -> tuple:
     """All registered checks, congruence families first, in stable order."""
-    return tuple(_congruence_checks() + _identity_checks())
+    return (*_congruence_checks(), *_identity_checks())
 
 
 @lru_cache(maxsize=1)
@@ -1114,18 +1021,15 @@ def lookup(check_id: str):
 
 
 def select_checks(patterns) -> list:
-    """Checks whose id equals, glob-matches, or extends any given pattern."""
+    """Checks whose id glob-matches (so also equals) or extends any given
+    pattern."""
     pats = list(patterns)
     if not pats or "all" in pats:
         return list(builtin_checks())
     out = []
     for check in builtin_checks():
         for pat in pats:
-            if (
-                check.id == pat
-                or fnmatchcase(check.id, pat)
-                or check.id.startswith(pat + ".")
-            ):
+            if fnmatchcase(check.id, pat) or check.id.startswith(pat + "."):
                 out.append(check)
                 break
     return out
@@ -1200,7 +1104,7 @@ def run_identity(check: IdentityCheck, params: dict) -> CheckResult:
     """Evaluate one identity instance; equality grades as infinite valuation."""
 
     def evaluate():
-        lhs, rhs = check.evaluator(params)
+        lhs, rhs = check.evaluator(**params)
         return (inf if lhs == rhs else 0), _render_exact(lhs), _render_exact(rhs)
 
     return _graded(check.id, params.get("p"), _render_params(params), inf, evaluate)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import functools
 import importlib
+import inspect
 import itertools
 import json
 import math
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -23,7 +25,9 @@ from congrlab import binomsums, harmonic, modring, sequences, specialnum
 from congrlab.catalog import (
     DEFAULT_T_PANEL,
     CheckResult,
+    ClosedForm,
     CongruenceCheck,
+    Harmonic,
     IdentityCheck,
     Report,
     builtin_checks,
@@ -36,6 +40,35 @@ from congrlab.catalog import (
 from congrlab.errors import MixedModuli, PreconditionViolated
 from congrlab.modring import PrimePower, Residue, prime_power, primes_in_range, unit_scope
 from oracles import harmonic_over_q, records
+
+
+#: One term of a statement's lhs, [c*][p^e*]S(comp): S is H_(p-1), H_n or
+#: Hbar_n, c a positive integer or fraction, and "p*" stands for p^1.
+_LHS_TERM = re.compile(r"(?:(\d+(?:/\d+)?)\*)?(?:(p)(?:\^(\d+))?\*)?(H_\(p-1\)|H_n|Hbar_n)\((\d+(?:,\d+)*)\)")
+
+
+def _stated_lhs(statement: str) -> tuple | None:
+    """The `Harmonic` terms that the lhs of ``statement`` names in turn, or
+    None if one of its terms is not a harmonic sum."""
+    terms = []
+    for text in statement.split(" = ")[0].split(" + "):
+        m = _LHS_TERM.fullmatch(text)
+        if m is None:
+            return None
+        c, p, e, name, comp = m.groups()
+        terms.append(Harmonic(
+            Fraction(c or 1), int(e or 1) if p else 0, tuple(map(int, comp.split(","))),
+            half=name != "H_(p-1)", odd=name == "Hbar_n",
+        ))
+    return tuple(terms)
+
+
+def _harmonic_lhs_checks() -> list:
+    """The congruences whose form's lhs is a sum of `Harmonic` terms."""
+    return [
+        c for c in builtin_checks()
+        if isinstance(c.evaluator, ClosedForm) and all(isinstance(h, Harmonic) for h in c.evaluator.lhs)
+    ]
 
 
 class TestRegistry:
@@ -82,13 +115,49 @@ class TestRegistry:
         ):
             assert want in ids, want
 
-    def test_every_check_has_description_and_statement(self):
+    def test_every_check_has_a_statement(self):
         for c in builtin_checks():
-            assert c.description and c.statement, c.id
+            assert c.statement, c.id
             if c.kind == "congruence":
                 assert 1 <= c.target_exponent <= 8, c.id
             else:
                 assert c.cases, c.id
+
+    def test_statement_states_the_harmonic_lhs_of_its_form(self):
+        # The statement is the one text copy of a check: where the form's lhs
+        # is a harmonic sum, the statement's lhs names its range, parity,
+        # composition, coefficient and power of p, term by term.
+        checks = _harmonic_lhs_checks()
+        assert sum(len(c.evaluator.lhs) == 1 for c in checks) == 83
+        assert {c.id for c in checks if len(c.evaluator.lhs) > 1} == {"T22.zero", "C23.d"}
+        for c in checks:
+            assert _stated_lhs(c.statement) == c.evaluator.lhs, c.id
+
+    def test_a_changed_lhs_or_statement_fails_the_statement_test(self):
+        def lhs_replaced(check, i=0, **fields):
+            lhs = list(check.evaluator.lhs)
+            lhs[i] = lhs[i]._replace(**fields)
+            return check._replace(evaluator=check.evaluator._replace(lhs=tuple(lhs)))
+
+        def stated(check, old, new):
+            assert old in check.statement
+            return check._replace(statement=check.statement.replace(old, new, 1))
+
+        mutants = [
+            lhs_replaced(lookup("ii.r2s3"), comp=(3, 2)),
+            lhs_replaced(lookup("L21.C1.r2a2"), half=True),
+            lhs_replaced(lookup("L25.r1s2"), odd=False),
+            lhs_replaced(lookup("C23.b"), c=2),
+            lhs_replaced(lookup("iv.h1"), e=1),
+            lhs_replaced(lookup("T22.zero"), 2, e=3),
+            lhs_replaced(lookup("C23.d"), 1, comp=(1, 4)),
+            stated(lookup("vi.odd.r3"), "H_n(3)", "H_(p-1)(3)"),
+            stated(lookup("L25.r3s1"), "Hbar_n(3,1)", "Hbar_n(1,3)"),
+            stated(lookup("T22.zero"), "7/6*p*", "7/6*"),
+            stated(lookup("C23.d"), "p*H_n(1,3)", "p*H_n(1,3) + H_n(2)"),
+        ]
+        for m in mutants:
+            assert _stated_lhs(m.statement) != m.evaluator.lhs, m.id
 
     def test_hand_written_evaluators_census(self):
         # Every congruence but S5.conbin is a `ClosedForm` whose terms state
@@ -147,6 +216,10 @@ class TestRegistry:
             "C45.b",
         }
         assert select_checks(("nosuchcheck",)) == []
+        # An exact id selects its check through fnmatchcase alone, so no id
+        # may hold a glob character.
+        for c in builtin_checks():
+            assert not set("*?[]") & set(c.id) and c in select_checks((c.id,)), c.id
         # Union of patterns without duplicates.
         both = select_checks(("v.h12", "v.h12", "iv.h1"))
         assert sorted(c.id for c in both) == ["iv.h1", "v.h12"]
@@ -182,7 +255,6 @@ class TestRunCongruence:
     def test_failing_synthetic_check(self):
         bad = CongruenceCheck(
             id="synthetic.bad",
-            description="always off by one",
             statement="1 = 2 mod p^3",
             target_exponent=3,
             evaluator=lambda ring, t: (ring.one(), ring.from_int(2)),
@@ -219,7 +291,6 @@ class TestRunCongruence:
 
         crash = CongruenceCheck(
             id="synthetic.crash",
-            description="an rhs that divides by zero",
             statement="1 = 1/0 mod p",
             target_exponent=1,
             evaluator=evaluator,
@@ -278,7 +349,6 @@ class TestRunCongruence:
 
         off = CongruenceCheck(
             id="synthetic.above",
-            description="both sides one exponent above the target",
             statement="1 = 50 mod p^2",
             target_exponent=2,
             evaluator=evaluator,
@@ -643,13 +713,30 @@ class TestRunIdentity:
         assert rec["prime"] == 5 and rec["t"] == "p=5"
         assert rec["lhs"] == "(-1, -1, 1, 31/4)" == rec["rhs"]
 
+    def test_each_case_names_the_parameters_of_its_evaluator(self):
+        for c in builtin_checks():
+            if c.kind == "identity":
+                names = tuple(inspect.signature(c.evaluator).parameters)
+                assert all(tuple(name for name, _ in case) == names for case in c.cases), c.id
+
+    def test_a_case_name_the_evaluator_does_not_take_is_an_error(self):
+        extra = IdentityCheck(
+            id="synthetic.extra",
+            statement="n = n",
+            cases=((("n", 3), ("m", 1)),),
+            evaluator=lambda n: (Fraction(n), Fraction(n)),
+        )
+        res = run_identity(extra, dict(extra.cases[0]))
+        assert not res.passed and res.t == "n=3,m=1"
+        assert res.error.startswith("TypeError") and "unexpected keyword argument 'm'" in res.error
+        assert res.lhs == f"ERROR: {res.error}" and res.rhs == ""
+
     def test_failing_synthetic_identity(self):
         bad = IdentityCheck(
             id="synthetic.neq",
-            description="never equal",
             statement="n = n + 1",
             cases=((("n", 3),),),
-            evaluator=lambda params: (Fraction(params["n"]), Fraction(params["n"] + 1)),
+            evaluator=lambda n: (Fraction(n), Fraction(n + 1)),
         )
         res = run_identity(bad, {"n": 3})
         assert not res.passed
@@ -755,7 +842,6 @@ class TestRunSuite:
 
         bad = CongruenceCheck(
             id="synthetic.bad",
-            description="always off",
             statement="0 = 1 mod p",
             target_exponent=1,
             evaluator=lambda ring, t: (ring.zero(), ring.one()),
@@ -786,7 +872,6 @@ class TestRunSuite:
 
         bad = CongruenceCheck(
             id="synthetic.first",
-            description="fails at the first prime only",
             statement="0 = 1 mod p at p = 7, 0 = 0 mod p above",
             target_exponent=1,
             evaluator=evaluator,

@@ -10,7 +10,8 @@ in its module's ``__all__``.  The ``_private`` names that one module reads
 from another are pinned, so new coupling to another module's layout comes
 with a stated reason.  So is the package's module-level state: every
 ``global`` statement, and every module-level name bound to a mutable
-container.
+container.  Every field of a named tuple record is read somewhere in the
+package.
 """
 
 from __future__ import annotations
@@ -246,6 +247,78 @@ def test_the_guard_sees_planted_module_state():
     )
     assert global_statements(tree) == {"f._plan"}
     assert mutable_module_names(tree) == {"_plan", "_SEEN", "_ROWS"}
+
+
+def _namedtuple_fields(node: ast.AST) -> list[str] | None:
+    """The field names of a ``namedtuple(typename, field_names)`` call, or
+    None for any other node."""
+    if not isinstance(node, ast.Call) or len(node.args) < 2:
+        return None
+    func = node.func
+    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "namedtuple":
+        return None
+    fields = ast.literal_eval(node.args[1])
+    return fields.replace(",", " ").split() if isinstance(fields, str) else list(fields)
+
+
+def _unpacked_from_self(cls: ast.ClassDef, fields: list[str]) -> set[str]:
+    """The fields that a method of ``cls`` binds by unpacking ``self`` into
+    a name other than ``_``."""
+    out = set()
+    for sub in ast.walk(cls):
+        if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Name) and sub.value.id == "self":
+            if isinstance(sub.targets[0], ast.Tuple):
+                out.update(
+                    field for field, elt in zip(fields, sub.targets[0].elts)
+                    if isinstance(elt, ast.Name) and elt.id != "_"
+                )
+    return out
+
+
+def unread_fields(trees: dict[str, ast.Module]) -> list[str]:
+    """The fields of named tuple records that nothing in the package reads,
+    as "m.py:Record.field".  A field is read by an attribute load anywhere,
+    or by unpacking ``self`` in one of its own record's methods; a keyword
+    argument or a store reads nothing."""
+    loads = {
+        sub.attr for tree in trees.values() for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    out = []
+    for module, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                records = [(node.name, _namedtuple_fields(base)) for base in node.bases]
+            elif isinstance(node, ast.Assign):
+                records = [(t.id, _namedtuple_fields(node.value)) for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name, fields in records:
+                if fields is not None:
+                    unpacked = _unpacked_from_self(node, fields) if isinstance(node, ast.ClassDef) else set()
+                    out.extend(f"{module}:{name}.{f}" for f in fields if f not in loads and f not in unpacked)
+    return sorted(out)
+
+
+def test_every_record_field_is_read():
+    assert unread_fields(_trees()) == []
+
+
+def test_the_guard_sees_a_planted_unread_field():
+    tree = ast.parse(
+        "import collections\n"
+        "from collections import namedtuple\n"
+        "class Term(namedtuple('Term', 'c e comp note', defaults=(None,))):\n"
+        "    def __call__(self, x):\n"
+        "        c, e, comp, _ = self\n"
+        "        return c * x ** e\n"
+        "Pair = collections.namedtuple('Pair', ['left', 'right'])\n"
+        "def f(pair, term):\n"
+        "    pair.right = term._replace(note=pair.left)\n"
+        "    c, e, comp, note = term\n"
+        "    return Term(c, e, comp, note=note)\n"
+    )
+    assert unread_fields({"m.py": tree}) == ["m.py:Pair.right", "m.py:Term.note"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
