@@ -45,7 +45,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .exactalg import QQ, Poly, QuadExt, RationalField
-from .harmonic import alternating_half_sum, mhs, odd_mhs, repeated
+from .harmonic import alternating_half_sum, mhs, odd_mhs
 from .modring import (
     MAX_EXPONENT,
     PrimePower,
@@ -92,7 +92,6 @@ __all__ = [
     "mhs",
     "odd_mhs",
     "alternating_half_sum",
-    "repeated",
     # special numbers
     "bernoulli_number",
     "bernoulli_powersum",

@@ -19,7 +19,8 @@ Families (p an odd prime, working modulus p^k from the ring):
    sum_{k=0}^{(p-1)/2} C(2k,k) t^k Hbar_k(2))
 * ``fib_lucas_sum(kind)`` = sum_{k=0}^{(p-3)/2} C(2k,k) W_{2k+1}/((2k+1) 16^k)
   with W = F (Fibonacci) or L (Lucas)
-* ``rhs_lucas_sum(kind, c, d)`` = sum_{k=1}^{p-1} s_k(c)/k^d with s = u or v
+* ``rhs_lucas_sum(kind, c)`` = sum_{k=1}^{p-1} u_k(c)/k^2 (kind u) or
+  sum_{k=1}^{p-1} v_k(c)/k^3 (kind v)
 * ``alternating_v_sum(t, odd)`` = sum_{k=0}^{(p-3)/2} (-1)^k v_{2k+1}(t)/(2k+1)
   (odd) or sum_{k=1}^{(p-1)/2} (-1)^k v_{2k}(t)/k, with v = v(t, 1)
 """
@@ -143,41 +144,36 @@ def fib_lucas_sum(kind: str, ring: PrimePower) -> Residue:
         raise PreconditionViolated(f"kind must be 'F' or 'L', got {kind!r}")
     weights = _odd_powers(ring, 1)
     # W_{2k+3} = 3*W_{2k+1} - W_{2k-1}, from (W_1, W_3)
-    odd_terms = recurrence_column(len(weights), 1, 2 if kind == "F" else 4, 3, 1, ring.modulus)
+    odd_terms = recurrence_column(len(weights), 1, 2 if kind == "F" else 4, 3, ring.modulus)
     return _dot(ring, binomial_column(pow(16, -1, ring.modulus), ring)[:-1], weights, odd_terms)
 
 
 @unit_cached
-def _u_sums(c: int, ring: PrimePower) -> tuple[tuple[Residue, Residue], ...]:
-    """For d = 2, 3 in turn: (sum_{k=1}^{p-1} u_k/k^d, sum_{k=1}^{p-1} u_{k+1}/k^d).
+def _u_sums(c: int, ring: PrimePower) -> tuple[Residue, Residue]:
+    """(sum_{k=1}^{p-1} u_k/k^2, sum_{k=1}^{p-1} v_k/k^3) at u = u(c, 1),
+    v = v(c, 1), c a raw integer of the ring.
 
-    Both come from one column u_0..u_p of u(c, 1), c a raw integer of the
-    ring; only the sums are kept, since the column holds p + 1 entries.
+    Both come from one column u_0..u_p, as v_k = 2u_{k+1} - c*u_k; only the
+    sums are kept, since the column holds p + 1 entries.
     """
-    u = recurrence_column(ring.p + 1, 0, 1, c, 1, ring.modulus)
+    u = recurrence_column(ring.p + 1, 0, 1, c, ring.modulus)
     # entry 0 of the power tables is 0, which drops the k = 0 term
-    weights = (_powers(ring, 2), _powers(ring, 3))
-    return tuple((_dot(ring, u[:-1], w), _dot(ring, u[1:], w)) for w in weights)
+    squares, cubes = _powers(ring, 2), _powers(ring, 3)
+    return _dot(ring, u[:-1], squares), _dot(ring, u[1:], cubes) * 2 - _dot(ring, u[:-1], cubes) * c
 
 
-def rhs_lucas_sum(kind: str, c: int | Fraction, d: int, ring: PrimePower) -> Residue:
-    """sum_{k=1}^{p-1} s_k(c)/k^d with s = u (kind 'u') or v (kind 'v').
+def rhs_lucas_sum(kind: str, c: int | Fraction, ring: PrimePower) -> Residue:
+    """sum_{k=1}^{p-1} u_k(c)/k^2 (kind 'u') or sum_{k=1}^{p-1} v_k(c)/k^3
+    (kind 'v'): the two u/v-series sums that L31 and T32 state.
 
     Needed only mod p by its consumers, but computed in whatever ring is
     passed; c is the one-parameter recurrence coefficient (y = 1), read as
     its representative in the ring.  Both kinds read the cached sums of one
-    u column, since v_k = 2u_{k+1} - c*u_k: the v-sum is
-    2*sum u_{k+1}/k^d - c*sum u_k/k^d.
+    u column.
     """
     if kind not in ("u", "v"):
         raise PreconditionViolated(f"kind must be 'u' or 'v', got {kind!r}")
-    if d not in (2, 3):
-        raise PreconditionViolated(f"sum exponent d must be 2 or 3, got {d}")
-    c = ring.value_of(c)
-    below, above = _u_sums(c, ring)[d - 2]
-    if kind == "u":
-        return below
-    return above * 2 - below * c
+    return _u_sums(ring.value_of(c), ring)[kind == "v"]
 
 
 def alternating_v_sum(t: int | Fraction, odd: bool, ring: PrimePower) -> Residue:
@@ -194,5 +190,5 @@ def alternating_v_sum(t: int | Fraction, odd: bool, ring: PrimePower) -> Residue
         seeds, weights = (tv, -(v2 * tv - tv)), _odd_powers(ring, 1)  # v_1, -v_3
     else:
         seeds, weights = (2, -v2), _half_inverses(ring)  # v_0, -v_2
-    return _dot(ring, recurrence_column(len(weights), *seeds, -v2, 1, ring.modulus), weights)
+    return _dot(ring, recurrence_column(len(weights), *seeds, -v2, ring.modulus), weights)
 

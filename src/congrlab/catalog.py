@@ -36,7 +36,7 @@ from .binomsums import (
 )
 from .errors import MixedModuli, PreconditionViolated
 from .exactalg import Poly, QuadExt
-from .harmonic import alternating_half_sum, mhs, odd_mhs, repeated
+from .harmonic import alternating_half_sum, mhs, odd_mhs
 from .modring import (
     PrimePower,
     Residue,
@@ -235,14 +235,15 @@ def _bernoulli_p(j: int):
 
 
 def _uv_term(kind: str, t: Fraction, p: int) -> Residue:
-    """scale * s^e * sum_(k<p) s_k(c)/k^d in Z/p for s_k = v_k or u_k, at
-    c = 2-16t and s = -1/t, with (d, e, scale) = (3, (p+1)/2, 1/64) for v
-    and (2, (p-1)/2, 1/2) for u: the rhs of L31.A2 (v) and L31.A3 (u), and
-    the p^2 terms of T32.first (v) and, times (-1)^((p-1)/2), T32.second (u)."""
-    d, e, scale = (3, (p + 1) // 2, 64) if kind == "v" else (2, (p - 1) // 2, 2)
+    """scale * s^e * ``rhs_lucas_sum(kind, c)`` in Z/p, at c = 2-16t and
+    s = -1/t, with (e, scale) = ((p+1)/2, 1/64) for v (sum v_k/k^3) and
+    ((p-1)/2, 1/2) for u (sum u_k/k^2): the rhs of L31.A2 (v) and L31.A3 (u),
+    and the p^2 terms of T32.first (v) and, times (-1)^((p-1)/2), T32.second
+    (u)."""
+    e, scale = ((p + 1) // 2, 64) if kind == "v" else ((p - 1) // 2, 2)
     modp = prime_power(p, 1)
     tr = modp.from_fraction(t)
-    return rhs_lucas_sum(kind, 2 - 16 * tr.value, d, modp) * ((-tr.inv()) ** e * pow(scale, -1, p))
+    return rhs_lucas_sum(kind, 2 - 16 * tr.value, modp) * ((-tr.inv()) ** e * pow(scale, -1, p))
 
 
 def _v_p_term(t: Fraction, ring: PrimePower) -> Residue:
@@ -449,7 +450,7 @@ def _ident_wz_second(n):
 def _hbar_series(k: int, x: int, top: int) -> Fraction:
     """sum_(j<=top) (-1)^j x^(2j) Hbar_k({2}^j), in Q."""
     return sum(
-        (_neg_one_pow(j) * Fraction(x ** (2 * j)) * odd_mhs(k, repeated(2, j)) for j in range(top + 1)),
+        (_neg_one_pow(j) * Fraction(x ** (2 * j)) * odd_mhs(k, (2,) * j) for j in range(top + 1)),
         Fraction(0),
     )
 
@@ -469,40 +470,38 @@ def _ident_product_mhs_forms(n, k):
 
 def _ident_w_expansion_odd_weights(n):
     tvar, one = Poly([0, 1]), Poly([1])
-    lhs = (w_value(n, one - tvar * 8) - (tvar * -16) ** n).scale(
-        Fraction(1, 2 * n + 1)
-    )
+    lhs = (w_value(n, one - tvar * 8) - (tvar * -16) ** n) * Fraction(1, 2 * n + 1)
     coeffs = [Fraction(comb(2 * k, k), 2 * k + 1) * _hbar_series(k, 2 * n + 1, k) for k in range(n)]
     return lhs, Poly(coeffs)
 
 
 def _ident_w_hypergeometric(n):
     tvar, one = Poly([0, 1]), Poly([1])
-    lhs = w_value(n, tvar * 8 - one).scale(Fraction(_neg_one_pow(n)))
+    lhs = w_value(n, tvar * 8 - one) * Fraction(_neg_one_pow(n))
     return lhs, Poly([comb(2 * k, k) * _odd_ratio_product(n, k) for k in range(n + 1)])
 
 
 def _ident_integral_w_odd(n):
     tvar, one = Poly([0, 1]), Poly([1])
-    arg = one - (tvar * tvar).scale(Fraction(1, 2))
+    arg = one - tvar * tvar * Fraction(1, 2)
     lhs = w_value(n, arg).integrate_from_zero()
     vs = lucas_v_upto(2 * n + 1, tvar, one)
     rhs = Poly([])
     for k in range(n):
-        rhs = rhs + vs[2 * k + 1].scale(Fraction(2 * _neg_one_pow(k), 2 * k + 1))
-    rhs = rhs + vs[2 * n + 1].scale(Fraction(_neg_one_pow(n), 2 * n + 1))
+        rhs = rhs + vs[2 * k + 1] * Fraction(2 * _neg_one_pow(k), 2 * k + 1)
+    rhs = rhs + vs[2 * n + 1] * Fraction(_neg_one_pow(n), 2 * n + 1)
     return lhs, rhs
 
 
 def _ident_integral_w_even(n):
     tvar, one = Poly([0, 1]), Poly([1])
-    arg = (tvar * tvar).scale(Fraction(1, 2)) - one
-    numerator = w_value(n, arg).scale(Fraction(_neg_one_pow(n))) - one
+    arg = tvar * tvar * Fraction(1, 2) - one
+    numerator = w_value(n, arg) * Fraction(_neg_one_pow(n)) - one
     lhs = numerator.shift_down().integrate_from_zero()
     vs = lucas_v_upto(2 * n, tvar, one)
     rhs = Poly([])
     for k in range(1, n + 1):
-        rhs = rhs + vs[2 * k].scale(Fraction(_neg_one_pow(k), 2 * k))
+        rhs = rhs + vs[2 * k] * Fraction(_neg_one_pow(k), 2 * k)
     rhs = rhs - mhs(n, (1,))
     return lhs, rhs
 
@@ -523,7 +522,7 @@ def _ident_apery_like(n, r):
     lhs = rhs = tail = Fraction(0)
     for k in range(n):
         o = 2 * k + 1
-        top = odd_mhs(k, repeated(2, h)) / o**power
+        top = odd_mhs(k, (2,) * h) / o**power
         weight = Fraction(comb(2 * k, k), base**k)
         lhs += weight * (_hbar_series(k, o, h) / o**r + s * sign * top)
         rhs += Fraction(s**k, o**r)
@@ -707,7 +706,7 @@ def _congruence_checks() -> Iterator[CongruenceCheck]:
         "L26.alts",
         "2*(-1)^n*sum((-1)^k/(2k+1)) = Hbar(1) - p*Hbar(2) - p^2*Hbar(2,1) + p^3*Hbar(2,2) + p^4*Hbar(2,2,1)  (mod p^5)",
         5, ClosedForm((
-            lambda ring: alternating_half_sum((ring.p - 1) // 2, 1, ring) * (2 * _sign_minus(ring.p)),
+            lambda ring: alternating_half_sum((ring.p - 1) // 2, ring) * (2 * _sign_minus(ring.p)),
         ), (
             Harmonic(1, 0, (1,), odd=True), Harmonic(-1, 1, (2,), odd=True),
             Harmonic(-1, 2, (2, 1), odd=True), Harmonic(1, 3, (2, 2), odd=True),

@@ -133,11 +133,7 @@ class Poly:
             return NotImplemented
         return self.coeffs == o.coeffs
 
-    # -- scaling and calculus --------------------------------------------
-
-    def scale(self, q) -> "Poly":
-        """Multiply every coefficient by the scalar q."""
-        return Poly([c * q for c in self.coeffs])
+    # -- calculus ---------------------------------------------------------
 
     def integrate_from_zero(self) -> "Poly":
         """Formal integral with zero constant term: x^i -> x^(i+1)/(i+1)."""

@@ -23,7 +23,7 @@ sum of a group walks the whole group.  Any other sum, and every sum outside
 a planned unit, walks its one composition.  The exact path writes 1/i^a as
 (L/i)^a / L^a, L the lcm of the denominators, and divides the integer sum
 once by L^|comp|.  The alternating sum, mod p^k only, is a difference of two
-slices of one power table.
+slices of the inverse table.
 """
 
 from __future__ import annotations
@@ -38,18 +38,10 @@ from .exactalg import QQ, RationalField
 from .modring import PrimePower, Residue, inverse_table, unit_cached
 
 __all__ = [
-    "repeated",
     "mhs",
     "odd_mhs",
     "alternating_half_sum",
 ]
-
-
-def repeated(a: int, r: int) -> tuple[int, ...]:
-    """The composition {a}^r: r copies of the part a."""
-    if a < 1 or r < 0:
-        raise PreconditionViolated(f"repeated({a}, {r}): need a >= 1, r >= 0")
-    return (a,) * r
 
 
 def _validated(n: int, comp) -> tuple[int, ...]:
@@ -198,14 +190,12 @@ def odd_mhs(n: int, comp, ring=QQ):
     return _exact_sum(ring, range(1, 2 * n, 2), comp)
 
 
-def alternating_half_sum(n: int, d: int, ring: PrimePower) -> Residue:
-    """sum of (-1)^k/(2k+1)^d over 0 <= k <= n-1, in the ring: the
-    denominators 1, 5, 9, ... minus 3, 7, 11, ..., read off one power table."""
+def alternating_half_sum(n: int, ring: PrimePower) -> Residue:
+    """sum of (-1)^k/(2k+1) over 0 <= k <= n-1, in the ring: the
+    denominators 1, 5, 9, ... minus 3, 7, 11, ..., read off the inverse table."""
     if n < 0:
         raise PreconditionViolated(f"index n must be non-negative, got {n}")
-    if d < 1:
-        raise PreconditionViolated(f"exponent d must be positive, got {d}")
     if 2 * n - 1 >= ring.p:
         raise NonUnitDenominator(f"alternating sum to {2 * n - 1} hits the denominator p")
-    powers = _powers(ring, d)
-    return Residue((sum(powers[1 : 2 * n : 4]) - sum(powers[3 : 2 * n : 4])) % ring.modulus, ring)
+    inv = _powers(ring, 1)  # the inverse table, as memoized with the other powers
+    return Residue((sum(inv[1 : 2 * n : 4]) - sum(inv[3 : 2 * n : 4])) % ring.modulus, ring)

@@ -268,9 +268,6 @@ class Residue:
             return self.value == other % self.ring.modulus
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.value, self.ring.p, self.ring.k))
-
     def __int__(self) -> int:
         return self.value
 

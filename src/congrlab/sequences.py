@@ -5,7 +5,8 @@ with ``+``, ``-``, ``*`` and ``** 0`` works (modular residues, exact
 rationals, polynomials, quadratic-field elements), and the u/v functions
 take the coefficients x and y as two arguments.  Mod p^k there is also fast
 doubling for single far-out terms such as F_p, L_p and w_n, and
-``recurrence_column``, every term up to n as raw integers for the sums.
+``recurrence_column``, every term up to n of a one-parameter (y = 1)
+recurrence as raw integers for the sums.
 
 Sequence conventions:
 
@@ -60,17 +61,18 @@ def lucas_v_upto(n: int, x, y) -> list:
     return _lucas_upto(n, x, y, one + one, x)
 
 
-def recurrence_column(n: int, s0: int, s1: int, x: int, y: int, m: int) -> list[int]:
-    """[s_0, ..., s_{n-1}] mod m for s_j = x*s_{j-1} - y*s_{j-2}, as raw integers.
+def recurrence_column(n: int, s0: int, s1: int, x: int, m: int) -> list[int]:
+    """[s_0, ..., s_{n-1}] mod m for s_j = x*s_{j-1} - s_{j-2}, as raw integers.
 
-    The seeds (s0, s1) pick the sequence: (0, 1) gives u_n(x, y), (2, x)
-    gives v_n(x, y).  A column with every other term of u or v is the same
-    recurrence at (v_2, y^2), and negating x gives (-1)^j * s_j.
+    The seeds (s0, s1) pick the sequence: (0, 1) gives u_n(x), (2, x) gives
+    v_n(x).  Every other term of u or v at y = 1 or -1 (Fibonacci, Lucas) is
+    the same recurrence at x = v_2, since y^2 = 1, and negating x gives
+    (-1)^j * s_j.
     """
     a, b = s0 % m, s1 % m
     out = [a, b][:n]
     for _ in range(n - 2):
-        a, b = b, (x * b - y * a) % m
+        a, b = b, (x * b - a) % m
         out.append(b)
     return out
 

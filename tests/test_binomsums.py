@@ -123,20 +123,19 @@ def test_rhs_lucas_sum_matches_iteration(p):
     for c in (Fraction(3), Fraction(-1), Fraction(5, 2)):
         us = lucas_u_upto(p - 1, c, Fraction(1))
         vs = lucas_v_upto(p - 1, c, Fraction(1))
-        for d in (2, 3):
-            want_u = sum(us[k] / Fraction(k) ** d for k in range(1, p))
-            want_v = sum(vs[k] / Fraction(k) ** d for k in range(1, p))
-            assert rhs_lucas_sum("u", c, d, ring) == ring.from_fraction(want_u)
-            assert rhs_lucas_sum("v", c, d, ring) == ring.from_fraction(want_v)
+        want_u = sum(us[k] / Fraction(k) ** 2 for k in range(1, p))
+        want_v = sum(vs[k] / Fraction(k) ** 3 for k in range(1, p))
+        assert rhs_lucas_sum("u", c, ring) == ring.from_fraction(want_u)
+        assert rhs_lucas_sum("v", c, ring) == ring.from_fraction(want_v)
 
 
-def _rhs_lucas_sum_per_kind(kind, c, d, ring):
+def _rhs_lucas_sum_per_kind(kind, c, ring):
     """Oracle for ``rhs_lucas_sum``: one recurrence column per kind, u from
-    seeds (0, 1) and v from (2, c), with its own weights 1/k^d."""
+    seeds (0, 1) with weights 1/k^2 and v from (2, c) with weights 1/k^3."""
     m = ring.modulus
     cv = ring.from_fraction(c).value
-    seeds = (0, 1) if kind == "u" else (2, cv)
-    terms = recurrence_column(ring.p, *seeds, cv, 1, m)
+    seeds, d = ((0, 1), 2) if kind == "u" else ((2, cv), 3)
+    terms = recurrence_column(ring.p, *seeds, cv, m)
     return ring.from_int(sum(s * pow(k, -d, m) for k, s in enumerate(terms) if k))
 
 
@@ -150,10 +149,8 @@ def test_rhs_lucas_sum_matches_per_kind_columns(k):
             if t.numerator % p == 0 or t.denominator % p == 0:
                 continue
             c = 2 - 16 * t
-            for d in (2, 3):
-                for kind in ("u", "v"):
-                    want = _rhs_lucas_sum_per_kind(kind, c, d, ring)
-                    assert rhs_lucas_sum(kind, c, d, ring) == want, (p, t, d, kind)
+            for kind in ("u", "v"):
+                assert rhs_lucas_sum(kind, c, ring) == _rhs_lucas_sum_per_kind(kind, c, ring), (p, t, kind)
 
 
 def test_cached_columns_keep_rings_apart():
@@ -202,8 +199,6 @@ class TestGuards:
             s1(Fraction(1, 4), 2, ring)
         with pytest.raises(PreconditionViolated):
             s2(Fraction(1, 4), -1, ring)
-        with pytest.raises(PreconditionViolated):
-            rhs_lucas_sum("u", Fraction(1), 1, ring)
 
     def test_kind_guards(self):
         ring = prime_power(7, 2)
@@ -212,7 +207,7 @@ class TestGuards:
         with pytest.raises(PreconditionViolated):
             fib_lucas_sum("X", ring)
         with pytest.raises(PreconditionViolated):
-            rhs_lucas_sum("w", Fraction(1), 2, ring)
+            rhs_lucas_sum("w", Fraction(1), ring)
 
     def test_unequal_columns_rejected(self):
         # A column one entry short would otherwise drop a term silently.

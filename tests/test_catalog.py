@@ -507,6 +507,37 @@ def test_t34_takes_its_v_sum_one_power_lower(monkeypatch):
     assert rows(-1) != want
 
 
+def _l31_at_every_residue_of_t() -> list[CheckResult]:
+    """L31.A2 and L31.A3 at each prime 5 <= p < 100 and each t = 1..p-1."""
+    return [
+        row
+        for p in primes_in_range(5, 100)
+        for row in run_suite(p, p, patterns=("L31.A2", "L31.A3"), t_panel=range(1, p)).results
+    ]
+
+
+def test_l31_holds_at_every_residue_of_t():
+    # Both sides of L31.A2 and L31.A3 read t only mod p, so this proves them
+    # at each of these primes for every p-integral t that p does not divide.
+    # c = 2 - 16t then runs over every residue but 2, so these rows are also
+    # the oracle of the u/v-series sums in binomsums._u_sums.
+    rows = _l31_at_every_residue_of_t()
+    assert len(rows) == 2064
+    assert all(row.passed and row.error is None for row in rows)
+
+
+@pytest.mark.parametrize("kind,check_id", [("v", "L31.A2"), ("u", "L31.A3")])
+def test_l31_exhaustion_sees_a_negated_series_sum(kind, check_id, monkeypatch):
+    original = catalog._uv_term
+
+    def negated(k, t, p):
+        value = original(k, t, p)
+        return -value if k == kind else value
+
+    monkeypatch.setattr(catalog, "_uv_term", negated)
+    assert {row.check_id for row in _l31_at_every_residue_of_t() if not row.passed} == {check_id}
+
+
 #: Each helper that the panel checks' forms call, with the checks that call
 #: it; ``_v_term`` and ``_u_term`` are the calls of ``_uv_term`` for one series.
 PANEL_HELPERS = {

@@ -11,7 +11,8 @@ from another are pinned, so new coupling to another module's layout comes
 with a stated reason.  So is the package's module-level state: every
 ``global`` statement, and every module-level name bound to a mutable
 container.  Every field of a named tuple record is read somewhere in the
-package.
+package.  No positional parameter of a module-level function or class takes
+one int or bool literal at every call in the package.
 """
 
 from __future__ import annotations
@@ -372,3 +373,87 @@ def test_the_guard_sees_a_stale_export():
     assert unexported_publics(ast.parse("__all__ = ['f']\ndef f(): pass\ndef g(): pass\nclass C: pass\n")) == [
         "g", "C",
     ]
+
+
+def _int_literal(node: ast.AST) -> str | None:
+    """``repr`` of an int or bool literal (a negated one too), else None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        inner = _int_literal(node.operand)
+        return None if inner is None else repr(-int(inner))
+    if isinstance(node, ast.Constant) and type(node.value) in (int, bool):
+        return repr(node.value)
+    return None
+
+
+def _positional_parameters(node: ast.AST) -> list[str]:
+    """A function's positional parameters, or those of a class's ``__init__``
+    after ``self``."""
+    if isinstance(node, ast.ClassDef):
+        inits = [sub for sub in node.body if isinstance(sub, ast.FunctionDef) and sub.name == "__init__"]
+        return _positional_parameters(inits[0])[1:] if inits else []
+    return [arg.arg for arg in node.args.posonlyargs + node.args.args]
+
+
+def constant_parameters(trees: dict[str, ast.Module]) -> list[str]:
+    """The positional parameters of module-level functions and classes that
+    every call in the package passes as one int or bool literal, as
+    "m.py:f.x=1": a constant spelled as a parameter.
+
+    Only calls by the bare name count.  A call that leaves the parameter
+    out, or that has a starred argument at or before its position, passes an
+    unknown value, and the guard then does not judge the parameter.  So it
+    is blind behind a starred call: ``recurrence_column`` once took a y that
+    was 1 at every call, and the guard missed it, since ``alternating_v_sum``
+    passes its seeds as ``*seeds``.  A function with no call in the package
+    is not judged either.
+    """
+    params = {
+        node.name: (module, _positional_parameters(node))
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    calls = {name: [] for name in params}
+    for tree in trees.values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id in calls:
+                calls[sub.func.id].append(sub)
+    out = []
+    for name, (module, names) in params.items():
+        for i, param in enumerate(names):
+            passed = set()
+            for call in calls[name]:
+                if any(isinstance(arg, ast.Starred) for arg in call.args[: i + 1]):
+                    passed.add(None)
+                elif i < len(call.args):
+                    passed.add(_int_literal(call.args[i]))
+                else:
+                    given = [kw.value for kw in call.keywords if kw.arg == param]
+                    passed.add(_int_literal(given[0]) if given else None)
+            if len(passed) == 1 and None not in passed:
+                out.append(f"{module}:{name}.{param}={passed.pop()}")
+    return sorted(out)
+
+
+def test_no_parameter_takes_one_literal_at_every_call():
+    assert constant_parameters(_trees()) == []
+
+
+def test_the_guard_sees_a_planted_constant_parameter():
+    tree = ast.parse(
+        "def f(n, d, ring, flag=False):\n"
+        "    return n\n"
+        "def g(a, b):\n"
+        "    return a\n"
+        "class C:\n"
+        "    def __init__(self, k, m):\n"
+        "        self.k = k\n"
+        "def use(seeds, n):\n"
+        "    f(n, 1, None, flag=True)\n"
+        "    f(2, 1, None, True)\n"
+        "    g(*seeds, 3)\n"
+        "    g(1, 3)\n"
+        "    C(-1, n)\n"
+        "    C(k=-1, m=2)\n"
+    )
+    assert constant_parameters({"m.py": tree}) == ["m.py:C.k=-1", "m.py:f.d=1", "m.py:f.flag=True"]

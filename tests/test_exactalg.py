@@ -58,7 +58,7 @@ class TestPoly:
         assert f.coeffs == (Fraction(1), Fraction(4), Fraction(4))
         assert (f - f).coeffs == ()
         assert (f * 0).coeffs == ()
-        g = f - (x**2).scale(4)
+        g = f - x**2 * 4
         assert g.coeffs == (Fraction(1), Fraction(4))
         assert str(f - 1) == "4*x + 4*x^2" and str(x**0) == "1" and str(f * 0) == "0"
 

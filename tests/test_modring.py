@@ -174,7 +174,10 @@ class TestResidueArithmetic:
         ring = prime_power(7, 2)
         assert ring.from_int(50) == ring.from_int(1)
         assert ring.from_int(50) == 1
-        assert hash(ring.from_int(50)) == hash(ring.one())
+        # == reduces an int mod p^k, so no hash could agree with it: a
+        # residue is unhashable.
+        with pytest.raises(TypeError):
+            hash(ring.one())
         assert ring.one() != prime_power(11, 2).one()
 
     def test_valuation(self):

@@ -122,21 +122,21 @@ class TestRecurrenceColumn:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 40])
     def test_matches_upto_tables(self, n):
         m = 13**3
-        for x, y in [(1, -1), (3, 1), (2, -1), (5, 7), (-4, 1), (m + 6, 1)]:
-            us = [u % m for u in lucas_u_upto(n, x, y)[:n]]
-            vs = [v % m for v in lucas_v_upto(n, x, y)[:n]]
-            assert recurrence_column(n, 0, 1, x, y, m) == us
-            assert recurrence_column(n, 2, x, x, y, m) == vs
+        for x in (1, 2, 3, -4, m + 6):
+            us = [u % m for u in lucas_u_upto(n, x, 1)[:n]]
+            vs = [v % m for v in lucas_v_upto(n, x, 1)[:n]]
+            assert recurrence_column(n, 0, 1, x, m) == us
+            assert recurrence_column(n, 2, x, x, m) == vs
 
     def test_every_other_term(self):
         # F_{2k+1} and L_{2k+1} run at (3, 1), v_2 = L_2 = 3 for Fibonacci/Lucas;
         # negating the multiplier gives (-1)^k * s_k.
         m = 10**9
         fib, luc = lucas_u_upto(41, *FIB_LUCAS), lucas_v_upto(41, *FIB_LUCAS)
-        assert recurrence_column(20, 1, 2, 3, 1, m) == [fib[2 * k + 1] % m for k in range(20)]
-        assert recurrence_column(20, 1, 4, 3, 1, m) == [luc[2 * k + 1] % m for k in range(20)]
+        assert recurrence_column(20, 1, 2, 3, m) == [fib[2 * k + 1] % m for k in range(20)]
+        assert recurrence_column(20, 1, 4, 3, m) == [luc[2 * k + 1] % m for k in range(20)]
         signed = [(-1) ** k * luc[2 * k] % m for k in range(20)]
-        assert recurrence_column(20, 2, -3, -3, 1, m) == signed
+        assert recurrence_column(20, 2, -3, -3, m) == signed
 
 
 class TestWPolynomials:
