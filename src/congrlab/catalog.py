@@ -277,7 +277,7 @@ def _raw_sum(terms, ring: PrimePower) -> int:
     total = 0
     for term in terms:
         x = term(ring)
-        if x.ring is not ring and x.ring != ring:
+        if x.ring is not ring:
             raise MixedModuli(f"cannot mix {ring!r} and {x.ring!r}")
         total += x.value
     return total
@@ -1091,7 +1091,7 @@ def run_congruence(check: CongruenceCheck, p: int, t: Fraction | None = None) ->
         ring = prime_power(p, target)
         lhs, rhs = check.evaluator(ring, t)
         for side in (lhs, rhs):
-            if side.ring is not ring and side.ring != ring:
+            if side.ring is not ring:
                 raise MixedModuli(f"a side is in {side.ring!r}, not in {ring!r}")
         text = str(lhs)
         return (lhs - rhs).valuation(), text, text if lhs.value == rhs.value else str(rhs)

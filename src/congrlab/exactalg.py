@@ -46,12 +46,6 @@ class RationalField:
     def div(self, a: Fraction, b: Fraction) -> Fraction:
         return Fraction(a) / b
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalField)
-
-    def __hash__(self) -> int:
-        return hash("RationalField")
-
     def __repr__(self) -> str:
         return "QQ"
 

@@ -86,27 +86,20 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
 
 
 class PrimePower:
-    """The ring Z/p^k for an odd prime p < 2^32 and 1 <= k <= 8.
+    """The ring Z/p^k for an odd prime p < 2^32 and 1 <= k <= 8: one object
+    per (p, k), so rings compare by identity.  ``PrimePower(p, k)``, a copy
+    and an unpickled ring are all ``prime_power(p, k)``.
 
     ``zero`` / ``one`` / ``from_int`` / ``from_fraction`` build its elements.
     """
 
     __slots__ = ("p", "k", "modulus")
 
-    def __init__(self, p: int, k: int):
-        if not (1 <= k <= MAX_EXPONENT):
-            raise ExponentOutOfRange(f"exponent {k} outside 1..{MAX_EXPONENT}")
-        if p % 2 == 0 or p >= 1 << 32 or not is_prime(p):
-            raise CompositeModulus(f"{p} is not an odd prime below 2^32")
-        self.p = p
-        self.k = k
-        self.modulus = p**k
+    def __new__(cls, p: int, k: int):
+        return prime_power(p, k)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimePower) and (self.p, self.k) == (other.p, other.k)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k))
+    def __reduce__(self):
+        return PrimePower, (self.p, self.k)
 
     def __repr__(self) -> str:
         return f"PrimePower({self.p}, {self.k})"
@@ -132,7 +125,7 @@ class PrimePower:
         if isinstance(q, int):
             return q % m
         if isinstance(q, Residue):
-            if q.ring is self or q.ring == self:
+            if q.ring is self:
                 return q.value
             raise MixedModuli(f"cannot mix {self!r} and {q.ring!r}")
         b = q.denominator
@@ -180,10 +173,19 @@ def unit_scope():
                 table.cache_clear()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def prime_power(p: int, k: int) -> PrimePower:
-    """Cached constructor for PrimePower rings (validation is not free)."""
-    return PrimePower(p, k)
+    """The one ring Z/p^k, validated once.  A p or k that is not an int, or
+    is a bool, is rejected; the key is typed, so ``prime_power(7, 2.0)`` does
+    not find ``prime_power(7, 2)``.  It interns within one thread, as
+    `unit_scope` assumes: threads racing on a miss may each build a ring."""
+    if type(k) is not int or not 1 <= k <= MAX_EXPONENT:
+        raise ExponentOutOfRange(f"exponent {k!r} outside 1..{MAX_EXPONENT}")
+    if type(p) is not int or p % 2 == 0 or p >= 1 << 32 or not is_prime(p):
+        raise CompositeModulus(f"{p!r} is not an odd prime below 2^32")
+    ring = object.__new__(PrimePower)
+    ring.p, ring.k, ring.modulus = p, k, p**k
+    return ring
 
 
 class Residue:
@@ -262,11 +264,13 @@ class Residue:
         return self.inv() * o
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Residue):
-            return self.ring == other.ring and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.ring.modulus
-        return NotImplemented
+        """Whether the ring embeds ``other`` (a residue, int or rational) as this value."""
+        if not isinstance(other, (Residue, int, Fraction)):
+            return NotImplemented
+        try:
+            return self.value == self.ring.value_of(other)
+        except (MixedModuli, DenominatorDivisibleByP):
+            return False
 
     def __int__(self) -> int:
         return self.value

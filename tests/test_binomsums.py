@@ -165,7 +165,7 @@ def test_cached_columns_keep_rings_apart():
             assert binomial_column(t, ring) == column
             assert weighted_sums(t, ring) == tuple(ring.from_fraction(w) for w in want_pair)
         assert binomial_column(t, rings[0]) != binomial_column(t, rings[1])
-        assert weighted_sums(t, rings[0])[1].ring == rings[0]
+        assert weighted_sums(t, rings[0])[1].ring is rings[0]
 
 
 def test_one_column_per_residue_of_t():

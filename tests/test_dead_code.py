@@ -12,7 +12,9 @@ with a stated reason.  So is the package's module-level state: every
 ``global`` statement, and every module-level name bound to a mutable
 container.  Every field of a named tuple record is read somewhere in the
 package.  No positional parameter of a module-level function or class takes
-one int or bool literal at every call in the package.
+one int or bool literal at every call in the package.  Rings compare by
+identity: no ``==`` or ``!=`` has a ``.ring`` as an operand, and the classes
+that define a value equality are pinned.
 """
 
 from __future__ import annotations
@@ -457,3 +459,62 @@ def test_the_guard_sees_a_planted_constant_parameter():
         "    C(k=-1, m=2)\n"
     )
     assert constant_parameters({"m.py": tree}) == ["m.py:C.k=-1", "m.py:f.d=1", "m.py:f.flag=True"]
+
+
+def ring_equalities(tree: ast.Module) -> list[str]:
+    """Each ``==`` or ``!=`` with a ``.ring`` attribute as an operand, as
+    the source of its comparison."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, pair in zip(node.ops, zip(operands, operands[1:])):
+                if isinstance(op, (ast.Eq, ast.NotEq)) and any(
+                    isinstance(x, ast.Attribute) and x.attr == "ring" for x in pair
+                ):
+                    out.append(ast.unparse(node))
+    return out
+
+
+def value_equality_classes(tree: ast.Module) -> set[str]:
+    """The classes that define or assign ``__eq__`` or ``__hash__``."""
+    names = {"__eq__", "__hash__"}
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(sub, ast.FunctionDef) and sub.name in names
+            or isinstance(sub, ast.Assign) and any(getattr(t, "id", None) in names for t in sub.targets)
+            for sub in node.body
+        )
+    }
+
+
+#: The elements with a value equality.  A ring is one object per (p, k)
+#: (`prime_power`) and ``QQ`` one object, so neither defines an equality.
+VALUE_EQUALITY_CLASSES = {"exactalg.py": {"Poly", "QuadExt"}, "modring.py": {"Residue"}}
+
+
+def test_rings_compare_by_identity():
+    trees = _trees()
+    assert [found for tree in trees.values() for found in ring_equalities(tree)] == []
+    classes = {name: value_equality_classes(tree) for name, tree in trees.items()}
+    assert {name: found for name, found in classes.items() if found} == VALUE_EQUALITY_CLASSES
+
+
+def test_the_guard_sees_a_planted_ring_equality():
+    tree = ast.parse(
+        "class Ring:\n"
+        "    def __hash__(self):\n"
+        "        return hash(self.k)\n"
+        "class Field:\n"
+        "    __eq__ = lambda self, other: True\n"
+        "class Elt:\n"
+        "    def __init__(self, ring):\n"
+        "        self.ring = ring\n"
+        "    def same(self, x, ring):\n"
+        "        return x.ring is ring, x.ring != ring, self.ring.p == 7, 0 < ring == self.ring\n"
+    )
+    assert ring_equalities(tree) == ["x.ring != ring", "0 < ring == self.ring"]
+    assert value_equality_classes(tree) == {"Ring", "Field"}

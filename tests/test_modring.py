@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import operator
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -98,7 +100,27 @@ class TestPrimePower:
 
     def test_cached_constructor_identity(self):
         assert prime_power(11, 2) is prime_power(11, 2)
-        assert prime_power(11, 2) == PrimePower(11, 2)
+        assert prime_power(11, 2) is PrimePower(11, 2)
+
+    def test_one_object_per_ring(self):
+        ring = PrimePower(7, 2)
+        assert ring is prime_power(7, 2)
+        assert pickle.loads(pickle.dumps(ring)) is ring
+        assert copy.copy(ring) is ring
+        assert copy.deepcopy(ring) is ring
+        assert copy.deepcopy([ring, ring.one()])[1].ring is ring
+
+    @pytest.mark.parametrize("p,k", [(7, 2.0), (7.0, 2), (7, True), (True, 1), (7, "2"), (Fraction(7), 1)])
+    def test_rejects_a_non_int_prime_or_exponent(self, p, k):
+        # A float or bool key would hash equal to an int one and share its
+        # cache entry, and a float modulus would make float residues.
+        prime_power(7, 2)
+        cached = prime_power.cache_info().currsize
+        error = ExponentOutOfRange if type(k) is not int else CompositeModulus
+        for build in (prime_power, PrimePower):
+            with pytest.raises(error):
+                build(p, k)
+        assert prime_power.cache_info().currsize == cached
 
     def test_ring_protocol(self):
         ring = prime_power(7, 2)
@@ -163,7 +185,7 @@ class TestResidueArithmetic:
                     op(x, other.from_int(5))
                 with pytest.raises(MixedModuli):
                     op(other.from_int(5), x)
-            # A ring equal to x's but built apart is the same ring.
+            # PrimePower(7, 2) is x's ring itself.
             assert op(x, PrimePower(7, 2).from_int(5)) == op(3, 5) % 49
         # The embedding itself reads a residue of the ring, and only of it.
         assert x.ring.value_of(PrimePower(7, 2).from_int(5)) == 5
@@ -180,6 +202,23 @@ class TestResidueArithmetic:
             hash(ring.one())
         assert ring.one() != prime_power(11, 2).one()
 
+    def test_a_residue_equals_what_the_embedding_says(self):
+        ring = prime_power(7, 2)
+        r = ring.from_fraction(Fraction(1, 2))
+        for x, y in ((r, Fraction(1, 2)), (ring.one(), Fraction(1)), (r - Fraction(1, 2), 0),
+                     (r, Fraction(99, 2)), (ring.from_int(-1), 48), (r, ring.from_int(25))):
+            assert x == y and y == x
+            assert not (x != y or y != x)
+        for x, y in ((r, Fraction(1, 3)), (r, 24), (r, ring.from_int(24))):
+            assert x != y and y != x
+        # A rational that the ring cannot embed is unequal, not an error.
+        assert r != Fraction(1, 7) and Fraction(1, 7) != r
+        assert not r == Fraction(1, 14)
+        # A residue of another ring is unequal, also at the same value.
+        for other in (prime_power(7, 3), prime_power(11, 2)):
+            assert r != other.from_int(25) and other.from_int(25) != r
+        assert r != "25" and r != 25.0
+
     def test_valuation(self):
         ring = prime_power(7, 4)
         assert ring.from_int(3).valuation() == 0
@@ -193,7 +232,7 @@ class TestRingMaps:
         ring = prime_power(7, 4)
         x = ring.from_int(7 * 7 * 3)
         y = divide_by_p(x)
-        assert y.ring == prime_power(7, 3)
+        assert y.ring is prime_power(7, 3)
         assert int(y) == 21
 
     def test_divide_by_p_rejects_units(self):
