@@ -20,7 +20,8 @@ Families (p an odd prime, working modulus p^k from the ring):
 * ``fib_lucas_sum(kind)`` = sum_{k=0}^{(p-3)/2} C(2k,k) W_{2k+1}/((2k+1) 16^k)
   with W = F (Fibonacci) or L (Lucas)
 * ``rhs_lucas_sum(kind, c)`` = sum_{k=1}^{p-1} u_k(c)/k^2 (kind u) or
-  sum_{k=1}^{p-1} v_k(c)/k^3 (kind v)
+  sum_{k=1}^{p-1} v_k(c)/k^3 (kind v); in Z/p both fold onto the half
+  range (``_u_sums``)
 * ``alternating_v_sum(t, odd)`` = sum_{k=0}^{(p-3)/2} (-1)^k v_{2k+1}(t)/(2k+1)
   (odd) or sum_{k=1}^{(p-1)/2} (-1)^k v_{2k}(t)/k, with v = v(t, 1)
 """
@@ -33,7 +34,7 @@ from operator import mul
 
 from .errors import PreconditionViolated
 from .harmonic import _powers
-from .modring import PrimePower, Residue, inverse_table, unit_cached
+from .modring import PrimePower, Residue, inverse_table, legendre, unit_cached
 from .sequences import central_binomials, recurrence_column
 
 __all__ = [
@@ -153,13 +154,25 @@ def _u_sums(c: int, ring: PrimePower) -> tuple[Residue, Residue]:
     """(sum_{k=1}^{p-1} u_k/k^2, sum_{k=1}^{p-1} v_k/k^3) at u = u(c, 1),
     v = v(c, 1), c a raw integer of the ring.
 
-    Both come from one column u_0..u_p, as v_k = 2u_{k+1} - c*u_k; only the
-    sums are kept, since the column holds p + 1 entries.
+    Both come from one u column, as v_k = 2u_{k+1} - c*u_k; only the sums
+    are kept.  In Z/p with e = ((c^2-4)/p) nonzero, u_{p-k} = -u_{k-e} and
+    v_{p-k} = v_{k-e}, while 1/(p-k)^a = (-1)^a/k^a, so the sums fold onto
+    k <= n = (p-1)/2 through d_k = u_k - u_{k-e}: sum d_k/k^2 and
+    sum (2d_{k+1} - c*d_k)/k^3, from u_0..u_{n+2}.  At c = +-2 (e = 0), and
+    in Z/p^k for k >= 2, the column runs over u_0..u_p.
     """
-    u = recurrence_column(ring.p + 1, 0, 1, c, ring.modulus)
+    p = ring.p
     # entry 0 of the power tables is 0, which drops the k = 0 term
     squares, cubes = _powers(ring, 2), _powers(ring, 3)
-    return _dot(ring, u[:-1], squares), _dot(ring, u[1:], cubes) * 2 - _dot(ring, u[:-1], cubes) * c
+    e = legendre(c * c - 4, p) if ring.k == 1 else 0
+    if not e:
+        u = recurrence_column(p + 1, 0, 1, c, ring.modulus)
+        return _dot(ring, u[:-1], squares), _dot(ring, u[1:], cubes) * 2 - _dot(ring, u[:-1], cubes) * c
+    n = (p - 1) // 2
+    u = recurrence_column(n + 3, 0, 1, c, p)
+    d = [0] + [u[k] - u[k - e] for k in range(1, n + 2)]  # d_0 is dropped with the k = 0 term
+    squares, cubes = squares[: n + 1], cubes[: n + 1]
+    return _dot(ring, d[:-1], squares), _dot(ring, d[1:], cubes) * 2 - _dot(ring, d[:-1], cubes) * c
 
 
 def rhs_lucas_sum(kind: str, c: int | Fraction, ring: PrimePower) -> Residue:
@@ -169,7 +182,8 @@ def rhs_lucas_sum(kind: str, c: int | Fraction, ring: PrimePower) -> Residue:
     Needed only mod p by its consumers, but computed in whatever ring is
     passed; c is the one-parameter recurrence coefficient (y = 1), read as
     its representative in the ring.  Both kinds read the cached sums of one
-    u column.
+    u column: in Z/p folded onto k <= (p-1)/2 unless c = +-2, and in
+    Z/p^k for k >= 2 over the whole range (see `_u_sums`).
     """
     if kind not in ("u", "v"):
         raise PreconditionViolated(f"kind must be 'u' or 'v', got {kind!r}")

@@ -328,8 +328,10 @@ class Harmonic(namedtuple("Harmonic", "c e comp half odd", defaults=(True, False
     """The term c * p^e * S, S = Hbar_N(comp) if ``odd`` else H_N(comp), and
     N = (p-1)/2 if ``half`` else p-1.
 
-    For e < 0 it is `OverP` of c * S, which needs p^-e to divide S: p^2
-    divides H_(p-1)(1), and p divides H_(p-1)(2), for p >= 5.
+    In Z/p^k, S is read in Z/p^max(k-e, 1): c * p^e * S mod p^k depends on
+    S only mod p^(k-e), so the sum costs no more precision than the term
+    keeps.  For e < 0 it is `OverP` of c * S, which needs p^-e to divide S:
+    p^2 divides H_(p-1)(1), and p divides H_(p-1)(2), for p >= 5.
     """
 
     __slots__ = ()
@@ -340,7 +342,7 @@ class Harmonic(namedtuple("Harmonic", "c e comp half odd", defaults=(True, False
             return OverP(-e, self._replace(e=0))(ring)
         p = ring.p
         kernel = harmonic._odd_mhs_mod if odd else harmonic._mhs_mod
-        x = kernel((p - 1) // 2 if half else p - 1, comp, ring)
+        x = kernel((p - 1) // 2 if half else p - 1, comp, prime_power(p, max(ring.k - e, 1)) if e else ring)
         return Residue(ring.value_of(c) * p**e * x % ring.modulus, ring)
 
 
@@ -717,7 +719,7 @@ def _congruence_checks() -> Iterator[CongruenceCheck]:
         "C27.morley",
         "(-1)^n/4^(p-1)*C(p-1,n) = 1 - p/4*H_(p-1)(1) - p^5/80*B(p-5)  (mod p^6)",
         6, ClosedForm((lambda ring: (
-            ring.from_int(central_binomials(ring)[(ring.p - 1) // 2]) * _sign_minus(ring.p)
+            ring.from_int(comb(ring.p - 1, (ring.p - 1) // 2)) * _sign_minus(ring.p)
             / ring.from_int(pow(4, ring.p - 1, ring.modulus))
         ),), (
             PrimePower.one, Harmonic(Fraction(-1, 4), 1, (1,), half=False),
@@ -1122,8 +1124,8 @@ def _walk_groups(check_ids: tuple) -> dict:
         if isinstance(check.evaluator, ClosedForm):
             for h in check.evaluator.lhs + check.evaluator.terms:
                 if isinstance(h, Harmonic):
-                    # A term with e < 0 sums in Z/p^(k-e), as `Harmonic` says.
-                    k = check.target_exponent - min(h.e, 0)
+                    # The term sums in Z/p^max(k-e, 1), as `Harmonic` says.
+                    k = max(check.target_exponent - h.e, 1)
                     groups.setdefault((k, h.half, h.odd), set()).add(h.comp)
     return {key: frozenset(comps) for key, comps in groups.items()}
 

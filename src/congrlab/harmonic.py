@@ -20,10 +20,21 @@ the unit's checks sum to one N in one ring, with one parity, taken by
 ``catalog`` from the `Harmonic` terms of the checks it runs and entered by
 `_plan_walks` into `_unit_plan`, a unit table like every other; the first
 sum of a group walks the whole group.  Any other sum, and every sum outside
-a planned unit, walks its one composition.  The exact path writes 1/i^a as
-(L/i)^a / L^a, L the lcm of the denominators, and divides the integer sum
-once by L^|comp|.  The alternating sum, mod p^k only, is a difference of two
-slices of the inverse table.
+a planned unit, walks alone: its one composition, or the halves of a folded
+sum as one group.
+
+Mod p a full-range sum is not walked: 1/(p-k)^a = (-1)^a/k^a pairs the
+indices above (p-1)/2 with those below, so H_(p-1)(comp) is a signed sum of
+products of half-range sums (`_folded_sum`), and the plan folds the
+full-range group mod p into the half-range one.  In Z/p^k for k >= 2 the
+full range keeps the direct walk: the pairing holds there only with the
+p-adic correction that Lemma 2.1 (the L21.C1 checks) states, so using it
+would check those statements against themselves.
+
+The exact path writes 1/i^a as (L/i)^a / L^a, L the lcm of the
+denominators, and divides the integer sum once by L^|comp|.  The
+alternating sum, mod p^k only, is a difference of two slices of the
+inverse table.
 """
 
 from __future__ import annotations
@@ -128,17 +139,30 @@ def _unit_plan(p: int) -> dict:
     return {}
 
 
+def _halves(comps) -> frozenset:
+    """The half-range sums that fold H_(p-1)(comp) mod p for each comp in
+    comps (see `_folded_sum`): every nonempty prefix of comp and every
+    nonempty suffix, reversed."""
+    return frozenset([part for comp in comps for j in range(len(comp)) for part in (comp[: j + 1], comp[j:][::-1])])
+
+
 def _plan_walks(p: int, groups: dict) -> None:
     """Plan the harmonic sums of the open unit at the prime p.
 
     ``groups`` maps (k, half, odd) to a frozenset of compositions, summed to
-    N = (p-1)/2 if half else p-1 in Z/p^k.  The first sum of a group that
+    N = (p-1)/2 if half else p-1 in Z/p^k.  The full-range group in Z/p
+    joins the half-range one as the halves of its sums (`_folded_sum`), so
+    Z/p is walked once, over the half range.  The first sum of a group that
     the unit computes walks the whole group; a sum outside every group
     walks alone.
     """
-    _unit_plan(p).update(
-        ((p**k, (p - 1) // 2 if half else p - 1, odd), comps) for (k, half, odd), comps in groups.items()
-    )
+    plan: dict = {}
+    for (k, half, odd), comps in groups.items():
+        if (k, half, odd) == (1, False, False):
+            half, comps = True, _halves(comps)
+        key = (p**k, (p - 1) // 2 if half else p - 1, odd)
+        plan[key] = plan.get(key, frozenset()) | comps
+    _unit_plan(p).update(plan)
 
 
 @unit_cached
@@ -152,26 +176,46 @@ def _group_sums(n: int, comps: frozenset, ring: PrimePower, odd: bool) -> dict:
     return {comp: sums[comp] % m for comp in comps}
 
 
-def _planned_sum(n: int, comp: tuple[int, ...], ring: PrimePower, odd: bool) -> int:
-    """H_n(comp) or Hbar_n(comp) mod p^k, walked with its group in the plan."""
+def _planned_sums(n: int, comps: frozenset, ring: PrimePower, odd: bool) -> dict:
+    """The sums of `_group_sums` for a group that holds comps: the plan's
+    group if it holds them all, else comps alone."""
     group = _unit_plan(ring.p).get((ring.modulus, n, odd))
-    if group is None or comp not in group:
-        group = frozenset((comp,))
-    return _group_sums(n, group, ring, odd)[comp]
+    return _group_sums(n, group if group is not None and comps <= group else comps, ring, odd)
+
+
+def _folded_sum(comp: tuple[int, ...], ring: PrimePower) -> int:
+    """H_(p-1)(comp) mod p from sums over the half range n = (p-1)/2.
+
+    Mod p, 1/(p-k)^a = (-1)^a/k^a pairs each index above n with one below,
+    so with the first j indices at most n and the rest above,
+    H_(p-1)(a_1, ..., a_r) = sum_j H_n(a_1, ..., a_j) * (-1)^(a_(j+1) + ... + a_r)
+    * H_n(a_r, ..., a_(j+1)), j = 0..r, H_n() = 1.  The halves are read
+    from the plan's half-range group mod p when it holds them all, else
+    walked as one group.  Exact only mod p (see the module docstring).
+    """
+    sums = _planned_sums((ring.p - 1) // 2, _halves((comp,)), ring, False)
+    total = 0
+    for j in range(len(comp) + 1):
+        prefix, suffix = comp[:j], comp[j:]
+        term = sums.get(prefix, 1) * sums.get(suffix[::-1], 1)  # H_n() = 1 is in no group
+        total += -term if sum(suffix) % 2 else term
+    return total % ring.modulus
 
 
 @unit_cached
 def _mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if n >= ring.p:
         raise NonUnitDenominator(f"H_{n} mod {ring.p}^{ring.k} hits the denominator p")
-    return _planned_sum(n, comp, ring, False)
+    if ring.k == 1 and n == ring.p - 1:
+        return _folded_sum(comp, ring)
+    return _planned_sums(n, frozenset((comp,)), ring, False)[comp]
 
 
 @unit_cached
 def _odd_mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if 2 * n - 1 >= ring.p:
         raise NonUnitDenominator(f"Hbar_{n} mod {ring.p}^{ring.k} hits the denominator p")
-    return _planned_sum(n, comp, ring, True)
+    return _planned_sums(n, frozenset((comp,)), ring, True)[comp]
 
 
 def mhs(n: int, comp, ring=QQ):

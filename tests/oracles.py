@@ -2,8 +2,9 @@
 
 The sums recompute over Q, term by term with ``Fraction``, a value that the
 package computes mod p^k from raw-integer columns, so they share no logic
-with the code under test.  The tests reduce them into Z/p^k with
-``PrimePower.from_fraction``.  The two power-sum routes to B_m and E_m
+with the code under test; ``harmonic_mod_p`` runs the plain depth-wise
+recursion mod p, for ranges too long to sum term by term.  The tests
+reduce them into Z/p^k with ``PrimePower.from_fraction``.  The two power-sum routes to B_m and E_m
 raise every base to the power m with ``pow``, where the package reads the
 powers off its cached tables of inverse powers.  ``records`` is the input
 of the general JSON encoder that the streamed report writer must match
@@ -45,6 +46,18 @@ def harmonic_over_q(n: int, comp: tuple, odd: bool = False) -> Fraction:
     dens = range(1, 2 * n, 2) if odd else range(1, n + 1)
     terms = (math.prod(Fraction(1, d**a) for d, a in zip(ds, comp)) for ds in combinations(dens, len(comp)))
     return sum(terms, Fraction(0))
+
+
+def harmonic_mod_p(n: int, comp: tuple, p: int) -> int:
+    """H_n(comp) mod p, n < p, by the depth-wise recursion over the indices
+    1..n, each 1/i^a by ``pow``: acc[d] sums the products of the first d
+    parts.  No power table, no walk and no fold; what ``harmonic_over_q``
+    gives where its term-by-term sum is too long to run."""
+    acc = [1] + [0] * len(comp)
+    for i in range(1, n + 1):
+        for d in range(len(comp), 0, -1):
+            acc[d] = (acc[d] + acc[d - 1] * pow(i, -comp[d - 1], p)) % p
+    return acc[-1]
 
 
 def bernoulli_by_pow(m: int, p: int) -> int:

@@ -25,7 +25,7 @@ from congrlab.binomsums import (
 )
 from congrlab.catalog import DEFAULT_T_PANEL
 from congrlab.harmonic import odd_mhs
-from congrlab.modring import primes_in_range, prime_power, unit_scope
+from congrlab.modring import legendre, primes_in_range, prime_power, unit_scope
 from congrlab.sequences import lucas_u_upto, lucas_v_upto, recurrence_column
 from oracles import fib_lucas_sum_exact, s1_exact, s2_exact, weighted_sums_exact
 
@@ -127,6 +127,22 @@ def test_rhs_lucas_sum_matches_iteration(p):
         want_v = sum(vs[k] / Fraction(k) ** 3 for k in range(1, p))
         assert rhs_lucas_sum("u", c, ring) == ring.from_fraction(want_u)
         assert rhs_lucas_sum("v", c, ring) == ring.from_fraction(want_v)
+
+
+def test_rhs_lucas_sum_mod_p_at_every_c():
+    # Every c mod p at the primes 5..61, so the half-range fold meets
+    # ((c^2-4)/p) = 1 and -1, and c = +-2 its full-range path, against the
+    # exact u and v iterated over the integers and reduced term by term.
+    seen = set()
+    for p in primes_in_range(5, 61):
+        ring = prime_power(p, 1)
+        for c in range(p):
+            us, vs = lucas_u_upto(p - 1, c, 1), lucas_v_upto(p - 1, c, 1)
+            want_u = sum(us[k] * pow(k, -2, p) for k in range(1, p))
+            want_v = sum(vs[k] * pow(k, -3, p) for k in range(1, p))
+            assert (rhs_lucas_sum("u", c, ring), rhs_lucas_sum("v", c, ring)) == (want_u, want_v), (p, c)
+            seen.add(legendre(c * c - 4, p))
+    assert seen == {1, -1, 0}
 
 
 def _rhs_lucas_sum_per_kind(kind, c, ring):

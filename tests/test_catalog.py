@@ -983,19 +983,22 @@ class TestRunSuite:
 
 #: The memo of each kernel whose tables live one unit, by the name its test
 #: ids show, and how many tables one cold ``--checks '*'`` unit at p = 101
-#: fills: as many as when each was an lru_cache with a bound.
+#: fills.  The rings are Z/p..Z/p^5 (`test_a_unit_builds_tables_up_to_p5_only`);
+#: `_mhs_mod` counts each sum in the ring its term keeps, and `_group_sums`
+#: the unit's groups, Z/p's full range folded into its half range, plus
+#: specialnum's H_(p/3)(2).
 UNIT_CACHES = {
-    "inverse_table": (modring.inverse_table, 6),
-    "central_binomials": (sequences.central_binomials, 6),
-    "_powers": (harmonic._powers, 26),
+    "inverse_table": (modring.inverse_table, 5),
+    "central_binomials": (sequences.central_binomials, 5),
+    "_powers": (harmonic._powers, 22),
     "binomial_column": (binomsums._column, 26),
     "weighted_sums": (binomsums._weighted_sums, 14),
     "_hbar_weights": (binomsums._hbar_weights, 2),
     "_u_sums": (binomsums._u_sums, 13),
     "_fermat_powers": (specialnum._fermat_powers, 1),
-    "_mhs_mod": (harmonic._mhs_mod, 106),
-    "_odd_mhs_mod": (harmonic._odd_mhs_mod, 14),
-    "_group_sums": (harmonic._group_sums, 13),
+    "_mhs_mod": (harmonic._mhs_mod, 115),
+    "_odd_mhs_mod": (harmonic._odd_mhs_mod, 13),
+    "_group_sums": (harmonic._group_sums, 14),
     "bernoulli_powersum": (specialnum.bernoulli_powersum, 3),
     "_unit_plan": (harmonic._unit_plan, 1),
     "bernoulli_table": (specialnum.bernoulli_table, 0),
@@ -1120,8 +1123,9 @@ def test_a_nested_scope_keeps_the_outer_units_tables():
 
 def test_a_nested_scope_keeps_the_walk_plan():
     # The plan made inside the unit stays in force across a nested scope, so
-    # the second sum of the group reads the first one's walk; it ends with
-    # the unit, like every other unit table.
+    # the second sum mod p reads the first one's walk of the halves of both
+    # (the half range's (1,), (1, 1), (1, 2) and (2, 1)); it ends with the
+    # unit, like every other unit table.
     ring = prime_power(101, 1)
     with unit_scope():
         harmonic._plan_walks(101, catalog._walk_groups(("ii.r1s1", "ii.r1s2")))
@@ -1152,28 +1156,81 @@ class TestWalkPlan:
     other: the plan comes from the selected checks' forms, not the registry."""
 
     def test_one_check_walks_one_composition(self, monkeypatch):
+        # Mod p, H_(p-1)(1, 1) = H_n(1, 1) - H_n(1)^2 + H_n(1, 1): one walk of
+        # its halves over the half range.
         walks = _walk_spy(monkeypatch)
         assert run_suite(prime_lo=101, prime_hi=101, patterns=("ii.r1s1",), jobs=1).status == "pass"
-        assert walks == [{(1, 1)}]
+        assert walks == [{(1,), (1, 1)}]
 
     def test_every_check_walks_each_group_once(self, monkeypatch):
-        # The 37 full-range sums mod p are one walk; the unit's 120 modular
-        # sums (UNIT_CACHES: 106 + 14) are each walked once.  One size-1 walk
-        # is a sum that no form states, specialnum's H_(p/3)(2).
+        # The 37 full-range sums mod p (ii, iii) are not walked: their halves
+        # join the 28 half-range sums mod p in one walk of 52.  Every other
+        # modular sum of the unit is walked once: the 128 (UNIT_CACHES:
+        # 115 + 13) less the 37, and the 24 halves that no form reads.  One
+        # size-1 walk is a sum that no form states, specialnum's H_(p/3)(2).
         walks = _walk_spy(monkeypatch)
         report = run_suite(prime_lo=101, prime_hi=101, patterns=("*",), jobs=1, kinds=("congruence",))
         assert report.status == "pass"
-        assert sorted(map(len, walks)) == [1, 1, 3, 3, 4, 5, 5, 5, 6, 9, 14, 27, 37]
-        assert sum(map(len, walks)) == 106 + 14
-        assert {(1, 2, 4), (5, 1, 1), (1, 1)} <= max(walks, key=len)
+        assert sorted(map(len, walks)) == [1, 1, 1, 1, 1, 1, 3, 3, 5, 5, 9, 13, 19, 52]
+        assert sum(map(len, walks)) == 115 + 13 - 37 + 24
+        groups = catalog._walk_groups(tuple(c.id for c in builtin_checks() if c.kind == "congruence"))
+        halves = harmonic._halves(groups[1, False, False])
+        assert max(walks, key=len) == groups[1, True, False] | halves
+        assert len(halves - groups[1, True, False]) == 24
 
     def test_the_plan_holds_compositions_and_ring_exponents_only(self):
+        # A term reads its sum in Z/p^max(k-e, 1), so the groups span
+        # Z/p..Z/p^5; the unit's plan folds the full range mod p into the
+        # half range.
         groups = catalog._walk_groups(tuple(c.id for c in builtin_checks() if c.kind == "congruence"))
-        assert len(groups) == 12 and len(groups[1, False, False]) == 37
+        assert len(groups) == 14 and len(groups[1, False, False]) == 37
+        assert {k for k, _, _ in groups} == {1, 2, 3, 4, 5}
         for (k, half, odd), comps in groups.items():
             assert type(k) is int and type(half) is bool and type(odd) is bool
             assert type(comps) is frozenset
             assert all(type(a) is int for comp in comps for a in comp)
+        with unit_scope():
+            harmonic._plan_walks(101, groups)
+            plan = harmonic._unit_plan(101)
+            assert len(plan) == 13 and (101, 100, False) not in plan and len(plan[101, 50, False]) == 52
+
+
+def test_a_unit_builds_tables_up_to_p5_only(monkeypatch):
+    # Every O(p) table of a unit starts from its ring's inverse table.  C27's
+    # lhs reads C(p-1, n) by math.comb, and each harmonic term reads its sum
+    # to the precision it keeps, so no default unit builds a Z/p^6 table.
+    rings, table = [], modring.inverse_table
+
+    def recording(ring):
+        rings.append(ring.k)
+        return table(ring)
+
+    for module in (modring, harmonic, binomsums, catalog, sequences, specialnum):
+        if hasattr(module, "inverse_table"):
+            monkeypatch.setattr(module, "inverse_table", recording)
+    assert run_suite(prime_lo=101, prime_hi=101, jobs=1, kinds=("congruence",)).status == "pass"
+    assert set(rings) == {1, 2, 3, 4, 5}
+
+
+def test_every_harmonic_term_with_a_power_of_p_against_the_oracle():
+    # A term c*p^e*S with e > 0 reads S in Z/p^max(k-e, 1); it must still be
+    # c*p^e*S mod p^k, with S summed over Q: for every such term of every
+    # registered form, in the check's ring and one power up.
+    terms = {
+        (h, check.target_exponent)
+        for check in builtin_checks()
+        if isinstance(check.evaluator, ClosedForm)
+        for h in check.evaluator.lhs + check.evaluator.terms
+        if isinstance(h, Harmonic) and h.e > 0
+    }
+    assert len(terms) == 68
+    for p in (7, 11, 13):
+        for (c, e, comp, half, odd), target in terms:
+            s = harmonic_over_q((p - 1) // 2 if half else p - 1, comp, odd)
+            for k in (target, target + 1):
+                ring = prime_power(p, k)
+                got = Harmonic(c, e, comp, half, odd)(ring)
+                assert got.ring is ring and got == c * Fraction(p) ** e * s, (p, k, c, e, comp, half, odd)
 
 
 #: The ``lru_cache`` functions that outlive a unit: the ring constructor (one

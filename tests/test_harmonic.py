@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
@@ -11,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrlab.errors import NonUnitDenominator, PreconditionViolated
-from congrlab import harmonic
+from congrlab import catalog, harmonic
 from congrlab.exactalg import QQ, Poly
 from congrlab.harmonic import alternating_half_sum, mhs, odd_mhs
-from congrlab.modring import prime_power, unit_scope
-from oracles import harmonic_over_q
+from congrlab.modring import prime_power, primes_in_range, unit_scope
+from oracles import harmonic_mod_p, harmonic_over_q
 
 
 def brute_alternating(n: int) -> Fraction:
@@ -214,6 +215,55 @@ def test_one_walk_gives_every_sum_of_its_set(comps, p, k, odd, data):
     ring = prime_power(p, k)
     sums = harmonic._group_sums(n, comps, ring, odd)
     assert sums == {comp: ring.value_of(harmonic_over_q(n, comp, odd)) for comp in comps}
+
+
+def _full_range_group_mod_p() -> frozenset:
+    """The compositions whose H_(p-1) mod p the sweep reads: the ii and iii checks."""
+    ids = tuple(c.id for c in catalog.builtin_checks() if c.kind == "congruence")
+    return catalog._walk_groups(ids)[1, False, False]
+
+
+def _folded_sums(p: int, comps, planned: bool) -> dict:
+    """comp -> mhs(p-1, comp) mod p for each comp: in one unit planned with
+    comps as its full-range group mod p, or each call outside any unit.  In
+    the planned unit Z/p is walked once."""
+    ring = prime_power(p, 1)
+    if not planned:
+        return {comp: mhs(p - 1, comp, ring) for comp in comps}
+    with unit_scope():
+        harmonic._plan_walks(p, {(1, False, False): frozenset(comps)})
+        sums = {comp: mhs(p - 1, comp, ring) for comp in comps}
+        assert harmonic._group_sums.cache_info().misses == 1
+    return sums
+
+
+@pytest.mark.parametrize("planned", [False, True], ids=["outside-a-unit", "planned-unit"])
+def test_folded_full_range_sums_mod_p(planned):
+    # Mod p, H_(p-1)(comp) is read off the half range; every composition of
+    # the sweep's group at every prime 5..61.  harmonic_over_q sums C(p-1, r)
+    # terms, so it checks the recursion oracle up to p = 13.
+    comps = _full_range_group_mod_p()
+    assert len(comps) == 37
+    for p in primes_in_range(5, 61):
+        for comp, got in _folded_sums(p, comps, planned).items():
+            want = harmonic_mod_p(p - 1, comp, p)
+            if p <= 13:
+                assert want == prime_power(p, 1).value_of(harmonic_over_q(p - 1, comp))
+            assert got == want, (p, comp)
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4).map(tuple),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_folded_sum_against_the_sum_over_q(comp, planned, data):
+    # Any composition of depth <= 4, at a prime 5..61 where the oracle's
+    # C(p-1, r) terms stay few.
+    p = data.draw(st.sampled_from([q for q in primes_in_range(5, 61) if math.comb(q - 1, len(comp)) <= 600]), label="p")
+    got = _folded_sums(p, [comp], planned)[comp]
+    assert got == prime_power(p, 1).value_of(harmonic_over_q(p - 1, comp))
 
 
 part = st.integers(min_value=1, max_value=4)
