@@ -1,14 +1,12 @@
 """Central binomial sums over half ranges, with several weight families.
 
-Each modular evaluator is one sum of elementwise products (``_dot``) of
-raw-integer columns over k (C(2k,k) t^k from ``binomial_column``, a
-Lucas-type ``recurrence_column``, slices of the power tables 1/i^a of
-``harmonic``) but ``weighted_sums``: two polynomials in t, by Horner's rule.
-Within a unit (``modring.unit_scope``) what several checks read at one
-(p, t) is built once: ``binomial_column`` and ``weighted_sums`` keyed by t's
-residue, the polynomials' coefficients once per ring, and the u-column sums
-of ``rhs_lucas_sum``.  A call outside a unit runs in one of its own and
-keeps nothing.  The oracles over Q live with the tests, in ``tests/oracles.py``.
+The panel checks read one pass per (p, t), ``panel_sums``, in the largest
+ring that the unit's panel terms read.  Every other modular evaluator is
+one sum of elementwise products (``_dot``) of raw-integer columns over k:
+C(2k,k) t^k from ``binomial_column`` (memoized by t's residue), a
+``recurrence_column``, slices of the power tables 1/i^a of ``harmonic``.
+A call outside a unit runs in one of its own and keeps nothing.  The
+oracles over Q live with the tests, in ``tests/oracles.py``.
 
 Families (p an odd prime, working modulus p^k from the ring):
 
@@ -22,8 +20,6 @@ Families (p an odd prime, working modulus p^k from the ring):
 * ``rhs_lucas_sum(kind, c)`` = sum_{k=1}^{p-1} u_k(c)/k^2 (kind u) or
   sum_{k=1}^{p-1} v_k(c)/k^3 (kind v); in Z/p both fold onto the half
   range (``_u_sums``)
-* ``alternating_v_sum(t, odd)`` = sum_{k=0}^{(p-3)/2} (-1)^k v_{2k+1}(t)/(2k+1)
-  (odd) or sum_{k=1}^{(p-1)/2} (-1)^k v_{2k}(t)/k, with v = v(t, 1)
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from operator import mul
 
 from .errors import PreconditionViolated
 from .harmonic import _powers
-from .modring import PrimePower, Residue, inverse_table, legendre, unit_cached
+from .modring import PrimePower, Residue, inverse_table, legendre, top_ring, unit_cached
 from .sequences import central_binomials, recurrence_column
 
 __all__ = [
@@ -44,7 +40,8 @@ __all__ = [
     "weighted_sums",
     "fib_lucas_sum",
     "rhs_lucas_sum",
-    "alternating_v_sum",
+    "PANEL_SUMS",
+    "panel_sums",
 ]
 
 
@@ -54,11 +51,8 @@ def _check_d(d: int) -> None:
 
 
 def binomial_column(t: int | Fraction, ring: PrimePower) -> tuple[int, ...]:
-    """C(2k,k) t^k mod p^k for 0 <= k <= (p-1)/2, as raw integers.
-
-    Memoized by t's residue in ``_column`` for the open unit: the checks at
-    one prime read 26 distinct columns at p = 101.
-    """
+    """C(2k,k) t^k mod p^k for 0 <= k <= (p-1)/2, as raw integers, memoized
+    by t's residue in ``_column``: the fixed-t checks read 11 at p = 101."""
     return _column(ring.value_of(t), ring)
 
 
@@ -113,30 +107,9 @@ def s2(t: int | Fraction, d: int, ring: PrimePower) -> Residue:
 
 
 def weighted_sums(t: int | Fraction, ring: PrimePower) -> tuple[Residue, Residue]:
-    """The pair of Hbar_k(2)-weighted central binomial sums at t, memoized by
-    t's residue: L31.A2 and L31.A3 each read one element, C52 the first."""
-    return _weighted_sums(ring.value_of(t), ring)
-
-
-@unit_cached
-def _weighted_sums(tv: int, ring: PrimePower) -> tuple[Residue, Residue]:
-    """``weighted_sums`` at the raw integer tv, by Horner's rule on the t-free
-    coefficients of ``_hbar_weights``: no column of t^k is built."""
-    m = ring.modulus
-    over_odd, hbar = _hbar_weights(ring)
-    x, y = 0, hbar[0]
-    for a, b in zip(over_odd, hbar[1:]):
-        x, y = (x * tv + a) % m, (y * tv + b) % m
-    return Residue(x, ring), Residue(y, ring)
-
-
-@unit_cached
-def _hbar_weights(ring: PrimePower) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The ``_weighted_sums`` coefficients, top degree first: C(2k,k) Hbar_k(2)
-    / (2k+1) for k <= (p-3)/2 and C(2k,k) Hbar_k(2) for k <= (p-1)/2."""
-    m = ring.modulus
-    hbar = [c * h % m for c, h in zip(central_binomials(ring), accumulate(_odd_powers(ring, 2), initial=0))]
-    return tuple([h * w % m for h, w in zip(hbar, _odd_powers(ring, 1))][::-1]), tuple(hbar[::-1])
+    """The pair of Hbar_k(2)-weighted central binomial sums at t, from the panel pass."""
+    sums, m = panel_sums(t, ring), ring.modulus
+    return Residue(sums["odd_weighted"] % m, ring), Residue(sums["weighted"] % m, ring)
 
 
 def fib_lucas_sum(kind: str, ring: PrimePower) -> Residue:
@@ -190,19 +163,52 @@ def rhs_lucas_sum(kind: str, c: int | Fraction, ring: PrimePower) -> Residue:
     return _u_sums(ring.value_of(c), ring)[kind == "v"]
 
 
-def alternating_v_sum(t: int | Fraction, odd: bool, ring: PrimePower) -> Residue:
-    """The signed v-series at t over the half range, with v = v(t, 1).
+#: The panel pass's sums at t, u = t^2/16: s1(t, 0), s0 = 1 + s2(t, 0), the
+#: ``weighted_sums`` pair, s1(u, 1), s2(u, 1), sum_{k<n} (-1)^k v_{2k+1}(t)/(2k+1)
+#: and sum_{1<=k<=n} (-1)^k v_{2k}(t)/k, v = v(t, 1) and n = (p-1)/2.
+PANEL_SUMS = ("s1", "s0", "odd_weighted", "weighted", "quad_s1", "quad_s2", "odd_v", "even_v")
 
-    With ``odd`` True: sum_{k=0}^{(p-3)/2} (-1)^k v_{2k+1}(t)/(2k+1).
-    Otherwise: sum_{k=1}^{(p-1)/2} (-1)^k v_{2k}(t)/k.  Both columns step the
-    index by two, s_{k+1} = v_2*s_k - s_{k-1} with v_2 = t^2 - 2, and the
-    sign (-1)^k is folded in by negating v_2.
-    """
-    tv = ring.value_of(t)
-    v2 = (tv * tv - 2) % ring.modulus
-    if odd:
-        seeds, weights = (tv, -(v2 * tv - tv)), _odd_powers(ring, 1)  # v_1, -v_3
-    else:
-        seeds, weights = (2, -v2), _half_inverses(ring)  # v_0, -v_2
-    return _dot(ring, recurrence_column(len(weights), *seeds, -v2, ring.modulus), weights)
 
+def panel_sums(t: int | Fraction, ring: PrimePower) -> dict:
+    """name -> sum at t for `PANEL_SUMS`, raw integers of ring or a larger one."""
+    top = top_ring(ring, "panel")
+    return _panel_pass(top.value_of(t), top)
+
+
+@unit_cached
+def _panel_pass(tv: int, ring: PrimePower) -> dict:
+    """`panel_sums` at tv: one loop over k steps t^k, u^k and (-1)^k v_(2k+1),
+    (-1)^k v_(2k) (s_(k+1) = (2-t^2)*s_k - s_(k-1) from s_(-1), s_0 = -t, t
+    and 2-t^2, 2) against the rows of `_pass_rows`, and reduces each sum once."""
+    m = ring.modulus
+    u, x = tv * tv * pow(16, -1, m) % m, (2 - tv * tv) % m
+    tk = uk = 1
+    odd, odd_prev, even, even_prev = tv, -tv, 2, x
+    s1 = s0 = odd_weighted = weighted = quad_s1 = quad_s2 = odd_v = even_v = 0
+    for c, c_odd, h, h_odd, c_odd2, c_k, i_odd, i_k in _pass_rows(ring):
+        s1 += c_odd * tk
+        s0 += c * tk
+        odd_weighted += h_odd * tk
+        weighted += h * tk
+        quad_s1 += c_odd2 * uk
+        quad_s2 += c_k * uk
+        odd_v += odd * i_odd
+        even_v += even * i_k
+        tk, uk = tk * tv % m, uk * u % m
+        odd, odd_prev = (x * odd - odd_prev) % m, odd
+        even, even_prev = (x * even - even_prev) % m, even
+    sums = (s1, s0, odd_weighted, weighted, quad_s1, quad_s2, odd_v, even_v)
+    return dict(zip(PANEL_SUMS, [v % m for v in sums]))
+
+
+@unit_cached
+def _pass_rows(ring: PrimePower) -> tuple[tuple[int, ...], ...]:
+    """`_panel_pass`'s row per k <= n: C(2k,k) times 1, 1/(2k+1), Hbar_k(2),
+    Hbar_k(2)/(2k+1), 1/(2k+1)^2 and 1/k, then 1/(2k+1) and 1/k (0 at n, 0)."""
+    m = ring.modulus
+    c, inv = central_binomials(ring), _half_inverses(ring)
+    odd, odd2 = _odd_powers(ring, 1) + (0,), _odd_powers(ring, 2) + (0,)
+    h = [x * y % m for x, y in zip(c, accumulate(odd2, initial=0))]
+    pairs = ((c, odd), (h, odd), (c, odd2), (c, inv))
+    c_odd, h_odd, c_odd2, c_k = ([x * y % m for x, y in zip(a, b)] for a, b in pairs)
+    return tuple(zip(c, c_odd, h, h_odd, c_odd2, c_k, odd, inv))

@@ -19,16 +19,16 @@ from fnmatch import fnmatchcase
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, chain
-from math import comb, inf
+from math import comb, inf, prod
 from operator import mul
 
 from . import harmonic, modring
 from .binomsums import (
     _dot,
     _odd_powers,
-    alternating_v_sum,
     binomial_column,
     fib_lucas_sum,
+    panel_sums,
     rhs_lucas_sum,
     s1,
     s2,
@@ -64,6 +64,7 @@ __all__ = [
     "CongruenceCheck",
     "ClosedForm",
     "PerT",
+    "PanelSum",
     "Harmonic",
     "QuotientPoly",
     "ModP",
@@ -246,6 +247,17 @@ def _uv_term(kind: str, t: Fraction, p: int) -> Residue:
     return rhs_lucas_sum(kind, 2 - 16 * tr.value, modp) * ((-tr.inv()) ** e * pow(scale, -1, p))
 
 
+def _half_binomial(ring: PrimePower) -> Residue:
+    """C(p-1, n) in the ring, n = (p-1)/2: the product of (p-j)/j over j <= n
+    in reduced blocks of 32, one inverse, and no p-bit ``math.comb``."""
+    p, m, n = ring.p, ring.modulus, (ring.p - 1) // 2
+    num = den = 1
+    for j in range(1, n + 1, 32):
+        num = num * prod(range(max(p - j - 31, n + 1), p - j + 1)) % m
+        den = den * prod(range(j, min(j + 32, n + 1))) % m
+    return Residue(num * pow(den, -1, m) % m, ring)
+
+
 def _v_p_term(t: Fraction, ring: PrimePower) -> Residue:
     """[(-1)^n*(v_p(t) - t^p) + 2p*sum_(k<n) (-1)^k v_(2k+1)(t)/(2k+1)]/t in
     the ring, n = (p-1)/2: p^2 times the rhs of T34.first.  The sum is
@@ -253,7 +265,7 @@ def _v_p_term(t: Fraction, ring: PrimePower) -> Residue:
     p = ring.p
     tr = ring.from_fraction(t)
     vp = lucas_pair_mod(p, tr, 1, ring)[1]
-    vsum = _mod_p_term(ring, 2, 1, alternating_v_sum(t, True, prime_power(p, ring.k - 1)))
+    vsum = _mod_p_term(ring, 2, 1, PanelSum("odd_v", t)(prime_power(p, ring.k - 1)))
     return ((vp - tr**p) * _sign_minus(p) + vsum) / tr
 
 
@@ -309,6 +321,16 @@ class PerT(namedtuple("PerT", "build")):
 
     def __call__(self, ring: PrimePower, t):
         return self.build(t)(ring, t)
+
+
+class PanelSum(namedtuple("PanelSum", "name t sign", defaults=(None,))):
+    """sign(p) * the sum ``name`` of `binomsums.panel_sums` at t; a missing sign is 1."""
+
+    __slots__ = ()
+
+    def __call__(self, ring: PrimePower) -> Residue:
+        x = panel_sums(self.t, ring)[self.name]
+        return Residue((x if self.sign is None else x * self.sign(ring.p)) % ring.modulus, ring)
 
 
 class OverP(namedtuple("OverP", "j term")):
@@ -719,8 +741,7 @@ def _congruence_checks() -> Iterator[CongruenceCheck]:
         "C27.morley",
         "(-1)^n/4^(p-1)*C(p-1,n) = 1 - p/4*H_(p-1)(1) - p^5/80*B(p-5)  (mod p^6)",
         6, ClosedForm((lambda ring: (
-            ring.from_int(comb(ring.p - 1, (ring.p - 1) // 2)) * _sign_minus(ring.p)
-            / ring.from_int(pow(4, ring.p - 1, ring.modulus))
+            _half_binomial(ring) * _sign_minus(ring.p) / ring.from_int(pow(4, ring.p - 1, ring.modulus))
         ),), (
             PrimePower.one, Harmonic(Fraction(-1, 4), 1, (1,), half=False),
             ModP(Fraction(-1, 80), 5, _bernoulli_p(5)),
@@ -730,20 +751,20 @@ def _congruence_checks() -> Iterator[CongruenceCheck]:
         "L31.A2",
         "sum C(2k,k)t^k Hbar_k(2)/(2k+1) = 1/64*(-1/t)^((p+1)/2) * sum v_k(2-16t)/k^3  (mod p)",
         1, PerT(lambda t: ClosedForm(
-            (lambda ring: weighted_sums(t, ring)[0],), (ModP(1, 0, lambda p: _uv_term("v", t, p)),),
+            (PanelSum("odd_weighted", t),), (ModP(1, 0, lambda p: _uv_term("v", t, p)),),
         )), min_prime=5,
     )
     yield CongruenceCheck(
         "L31.A3",
         "sum C(2k,k)t^k Hbar_k(2) = 1/2*(-1/t)^((p-1)/2) * sum u_k(2-16t)/k^2  (mod p)",
         1, PerT(lambda t: ClosedForm(
-            (lambda ring: weighted_sums(t, ring)[1],), (ModP(1, 0, lambda p: _uv_term("u", t, p)),),
+            (PanelSum("weighted", t),), (ModP(1, 0, lambda p: _uv_term("u", t, p)),),
         )), min_prime=5,
     )
     yield CongruenceCheck(
         "T32.first",
         "sum C(2k,k)t^k/(2k+1) = [w_n(1-8t) - (-16t)^n]/p + p^2/64*(-1/t)^((p+1)/2)*sum v_k(2-16t)/k^3  (mod p^3)",
-        3, PerT(lambda t: ClosedForm((lambda ring: s1(t, 0, ring),), (
+        3, PerT(lambda t: ClosedForm((PanelSum("s1", t),), (
             OverP(1, lambda ring: (
                 w_value_mod((ring.p - 1) // 2, 1 - 8 * ring.from_fraction(t), ring)
                 - (-16 * ring.from_fraction(t)) ** ((ring.p - 1) // 2)
@@ -754,7 +775,7 @@ def _congruence_checks() -> Iterator[CongruenceCheck]:
     yield CongruenceCheck(
         "T32.second",
         "(-1)^n sum C(2k,k)t^k = w_n(8t-1) + p^2/(2t^n)*sum u_k(2-16t)/k^2  (mod p^3)",
-        3, PerT(lambda t: ClosedForm((lambda ring: (ring.one() + s2(t, 0, ring)) * _sign_minus(ring.p),), (
+        3, PerT(lambda t: ClosedForm((PanelSum("s0", t, _sign_minus),), (
             lambda ring: w_value_mod((ring.p - 1) // 2, 8 * ring.from_fraction(t) - 1, ring),
             ModP(1, 2, lambda p: _uv_term("u", t, p), sign=_sign_minus),
         ))), min_prime=5,
@@ -763,14 +784,14 @@ def _congruence_checks() -> Iterator[CongruenceCheck]:
         "T34.first",
         "sum C(2k,k)(t/4)^(2k)/(2k+1)^2 = (-1)^n*(v_p(t)-t^p)/(t*p^2) + 2/(t*p)*sum (-1)^k v_(2k+1)(t)/(2k+1)  (mod p^2)",
         2, PerT(lambda t: ClosedForm(
-            (lambda ring: s1((ring.from_fraction(t) ** 2 / 16).value, 1, ring),), (OverP(2, lambda ring: _v_p_term(t, ring)),),
+            (PanelSum("quad_s1", t),), (OverP(2, lambda ring: _v_p_term(t, ring)),),
         )),
     )
     yield CongruenceCheck(
         "T34.second",
         "sum C(2k,k)(t/4)^(2k)/k = 4*q_p(2) - 2p*q_p(2)^2 + sum (-1)^k v_(2k)(t)/k  (mod p^2)",
-        2, PerT(lambda t: ClosedForm((lambda ring: s2((ring.from_fraction(t) ** 2 / 16).value, 1, ring),), (
-            QuotientPoly(fermat(2), 1, (4, -2)), lambda ring: alternating_v_sum(t, False, ring),
+        2, PerT(lambda t: ClosedForm((PanelSum("quad_s2", t),), (
+            QuotientPoly(fermat(2), 1, (4, -2)), PanelSum("even_v", t),
         ))),
     )
     yield CongruenceCheck(
@@ -1113,21 +1134,25 @@ def run_identity(check: IdentityCheck, params: dict) -> CheckResult:
 
 @lru_cache(maxsize=None)
 def _walk_groups(check_ids: tuple) -> dict:
-    """The walk plan of a unit that runs these checks: (k, half, odd) -> the
-    frozenset of the compositions that the `Harmonic` terms of their
-    `ClosedForm`s sum in Z/p^k (see `harmonic._plan_walks`).  It holds
-    compositions and ring exponents only, never a term, so no unit hashes a
-    coefficient."""
+    """The plan (`modring._unit_plan`) of a unit that runs these checks: the
+    walks of their `Harmonic` terms' sums (`harmonic._merge_walks`) and the
+    top rings of those walks' power tables and of their `PanelSum` terms'
+    pass.  It holds compositions and exponents only, so no unit hashes a term."""
     groups: dict = {}
+    panel = 0
     for cid in check_ids:
         check = _registry()[cid]
-        if isinstance(check.evaluator, ClosedForm):
-            for h in check.evaluator.lhs + check.evaluator.terms:
+        form = check.evaluator.build(Fraction(1)) if check.uses_t_panel else check.evaluator
+        if isinstance(form, ClosedForm):
+            for h in form.lhs + form.terms:
                 if isinstance(h, Harmonic):
                     # The term sums in Z/p^max(k-e, 1), as `Harmonic` says.
                     k = max(check.target_exponent - h.e, 1)
                     groups.setdefault((k, h.half, h.odd), set()).add(h.comp)
-    return {key: frozenset(comps) for key, comps in groups.items()}
+                elif isinstance(h, PanelSum):
+                    panel = max(panel, check.target_exponent)
+    walks, tops = harmonic._merge_walks(groups)
+    return {"walks": walks, **tops, **({"panel": panel} if panel else {})}
 
 
 def _run_unit(unit) -> list[CheckResult]:
@@ -1135,17 +1160,16 @@ def _run_unit(unit) -> list[CheckResult]:
     in turn, each panel check over the whole of the panel values ``ts``; or
     the cases of one identity, in case order.
 
-    Every table built for the unit, its harmonic walk plan included, lives
-    as long as its `modring.unit_scope`, also in a pool worker: one prime's
-    at a time.  A prime unit plans the harmonic sums of its checks by the
-    groups `_walk_groups` derives once per distinct set of checks.
+    Every table built for the unit, its plan included, lives as long as its
+    `modring.unit_scope`, also in a pool worker: one prime's at a time.  A
+    prime unit's plan is the one `_walk_groups` derives per set of checks.
     """
     with modring.unit_scope():
         if unit[0] == "i":
             check = _registry()[unit[1]]
             return [run_identity(check, dict(case)) for case in check.cases]
         _, p, ids, ts = unit
-        harmonic._plan_walks(p, _walk_groups(ids))
+        modring._unit_plan(p).update(_walk_groups(ids))
         checks = map(_registry().get, ids)
         return [run_congruence(c, p, t) for c in checks for t in (ts if c.uses_t_panel else (None,))]
 
@@ -1180,7 +1204,7 @@ def run_suite(
     values, as ``Fraction`` objects, and runs check by check in registry
     order, each panel check over the whole panel before the next check.
     Rows come back as `CheckResult` named tuples and are the only state
-    kept across units but for the rings and each check set's walk groups.
+    kept across units but for the rings and each check set's plan.
     They are bucketed by check id as they arrive, and each bucket is sorted
     by (prime, t), so the results come out in (check id, prime, t) order
     regardless of job count, making reports byte-identical across schedules.

@@ -25,7 +25,7 @@ __all__ = ["build_parser", "main", "format_report"]
 
 #: Largest accepted upper end of ``--primes``.  The kernel tables hold O(p)
 #: entries per prime and ring: a sweep of every check at one prime near 10^5
-#: (100,003) peaks at about 189 MB, so one near 10^6 needs gigabytes.
+#: (100,003) peaks at about 163 MB, so one near 10^6 needs gigabytes.
 MAX_PRIME = 10**6
 
 

@@ -15,18 +15,17 @@ prefix's running sums once and costs one O(n) product pass per composition
 that extends it.  The modular path feeds it iterators over cached power
 tables (entry i of ``_powers(ring, a)`` is i^-a mod p^k, so no ``pow`` in
 the loop, and no table is copied) and reduces mod p^k once.  Within a
-prime unit the set is a group of the unit's plan: every composition that
-the unit's checks sum to one N in one ring, with one parity, taken by
-``catalog`` from the `Harmonic` terms of the checks it runs and entered by
-`_plan_walks` into `_unit_plan`, a unit table like every other; the first
-sum of a group walks the whole group.  Any other sum, and every sum outside
-a planned unit, walks alone: its one composition, or the halves of a folded
-sum as one group.
+prime unit the set is a walk of the unit's plan (`_merge_walks`): every
+composition that its checks sum to one N with one parity, in any ring.  A
+node reads the columns of the largest ring below it, so a prefix that
+several rings read is walked once, and each ring reduces its sums.  The
+first sum of a walk walks it all; any other sum, and every sum outside a
+planned unit, walks alone (the halves of a folded sum together).
 
 Mod p a full-range sum is not walked: 1/(p-k)^a = (-1)^a/k^a pairs the
 indices above (p-1)/2 with those below, so H_(p-1)(comp) is a signed sum of
 products of half-range sums (`_folded_sum`), and the plan folds the
-full-range group mod p into the half-range one.  In Z/p^k for k >= 2 the
+full-range sums mod p into the half-range walk.  In Z/p^k for k >= 2 the
 full range keeps the direct walk: the pairing holds there only with the
 p-adic correction that Lemma 2.1 (the L21.C1 checks) states, so using it
 would check those statements against themselves.
@@ -46,7 +45,7 @@ from operator import mul
 
 from .errors import NonUnitDenominator, PreconditionViolated
 from .exactalg import QQ, RationalField
-from .modring import PrimePower, Residue, inverse_table, unit_cached
+from .modring import PrimePower, Residue, _unit_plan, inverse_table, prime_power, unit_cached, unit_table
 
 __all__ = [
     "mhs",
@@ -66,14 +65,14 @@ def _validated(n: int, comp) -> tuple[int, ...]:
 
 @unit_cached
 def _powers(ring: PrimePower, a: int) -> tuple[int, ...]:
-    """``inverse_table(ring)`` with every entry raised to the power a >= 1.
+    """``inverse_table(ring)`` with every entry raised to the power a >= 1."""
+    return inverse_table(ring) if a == 1 else unit_table(a, _power_table, ring, a)
 
-    Squares the table for a // 2, so a table costs one or two products per
-    entry and the recursion is only log2(a) deep.
-    """
+
+def _power_table(ring: PrimePower, a: int) -> tuple[int, ...]:
+    """`_powers` for a >= 2 by squaring the table for a // 2: one or two
+    products per entry, and log2(a) deep."""
     inv = inverse_table(ring)
-    if a == 1:
-        return inv
     m = ring.modulus
     half = _powers(ring, a // 2)
     if a % 2:
@@ -81,26 +80,30 @@ def _powers(ring: PrimePower, a: int) -> tuple[int, ...]:
     return tuple([y * y % m for y in half])
 
 
-def _walk(column, comps) -> dict:
+def _walk(column, comps: dict) -> dict:
     """The DP of every composition in ``comps`` on raw integers, unreduced:
     one depth-first walk of their prefix tree, a dict from each node of the
     tree (every composition and every prefix of one) to its sum.
 
-    ``column(a)`` gives x_1^a, x_2^a, ... for one sequence x_1, x_2, ...;
-    the sum of comp sums prod_d x_{i_d}^comp[d] over i_1 < ... < i_r, so
-    comp[0] sits on the smallest index.  A prefix's terms are its products
-    ending at each index.  Their running sums, accumulated once per prefix,
-    weight the column of each part that extends it: a composition costs one
-    product pass more than its parent, and a leaf sums its products in that
-    pass.  Only the lists of the prefixes on the current path are alive.  The
-    caller reduces or divides once at the end: skipping the per-entry
-    reduction nearly halves the cost of the modular loop.
+    ``column(a, ring)`` gives x_1^a, x_2^a, ... for one sequence x_1, x_2,
+    ... in a ring, and ``comps`` maps each composition to the ring it is
+    read in; a node reads the largest ring below it.  The sum of comp sums
+    prod_d x_{i_d}^comp[d] over i_1 < ... < i_r, so comp[0] sits on the
+    smallest index.  A prefix's terms are its products ending at each index.
+    Their running sums, accumulated once per prefix, weight the column of
+    each part that extends it: a composition costs one product pass more
+    than its parent, and a leaf sums its products in that pass.  Only the
+    lists of the prefixes on the current path are alive.  The caller
+    reduces or divides once at the end: skipping the per-entry reduction
+    nearly halves the cost of the modular loop.
     """
     tree: dict = {}
-    for comp in comps:
+    for comp, ring in comps.items():
         node = tree
         for a in comp:
-            node = node.setdefault(a, {})
+            entry = node.setdefault(a, [ring, {}])
+            entry[0] = max(entry[0], ring)
+            node = entry[1]
     sums = {(): 1}
     _visit(column, tree, (), None, sums)
     return sums
@@ -110,9 +113,9 @@ def _visit(column, node: dict, prefix: tuple, running, sums: dict) -> None:
     """Enter the sums of the children of ``prefix`` and their subtrees into
     ``sums``; ``running`` holds the running sums of prefix's terms (None at
     the root, whose terms are all 1)."""
-    for a, children in node.items():
+    for a, (ring, children) in node.items():
         comp = prefix + (a,)
-        terms = column(a) if running is None else map(mul, running, column(a))
+        terms = column(a, ring) if running is None else map(mul, running, column(a, ring))
         if children:
             weights = list(accumulate(terms, initial=0))
             sums[comp] = weights[-1]
@@ -127,16 +130,7 @@ def _exact_sum(ring, dens: range, comp: tuple[int, ...]) -> Fraction:
         raise PreconditionViolated(f"harmonic sums need QQ or a PrimePower ring, got {ring!r}")
     L = lcm(*dens)
     scaled = [L // i for i in dens]
-    return Fraction(_walk(lambda a: [x**a for x in scaled], (comp,))[comp], L ** sum(comp))
-
-
-@unit_cached
-def _unit_plan(p: int) -> dict:
-    """The open unit's walk plan at the prime p: (p^k, n, odd) -> the
-    frozenset of compositions whose H_n (Hbar_n if odd) the unit's checks
-    read in Z/p^k.  Empty until `_plan_walks` fills it, so empty outside a
-    planned unit."""
-    return {}
+    return Fraction(_walk(lambda a, _: [x**a for x in scaled], {comp: 0})[comp], L ** sum(comp))
 
 
 def _halves(comps) -> frozenset:
@@ -146,41 +140,46 @@ def _halves(comps) -> frozenset:
     return frozenset([part for comp in comps for j in range(len(comp)) for part in (comp[: j + 1], comp[j:][::-1])])
 
 
-def _plan_walks(p: int, groups: dict) -> None:
-    """Plan the harmonic sums of the open unit at the prime p.
-
-    ``groups`` maps (k, half, odd) to a frozenset of compositions, summed to
-    N = (p-1)/2 if half else p-1 in Z/p^k.  The full-range group in Z/p
-    joins the half-range one as the halves of its sums (`_folded_sum`), so
-    Z/p is walked once, over the half range.  The first sum of a group that
-    the unit computes walks the whole group; a sum outside every group
-    walks alone.
-    """
-    plan: dict = {}
+def _merge_walks(groups: dict) -> tuple[dict, dict]:
+    """For ``groups``, (k, half, odd) -> compositions summed to N = (p-1)/2 if
+    half else p-1 in Z/p^k: one walk per (half, odd), comp -> the largest k
+    reading it, Z/p's full range folded into its half range (`_folded_sum`);
+    and the top k of each power a, the largest k of a comp holding a."""
+    walks: dict = {}
     for (k, half, odd), comps in groups.items():
         if (k, half, odd) == (1, False, False):
             half, comps = True, _halves(comps)
-        key = (p**k, (p - 1) // 2 if half else p - 1, odd)
-        plan[key] = plan.get(key, frozenset()) | comps
-    _unit_plan(p).update(plan)
+        walk = walks.setdefault((half, odd), {})
+        for comp in comps:
+            walk[comp] = max(walk.get(comp, 0), k)
+    tops: dict = {}
+    for comp, k in (item for walk in walks.values() for item in walk.items()):
+        for a in comp:
+            tops[a] = max(tops.get(a, 0), k)
+    return walks, tops
+
+
+def _walk_sums(n: int, comps: dict, p: int, odd: bool) -> dict:
+    """comp -> H_n(comp) (Hbar_n(comp) if odd) mod p^k for comp -> k in comps."""
+    stop, step = (2 * n, 2) if odd else (n + 1, 1)
+    sums = _walk(lambda a, k: islice(_powers(prime_power(p, k), a), 1, stop, step), comps)
+    return {comp: sums[comp] % p**k for comp, k in comps.items()}
 
 
 @unit_cached
-def _group_sums(n: int, comps: frozenset, ring: PrimePower, odd: bool) -> dict:
-    """comp -> H_n(comp) (Hbar_n(comp) if odd) mod p^k for every comp in
-    comps, from one `_walk` over the power tables.  Each column is an
-    iterator over its table, so the walk copies no table."""
-    m = ring.modulus
-    stop, step = (2 * n, 2) if odd else (n + 1, 1)
-    sums = _walk(lambda a: islice(_powers(ring, a), 1, stop, step), comps)
-    return {comp: sums[comp] % m for comp in comps}
+def _group_sums(n: int, p: int, odd: bool) -> dict:
+    """The sums of the plan's walk at (n, odd), walked once per unit."""
+    return _walk_sums(n, _unit_plan(p)["walks"][n < p - 1, odd], p, odd)
 
 
-def _planned_sums(n: int, comps: frozenset, ring: PrimePower, odd: bool) -> dict:
-    """The sums of `_group_sums` for a group that holds comps: the plan's
-    group if it holds them all, else comps alone."""
-    group = _unit_plan(ring.p).get((ring.modulus, n, odd))
-    return _group_sums(n, group if group is not None and comps <= group else comps, ring, odd)
+def _sums(n: int, comps, ring: PrimePower, odd: bool) -> dict:
+    """comp -> its sum mod p^k or above, for each comp of comps: the plan's
+    walk at n if it reads them all in ring or above, else a walk of comps."""
+    p = ring.p
+    walk = _unit_plan(p).get("walks", {}).get((n < p - 1, odd), {}) if n in (p - 1, (p - 1) // 2) else {}
+    if walk and all(walk.get(comp, 0) >= ring.k for comp in comps):
+        return _group_sums(n, p, odd)
+    return _walk_sums(n, dict.fromkeys(comps, ring.k), p, odd)
 
 
 def _folded_sum(comp: tuple[int, ...], ring: PrimePower) -> int:
@@ -190,14 +189,14 @@ def _folded_sum(comp: tuple[int, ...], ring: PrimePower) -> int:
     so with the first j indices at most n and the rest above,
     H_(p-1)(a_1, ..., a_r) = sum_j H_n(a_1, ..., a_j) * (-1)^(a_(j+1) + ... + a_r)
     * H_n(a_r, ..., a_(j+1)), j = 0..r, H_n() = 1.  The halves are read
-    from the plan's half-range group mod p when it holds them all, else
-    walked as one group.  Exact only mod p (see the module docstring).
+    from the plan's half-range walk when it holds them all, else walked as
+    one group.  Exact only mod p (see the module docstring).
     """
-    sums = _planned_sums((ring.p - 1) // 2, _halves((comp,)), ring, False)
+    sums = _sums((ring.p - 1) // 2, _halves((comp,)), ring, False)
     total = 0
     for j in range(len(comp) + 1):
         prefix, suffix = comp[:j], comp[j:]
-        term = sums.get(prefix, 1) * sums.get(suffix[::-1], 1)  # H_n() = 1 is in no group
+        term = sums.get(prefix, 1) * sums.get(suffix[::-1], 1)  # H_n() = 1 is in no walk
         total += -term if sum(suffix) % 2 else term
     return total % ring.modulus
 
@@ -208,14 +207,14 @@ def _mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
         raise NonUnitDenominator(f"H_{n} mod {ring.p}^{ring.k} hits the denominator p")
     if ring.k == 1 and n == ring.p - 1:
         return _folded_sum(comp, ring)
-    return _planned_sums(n, frozenset((comp,)), ring, False)[comp]
+    return _sums(n, (comp,), ring, False)[comp] % ring.modulus
 
 
 @unit_cached
 def _odd_mhs_mod(n: int, comp: tuple[int, ...], ring: PrimePower) -> int:
     if 2 * n - 1 >= ring.p:
         raise NonUnitDenominator(f"Hbar_{n} mod {ring.p}^{ring.k} hits the denominator p")
-    return _planned_sums(n, frozenset((comp,)), ring, True)[comp]
+    return _sums(n, (comp,), ring, True)[comp] % ring.modulus
 
 
 def mhs(n: int, comp, ring=QQ):

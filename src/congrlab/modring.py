@@ -33,8 +33,10 @@ __all__ = [
     "divide_by_p",
     "legendre",
     "inverse_table",
+    "top_ring",
     "unit_cached",
     "unit_scope",
+    "unit_table",
 ]
 
 MAX_EXPONENT = 8
@@ -317,14 +319,43 @@ def legendre(a: int, p: int) -> int:
 
 
 @unit_cached
-def inverse_table(ring: PrimePower) -> tuple[int, ...]:
-    """Inverses of 1..p-1 mod m = p^k in one pass: m = floor(m/i)*i + (m mod
-    i) gives 1/i = (m - floor(m/i)) * inv[m mod i] (mod m), where m mod i < i
-    is a unit, as every i < p is.
+def _unit_plan(p: int) -> dict:
+    """The open unit's copy of its check set's plan (`catalog._walk_groups`):
+    harmonic ``"walks"`` and `top_ring`'s tops; empty outside a planned unit."""
+    return {}
 
-    Entry i holds the inverse of i; entry 0 is a zero placeholder.  A sweep
-    reads about six rings per prime, each table for one unit (`unit_scope`).
-    """
+
+def top_ring(ring: PrimePower, key) -> PrimePower:
+    """The ring that computes the O(p) quantity ``key`` (a power a of 1/i,
+    ``"central"`` or ``"panel"``) for ring: Z/p^K, the plan's top or the
+    largest read so far, if K > k, reduced mod p^k (a ring homomorphism);
+    else ring, which becomes the top."""
+    plan = _unit_plan(ring.p)
+    top = plan.get(key, 0)
+    if top <= ring.k:
+        plan[key] = ring.k
+        return ring
+    return prime_power(ring.p, top)
+
+
+@unit_cached
+def unit_table(key, build, ring: PrimePower, *args) -> tuple:
+    """``build(ring, *args)``, built in `top_ring` only and reduced at C level."""
+    top = top_ring(ring, key)
+    if top is ring:
+        return build(ring, *args)
+    return tuple(map(ring.modulus.__rmod__, unit_table(key, build, top, *args)))
+
+
+@unit_cached
+def inverse_table(ring: PrimePower) -> tuple[int, ...]:
+    """Inverses of 1..p-1 mod p^k, entry i for i and a 0 at entry 0."""
+    return unit_table(1, _inverses, ring)
+
+
+def _inverses(ring: PrimePower) -> tuple[int, ...]:
+    """`inverse_table` in one pass: m = floor(m/i)*i + (m mod i) gives 1/i =
+    (m - floor(m/i)) * inv[m mod i] (mod m), m mod i < i a unit as i is."""
     p, m = ring.p, ring.modulus
     inv = [0, 1]
     for i in range(2, p):

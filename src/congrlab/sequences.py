@@ -21,7 +21,7 @@ Sequence conventions:
 from __future__ import annotations
 
 from .errors import BaseDivisibleByP, PreconditionViolated
-from .modring import PrimePower, Residue, divide_by_p, inverse_table, legendre, prime_power, unit_cached
+from .modring import PrimePower, Residue, divide_by_p, inverse_table, legendre, prime_power, unit_cached, unit_table
 
 __all__ = [
     "lucas_u_upto",
@@ -143,12 +143,13 @@ def _fibonacci_quotient(p: int, k: int = 1) -> Residue:
 
 @unit_cached
 def central_binomials(ring: PrimePower) -> tuple[int, ...]:
-    """C(2k, k) mod p^k for 0 <= k <= (p-1)/2, as raw integers, via the ratio
-    k*C(2k,k) = 2(2k-1)*C(2k-2,k-1).
+    """C(2k, k) mod p^k for 0 <= k <= (p-1)/2, as raw integers (`unit_table`)."""
+    return unit_table("central", _central_binomials, ring)
 
-    All divisors k <= (p-1)/2 are units mod p, so the table is exact in the
-    ring; built in O(p) with the cached inverse table.
-    """
+
+def _central_binomials(ring: PrimePower) -> tuple[int, ...]:
+    """`central_binomials` in O(p) by k*C(2k,k) = 2(2k-1)*C(2k-2,k-1), exact
+    in the ring as every k <= (p-1)/2 is a unit."""
     p, m = ring.p, ring.modulus
     inv = inverse_table(ring)
     half = (p - 1) // 2

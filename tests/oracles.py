@@ -118,6 +118,47 @@ def fib_lucas_sum_exact(p: int, kind: str) -> Fraction:
     return total
 
 
+def weighted_sums_by_horner(t, ring) -> tuple:
+    """The ``weighted_sums`` pair in the ring, by Horner's rule on its t-free
+    coefficients C(2k,k) Hbar_k(2)/(2k+1) and C(2k,k) Hbar_k(2), each from
+    ``math.comb`` and ``pow``: no table and no panel pass."""
+    p, m = ring.p, ring.modulus
+    coeffs, hbar, half = [], 0, (p - 1) // 2
+    for k in range(half):
+        c = math.comb(2 * k, k) * hbar
+        coeffs.append((c * pow(2 * k + 1, -1, m), c))
+        hbar += pow(2 * k + 1, -2, m)
+    coeffs.append((0, math.comb(2 * half, half) * hbar))
+    tv, first, second = ring.value_of(t), 0, 0
+    for a, b in reversed(coeffs):
+        first, second = (first * tv + a) % m, (second * tv + b) % m
+    return ring.from_int(first), ring.from_int(second)
+
+
+def alternating_v_sum(t, odd: bool, ring):
+    """The signed v-series at t over the half range, v = v(t, 1), in the ring.
+
+    With ``odd`` True: sum_{k=0}^{(p-3)/2} (-1)^k v_{2k+1}(t)/(2k+1).
+    Otherwise: sum_{k=1}^{(p-1)/2} (-1)^k v_{2k}(t)/k.  Each column is a
+    ``recurrence_column`` that steps the index by two, s_{k+1} = v_2*s_k -
+    s_{k-1} with v_2 = t^2 - 2, with the sign (-1)^k folded in by negating
+    v_2, and each weight comes from ``pow``: the package's panel pass steps
+    both columns in one loop against its own coefficient tables.
+    """
+    from congrlab.sequences import recurrence_column
+
+    p, m = ring.p, ring.modulus
+    tv = ring.value_of(t)
+    v2 = (tv * tv - 2) % m
+    if odd:  # from v_1, -v_3
+        column = recurrence_column((p - 1) // 2, tv, -(v2 * tv - tv), -v2, m)
+        total = sum(v * pow(2 * k + 1, -1, m) for k, v in enumerate(column))
+    else:  # from v_0, -v_2; the k = 0 term is dropped
+        column = recurrence_column((p + 1) // 2, 2, -v2, -v2, m)
+        total = sum(v * pow(k, -1, m) for k, v in enumerate(column) if k)
+    return ring.from_int(total)
+
+
 def records(report) -> list[dict]:
     """The rows of a ``Report`` in the pinned report schema, as plain dicts."""
     return [r.record() for r in report.results]

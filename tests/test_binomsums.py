@@ -13,11 +13,11 @@ from congrlab.errors import DenominatorDivisibleByP, PreconditionViolated
 from congrlab.binomsums import (
     _column,
     _dot,
-    _hbar_weights,
-    _weighted_sums,
-    alternating_v_sum,
+    _panel_pass,
+    _pass_rows,
     binomial_column,
     fib_lucas_sum,
+    panel_sums,
     rhs_lucas_sum,
     s1,
     s2,
@@ -25,9 +25,16 @@ from congrlab.binomsums import (
 )
 from congrlab.catalog import DEFAULT_T_PANEL
 from congrlab.harmonic import odd_mhs
-from congrlab.modring import legendre, primes_in_range, prime_power, unit_scope
+from congrlab.modring import _unit_plan, legendre, primes_in_range, prime_power, unit_scope
 from congrlab.sequences import lucas_u_upto, lucas_v_upto, recurrence_column
-from oracles import fib_lucas_sum_exact, s1_exact, s2_exact, weighted_sums_exact
+from oracles import (
+    alternating_v_sum,
+    fib_lucas_sum_exact,
+    s1_exact,
+    s2_exact,
+    weighted_sums_by_horner,
+    weighted_sums_exact,
+)
 
 T_VALUES = [Fraction(1, 4), Fraction(-1, 4), Fraction(1, 16), Fraction(3, 16), Fraction(2)]
 
@@ -104,6 +111,37 @@ def test_alternating_v_sums_match_exact(p):
             ring = prime_power(p, k)
             assert alternating_v_sum(t, True, ring) == ring.from_fraction(odd), (t, k)
             assert alternating_v_sum(t, False, ring) == ring.from_fraction(even), (t, k)
+
+
+@pytest.mark.parametrize("p", primes_in_range(3, 60))
+def test_panel_pass_against_the_per_t_sums(p):
+    # The pass at every residue t of p in Z/p^3, where the panel checks read
+    # it, against the kernels it replaces for them: s1 and s2 at t and at
+    # u = t^2/16, the H-bar-weighted pair by Horner's rule, and the
+    # alternating v-series stepped by recurrence columns.
+    ring = prime_power(p, 3)
+    with unit_scope():
+        for tv in range(p):
+            got = {name: ring.from_int(x) for name, x in panel_sums(tv, ring).items()}
+            u = ring.from_int(tv) ** 2 / 16
+            assert (got["s1"], got["s0"] - 1) == (s1(tv, 0, ring), s2(tv, 0, ring)), tv
+            assert (got["odd_weighted"], got["weighted"]) == weighted_sums_by_horner(tv, ring), tv
+            assert (got["quad_s1"], got["quad_s2"]) == (s1(u.value, 1, ring), s2(u.value, 1, ring)), tv
+            assert got["odd_v"] == alternating_v_sum(tv, True, ring), tv
+            assert got["even_v"] == alternating_v_sum(tv, False, ring), tv
+        assert _panel_pass.cache_info().misses == p
+
+
+def test_panel_sums_read_the_pass_of_the_units_ring():
+    # A read below the unit's pass ring is the pass there, reduced: one
+    # pass per t, which the smaller ring reads mod its modulus.
+    p = 101
+    with unit_scope():
+        _unit_plan(p).update(panel=3)
+        small = panel_sums(Fraction(1, 4), prime_power(p, 1))
+        assert panel_sums(Fraction(1, 4), prime_power(p, 3)) is small
+        assert _panel_pass.cache_info().misses == 1
+    assert small["s1"] == s1(Fraction(1, 4), 0, prime_power(p, 3)).value
 
 
 def test_fib_lucas_sum_uses_odd_indices():
@@ -194,18 +232,19 @@ def test_one_column_per_residue_of_t():
         s1(tv, 1, ring)
         assert _column.cache_info().misses == 1
         assert weighted_sums(Fraction(1, 4), ring) == weighted_sums(tv, ring)
-        assert _weighted_sums.cache_info().misses == 1
+        assert _panel_pass.cache_info().misses == 1
 
 
 def test_weight_columns_once_per_ring():
     # The Hbar_k(2) weights do not depend on t: the sums at three values of t
-    # in one ring build them once, and another ring builds its own.
+    # in one ring build the panel pass's rows once, and a larger ring read
+    # later builds its own.
     rings = (prime_power(101, 2), prime_power(101, 3))
     with unit_scope():
         for ring in rings:
             for t in (Fraction(1, 4), Fraction(-1, 16), Fraction(5, 3)):
                 assert weighted_sums(t, ring) == tuple(map(ring.from_fraction, weighted_sums_exact(101, t)))
-        assert _hbar_weights.cache_info().misses == 2
+        assert _pass_rows.cache_info().misses == 2
 
 
 class TestGuards:

@@ -489,16 +489,19 @@ class TestLiftInvariance:
 
 
 def test_t34_takes_its_v_sum_one_power_lower(monkeypatch):
-    # T34.first multiplies its v-series sum by 2p, so _v_p_term takes the sum
-    # in Z/p^(k-1): the rows equal those with the sum in the full ring Z/p^k,
-    # and a sum taken in Z/p^(k-2) changes some row.
-    original = catalog.alternating_v_sum
+    # T34.first multiplies its v-series sum by 2p, so _v_p_term reads the
+    # panel pass's odd_v in Z/p^(k-1): the rows equal those with the sum
+    # taken in the full ring Z/p^k, and a sum taken in Z/p^(k-2) changes
+    # some row.  odd_v has no other reader.
+    original = catalog.panel_sums
 
     def rows(shift):
-        def at(t, odd, ring):
-            return original(t, odd, prime_power(ring.p, ring.k + shift))
+        def at(t, ring):
+            sums = dict(original(t, ring))
+            sums["odd_v"] = original(t, ring)["odd_v"] % ring.p ** (ring.k + shift)
+            return sums
 
-        monkeypatch.setattr(catalog, "alternating_v_sum", at)
+        monkeypatch.setattr(catalog, "panel_sums", at)
         return records(run_suite(7, 200, patterns=("T34.first",), kinds=("congruence",)))
 
     want = rows(0)
@@ -546,7 +549,7 @@ PANEL_HELPERS = {
     "_mod_p_term": {"L31.A2", "L31.A3", "T32.first", "T32.second", "T34.first"},
     "w_value_mod": {"T32.first", "T32.second"},
     "_v_p_term": {"T34.first"},
-    "alternating_v_sum": {"T34.first", "T34.second"},
+    "panel_sums": {"L31.A2", "L31.A3", "T32.first", "T32.second", "T34.first", "T34.second"},
 }
 
 
@@ -576,7 +579,7 @@ def test_a_kept_panel_form_reads_its_helpers_at_call_time(helper, monkeypatch):
 #: at call time; a form that held one of these objects would freeze it.
 PATCHED_HELPERS = (
     "_mod_p_term", "bernoulli_number", "bernoulli_third", "euler_number", "_uv_term",
-    "binomial_column", "w_value_mod", "_v_p_term", "alternating_v_sum",
+    "binomial_column", "w_value_mod", "_v_p_term", "panel_sums",
 )
 
 
@@ -984,23 +987,28 @@ class TestRunSuite:
 #: The memo of each kernel whose tables live one unit, by the name its test
 #: ids show, and how many tables one cold ``--checks '*'`` unit at p = 101
 #: fills.  The rings are Z/p..Z/p^5 (`test_a_unit_builds_tables_up_to_p5_only`);
-#: `_mhs_mod` counts each sum in the ring its term keeps, and `_group_sums`
-#: the unit's groups, Z/p's full range folded into its half range, plus
-#: specialnum's H_(p/3)(2).
+#: `unit_table` counts those tables, and 9 of them are built by a Python
+#: loop, each in its top ring (`test_a_unit_builds_each_table_once`), which
+#: the other rings' tables reduce.  `_mhs_mod` counts each sum in the ring its term keeps, and
+#: `_group_sums` the unit's three walks (half and full range, and the odd
+#: half range; Z/p's full range is folded into its half range).  The panel
+#: checks, and C52 at t = 1/16, read `_panel_pass` once per t, and the
+#: fixed-t checks' s1 and s2 read `binomial_column`.
 UNIT_CACHES = {
     "inverse_table": (modring.inverse_table, 5),
-    "central_binomials": (sequences.central_binomials, 5),
+    "central_binomials": (sequences.central_binomials, 4),
     "_powers": (harmonic._powers, 22),
-    "binomial_column": (binomsums._column, 26),
-    "weighted_sums": (binomsums._weighted_sums, 14),
-    "_hbar_weights": (binomsums._hbar_weights, 2),
+    "unit_table": (modring.unit_table, 26),
+    "binomial_column": (binomsums._column, 11),
+    "_panel_pass": (binomsums._panel_pass, 13),
+    "_pass_rows": (binomsums._pass_rows, 1),
     "_u_sums": (binomsums._u_sums, 13),
     "_fermat_powers": (specialnum._fermat_powers, 1),
     "_mhs_mod": (harmonic._mhs_mod, 115),
     "_odd_mhs_mod": (harmonic._odd_mhs_mod, 13),
-    "_group_sums": (harmonic._group_sums, 14),
+    "_group_sums": (harmonic._group_sums, 3),
     "bernoulli_powersum": (specialnum.bernoulli_powersum, 3),
-    "_unit_plan": (harmonic._unit_plan, 1),
+    "_unit_plan": (modring._unit_plan, 1),
     "bernoulli_table": (specialnum.bernoulli_table, 0),
     "euler_numbers": (specialnum.euler_numbers, 0),
 }
@@ -1056,7 +1064,9 @@ def test_a_wide_panel_reuses_its_per_t_tables_within_a_unit():
     assert report.status == "pass" and len({r.t for r in report.results}) == 40
     assert len(ends) == 3
     for end in ends:
-        assert end["_u_sums"].hits and end["weighted_sums"].hits, end
+        assert end["_u_sums"].hits and end["_panel_pass"].hits, end
+        # One pass per t, and no panel check builds a per-t column.
+        assert end["_panel_pass"].misses == 40 and end["binomial_column"].misses == 0, end
 
 
 def test_a_congruence_unit_hashes_no_fraction(monkeypatch):
@@ -1128,7 +1138,7 @@ def test_a_nested_scope_keeps_the_walk_plan():
     # unit, like every other unit table.
     ring = prime_power(101, 1)
     with unit_scope():
-        harmonic._plan_walks(101, catalog._walk_groups(("ii.r1s1", "ii.r1s2")))
+        modring._unit_plan(101).update(catalog._walk_groups(("ii.r1s1", "ii.r1s2")))
         harmonic.mhs(100, (1, 1), ring)
         with unit_scope():
             pass
@@ -1136,7 +1146,7 @@ def test_a_nested_scope_keeps_the_walk_plan():
         info = harmonic._group_sums.cache_info()
         assert (info.misses, info.hits) == (1, 1), info
     assert not any(info.currsize for info in _tables().values())
-    assert harmonic._unit_plan(101) == {}
+    assert modring._unit_plan(101) == {}
 
 
 def _walk_spy(monkeypatch) -> list:
@@ -1163,42 +1173,47 @@ class TestWalkPlan:
         assert walks == [{(1,), (1, 1)}]
 
     def test_every_check_walks_each_group_once(self, monkeypatch):
-        # The 37 full-range sums mod p (ii, iii) are not walked: their halves
-        # join the 28 half-range sums mod p in one walk of 52.  Every other
-        # modular sum of the unit is walked once: the 128 (UNIT_CACHES:
-        # 115 + 13) less the 37, and the 24 halves that no form reads.  One
-        # size-1 walk is a sum that no form states, specialnum's H_(p/3)(2).
+        # One walk per range and parity, across the rings Z/p..Z/p^5: the
+        # half range's 52 (its 28 sums mod p, the halves of the 37 full-range
+        # sums mod p of ii and iii, which are not walked, and the sums in
+        # Z/p^2..Z/p^5), the full range's 7 in Z/p^2..Z/p^5 and the odd half
+        # range's 12.  The size-1 walk is a sum that no form states,
+        # specialnum's H_(p/3)(2).
         walks = _walk_spy(monkeypatch)
         report = run_suite(prime_lo=101, prime_hi=101, patterns=("*",), jobs=1, kinds=("congruence",))
         assert report.status == "pass"
-        assert sorted(map(len, walks)) == [1, 1, 1, 1, 1, 1, 3, 3, 5, 5, 9, 13, 19, 52]
-        assert sum(map(len, walks)) == 115 + 13 - 37 + 24
-        groups = catalog._walk_groups(tuple(c.id for c in builtin_checks() if c.kind == "congruence"))
-        halves = harmonic._halves(groups[1, False, False])
-        assert max(walks, key=len) == groups[1, True, False] | halves
-        assert len(halves - groups[1, True, False]) == 24
+        assert sorted(map(len, walks)) == [1, 7, 12, 52]
+        plan = catalog._walk_groups(tuple(c.id for c in builtin_checks() if c.kind == "congruence"))
+        assert sorted(map(set, plan["walks"].values()), key=len) == sorted(walks, key=len)[1:]
 
     def test_the_plan_holds_compositions_and_ring_exponents_only(self):
-        # A term reads its sum in Z/p^max(k-e, 1), so the groups span
-        # Z/p..Z/p^5; the unit's plan folds the full range mod p into the
-        # half range.
-        groups = catalog._walk_groups(tuple(c.id for c in builtin_checks() if c.kind == "congruence"))
-        assert len(groups) == 14 and len(groups[1, False, False]) == 37
-        assert {k for k, _, _ in groups} == {1, 2, 3, 4, 5}
-        for (k, half, odd), comps in groups.items():
-            assert type(k) is int and type(half) is bool and type(odd) is bool
-            assert type(comps) is frozenset
-            assert all(type(a) is int for comp in comps for a in comp)
-        with unit_scope():
-            harmonic._plan_walks(101, groups)
-            plan = harmonic._unit_plan(101)
-            assert len(plan) == 13 and (101, 100, False) not in plan and len(plan[101, 50, False]) == 52
+        # A term reads its sum in Z/p^max(k-e, 1), so the walks span
+        # Z/p..Z/p^5; the full range mod p is folded into the half range, so
+        # the full range's walk starts at Z/p^2.  The tops are the rings in
+        # which the walks read each power table and the panel pass is run.
+        plan = catalog._walk_groups(tuple(c.id for c in builtin_checks() if c.kind == "congruence"))
+        walks = plan["walks"]
+        assert set(plan) == {"walks", 1, 2, 3, 4, 5, 6, "panel"}
+        assert {key: len(walk) for key, walk in walks.items()} == {(True, False): 52, (False, False): 7, (True, True): 12}
+        assert {k for walk in walks.values() for k in walk.values()} == {1, 2, 3, 4, 5}
+        assert min(walks[False, False].values()) == 2
+        for walk in walks.values():
+            assert all(type(k) is int and all(type(a) is int for a in comp) for comp, k in walk.items())
+        assert {key: plan[key] for key in plan if key != "walks"} == {1: 5, 2: 4, 3: 4, 4: 3, 5: 3, 6: 2, "panel": 3}
+
+    def test_a_check_set_plans_only_what_its_checks_read(self):
+        # The plan follows the selected checks, not the registry: one sum mod
+        # p plans Z/p alone, and the panel checks plan their pass ring.
+        assert catalog._walk_groups(("ii.r1s1",)) == {"walks": {(True, False): {(1,): 1, (1, 1): 1}}, 1: 1}
+        assert catalog._walk_groups(("L31.A2",)) == {"walks": {}, "panel": 1}
+        assert catalog._walk_groups(("L31.A2", "T34.second")) == {"walks": {}, "panel": 2}
 
 
 def test_a_unit_builds_tables_up_to_p5_only(monkeypatch):
     # Every O(p) table of a unit starts from its ring's inverse table.  C27's
-    # lhs reads C(p-1, n) by math.comb, and each harmonic term reads its sum
-    # to the precision it keeps, so no default unit builds a Z/p^6 table.
+    # lhs reads C(p-1, n) by a product with no table, and each harmonic term
+    # reads its sum to the precision it keeps, so no default unit reads a
+    # Z/p^6 table.
     rings, table = [], modring.inverse_table
 
     def recording(ring):
@@ -1210,6 +1225,106 @@ def test_a_unit_builds_tables_up_to_p5_only(monkeypatch):
             monkeypatch.setattr(module, "inverse_table", recording)
     assert run_suite(prime_lo=101, prime_hi=101, jobs=1, kinds=("congruence",)).status == "pass"
     assert set(rings) == {1, 2, 3, 4, 5}
+
+
+def _work(monkeypatch) -> tuple[list, list]:
+    """The work of the units run from now on, host-free: the length of each
+    column that a harmonic walk reads (one O(p) pass per node of its tree),
+    and each table built by a Python loop, as (builder, k, args).  Every
+    other table of a unit is a C-level reduction of one of these."""
+    passes, builds = [], []
+    walk = harmonic._walk
+
+    def counted_walk(column, comps):
+        def counted(a, k):
+            col = list(column(a, k))
+            passes.append(len(col))
+            return col
+
+        return walk(counted, comps)
+
+    monkeypatch.setattr(harmonic, "_walk", counted_walk)
+    for module, name in ((modring, "_inverses"), (sequences, "_central_binomials"), (harmonic, "_power_table")):
+        def counted_build(ring, *args, build=getattr(module, name), name=name):
+            builds.append((name, ring.k, *args))
+            return build(ring, *args)
+
+        monkeypatch.setattr(module, name, counted_build)
+    return passes, builds
+
+
+def test_a_unit_builds_each_table_once(monkeypatch):
+    # The host-free work of one default unit at p = 101: its walks make 39.5
+    # passes of p - 1 = 100 indices (a half range counts 1/2), plus one
+    # 33-index pass of specialnum's H_(p/3)(2).  It builds each table by a
+    # Python loop once, in its top ring: the walks' power tables and the
+    # inverse table in the rings of the plan, C(2k, k) in the panel pass's
+    # Z/p^3, and, above the plan's rings, the tables of Z/p^5 that S5.conbin
+    # and TM.mc1 read through callables.  Each other table is a reduction.
+    passes, builds = _work(monkeypatch)
+    assert run_suite(prime_lo=101, prime_hi=101, jobs=1, kinds=("congruence",)).status == "pass"
+    assert sum(passes) == 3950 + 33 and len(passes) == 73
+    assert sorted(builds) == [
+        ("_central_binomials", 3), ("_central_binomials", 5), ("_inverses", 5),
+        ("_power_table", 2, 6), ("_power_table", 3, 4), ("_power_table", 3, 5),
+        ("_power_table", 4, 2), ("_power_table", 4, 3), ("_power_table", 5, 2),
+    ]
+    # A unit builds no table in a ring that none of its checks reads.
+    passes, builds = _work(monkeypatch)
+    assert run_suite(prime_lo=101, prime_hi=101, patterns=("ii.r1s1",), jobs=1).status == "pass"
+    assert builds == [("_inverses", 1)] and passes == [50, 50]
+
+
+@pytest.mark.parametrize("descending", [False, True], ids=["rings-up", "rings-down"])
+def test_every_reduced_table_equals_the_table_built_in_its_ring(descending, monkeypatch):
+    # Under a default unit's plan a table below its top ring is read off the
+    # top ring's table: the plan's, or the largest ring read so far.  Read
+    # from Z/p^5 down, each of the 7 tables is built once; read from Z/p up,
+    # 20 are built (each power at its plan's top and in each ring above it,
+    # C(2k, k), which the plan leaves to the panel pass, in every ring).
+    # Each must equal the table built in its own ring alone.
+    ids = tuple(c.id for c in builtin_checks() if c.kind == "congruence")
+    kernels = [modring.inverse_table, sequences.central_binomials]
+    kernels += [functools.partial(harmonic._powers, a=a) for a in range(2, 7)]
+    for p in (5, 7, 101):
+        rings = [prime_power(p, k) for k in (range(5, 0, -1) if descending else range(1, 6))]
+        _, builds = _work(monkeypatch)
+        with unit_scope():
+            modring._unit_plan(p).update(catalog._walk_groups(ids))
+            got = [kernel(ring) for kernel in kernels for ring in rings]
+        assert len(builds) == (7 if descending else 20), p
+        want = []
+        for kernel in kernels:
+            for ring in rings:
+                with unit_scope():
+                    want.append(kernel(ring))
+        assert got == want, p
+
+
+@pytest.mark.parametrize("p", [5, 7, 101])
+def test_every_merged_walk_sum_against_a_walk_in_one_ring(p):
+    # A merged walk reads each node in the largest ring below it; every sum
+    # it plans, reduced into each ring that reads it, must equal the sum
+    # walked over that ring's columns alone.
+    plan = catalog._walk_groups(tuple(c.id for c in builtin_checks() if c.kind == "congruence"))
+    for (half, odd), walk in plan["walks"].items():
+        n = (p - 1) // 2 if half else p - 1
+        with unit_scope():
+            modring._unit_plan(p).update(plan)
+            merged = harmonic._group_sums(n, p, odd)
+        for k in sorted(set(walk.values())):
+            comps = dict.fromkeys([comp for comp, top in walk.items() if top >= k], k)
+            with unit_scope():
+                alone = harmonic._walk_sums(n, comps, p, odd)
+            assert {comp: merged[comp] % p**k for comp in comps} == alone, (half, odd, k)
+
+
+def test_c27_reads_the_central_binomial_as_a_product():
+    # _half_binomial multiplies (p-j)/j over j <= n in blocks; math.comb is
+    # its oracle, with one block at p <= 61 and several above.
+    for p in (3, 5, 7, 61, 67, 101, 997, 10007):
+        ring = prime_power(p, 6)
+        assert catalog._half_binomial(ring) == math.comb(p - 1, (p - 1) // 2) % p**6, p
 
 
 def test_every_harmonic_term_with_a_power_of_p_against_the_oracle():

@@ -149,10 +149,11 @@ PRIVATE_READS = {
     "binomsums.py": {"harmonic._powers"},
     "catalog.py": {
         "binomsums._dot", "binomsums._odd_powers", "harmonic._mhs_mod", "harmonic._odd_mhs_mod",
-        "harmonic._plan_walks",
+        "harmonic._merge_walks", "modring._unit_plan",
         "sequences._fibonacci_quotient",
     },
     "cli.py": {"catalog._repeated_value"},
+    "harmonic.py": {"modring._unit_plan"},
     "specialnum.py": {"harmonic._powers"},
 }
 

@@ -15,7 +15,7 @@ from congrlab.errors import NonUnitDenominator, PreconditionViolated
 from congrlab import catalog, harmonic
 from congrlab.exactalg import QQ, Poly
 from congrlab.harmonic import alternating_half_sum, mhs, odd_mhs
-from congrlab.modring import prime_power, primes_in_range, unit_scope
+from congrlab.modring import _unit_plan, prime_power, primes_in_range, unit_scope
 from oracles import harmonic_mod_p, harmonic_over_q
 
 
@@ -96,6 +96,13 @@ class TestFrozenValues:
     def test_empty_composition(self):
         assert mhs(5, ()) == 1
         assert odd_mhs(5, ()) == 1
+        # Mod p the full range folds the empty composition into no halves at
+        # all, planned or not.
+        for k in (1, 2):
+            assert mhs(100, (), prime_power(101, k)) == 1 == odd_mhs(50, (), prime_power(101, k))
+        with unit_scope():
+            _unit_plan(101).update(catalog._walk_groups(("ii.r1s1",)))
+            assert mhs(100, (), prime_power(101, 1)) == 1
 
 
 class TestPreconditions:
@@ -213,14 +220,19 @@ def test_one_walk_gives_every_sum_of_its_set(comps, p, k, odd, data):
     top = (p - 1) // 2 if odd else p - 1
     n = data.draw(st.integers(min_value=0, max_value=min(top, 7)), label="n")
     ring = prime_power(p, k)
-    sums = harmonic._group_sums(n, comps, ring, odd)
+    sums = harmonic._walk_sums(n, dict.fromkeys(comps, k), p, odd)
     assert sums == {comp: ring.value_of(harmonic_over_q(n, comp, odd)) for comp in comps}
 
 
 def _full_range_group_mod_p() -> frozenset:
     """The compositions whose H_(p-1) mod p the sweep reads: the ii and iii checks."""
-    ids = tuple(c.id for c in catalog.builtin_checks() if c.kind == "congruence")
-    return catalog._walk_groups(ids)[1, False, False]
+    return frozenset(
+        h.comp
+        for c in catalog.builtin_checks()
+        if isinstance(c.evaluator, catalog.ClosedForm)
+        for h in c.evaluator.lhs + c.evaluator.terms
+        if isinstance(h, catalog.Harmonic) and not h.half and c.target_exponent - h.e <= 1
+    )
 
 
 def _folded_sums(p: int, comps, planned: bool) -> dict:
@@ -231,7 +243,8 @@ def _folded_sums(p: int, comps, planned: bool) -> dict:
     if not planned:
         return {comp: mhs(p - 1, comp, ring) for comp in comps}
     with unit_scope():
-        harmonic._plan_walks(p, {(1, False, False): frozenset(comps)})
+        walks, tops = harmonic._merge_walks({(1, False, False): frozenset(comps)})
+        _unit_plan(p).update(tops, walks=walks)
         sums = {comp: mhs(p - 1, comp, ring) for comp in comps}
         assert harmonic._group_sums.cache_info().misses == 1
     return sums
